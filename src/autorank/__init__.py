@@ -7,9 +7,7 @@ renders the result as text, Markdown, LaTeX or a JSON report.
 
 from .golden import PairComparison, compare_pair, parse_allow_list, validate_golden_pair
 from .ingest import (
-    CompletenessReport,
     Manifest,
-    ManifestReport,
     ParseError,
     check_completeness,
     parse_manifest,
@@ -18,7 +16,6 @@ from .ingest import (
     serialize_manifest,
     serialize_registry,
     serialize_scores,
-    validate_manifest,
 )
 from .model import (
     DEFAULT_METRICS,
@@ -41,7 +38,6 @@ from .ranking import (
     NormalizationContext,
     build_context,
     compute_autorank,
-    context_from_records,
     normalize_score,
     order_rows,
 )
@@ -64,12 +60,10 @@ from .selection import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompletenessReport",
     "DEFAULT_METRICS",
     "LanguagePair",
     "LeaderboardTable",
     "Manifest",
-    "ManifestReport",
     "MetricSpec",
     "NormalizationContext",
     "Orientation",
@@ -91,7 +85,6 @@ __all__ = [
     "check_completeness",
     "compare_pair",
     "compute_autorank",
-    "context_from_records",
     "display_str",
     "file_extension",
     "find_cutoff",
@@ -111,7 +104,6 @@ __all__ = [
     "serialize_registry",
     "serialize_scores",
     "validate_golden_pair",
-    "validate_manifest",
     "visible_rows",
     "__version__",
 ]

@@ -260,20 +260,24 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
         try:
             config = RankingConfig.from_dict(report.get("config") or {})
             entries = report["pairs"]
+            pairs = []
             for entry in entries:
                 validate_golden_pair(entry)
+                pairs.append(LanguagePair.from_code(str(entry["pair"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise _ValidationError(f"{path}: malformed golden report: {exc}") from None
 
-        for entry in entries:
+        for pair, entry in zip(pairs, entries):
             compared += 1
-            pair = LanguagePair.from_code(str(entry["pair"]))
             if pair not in scored:
                 failed += 1
                 print(f"{pair.code}: MISMATCH")
                 print(f"  {pair.code}: no scores for this pair")
                 continue
-            table = rank_pair(registry, records, pair, DEFAULT_METRICS, config)
+            try:
+                table = rank_pair(registry, records, pair, DEFAULT_METRICS, config)
+            except ValueError as exc:
+                raise _ValidationError(str(exc)) from None
             result = compare_pair(table, entry, tolerance, allow)
             status = "ok" if result.ok else "MISMATCH"
             print(f"{pair.code}: {status} ({len(table.rows)} systems)")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     LanguagePair,
@@ -225,79 +225,41 @@ def serialize_manifest(manifest: Manifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    """Whether one pair's score matrix is rankable."""
-
-    pair: LanguagePair
-    participants: tuple[str, ...]
-    missing: tuple[tuple[str, str], ...]  # (system, metric) holes
-
-    @property
-    def rankable(self) -> bool:
-        return not self.missing
-
-
 def check_completeness(
     records: Iterable[ScoreRecord],
     registry: Sequence[SystemEntry],
     metrics: Sequence[MetricSpec],
     pair: LanguagePair,
-) -> CompletenessReport:
-    """Check that every participant has every metric for ``pair``.
+) -> dict[str, dict[str, float]]:
+    """Collect ``pair``'s score matrix and check that it is complete.
 
     A participant is any registered system with at least one score
     record for the pair; systems with none simply did not take part.
-    An empty pair is vacuously rankable.
+
+    Returns:
+        system name -> metric id -> raw score, systems in the order
+        they first appear in ``records``; empty when nobody scored the
+        pair.
+
+    Raises:
+        ValueError: a scored system missing from ``registry``, or a
+            participant lacking a score for one of ``metrics``.
     """
 
     known = {entry.name for entry in registry}
-    present: dict[str, set[str]] = {}
+    matrix: dict[str, dict[str, float]] = {}
     for record in records:
         if record.pair != pair:
             continue
         if record.system not in known:
             raise ValueError(f"system {record.system!r} has scores but no registry entry")
-        present.setdefault(record.system, set()).add(record.metric)
-    participants = tuple(sorted(present))
-    missing = tuple(
-        (system, metric.id)
-        for system in participants
+        matrix.setdefault(record.system, {})[record.metric] = record.score
+    holes = ", ".join(
+        f"{system}/{metric.id}"
+        for system in sorted(matrix)
         for metric in metrics
-        if metric.id not in present[system]
+        if metric.id not in matrix[system]
     )
-    return CompletenessReport(pair=pair, participants=participants, missing=missing)
-
-
-@dataclass(frozen=True)
-class ManifestReport:
-    """Manifest counts checked against observed segment counts."""
-
-    mismatches: tuple[tuple[LanguagePair, int, int], ...]  # (pair, declared, observed)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def validate_manifest(
-    manifest: Manifest,
-    observed_segments: Mapping[LanguagePair, int],
-    rel_tolerance: float = 0.0,
-) -> ManifestReport:
-    """Compare declared segment counts with observed ones.
-
-    A pair fails when |observed - declared| / declared exceeds
-    ``rel_tolerance``, and also when it is observed but never declared.
-    """
-
-    mismatches = []
-    for pair in sorted(observed_segments):
-        observed = observed_segments[pair]
-        if pair not in manifest.entries:
-            mismatches.append((pair, 0, observed))
-            continue
-        declared = manifest.entries[pair][0]
-        if abs(observed - declared) > rel_tolerance * declared:
-            mismatches.append((pair, declared, observed))
-    return ManifestReport(mismatches=tuple(mismatches))
+    if holes:
+        raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
+    return matrix

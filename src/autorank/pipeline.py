@@ -41,20 +41,11 @@ def rank_pair(
         ValueError: incomplete score matrix or unregistered system.
     """
 
-    records = list(records)
-    report = check_completeness(records, registry, metrics, pair)
-    if not report.rankable:
-        holes = ", ".join(f"{system}/{metric}" for system, metric in report.missing)
-        raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
-    if not report.participants:
+    scores_by_system = check_completeness(list(records), registry, metrics, pair)
+    if not scores_by_system:
         return LeaderboardTable(
             pair=pair, metrics=metrics, rows=(), cutoff_position=None, config=config
         )
-
-    scores_by_system: dict[str, dict[str, float]] = {}
-    for record in records:
-        if record.pair == pair:
-            scores_by_system.setdefault(record.system, {})[record.metric] = record.score
 
     entries = {entry.name: entry for entry in registry}
     context = build_context(pair, scores_by_system, metrics)

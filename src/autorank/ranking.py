@@ -31,7 +31,6 @@ from .model import (
     RankedRow,
     RankingConfig,
     ScaleSpan,
-    ScoreRecord,
     SystemEntry,
     round_display,
 )
@@ -74,14 +73,15 @@ def build_context(
     Args:
         pair: the direction being ranked.
         scores_by_system: system name -> metric id -> raw score; every
-            system must have a score for every metric.
+            system must have a score for every metric (see
+            ``check_completeness``).
         metrics: the metric columns, with orientations.
 
     Returns:
         The context for ``normalize_score``.
 
     Raises:
-        ValueError: empty matrix, or a missing score.
+        ValueError: empty matrix.
     """
 
     if not scores_by_system:
@@ -89,30 +89,12 @@ def build_context(
     best: dict[str, float] = {}
     worst: dict[str, float] = {}
     for metric in metrics:
-        column = []
-        for name, row in scores_by_system.items():
-            if metric.id not in row:
-                raise ValueError(f"{pair}: system {name!r} has no score for metric {metric.id!r}")
-            column.append(row[metric.id])
+        column = [row[metric.id] for row in scores_by_system.values()]
         if metric.orientation is Orientation.LOWER_BETTER:
             best[metric.id], worst[metric.id] = min(column), max(column)
         else:
             best[metric.id], worst[metric.id] = max(column), min(column)
     return NormalizationContext(pair=pair, n_systems=len(scores_by_system), best=best, worst=worst)
-
-
-def context_from_records(
-    pair: LanguagePair,
-    records: Iterable[ScoreRecord],
-    metrics: Iterable[MetricSpec],
-) -> NormalizationContext:
-    """Like ``build_context`` but straight from parsed score records."""
-
-    grouped: dict[str, dict[str, float]] = {}
-    for record in records:
-        if record.pair == pair:
-            grouped.setdefault(record.system, {})[record.metric] = record.score
-    return build_context(pair, grouped, metrics)
 
 
 def _span(config: RankingConfig, n_systems: int) -> int:
@@ -164,26 +146,18 @@ def compute_autorank(
 
     Args:
         entries: registry lookup covering every scored system.
-        scores_by_system: complete matrix, system -> metric -> raw score.
+        scores_by_system: complete matrix, system -> metric -> raw score
+            (see ``check_completeness``).
         context: observed extremes for this pair (see ``build_context``).
         metrics: metric columns in display order.
         config: scale span and display precision.
 
     Returns:
         One row per system, positions not yet assigned.
-
-    Raises:
-        ValueError: a system missing from ``entries`` or an incomplete
-            score matrix.
     """
 
     rows = []
     for name, raw in scores_by_system.items():
-        if name not in entries:
-            raise ValueError(f"system {name!r} has scores but no registry entry")
-        missing = [m.id for m in metrics if m.id not in raw]
-        if missing:
-            raise ValueError(f"{context.pair}: system {name!r} lacks scores for {missing}")
         entry = entries[name]
         normalized = {m.id: normalize_score(raw[m.id], m, context, config) for m in metrics}
         exact = fmean(normalized[m.id] for m in metrics)

@@ -153,11 +153,11 @@ def _metric_header(metric: MetricSpec) -> str:
     return f"{metric.display_name} {arrow}"
 
 
-def _score_cells(table: LeaderboardTable, row: RankedRow) -> list[str]:
+def _score_cells(table: LeaderboardTable, row: RankedRow, check: str = _CHECK) -> list[str]:
     decimals = table.config.display_decimals
     cells = [display_str(row.autorank_exact, decimals)]
     cells.extend(repr(row.raw_scores[m.id]) for m in table.metrics)
-    cells.append(_CHECK if row.selected else "")
+    cells.append(check if row.selected else "")
     return cells
 
 
@@ -281,7 +281,6 @@ def _latex_name(row: RankedRow) -> str:
 def _render_latex(
     table: LeaderboardTable, rows: Sequence[RankedRow], options: RenderOptions
 ) -> str:
-    decimals = table.config.display_decimals
     n_value_columns = 2 + len(table.metrics)  # autorank + metrics + checkmark
     column_spec = "R{40mm}" + "C{22mm}" * n_value_columns
     header = ["\\bf System Name", "\\bf AutoRank $\\downarrow$"]
@@ -298,9 +297,7 @@ def _render_latex(
     for i, row in enumerate(rows):
         if cut is not None and i == cut:
             out.append("\\midrule")
-        cells = [_latex_name(row), display_str(row.autorank_exact, decimals)]
-        cells.extend(repr(row.raw_scores[m.id]) for m in table.metrics)
-        cells.append(_LATEX_CHECK if row.selected else "")
+        cells = [_latex_name(row)] + _score_cells(table, row, _LATEX_CHECK)
         if options.show_reasons:
             cells.append(_latex_escape(_reason_cell(row)))
         core = " & ".join(cells)

@@ -237,6 +237,35 @@ class TestVerify:
         assert code == 1
         assert "malformed golden report" in capsys.readouterr().err
 
+    def test_malformed_golden_pair_code(self, tmp_path, capsys):
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        golden["pairs"][0]["pair"] = "cs"
+        path = tmp_path / "cs.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            f"error: {path}: malformed golden report: malformed language pair code: 'cs'\n"
+        )
+
+    def test_golden_pair_with_score_hole_is_validation_error(self, tmp_path, capsys):
+        # dropping the first score row leaves cs-uk's matrix with a hole
+        lines = (DATA / "scores.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(lines[0] + "".join(lines[2:]), encoding="utf-8")
+        golden = tmp_path / "golden"
+        golden.mkdir()
+        (golden / "cs-uk.json").write_bytes((DATA / "golden" / "cs-uk.json").read_bytes())
+        argv = _verify("--golden", str(golden))
+        argv[argv.index("--scores") + 1] = str(scores)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "error: cs-uk is not rankable, missing scores: Unbabel-Tower70B/metricx-23-xl\n"
+        )
+
     def test_invalid_json_golden(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{", encoding="utf-8")
         assert main(_verify("--golden", str(tmp_path))) == 1

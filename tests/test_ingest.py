@@ -5,9 +5,10 @@ import pytest
 from autorank import (
     DEFAULT_METRICS,
     LanguagePair,
-    Manifest,
     ParseError,
+    ScoreRecord,
     SystemCategory,
+    SystemEntry,
     check_completeness,
     parse_manifest,
     parse_registry,
@@ -15,7 +16,6 @@ from autorank import (
     serialize_manifest,
     serialize_registry,
     serialize_scores,
-    validate_manifest,
 )
 
 REGISTRY = (
@@ -181,46 +181,42 @@ def test_parse_manifest_rejects_duplicate_pair():
 
 
 def test_check_completeness_full_matrix(registry, records):
-    report = check_completeness(records, registry, DEFAULT_METRICS, LanguagePair.from_code("cs-uk"))
-    assert report.rankable
-    assert len(report.participants) == 20
-    assert report.missing == ()
+    matrix = check_completeness(records, registry, DEFAULT_METRICS, LanguagePair.from_code("cs-uk"))
+    assert len(matrix) == 20
+    assert all(set(scores) == {m.id for m in DEFAULT_METRICS} for scores in matrix.values())
+    assert matrix["IOL-Research"] == {"metricx-23-xl": 1.3, "cometkiwi-da-xl": 0.681}
 
 
 def test_check_completeness_flags_missing_metric():
     registry = _registry()
     records = parse_scores(SCORES, registry, DEFAULT_METRICS)[:-1]  # drop GPT-4 CometKiwi
-    report = check_completeness(records, registry, DEFAULT_METRICS, LanguagePair.from_code("cs-uk"))
-    assert not report.rankable
-    assert report.missing == (("GPT-4", "cometkiwi-da-xl"),)
+    with pytest.raises(ValueError) as info:
+        check_completeness(records, registry, DEFAULT_METRICS, LanguagePair.from_code("cs-uk"))
+    assert str(info.value) == "cs-uk is not rankable, missing scores: GPT-4/cometkiwi-da-xl"
+
+
+def test_check_completeness_lists_holes_by_system_then_metric():
+    # the lone-metric matrix build_context used to reject, plus a second
+    # hole that sorts first although its record comes later
+    pair = LanguagePair.from_code("cs-uk")
+    registry = [
+        SystemEntry(name="A", category=SystemCategory.OPEN),
+        SystemEntry(name="0", category=SystemCategory.OPEN),
+    ]
+    records = [
+        ScoreRecord(pair, "A", "metricx-23-xl", 1.0),
+        ScoreRecord(pair, "0", "cometkiwi-da-xl", 0.5),
+    ]
+    with pytest.raises(ValueError) as info:
+        check_completeness(records[:1], registry, DEFAULT_METRICS, pair)
+    assert str(info.value) == "cs-uk is not rankable, missing scores: A/cometkiwi-da-xl"
+    with pytest.raises(ValueError) as info:
+        check_completeness(records, registry, DEFAULT_METRICS, pair)
+    assert str(info.value) == (
+        "cs-uk is not rankable, missing scores: 0/metricx-23-xl, A/cometkiwi-da-xl"
+    )
 
 
 def test_check_completeness_empty_pair_is_vacuously_rankable():
-    report = check_completeness(
-        [], _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh")
-    )
-    assert report.rankable
-    assert report.participants == ()
-
-
-def test_validate_manifest_exact_and_tolerant():
-    manifest = Manifest(
-        entries={
-            LanguagePair.from_code("cs-uk"): (2300, 32000),
-            LanguagePair.from_code("en-de"): (1000, 32000),
-        }
-    )
-    ok = validate_manifest(manifest, {LanguagePair.from_code("cs-uk"): 2300})
-    assert ok.ok
-
-    off = validate_manifest(manifest, {LanguagePair.from_code("en-de"): 998})
-    assert not off.ok
-    assert off.mismatches == ((LanguagePair.from_code("en-de"), 1000, 998),)
-
-    near = validate_manifest(manifest, {LanguagePair.from_code("en-de"): 998}, rel_tolerance=0.01)
-    assert near.ok
-
-    undeclared = validate_manifest(manifest, {LanguagePair.from_code("en-xh"): 5})
-    assert undeclared.mismatches == ((LanguagePair.from_code("en-xh"), 0, 5),)
-
-    assert validate_manifest(Manifest(entries={}), {}).ok
+    matrix = check_completeness([], _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh"))
+    assert matrix == {}

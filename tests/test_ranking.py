@@ -10,12 +10,14 @@ from autorank import (
     Orientation,
     RankingConfig,
     ScaleSpan,
+    ScoreRecord,
     SystemCategory,
     SystemEntry,
     build_context,
     compute_autorank,
     normalize_score,
     order_rows,
+    rank_pair,
 )
 
 MX, CK = DEFAULT_METRICS
@@ -103,11 +105,10 @@ def test_build_context_from_score_matrix():
     assert ctx.worst_disadvantage(CK) == pytest.approx(0.20)
 
 
-def test_build_context_rejects_holes_and_empty():
+def test_build_context_rejects_empty():
+    # holes are check_completeness's to reject, see test_ingest
     with pytest.raises(ValueError):
         build_context(CSUK, {}, DEFAULT_METRICS)
-    with pytest.raises(ValueError):
-        build_context(CSUK, {"A": {MX.id: 1.0}}, DEFAULT_METRICS)
 
 
 def _entry(name: str, category=SystemCategory.OPEN) -> SystemEntry:
@@ -147,21 +148,26 @@ def test_compute_autorank_published_examples():
     assert rows["CycleL"].autorank_exact == 21.0
 
 
-def test_compute_autorank_requires_complete_matrix():
+def _records(matrix):
+    return [
+        ScoreRecord(CSUK, name, metric, score)
+        for name, scores in matrix.items()
+        for metric, score in scores.items()
+    ]
+
+
+def test_rank_pair_requires_complete_matrix():
     matrix = {"A": {MX.id: 1.0, CK.id: 0.7}, "B": {MX.id: 2.0}}
-    ctx = NormalizationContext(
-        pair=CSUK, n_systems=2, best={MX.id: 1.0, CK.id: 0.7}, worst={MX.id: 2.0, CK.id: 0.7}
-    )
-    entries = {"A": _entry("A"), "B": _entry("B")}
-    with pytest.raises(ValueError):
-        compute_autorank(entries, matrix, ctx, DEFAULT_METRICS, RankingConfig())
+    with pytest.raises(ValueError) as info:
+        rank_pair([_entry("A"), _entry("B")], _records(matrix), CSUK)
+    assert str(info.value) == "cs-uk is not rankable, missing scores: B/cometkiwi-da-xl"
 
 
-def test_compute_autorank_requires_registered_systems():
+def test_rank_pair_requires_registered_systems():
     matrix = {"A": {MX.id: 1.0, CK.id: 0.7}}
-    ctx = build_context(CSUK, matrix, DEFAULT_METRICS)
-    with pytest.raises(ValueError):
-        compute_autorank({}, matrix, ctx, DEFAULT_METRICS, RankingConfig())
+    with pytest.raises(ValueError) as info:
+        rank_pair([], _records(matrix), CSUK)
+    assert str(info.value) == "system 'A' has scores but no registry entry"
 
 
 def test_compute_autorank_single_system_is_one():
