@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .golden import compare_pair, parse_allow_list, validate_golden_pair
 from .ingest import ParseError, parse_manifest, parse_registry, parse_scores
-from .model import DEFAULT_METRICS, LanguagePair, RankingConfig, ScaleSpan
+from .model import DEFAULT_METRICS, LanguagePair, RankingConfig, ScaleSpan, ScoreRecord
 from .pipeline import pairs_in, rank_pair
 from .render import RenderOptions, TableFormat, file_extension, render_report, render_table
 
@@ -123,6 +123,14 @@ def _parse_inputs(args: argparse.Namespace):
     return registry, records
 
 
+def _group_by_pair(records: list[ScoreRecord]) -> dict[LanguagePair, list[ScoreRecord]]:
+    # one pass, so ranking every pair costs O(records), not O(pairs x records)
+    by_pair: dict[LanguagePair, list[ScoreRecord]] = {}
+    for record in records:
+        by_pair.setdefault(record.pair, []).append(record)
+    return by_pair
+
+
 def _config_from(args: argparse.Namespace) -> RankingConfig:
     defaults = RankingConfig()
     try:
@@ -189,13 +197,13 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
                 f"{args.manifest}: no manifest entry for pair(s): {', '.join(absent)}"
             )
 
-    scored = {record.pair for record in records}
+    by_pair = _group_by_pair(records)
     tables = []
     for pair in pairs:
-        if pair not in scored:
+        if pair not in by_pair:
             raise _ValidationError(f"{args.scores}: no scores for pair {pair.code}")
         try:
-            tables.append(rank_pair(registry, records, pair, DEFAULT_METRICS, config))
+            tables.append(rank_pair(registry, by_pair[pair], pair, DEFAULT_METRICS, config))
         except ValueError as exc:
             raise _ValidationError(str(exc)) from None
 
@@ -249,7 +257,7 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
         raise _ValidationError(f"{args.golden}: not a directory")
     golden_files = sorted(golden_dir.glob("*.json"))
 
-    scored = {record.pair for record in records}
+    by_pair = _group_by_pair(records)
     compared = 0
     failed = 0
     for path in golden_files:
@@ -257,6 +265,8 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
             report = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise _ValidationError(f"{path}: {exc}") from None
+        if not isinstance(report, dict):
+            raise _ValidationError(f"{path}: malformed golden report: top level is not an object")
         try:
             config = RankingConfig.from_dict(report.get("config") or {})
             entries = report["pairs"]
@@ -264,18 +274,18 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
             for entry in entries:
                 validate_golden_pair(entry)
                 pairs.append(LanguagePair.from_code(str(entry["pair"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise _ValidationError(f"{path}: malformed golden report: {exc}") from None
 
         for pair, entry in zip(pairs, entries):
             compared += 1
-            if pair not in scored:
+            if pair not in by_pair:
                 failed += 1
                 print(f"{pair.code}: MISMATCH")
                 print(f"  {pair.code}: no scores for this pair")
                 continue
             try:
-                table = rank_pair(registry, records, pair, DEFAULT_METRICS, config)
+                table = rank_pair(registry, by_pair[pair], pair, DEFAULT_METRICS, config)
             except ValueError as exc:
                 raise _ValidationError(str(exc)) from None
             result = compare_pair(table, entry, tolerance, allow)

@@ -26,7 +26,7 @@ becomes effectively exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Mapping, Sequence
 
 from .model import LeaderboardTable, RankedRow
@@ -64,15 +64,37 @@ def parse_allow_list(text: str) -> set[tuple[str, str]]:
 
 
 def validate_golden_pair(payload: Mapping[str, object]) -> None:
-    """Raise ValueError when a golden pair entry lacks required fields."""
+    """Raise ValueError unless a golden pair entry has the shape compare_pair reads.
 
+    That is an object whose ``rows`` is a list of objects, each holding
+    the required fields, an integer ``position`` and a finite decimal
+    ``autorank_exact``.
+    """
+
+    if not isinstance(payload, dict):
+        raise ValueError("golden pair entry is not an object")
     for key in ("pair", "rows"):
         if key not in payload:
             raise ValueError(f"golden pair entry missing field {key!r}")
-    for row in payload["rows"]:  # type: ignore[index]
+    rows = payload["rows"]
+    if not isinstance(rows, list):
+        raise ValueError("golden field 'rows' is not a list")
+    for row in rows:
+        if not isinstance(row, dict):
+            raise ValueError("golden row is not an object")
         for key in REQUIRED_ROW_FIELDS:
             if key not in row:
                 raise ValueError(f"golden row missing field {key!r}")
+        position = row["position"]
+        if not isinstance(position, int) or isinstance(position, bool):
+            raise ValueError(f"golden row position is not an integer: {position!r}")
+        text = str(row["autorank_exact"])
+        try:
+            finite = Decimal(text).is_finite()
+        except InvalidOperation:
+            finite = False
+        if not finite:
+            raise ValueError(f"golden row autorank_exact is not a finite decimal: {text!r}")
 
 
 def _half_ulp(text: str) -> Decimal:
@@ -109,8 +131,9 @@ def compare_pair(
     for name in golden_names:
         if name not in computed:
             result.mismatches.append(f"{pair}: {name}: missing from computed table")
+    golden_set = set(golden_names)
     for name in computed:
-        if name not in set(golden_names):
+        if name not in golden_set:
             result.mismatches.append(f"{pair}: {name}: absent from golden table")
     if result.mismatches:
         return result

@@ -131,15 +131,20 @@ def parse_scores(
 
     Rejects unknown systems, unknown metrics, non-finite or non-numeric
     scores, and duplicate (pair, system, metric) triples.  File order is
-    preserved.
+    preserved.  Each distinct pair token is parsed once; records of one
+    pair share its ``LanguagePair``.
     """
 
     known_systems = {entry.name for entry in registry}
     known_metrics = {metric.id for metric in metrics}
     records: list[ScoreRecord] = []
-    seen: set[tuple[LanguagePair, str, str]] = set()
+    pairs: dict[str, LanguagePair] = {}
+    # a valid token is its pair's code, so the raw token keys the triple
+    seen: set[tuple[str, str, str]] = set()
     for line, (pair_token, system, metric, score_token) in _rows(text, SCORES_HEADER):
-        pair = _parse_pair(pair_token, line)
+        pair = pairs.get(pair_token)
+        if pair is None:
+            pair = pairs[pair_token] = _parse_pair(pair_token, line)
         if system not in known_systems:
             raise ParseError(line, f"unknown system {system!r}")
         if metric not in known_metrics:
@@ -149,7 +154,7 @@ def parse_scores(
         score = float(score_token)
         if not math.isfinite(score):
             raise ParseError(line, f"score must be finite, got {score_token!r}")
-        key = (pair, system, metric)
+        key = (pair_token, system, metric)
         if key in seen:
             raise ParseError(line, f"duplicate score for {pair}/{system}/{metric}")
         seen.add(key)

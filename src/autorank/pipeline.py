@@ -27,6 +27,10 @@ def rank_pair(
 ) -> LeaderboardTable:
     """Rank one language pair.
 
+    Every record passed in is scanned, so a caller ranking many pairs
+    should group the records by pair once and pass each pair's slice;
+    passing every record gives the same table at O(pairs x records).
+
     Args:
         registry: all known systems (participants and not).
         records: score records; other pairs' records are ignored.

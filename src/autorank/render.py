@@ -11,14 +11,17 @@ recomputed.
 
 The JSON report is the machine-readable golden format: deterministic
 key order, rows sorted by position, pairs sorted by code, and every
-real number carried as a decimal string.
+real number carried as a decimal string.  Its bytes equal
+``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)``
+plus a final newline; a small layout function writes them because the
+standard library's indenting encoder runs in pure Python.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import Iterable, Sequence
 
 from .model import (
@@ -98,7 +101,34 @@ def render_report(tables: Sequence[LeaderboardTable]) -> str:
 
 
 def _dump_json(payload: object) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return _layout(payload, "\n") + "\n"
+
+
+def _layout(value: object, newline: str) -> str:
+    # json.dumps(indent=2, sort_keys=True, ensure_ascii=False) for the
+    # types a report holds; strings go through the C encoder
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring(key)}: {_layout(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_layout(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _pair_dict(table: LeaderboardTable, rows: Iterable[RankedRow]) -> dict[str, object]:

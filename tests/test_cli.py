@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import autorank.pipeline
 from autorank.cli import ExitStatus, main
 
 REGISTRY = """system\tcategory\twithdrawn\tunsupported_pairs
@@ -266,6 +268,45 @@ class TestVerify:
             "error: cs-uk is not rankable, missing scores: Unbabel-Tower70B/metricx-23-xl\n"
         )
 
+    def test_golden_top_level_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]", encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed golden report: top level is not an object\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field,value,reason",
+        [
+            ("autorank_exact", "high", "golden row autorank_exact is not a finite decimal: 'high'"),
+            ("autorank_exact", "NaN", "golden row autorank_exact is not a finite decimal: 'NaN'"),
+            ("position", "first", "golden row position is not an integer: 'first'"),
+            ("position", 1.5, "golden row position is not an integer: 1.5"),
+        ],
+        ids=["word-score", "nan-score", "word-position", "fractional-position"],
+    )
+    def test_golden_row_with_bad_value(self, tmp_path, capsys, field, value, reason):
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        golden["pairs"][0]["rows"][3][field] = value
+        path = tmp_path / "cs-uk.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: malformed golden report: {reason}\n"
+
+    def test_golden_config_with_zero_denominator(self, tmp_path, capsys):
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        golden["config"]["closed_fraction"] = "1/0"
+        path = tmp_path / "cs-uk.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: malformed golden report: ")
+        assert err.count("\n") == 1
+
     def test_invalid_json_golden(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{", encoding="utf-8")
         assert main(_verify("--golden", str(tmp_path))) == 1
@@ -315,6 +356,69 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 2
         assert "autorank" in out
+
+
+WMT24_INPUTS = ["--scores", str(DATA / "scores.tsv"), "--systems", str(DATA / "systems.tsv")]
+
+
+class TestLinearity:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--format", "text"],
+            [
+                "verify",
+                "--golden",
+                str(DATA / "golden"),
+                "--allow-mismatch",
+                str(DATA / "allow_mismatch.txt"),
+            ],
+        ],
+        ids=["rank", "verify"],
+    )
+    def test_completeness_sees_each_record_once(self, argv, monkeypatch, capsys):
+        original = autorank.pipeline.check_completeness
+        received = []
+
+        def counting(records, *rest):
+            received.append(len(records))
+            return original(records, *rest)
+
+        monkeypatch.setattr(autorank.pipeline, "check_completeness", counting)
+        assert main(argv[:1] + WMT24_INPUTS + argv[1:]) == 0
+        capsys.readouterr()
+        assert len(received) == 11
+        assert sum(received) == 488
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestRecordedDigests:
+    """WMT24 outputs stay byte-identical to the digests the benchmark recorded."""
+
+    @pytest.mark.parametrize(
+        "label,extra",
+        [
+            ("rank-text", ["--format", "text"]),
+            ("rank-json", ["--format", "json"]),
+            (
+                "rank-latex",
+                ["--format", "latex", "--out", "{out}", "--exclude-closed", "--show-reasons"],
+            ),
+        ],
+    )
+    def test_wmt24_rank_output(self, label, extra, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["rank", *WMT24_INPUTS] + [arg.format(out=out) for arg in extra]) == 0
+        found = {"stdout": _sha256(capsys.readouterr().out.encode("utf-8"))}
+        if out.is_dir():
+            found.update((path.name, _sha256(path.read_bytes())) for path in out.iterdir())
+        assert found == json.loads(DIGESTS.read_text(encoding="utf-8"))["wmt24"][label]
 
 
 class TestEntrypoint:

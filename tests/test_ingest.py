@@ -131,6 +131,28 @@ def test_parse_scores_rejects_bad_rows_with_line_numbers(mutant, needle):
     assert needle in str(info.value)
 
 
+def test_parse_scores_reports_a_repeated_bad_pair_token_at_its_first_line():
+    bad = "csuk\tIKUN\tmetricx-23-xl\t1.6\n"
+    text = SCORES + bad + bad
+    with pytest.raises(ParseError) as info:
+        parse_scores(text, _registry(), DEFAULT_METRICS)
+    assert info.value.line == 6
+    assert str(info.value) == "line 6: malformed language pair code: 'csuk'"
+
+
+def test_parse_scores_reports_a_duplicate_triple_at_its_second_line():
+    text = SCORES + "en-cs\tIKUN\tmetricx-23-xl\t1.0\n" + "cs-uk\tIKUN\tmetricx-23-xl\t1.7\n"
+    with pytest.raises(ParseError) as info:
+        parse_scores(text, _registry(), DEFAULT_METRICS)
+    assert info.value.line == 7
+    assert str(info.value) == "line 7: duplicate score for cs-uk/IKUN/metricx-23-xl"
+
+
+def test_parse_scores_shares_one_pair_object_per_token():
+    records = parse_scores(SCORES, _registry(), DEFAULT_METRICS)
+    assert len({id(record.pair) for record in records}) == 1
+
+
 def test_parse_scores_keeps_full_precision():
     text = "pair\tsystem\tmetric\tscore\ncs-uk\tIKUN\tmetricx-23-xl\t1.6000000000000001\n"
     (record,) = parse_scores(text, _registry(), DEFAULT_METRICS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -14,9 +15,11 @@ from autorank import (
     LanguagePair,
     NormalizationContext,
     RankingConfig,
+    RenderOptions,
     ScoreRecord,
     SystemCategory,
     SystemEntry,
+    TableFormat,
     build_context,
     compute_autorank,
     display_str,
@@ -25,11 +28,15 @@ from autorank import (
     order_rows,
     parse_registry,
     parse_scores,
+    rank_pair,
+    render_report,
+    render_table,
     select_for_human_eval,
     serialize_registry,
     serialize_scores,
 )
 from autorank.model import RankedRow
+from autorank.render import _dump_json
 
 MX, CK = DEFAULT_METRICS
 PAIR = LanguagePair.from_code("xx-yy")
@@ -334,3 +341,55 @@ def test_display_string_has_requested_precision(value, decimals):
         assert "." not in text
     else:
         assert len(text.split(".")[1]) == decimals
+
+
+# --- JSON layout ---------------------------------------------------------------
+
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x01\x08\x0c\x1f\x7f\r\n\t\u2028\u2029' "\U0001d11e😀翻訳システム"),
+        st.characters(codec="utf-8"),
+    ),
+    max_size=12,
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _JSON_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+def _stdlib_layout(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@given(_JSON_VALUES)
+def test_json_layout_matches_stdlib_encoder(payload):
+    assert _dump_json(payload) == _stdlib_layout(payload)
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(
+        _JSON_TEXT.filter(lambda s: s and "\t" not in s and "\n" not in s),
+        min_size=1,
+        max_size=5,
+        unique=True,
+    )
+)
+def test_rendered_json_matches_stdlib_encoder(names):
+    registry = [SystemEntry(name=name, category=SystemCategory.OPEN) for name in names]
+    other = LanguagePair.from_code("zz-ww")
+    records = [
+        ScoreRecord(pair, name, metric.id, float(i) + offset)
+        for pair, offset in ((PAIR, 0.0), (other, 0.5))
+        for i, name in enumerate(names)
+        for metric in DEFAULT_METRICS
+    ]
+    tables = [rank_pair(registry, records, pair) for pair in (PAIR, other)]
+    rendered = [render_table(table, RenderOptions(TableFormat.JSON)) for table in tables]
+    rendered.append(render_report(tables))
+    for text in rendered:
+        assert text == _stdlib_layout(json.loads(text))
