@@ -7,7 +7,6 @@ renders the result as text, Markdown, LaTeX or a JSON report.
 
 from .golden import PairComparison, compare_pair, parse_allow_list, validate_golden_pair
 from .ingest import (
-    Manifest,
     ParseError,
     check_completeness,
     parse_manifest,
@@ -50,7 +49,6 @@ from .render import (
     visible_rows,
 )
 from .selection import (
-    SelectionOutcome,
     apply_selection,
     category_limits,
     find_cutoff,
@@ -63,7 +61,6 @@ __all__ = [
     "DEFAULT_METRICS",
     "LanguagePair",
     "LeaderboardTable",
-    "Manifest",
     "MetricSpec",
     "NormalizationContext",
     "Orientation",
@@ -75,7 +72,6 @@ __all__ = [
     "RenderOptions",
     "ScaleSpan",
     "ScoreRecord",
-    "SelectionOutcome",
     "SystemCategory",
     "SystemEntry",
     "TableFormat",

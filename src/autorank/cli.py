@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from decimal import Decimal
 from enum import IntEnum
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -132,22 +132,14 @@ def _group_by_pair(records: list[ScoreRecord]) -> dict[LanguagePair, list[ScoreR
 
 
 def _config_from(args: argparse.Namespace) -> RankingConfig:
-    defaults = RankingConfig()
+    flags = {
+        "cutoff_gap": args.cutoff_gap,
+        "closed_fraction": args.closed_fraction,
+        "open_fraction": args.open_fraction,
+        "scale_span": args.span,
+    }
     try:
-        return RankingConfig(
-            cutoff_gap=args.cutoff_gap if args.cutoff_gap is not None else defaults.cutoff_gap,
-            closed_fraction=(
-                Fraction(args.closed_fraction)
-                if args.closed_fraction is not None
-                else defaults.closed_fraction
-            ),
-            open_fraction=(
-                Fraction(args.open_fraction)
-                if args.open_fraction is not None
-                else defaults.open_fraction
-            ),
-            scale_span=ScaleSpan(args.span) if args.span is not None else defaults.scale_span,
-        )
+        return RankingConfig.from_dict({k: v for k, v in flags.items() if v is not None})
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(str(exc)) from None
 
@@ -178,7 +170,8 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
 
     if args.pair:
         try:
-            pairs = [LanguagePair.from_code(code) for code in args.pair]
+            # a repeated --pair is ranked once, in first-seen order
+            pairs = list(dict.fromkeys(LanguagePair.from_code(code) for code in args.pair))
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
     else:
@@ -191,7 +184,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
             manifest = parse_manifest(_read(args.manifest))
         except ParseError as exc:
             raise _ValidationError(f"{args.manifest}: {exc}") from None
-        absent = [pair.code for pair in pairs if pair not in manifest.entries]
+        absent = [pair.code for pair in pairs if pair not in manifest]
         if absent:
             raise _ValidationError(
                 f"{args.manifest}: no manifest entry for pair(s): {', '.join(absent)}"
@@ -211,7 +204,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
         format=fmt,
         include_closed=not args.exclude_closed,
         show_reasons=args.show_reasons,
-        color=False,
+        color=args.out is None and _want_color(fmt),
     )
 
     if args.out is not None:
@@ -220,30 +213,18 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
         for table in tables:
             path = out_dir / f"{table.pair.code}.{file_extension(fmt)}"
             _write_atomic(path, render_table(table, options))
-        return ExitStatus.OK
-
-    if fmt is TableFormat.JSON and len(tables) > 1:
-        sys.stdout.write(render_report(tables))
-        return ExitStatus.OK
-    stdout_options = (
-        RenderOptions(
-            format=fmt,
-            include_closed=options.include_closed,
-            show_reasons=options.show_reasons,
-            color=True,
-        )
-        if _want_color(fmt)
-        else options
-    )
-    sys.stdout.write("\n".join(render_table(table, stdout_options) for table in tables))
+    elif fmt is TableFormat.JSON:
+        sys.stdout.write(render_report(tables, options.include_closed))
+    else:
+        sys.stdout.write("\n".join(render_table(table, options) for table in tables))
     return ExitStatus.OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
     registry, records = _parse_inputs(args)
+    if not (math.isfinite(args.autorank_tol) and args.autorank_tol >= 0):
+        raise _UsageError("--autorank-tol must be a finite number >= 0")
     tolerance = Decimal(str(args.autorank_tol))
-    if tolerance < 0:
-        raise _UsageError("--autorank-tol must be >= 0")
 
     allow: set[tuple[str, str]] = set()
     if args.allow_mismatch is not None:
@@ -268,7 +249,8 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
         if not isinstance(report, dict):
             raise _ValidationError(f"{path}: malformed golden report: top level is not an object")
         try:
-            config = RankingConfig.from_dict(report.get("config") or {})
+            config_data = report.get("config")
+            config = RankingConfig.from_dict({} if config_data is None else config_data)
             entries = report["pairs"]
             pairs = []
             for entry in entries:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
@@ -162,18 +161,12 @@ def parse_scores(
     return records
 
 
-@dataclass(frozen=True)
-class Manifest:
-    """Declared corpus sizes per language pair."""
+def parse_manifest(text: str) -> dict[LanguagePair, tuple[int, int]]:
+    """Parse the evaluation-data manifest into pair -> (segments, words).
 
-    entries: dict[LanguagePair, tuple[int, int]]  # pair -> (segments, words)
-
-    def pairs(self) -> list[LanguagePair]:
-        return sorted(self.entries)
-
-
-def parse_manifest(text: str) -> Manifest:
-    """Parse the evaluation-data manifest; counts must be positive integers."""
+    Both counts must be positive integers.  Ranking only checks that a
+    pair is listed; the counts are validated but not used.
+    """
 
     entries: dict[LanguagePair, tuple[int, int]] = {}
     for line, (pair_token, segments_token, words_token) in _rows(text, MANIFEST_HEADER):
@@ -186,7 +179,7 @@ def parse_manifest(text: str) -> Manifest:
                 raise ParseError(line, f"{label} must be a positive integer, got {token!r}")
             counts.append(int(token))
         entries[pair] = (counts[0], counts[1])
-    return Manifest(entries=entries)
+    return entries
 
 
 def _withdrawn_token(entry: SystemEntry) -> str:
@@ -222,10 +215,10 @@ def serialize_scores(records: Iterable[ScoreRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_manifest(manifest: Manifest) -> str:
+def serialize_manifest(entries: dict[LanguagePair, tuple[int, int]]) -> str:
     lines = [MANIFEST_HEADER]
-    for pair in manifest.pairs():
-        segments, words = manifest.entries[pair]
+    for pair in sorted(entries):
+        segments, words = entries[pair]
         lines.append(f"{pair.code}\t{segments}\t{words}")
     return "\n".join(lines) + "\n"
 

@@ -203,6 +203,9 @@ class RankingConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RankingConfig":
+        """Parse the ``as_dict`` form; absent keys keep their defaults."""
+        if not isinstance(data, Mapping):
+            raise TypeError("config is not an object")
         kwargs: dict[str, object] = {}
         if "cutoff_gap" in data:
             kwargs["cutoff_gap"] = float(str(data["cutoff_gap"]))
@@ -255,9 +258,9 @@ class RankedRow:
     """One system's line in a finished leaderboard.
 
     ``withdrawn`` and ``claimed_support`` are the entry's flags resolved
-    against the table's language pair.  ``reasons`` holds exactly one
-    selected code when ``selected`` is true, otherwise every exclusion
-    code that applies.
+    against the table's language pair.  ``reasons`` is the row's only
+    stored verdict: exactly one selected code, or every exclusion code
+    that applies.  ``selected`` and ``above_cutoff`` are read from it.
     """
 
     system: SystemEntry
@@ -268,8 +271,6 @@ class RankedRow:
     position: int = 0
     withdrawn: bool = False
     claimed_support: bool = True
-    above_cutoff: bool = True
-    selected: bool = False
     reasons: tuple[ReasonCode, ...] = ()
 
     @property
@@ -279,6 +280,14 @@ class RankedRow:
     @property
     def category(self) -> SystemCategory:
         return self.system.category
+
+    @property
+    def selected(self) -> bool:
+        return bool(self.reasons) and self.reasons[0].is_selected
+
+    @property
+    def above_cutoff(self) -> bool:
+        return ReasonCode.EXCLUDED_BELOW_CUTOFF not in self.reasons
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,8 @@ def rank_pair(
     rows = compute_autorank(entries, scores_by_system, context, metrics, config)
     ordered = order_rows(rows, metrics[0])
     cutoff = find_cutoff(ordered, config)
-    outcome = select_for_human_eval(ordered, cutoff, config)
-    final = apply_selection(ordered, outcome)
+    verdicts = select_for_human_eval(ordered, cutoff, config)
+    final = apply_selection(ordered, verdicts)
     return LeaderboardTable(
         pair=pair,
         metrics=metrics,

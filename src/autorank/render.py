@@ -6,8 +6,8 @@ system's track, a dagger for withdrawn systems, a slashed circle for
 directions the submitter never claimed, and a checkmark for rows picked
 for human evaluation.  Filtering out closed systems keeps every
 surviving row's values and verdicts exactly as in the full table; the
-cutoff rule is re-derived from the stored above/below flags, never
-recomputed.
+cutoff rule is re-derived from the rows' reason codes, never
+recomputed.  The JSON report honours the same filter.
 
 The JSON report is the machine-readable golden format: deterministic
 key order, rows sorted by position, pairs sorted by code, and every
@@ -70,17 +70,17 @@ def visible_rows(table: LeaderboardTable, include_closed: bool) -> list[RankedRo
 def render_table(table: LeaderboardTable, options: RenderOptions) -> str:
     """Render one pair's table in the requested format."""
 
+    if options.format is TableFormat.JSON:
+        return render_report([table], options.include_closed)
     rows = visible_rows(table, options.include_closed)
     if options.format is TableFormat.TEXT:
         return _render_text(table, rows, options)
     if options.format is TableFormat.MARKDOWN:
         return _render_markdown(table, rows, options)
-    if options.format is TableFormat.LATEX:
-        return _render_latex(table, rows, options)
-    return _dump_json({"config": table.config.as_dict(), "pairs": [_pair_dict(table, rows)]})
+    return _render_latex(table, rows, options)
 
 
-def render_report(tables: Sequence[LeaderboardTable]) -> str:
+def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = True) -> str:
     """Combined JSON report over several pairs, sorted by pair code.
 
     All tables must share one configuration; it is echoed once at the
@@ -88,15 +88,13 @@ def render_report(tables: Sequence[LeaderboardTable]) -> str:
     """
 
     tables = sorted(tables, key=lambda t: t.pair.code)
-    config = None
-    for table in tables:
-        if config is None:
-            config = table.config
-        elif table.config != config:
-            raise ValueError("tables in one report must share a single config")
-    config_dict = config.as_dict() if config is not None else None
+    if len({table.config for table in tables}) > 1:
+        raise ValueError("tables in one report must share a single config")
     return _dump_json(
-        {"config": config_dict, "pairs": [_pair_dict(t, list(t.rows)) for t in tables]}
+        {
+            "config": tables[0].config.as_dict() if tables else None,
+            "pairs": [_pair_dict(t, visible_rows(t, include_closed)) for t in tables],
+        }
     )
 
 

@@ -19,19 +19,10 @@ the cutoff, and meets its category's depth limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .model import RankedRow, RankingConfig, ReasonCode, SystemCategory
-
-
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Cutoff line plus per-system verdicts, keyed by system name."""
-
-    cutoff_position: int | None
-    selected: dict[str, bool]
-    reasons: dict[str, tuple[ReasonCode, ...]]
 
 
 def find_cutoff(ordered: Sequence[RankedRow], config: RankingConfig) -> int | None:
@@ -64,7 +55,7 @@ def select_for_human_eval(
     ordered: Sequence[RankedRow],
     cutoff_position: int | None,
     config: RankingConfig,
-) -> SelectionOutcome:
+) -> list[tuple[ReasonCode, ...]]:
     """Decide which rows go to human evaluation.
 
     Args:
@@ -73,59 +64,37 @@ def select_for_human_eval(
         config: category fractions.
 
     Returns:
-        A ``SelectionOutcome``; every row gets either exactly one
-        selected reason or every exclusion reason that applies.
+        One reason tuple per row, in row order: exactly one selected
+        code, or every exclusion code that applies.
     """
 
     closed_limit, open_limit = category_limits(len(ordered), config)
-    selected: dict[str, bool] = {}
-    reasons: dict[str, tuple[ReasonCode, ...]] = {}
-
+    verdicts = []
     for row in ordered:
-        above = cutoff_position is None or row.position < cutoff_position
         exclusions: list[ReasonCode] = []
         if row.withdrawn:
             exclusions.append(ReasonCode.EXCLUDED_WITHDRAWN)
-        if not above:
+        if cutoff_position is not None and row.position >= cutoff_position:
             exclusions.append(ReasonCode.EXCLUDED_BELOW_CUTOFF)
         if row.category is SystemCategory.CLOSED and row.position > closed_limit:
             exclusions.append(ReasonCode.EXCLUDED_CLOSED_BELOW_THIRD)
         elif row.category is SystemCategory.OPEN and row.position > open_limit:
             exclusions.append(ReasonCode.EXCLUDED_OPEN_BELOW_TWO_THIRDS)
-
-        if exclusions:
-            selected[row.name] = False
-            reasons[row.name] = tuple(exclusions)
-        else:
-            selected[row.name] = True
-            reasons[row.name] = (_selected_reason(row.category),)
-
-    return SelectionOutcome(cutoff_position=cutoff_position, selected=selected, reasons=reasons)
+        verdicts.append(tuple(exclusions) or (_SELECTED[row.category],))
+    return verdicts
 
 
-def _selected_reason(category: SystemCategory) -> ReasonCode:
-    if category is SystemCategory.CONSTRAINED:
-        return ReasonCode.SELECTED_CONSTRAINED
-    if category is SystemCategory.OPEN:
-        return ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS
-    return ReasonCode.SELECTED_CLOSED_TOP_THIRD
+_SELECTED = {
+    SystemCategory.CONSTRAINED: ReasonCode.SELECTED_CONSTRAINED,
+    SystemCategory.OPEN: ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,
+    SystemCategory.CLOSED: ReasonCode.SELECTED_CLOSED_TOP_THIRD,
+}
 
 
 def apply_selection(
     ordered: Sequence[RankedRow],
-    outcome: SelectionOutcome,
+    verdicts: Sequence[tuple[ReasonCode, ...]],
 ) -> list[RankedRow]:
-    """Stamp cutoff and selection verdicts onto the rows."""
+    """Stamp each row with its reason tuple from ``select_for_human_eval``."""
 
-    stamped = []
-    for row in ordered:
-        above = outcome.cutoff_position is None or row.position < outcome.cutoff_position
-        stamped.append(
-            replace(
-                row,
-                above_cutoff=above,
-                selected=outcome.selected[row.name],
-                reasons=outcome.reasons[row.name],
-            )
-        )
-    return stamped
+    return [replace(row, reasons=reasons) for row, reasons in zip(ordered, verdicts)]

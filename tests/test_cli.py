@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +103,15 @@ class TestRankStdout:
         assert worst_full["autorank_exact"] == "4.0"  # 1 + N with N=3
         assert worst_narrow["autorank_exact"] == "3.0"  # 1 + (N-1)
         assert narrow["config"]["scale_span"] == "n-1"
+
+    def test_repeated_pair_is_ranked_once(self, inputs, capsys):
+        pairs = ["--pair", "zz-ww", "--pair", "xx-yy", "--pair", "zz-ww"]
+        assert main(_rank(inputs, *pairs, "--format", "json")) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [p["pair"] for p in payload["pairs"]] == ["xx-yy", "zz-ww"]
+        assert main(_rank(inputs, *pairs, "--format", "text")) == 0
+        titles = [line for line in capsys.readouterr().out.splitlines() if "(N=" in line]
+        assert titles == ["zz-ww  (N=2)", "xx-yy  (N=3)"]
 
     def test_manifest_gate_passes_when_pair_listed(self, inputs, capsys):
         code = main(
@@ -307,6 +318,31 @@ class TestVerify:
         assert err.startswith(f"error: {path}: malformed golden report: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "config", ["abc", [], 0, ["cutoff_gap"]], ids=["string", "empty-list", "zero", "key-list"]
+    )
+    def test_golden_config_not_an_object(self, tmp_path, capsys, config):
+        golden = json.loads((DATA / "golden" / "en-de.json").read_text(encoding="utf-8"))
+        golden["config"] = config
+        path = tmp_path / "en-de.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed golden report: config is not an object\n"
+        )
+
+    @pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
+    def test_golden_without_config_uses_default(self, tmp_path, capsys, absent):
+        golden = json.loads((DATA / "golden" / "en-de.json").read_text(encoding="utf-8"))
+        if absent:
+            del golden["config"]
+        else:
+            golden["config"] = None
+        (tmp_path / "en-de.json").write_text(json.dumps(golden), encoding="utf-8")
+        assert main(_verify("--golden", str(tmp_path))) == 0
+        assert "en-de: ok" in capsys.readouterr().out
+
     def test_invalid_json_golden(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{", encoding="utf-8")
         assert main(_verify("--golden", str(tmp_path))) == 1
@@ -337,8 +373,13 @@ class TestVerify:
         assert "qq-rr: MISMATCH" in out
         assert "no scores for this pair" in out
 
-    def test_negative_tolerance_is_usage_error(self, tmp_path):
-        assert main(_verify("--golden", str(tmp_path), "--autorank-tol", "-0.1")) == 3
+    def test_negative_tolerance_is_usage_error(self, tmp_path, capsys):
+        # a non-finite tolerance is no tolerance either: inf would pass anything
+        for value in ("-0.1", "nan", "inf"):
+            assert main(_verify("--golden", str(tmp_path), "--autorank-tol", value)) == 3
+            assert capsys.readouterr().err == (
+                "usage error: --autorank-tol must be a finite number >= 0\n"
+            ), value
 
     def test_zero_tolerance_tightens_bands(self, capsys):
         # with no slack beyond each value's own precision, the corpus no
@@ -419,6 +460,44 @@ class TestRecordedDigests:
         if out.is_dir():
             found.update((path.name, _sha256(path.read_bytes())) for path in out.iterdir())
         assert found == json.loads(DIGESTS.read_text(encoding="utf-8"))["wmt24"][label]
+
+
+class TestJsonConsistency:
+    """One JSON writer: every way of asking for a pair's report agrees."""
+
+    def _json(self, capsys, *extra: str) -> str:
+        assert main(["rank", *WMT24_INPUTS, "--format", "json", *extra]) == 0
+        return capsys.readouterr().out
+
+    def test_multi_pair_report_honours_exclude_closed(self, capsys):
+        report = json.loads(self._json(capsys, "--exclude-closed"))
+        assert len(report["pairs"]) == 11
+        rows = [row for entry in report["pairs"] for row in entry["rows"]]
+        assert rows and all(row["category"] != "closed" for row in rows)
+        for entry in report["pairs"]:
+            single = json.loads(self._json(capsys, "--pair", entry["pair"], "--exclude-closed"))
+            assert single == {"config": report["config"], "pairs": [entry]}
+
+    @pytest.mark.parametrize("extra", [[], ["--exclude-closed"]], ids=["full", "open"])
+    def test_single_pair_stdout_equals_out_file(self, extra, tmp_path, capsys):
+        stdout = self._json(capsys, "--pair", "cs-uk", *extra)
+        self._json(capsys, "--pair", "cs-uk", "--out", str(tmp_path), *extra)
+        assert (tmp_path / "cs-uk.json").read_bytes() == stdout.encode("utf-8")
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+class TestTracedStages:
+    """Every stage the benchmark's tracer rebinds still exists."""
+
+    def test_every_binding_names_a_callable(self):
+        # run_path compiles the file without writing a bytecode cache
+        bindings = runpy.run_path(str(TRACER))["BINDINGS"]
+        assert bindings
+        for module_name, attr, *_ in bindings:
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
 class TestEntrypoint:

@@ -34,7 +34,6 @@ def two_row_table():
             autorank_exact=exact,
             autorank_display=exact,
             position=pos,
-            selected=True,
             reasons=(ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,),
         )
 

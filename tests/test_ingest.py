@@ -175,7 +175,7 @@ def test_wmt24_fixture_round_trips_byte_exactly(data_dir, registry, records):
 def test_parse_manifest_and_round_trip():
     text = "pair\tsegments\twords\ncs-uk\t2300\t32000\nen-de\t1000\t32000\n"
     manifest = parse_manifest(text)
-    assert manifest.entries[LanguagePair.from_code("cs-uk")] == (2300, 32000)
+    assert manifest[LanguagePair.from_code("cs-uk")] == (2300, 32000)
     assert serialize_manifest(manifest) == text
 
 

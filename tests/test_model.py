@@ -6,6 +6,7 @@ import pytest
 
 from autorank import (
     LanguagePair,
+    RankedRow,
     RankingConfig,
     ReasonCode,
     ScaleSpan,
@@ -104,6 +105,12 @@ def test_config_dict_round_trip():
     assert RankingConfig.from_dict({}) == RankingConfig()
 
 
+@pytest.mark.parametrize("data", ["abc", [], ["cutoff_gap"], None])
+def test_config_from_non_mapping_is_rejected(data):
+    with pytest.raises(TypeError, match="config is not an object"):
+        RankingConfig.from_dict(data)
+
+
 @pytest.mark.parametrize(
     "value,decimals,expected",
     [
@@ -129,3 +136,26 @@ def test_reason_codes_partition_into_selected_and_excluded():
         ReasonCode.SELECTED_CLOSED_TOP_THIRD,
     }
     assert len(ReasonCode) == 7
+
+
+@pytest.mark.parametrize(
+    "reasons,selected,above_cutoff",
+    [
+        ((), False, True),
+        ((ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,), True, True),
+        ((ReasonCode.EXCLUDED_CLOSED_BELOW_THIRD,), False, True),
+        ((ReasonCode.EXCLUDED_WITHDRAWN, ReasonCode.EXCLUDED_BELOW_CUTOFF), False, False),
+    ],
+)
+def test_ranked_row_verdict_is_read_from_reasons(reasons, selected, above_cutoff):
+    row = RankedRow(
+        system=SystemEntry(name="A", category=SystemCategory.OPEN),
+        raw_scores={},
+        normalized={},
+        autorank_exact=1.0,
+        autorank_display=1.0,
+        reasons=reasons,
+    )
+    assert (row.selected, row.above_cutoff) == (selected, above_cutoff)
+    with pytest.raises(AttributeError):
+        row.selected = not selected  # type: ignore[misc]

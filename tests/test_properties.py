@@ -20,6 +20,7 @@ from autorank import (
     SystemCategory,
     SystemEntry,
     TableFormat,
+    apply_selection,
     build_context,
     compute_autorank,
     display_str,
@@ -276,40 +277,35 @@ def test_cutoff_position_monotone_in_gap(rows, gap, extra):
         assert tight is not None and tight <= loose
 
 
+def _selected_rows(rows):
+    config = RankingConfig()
+    return apply_selection(rows, select_for_human_eval(rows, find_cutoff(rows, config), config))
+
+
 @given(_tables())
 def test_selection_is_per_category_prefix(rows):
-    config = RankingConfig()
-    outcome = select_for_human_eval(rows, find_cutoff(rows, config), config)
+    stamped = _selected_rows(rows)
     for category in SystemCategory:
-        flags = [
-            outcome.selected[row.name]
-            for row in rows
-            if row.category is category and not row.withdrawn
-        ]
+        flags = [row.selected for row in stamped if row.category is category and not row.withdrawn]
         # once selection stops within a category it never resumes
         assert flags == sorted(flags, reverse=True)
 
 
 @given(_tables())
 def test_withdrawn_rows_never_selected(rows):
-    config = RankingConfig()
-    outcome = select_for_human_eval(rows, find_cutoff(rows, config), config)
-    for row in rows:
+    for row in _selected_rows(rows):
         if row.withdrawn:
-            assert not outcome.selected[row.name]
+            assert not row.selected
 
 
 @given(_tables())
 def test_every_row_gets_coherent_reasons(rows):
-    config = RankingConfig()
-    outcome = select_for_human_eval(rows, find_cutoff(rows, config), config)
-    for row in rows:
-        codes = outcome.reasons[row.name]
-        assert codes
-        if outcome.selected[row.name]:
-            assert len(codes) == 1 and codes[0].is_selected
+    for row in _selected_rows(rows):
+        assert row.reasons
+        if row.selected:
+            assert len(row.reasons) == 1 and row.reasons[0].is_selected
         else:
-            assert all(not code.is_selected for code in codes)
+            assert all(not code.is_selected for code in row.reasons)
 
 
 # --- display rounding ---------------------------------------------------------

@@ -31,7 +31,7 @@ def _opts(fmt: TableFormat, **kwargs) -> RenderOptions:
 
 
 def _tiny_table() -> LeaderboardTable:
-    def row(name, category, exact, pos, reason, above=True, withdrawn=False, support=True):
+    def row(name, category, exact, pos, reason, withdrawn=False, support=True):
         return RankedRow(
             system=SystemEntry(name=name, category=category),
             raw_scores={MX.id: 1.0, CK.id: 0.5},
@@ -41,8 +41,6 @@ def _tiny_table() -> LeaderboardTable:
             position=pos,
             withdrawn=withdrawn,
             claimed_support=support,
-            above_cutoff=above,
-            selected=reason.is_selected,
             reasons=(reason,),
         )
 
@@ -64,7 +62,7 @@ def _tiny_table() -> LeaderboardTable:
             ReasonCode.EXCLUDED_WITHDRAWN,
             withdrawn=True,
         ),
-        row("Delta", SystemCategory.OPEN, 3.5, 4, ReasonCode.EXCLUDED_BELOW_CUTOFF, above=False),
+        row("Delta", SystemCategory.OPEN, 3.5, 4, ReasonCode.EXCLUDED_BELOW_CUTOFF),
     )
     return LeaderboardTable(
         pair=LanguagePair.from_code("xx-yy"),
@@ -127,10 +125,14 @@ class TestText:
 
     def test_no_cutoff_no_dashed_rule(self, tables):
         table = tables["cs-uk"]
+        below = ReasonCode.EXCLUDED_BELOW_CUTOFF
         full = LeaderboardTable(
             pair=table.pair,
             metrics=table.metrics,
-            rows=tuple(replace(r, above_cutoff=True) for r in table.rows),
+            rows=tuple(
+                replace(r, reasons=tuple(c for c in r.reasons if c is not below))
+                for r in table.rows
+            ),
             cutoff_position=None,
             config=table.config,
         )

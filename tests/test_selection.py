@@ -110,10 +110,11 @@ class TestCategoryLimits:
         assert category_limits(9, config) == (5, 9)
 
 
-def _outcome(rows, config=None):
+def _outcome(rows, config=None) -> dict[str, RankedRow]:
+    """The rows stamped with their verdicts, keyed by system name."""
     config = config or RankingConfig()
-    cutoff = find_cutoff(rows, config)
-    return select_for_human_eval(rows, cutoff, config)
+    verdicts = select_for_human_eval(rows, find_cutoff(rows, config), config)
+    return {row.name: row for row in apply_selection(rows, verdicts)}
 
 
 class TestSelection:
@@ -124,25 +125,25 @@ class TestSelection:
         rows[8] = _row("ClosedIn", rows[8].autorank_exact, 9, SystemCategory.CLOSED)
         rows[9] = _row("ClosedOut", rows[9].autorank_exact, 10, SystemCategory.CLOSED)
         outcome = _outcome(rows)
-        assert outcome.selected["ClosedIn"]
-        assert not outcome.selected["ClosedOut"]
-        assert outcome.reasons["ClosedOut"] == (ReasonCode.EXCLUDED_CLOSED_BELOW_THIRD,)
+        assert outcome["ClosedIn"].selected
+        assert not outcome["ClosedOut"].selected
+        assert outcome["ClosedOut"].reasons == (ReasonCode.EXCLUDED_CLOSED_BELOW_THIRD,)
 
     def test_open_depth_limit_boundary(self):
         # 20 systems: open limit floor(40/3) = 13
         rows = _table(*[1.0 + 0.1 * i for i in range(20)])
         outcome = _outcome(rows)
-        assert outcome.selected["S13"]
-        assert not outcome.selected["S14"]
-        assert outcome.reasons["S13"] == (ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,)
-        assert outcome.reasons["S14"] == (ReasonCode.EXCLUDED_OPEN_BELOW_TWO_THIRDS,)
+        assert outcome["S13"].selected
+        assert not outcome["S14"].selected
+        assert outcome["S13"].reasons == (ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,)
+        assert outcome["S14"].reasons == (ReasonCode.EXCLUDED_OPEN_BELOW_TWO_THIRDS,)
 
     def test_constrained_has_no_depth_limit(self):
         rows = _table(*[1.0 + 0.1 * i for i in range(20)])
         rows[-1] = _row("Tail", rows[-1].autorank_exact, 20, SystemCategory.CONSTRAINED)
         outcome = _outcome(rows)
-        assert outcome.selected["Tail"]
-        assert outcome.reasons["Tail"] == (ReasonCode.SELECTED_CONSTRAINED,)
+        assert outcome["Tail"].selected
+        assert outcome["Tail"].reasons == (ReasonCode.SELECTED_CONSTRAINED,)
 
     def test_withdrawn_always_excluded_but_keeps_position(self):
         # constrained rows dodge the depth limits, isolating withdrawal
@@ -152,26 +153,27 @@ class TestSelection:
             _row("S03", 1.2, 3, SystemCategory.CONSTRAINED),
         ]
         outcome = _outcome(rows)
-        assert not outcome.selected["S01"]
-        assert outcome.reasons["S01"] == (ReasonCode.EXCLUDED_WITHDRAWN,)
+        assert not outcome["S01"].selected
+        assert outcome["S01"].reasons == (ReasonCode.EXCLUDED_WITHDRAWN,)
         # the rows under it are judged at their stated positions
-        assert outcome.selected["S02"] and outcome.selected["S03"]
+        assert outcome["S02"].selected and outcome["S03"].selected
 
     def test_below_cutoff_excluded_even_when_constrained(self):
         rows = [
             _row("Top", 1.0, 1, SystemCategory.CONSTRAINED),
             _row("Dropped", 3.0, 2, SystemCategory.CONSTRAINED),
         ]
+        assert find_cutoff(rows, RankingConfig()) == 2
         outcome = _outcome(rows)
-        assert outcome.cutoff_position == 2
-        assert outcome.selected["Top"]
-        assert not outcome.selected["Dropped"]
-        assert outcome.reasons["Dropped"] == (ReasonCode.EXCLUDED_BELOW_CUTOFF,)
+        assert not outcome["Dropped"].above_cutoff
+        assert outcome["Top"].selected
+        assert not outcome["Dropped"].selected
+        assert outcome["Dropped"].reasons == (ReasonCode.EXCLUDED_BELOW_CUTOFF,)
 
     def test_multiple_exclusion_reasons_accumulate(self):
         rows = _table(*([1.0] * 29 + [3.0]), withdrawn={30})
         outcome = _outcome(rows)
-        assert outcome.reasons["S30"] == (
+        assert outcome["S30"].reasons == (
             ReasonCode.EXCLUDED_WITHDRAWN,
             ReasonCode.EXCLUDED_BELOW_CUTOFF,
             ReasonCode.EXCLUDED_OPEN_BELOW_TWO_THIRDS,
@@ -180,18 +182,18 @@ class TestSelection:
     def test_reason_partition_invariant(self):
         rows = _table(*[1.0 + 0.2 * i for i in range(15)], withdrawn={4, 9})
         rows[2] = _row("C", rows[2].autorank_exact, 3, SystemCategory.CLOSED)
-        outcome = _outcome(rows)
-        for name, codes in outcome.reasons.items():
-            assert codes, name
-            if outcome.selected[name]:
-                assert len(codes) == 1 and codes[0].is_selected
+        verdicts = select_for_human_eval(rows, find_cutoff(rows, RankingConfig()), RankingConfig())
+        assert len(verdicts) == len(rows)
+        for codes in verdicts:
+            assert codes
+            if codes[0].is_selected:
+                assert len(codes) == 1
             else:
                 assert all(not code.is_selected for code in codes)
 
     def test_apply_selection_stamps_rows(self):
         rows = _table(1.0, 1.2, 3.0)
-        outcome = _outcome(rows)
-        stamped = apply_selection(rows, outcome)
+        stamped = apply_selection(rows, select_for_human_eval(rows, 3, RankingConfig()))
         assert [r.above_cutoff for r in stamped] == [True, True, False]
         assert [r.selected for r in stamped] == [True, True, False]
         # S03 is both under the cutoff and past the open depth (floor(6/3)=2)
