@@ -30,7 +30,6 @@ from .model import (
     SystemCategory,
     SystemEntry,
     display_str,
-    round_display,
 )
 from .pipeline import pairs_in, rank_pair
 from .ranking import (
@@ -94,7 +93,6 @@ __all__ = [
     "rank_pair",
     "render_report",
     "render_table",
-    "round_display",
     "select_for_human_eval",
     "serialize_manifest",
     "serialize_registry",

@@ -104,11 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
+def _read(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _ValidationError(f"cannot read {path}: {reason}") from None
 
 
 def _parse_inputs(args: argparse.Namespace):
@@ -209,10 +210,13 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
 
     if args.out is not None:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for table in tables:
-            path = out_dir / f"{table.pair.code}.{file_extension(fmt)}"
-            _write_atomic(path, render_table(table, options))
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for table in tables:
+                path = out_dir / f"{table.pair.code}.{file_extension(fmt)}"
+                _write_atomic(path, render_table(table, options))
+        except OSError as exc:
+            raise _ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     elif fmt is TableFormat.JSON:
         sys.stdout.write(render_report(tables, options.include_closed))
     else:
@@ -243,8 +247,8 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
     failed = 0
     for path in golden_files:
         try:
-            report = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            report = json.loads(_read(path))
+        except json.JSONDecodeError as exc:
             raise _ValidationError(f"{path}: {exc}") from None
         if not isinstance(report, dict):
             raise _ValidationError(f"{path}: malformed golden report: top level is not an object")

@@ -67,8 +67,8 @@ def validate_golden_pair(payload: Mapping[str, object]) -> None:
     """Raise ValueError unless a golden pair entry has the shape compare_pair reads.
 
     That is an object whose ``rows`` is a list of objects, each holding
-    the required fields, an integer ``position`` and a finite decimal
-    ``autorank_exact``.
+    the required fields, an integer ``position``, a boolean ``selected``
+    and a finite decimal ``autorank_exact``.
     """
 
     if not isinstance(payload, dict):
@@ -88,6 +88,8 @@ def validate_golden_pair(payload: Mapping[str, object]) -> None:
         position = row["position"]
         if not isinstance(position, int) or isinstance(position, bool):
             raise ValueError(f"golden row position is not an integer: {position!r}")
+        if not isinstance(row["selected"], bool):
+            raise ValueError(f"golden row selected is not a boolean: {row['selected']!r}")
         text = str(row["autorank_exact"])
         try:
             finite = Decimal(text).is_finite()

@@ -152,13 +152,13 @@ class ScaleSpan(Enum):
     N_MINUS_ONE = "n-1"
 
 
-def _as_fraction(value: object) -> Fraction:
-    # Fraction accepts int, float, str ("1/3", "0.25"), and Fraction.
-    if isinstance(value, float):
-        # go through str so 0.25 means the decimal people typed,
-        # not the binary float expansion
-        return Fraction(str(value))
-    return Fraction(value)  # type: ignore[arg-type]
+# a ranking rule, not a setting: aggregates display with one decimal
+DISPLAY_DECIMALS = 1
+_DISPLAY_QUANTUM = Decimal(1).scaleb(-DISPLAY_DECIMALS)
+# how from_dict reads each field back from the text as_dict wrote
+_CONFIG_PARSERS = dict(
+    cutoff_gap=float, closed_fraction=Fraction, open_fraction=Fraction, scale_span=ScaleSpan
+)
 
 
 @dataclass(frozen=True)
@@ -167,20 +167,21 @@ class RankingConfig:
 
     Defaults reproduce the shipped leaderboards: systems whose aggregate
     rank trails the previous one by more than 1.5 fall below the cutoff,
-    closed systems may occupy at most the top third of positions, open
-    systems at most the top two thirds, and aggregates display with one
-    decimal place.
+    closed systems may occupy at most the top third of positions and
+    open systems at most the top two thirds.  Fractions must be exact
+    (``Fraction`` or ``int``); ``from_dict`` reads them from text.
     """
 
     cutoff_gap: float = 1.5
     closed_fraction: Fraction = Fraction(1, 3)
     open_fraction: Fraction = Fraction(2, 3)
-    display_decimals: int = 1
     scale_span: ScaleSpan = ScaleSpan.FULL_N
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "closed_fraction", _as_fraction(self.closed_fraction))
-        object.__setattr__(self, "open_fraction", _as_fraction(self.open_fraction))
+        for name in ("closed_fraction", "open_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a Fraction or int, got {value!r}")
         if not (math.isfinite(self.cutoff_gap) and self.cutoff_gap > 0):
             raise ValueError(f"cutoff_gap must be a positive real, got {self.cutoff_gap!r}")
         if not 0 < self.closed_fraction <= self.open_fraction <= 1:
@@ -188,8 +189,6 @@ class RankingConfig:
                 "fractions must satisfy 0 < closed_fraction <= open_fraction <= 1, "
                 f"got {self.closed_fraction}, {self.open_fraction}"
             )
-        if self.display_decimals < 0:
-            raise ValueError("display_decimals must be >= 0")
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready form; reals as strings so no float formatting drifts."""
@@ -197,26 +196,30 @@ class RankingConfig:
             "cutoff_gap": repr(self.cutoff_gap),
             "closed_fraction": str(self.closed_fraction),
             "open_fraction": str(self.open_fraction),
-            "display_decimals": self.display_decimals,
+            "display_decimals": DISPLAY_DECIMALS,
             "scale_span": self.scale_span.value,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RankingConfig":
-        """Parse the ``as_dict`` form; absent keys keep their defaults."""
+        """Parse the ``as_dict`` form; absent keys keep their defaults.
+
+        This is the only text-to-config parser.  Reals and fractions are
+        read from their text, so "0.25" means the decimal typed, not a
+        binary float expansion.  Unknown keys, and a ``display_decimals``
+        other than the integer 1, raise ``ValueError``.
+        """
         if not isinstance(data, Mapping):
             raise TypeError("config is not an object")
         kwargs: dict[str, object] = {}
-        if "cutoff_gap" in data:
-            kwargs["cutoff_gap"] = float(str(data["cutoff_gap"]))
-        if "closed_fraction" in data:
-            kwargs["closed_fraction"] = Fraction(str(data["closed_fraction"]))
-        if "open_fraction" in data:
-            kwargs["open_fraction"] = Fraction(str(data["open_fraction"]))
-        if "display_decimals" in data:
-            kwargs["display_decimals"] = int(data["display_decimals"])  # type: ignore[arg-type]
-        if "scale_span" in data:
-            kwargs["scale_span"] = ScaleSpan(str(data["scale_span"]))
+        for key, value in data.items():
+            if key == "display_decimals":
+                if type(value) is not int or value != DISPLAY_DECIMALS:
+                    raise ValueError(f"display_decimals must be {DISPLAY_DECIMALS}, got {value!r}")
+            elif key in _CONFIG_PARSERS:
+                kwargs[key] = _CONFIG_PARSERS[key](str(value))
+            else:
+                raise ValueError(f"unknown config key {key!r}")
         return cls(**kwargs)  # type: ignore[arg-type]
 
 
@@ -236,21 +239,14 @@ class ReasonCode(Enum):
         return self.name.startswith("SELECTED")
 
 
-def round_display(value: float, decimals: int) -> float:
-    """Round ``value`` to ``decimals`` places, ties away from zero.
+def display_str(value: float) -> str:
+    """The display form of ``value``: one decimal, ties away from zero.
 
-    Built on :class:`decimal.Decimal` so 2.25 rounds to 2.3 at one
-    decimal regardless of the binary representation underneath.
+    Built on :class:`decimal.Decimal` over the shortest repr, so 2.25
+    shows as 2.3 regardless of the binary representation underneath.
     """
 
-    return float(display_str(value, decimals))
-
-
-def display_str(value: float, decimals: int) -> str:
-    """The exact display form of ``value`` at ``decimals`` places."""
-
-    quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(value)).quantize(_DISPLAY_QUANTUM, rounding=ROUND_HALF_UP))
 
 
 @dataclass(frozen=True)
@@ -267,7 +263,6 @@ class RankedRow:
     raw_scores: Mapping[str, float]
     normalized: Mapping[str, float]
     autorank_exact: float
-    autorank_display: float
     position: int = 0
     withdrawn: bool = False
     claimed_support: bool = True

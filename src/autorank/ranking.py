@@ -15,7 +15,7 @@ where every system scored the same maps everyone to 1.0.
 
 The aggregate ("autorank") is the arithmetic mean of the normalized
 values across metrics, computed at full float precision.  Rounding
-happens only at display time.
+happens only at display time (``model.display_str``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .model import (
     RankingConfig,
     ScaleSpan,
     SystemEntry,
-    round_display,
 )
 
 
@@ -150,7 +149,7 @@ def compute_autorank(
             (see ``check_completeness``).
         context: observed extremes for this pair (see ``build_context``).
         metrics: metric columns in display order.
-        config: scale span and display precision.
+        config: scale span.
 
     Returns:
         One row per system, positions not yet assigned.
@@ -160,14 +159,12 @@ def compute_autorank(
     for name, raw in scores_by_system.items():
         entry = entries[name]
         normalized = {m.id: normalize_score(raw[m.id], m, context, config) for m in metrics}
-        exact = fmean(normalized[m.id] for m in metrics)
         rows.append(
             RankedRow(
                 system=entry,
                 raw_scores=dict(raw),
                 normalized=normalized,
-                autorank_exact=exact,
-                autorank_display=round_display(exact, config.display_decimals),
+                autorank_exact=fmean(normalized[m.id] for m in metrics),
                 withdrawn=entry.is_withdrawn(context.pair),
                 claimed_support=entry.claims_support(context.pair),
             )

@@ -7,7 +7,8 @@ directions the submitter never claimed, and a checkmark for rows picked
 for human evaluation.  Filtering out closed systems keeps every
 surviving row's values and verdicts exactly as in the full table; the
 cutoff rule is re-derived from the rows' reason codes, never
-recomputed.  The JSON report honours the same filter.
+recomputed.  The JSON report honours the same filter.  Markdown and
+LaTeX escape cell text, so a system name cannot break the columns.
 
 The JSON report is the machine-readable golden format: deterministic
 key order, rows sorted by position, pairs sorted by code, and every
@@ -139,7 +140,6 @@ def _pair_dict(table: LeaderboardTable, rows: Iterable[RankedRow]) -> dict[str, 
 
 
 def _row_dict(table: LeaderboardTable, row: RankedRow) -> dict[str, object]:
-    decimals = table.config.display_decimals
     return {
         "system": row.name,
         "category": row.category.value,
@@ -147,7 +147,7 @@ def _row_dict(table: LeaderboardTable, row: RankedRow) -> dict[str, object]:
         "claimed_support": row.claimed_support,
         "scores": {m.id: repr(row.raw_scores[m.id]) for m in table.metrics},
         "autorank_exact": repr(row.autorank_exact),
-        "autorank_display": display_str(row.autorank_exact, decimals),
+        "autorank_display": display_str(row.autorank_exact),
         "position": row.position,
         "above_cutoff": row.above_cutoff,
         "selected": row.selected,
@@ -182,8 +182,7 @@ def _metric_header(metric: MetricSpec) -> str:
 
 
 def _score_cells(table: LeaderboardTable, row: RankedRow, check: str = _CHECK) -> list[str]:
-    decimals = table.config.display_decimals
-    cells = [display_str(row.autorank_exact, decimals)]
+    cells = [display_str(row.autorank_exact)]
     cells.extend(repr(row.raw_scores[m.id]) for m in table.metrics)
     cells.append(check if row.selected else "")
     return cells
@@ -281,20 +280,23 @@ def _render_markdown(
     for i, row in enumerate(rows):
         if cut is not None and i == cut:
             out.append("| " + " | ".join(["╌╌╌"] * len(header)) + " |")
-        cells = _body_cells(table, row, options)
-        out.append("| " + " | ".join(cell if cell else " " for cell in cells) + " |")
+        cells = [cell.replace("|", "\\|") or " " for cell in _body_cells(table, row, options)]
+        out.append("| " + " | ".join(cells) + " |")
     return "\n".join(out) + "\n"
 
 
 # --- latex -------------------------------------------------------------------
 
 _LATEX_CHECK = "\\colorbox{black}{\\textcolor{white}{\\ding{51}}}"
+# one translate pass, so the braces a replacement inserts are not escaped again
+_LATEX_ESCAPES = str.maketrans(
+    {"\\": "\\textbackslash{}", "~": "\\textasciitilde{}", "^": "\\textasciicircum{}"}
+    | {char: "\\" + char for char in "&%$#_{}"}
+)
 
 
 def _latex_escape(text: str) -> str:
-    for char in "&%$#_{}":
-        text = text.replace(char, "\\" + char)
-    return text
+    return text.translate(_LATEX_ESCAPES)
 
 
 def _latex_name(row: RankedRow) -> str:

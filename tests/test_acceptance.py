@@ -167,7 +167,7 @@ def test_criterion_1_aggregates_match_published_tables(tables, goldens):
                 f"is {drift} from published {text}, band {band}"
             )
             checked += 1
-            shown = display_str(row.autorank_exact, table.config.display_decimals)
+            shown = display_str(row.autorank_exact)
             if shown != text:
                 flips.add((code, row.name, text, shown))
     assert checked == 244
@@ -239,7 +239,7 @@ def test_criterion_3_cutoff_lines_match_published_tables(tables, goldens):
     below = en_hi.rows[en_hi.cutoff_position - 1]
     gap = below.autorank_exact - above.autorank_exact
     assert gap > 1.5
-    assert display_str(gap, 1) == "1.6"
+    assert display_str(gap) == "1.6"
 
 
 def test_criterion_4_selection_matches_published_checkmarks(tables, goldens):
@@ -335,7 +335,7 @@ def test_criterion_5_open_track_view_agrees_with_full_table(tables):
         "IKUN-C",
         "CycleL",
     ]
-    assert [display_str(row.autorank_exact, 1) for row in rows] == [
+    assert [display_str(row.autorank_exact) for row in rows] == [
         "1.9", "2.3", "2.5", "2.6", "3.0", "3.0", "21.0",
     ]
     # Llama3-70B is the allow-listed flag: published unchecked, engine selects

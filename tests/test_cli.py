@@ -184,6 +184,23 @@ class TestRankErrors:
         assert code == 1
         assert "no manifest entry for pair(s): zz-ww" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["systems", "scores", "manifest"])
+    def test_input_not_utf8_is_validation_error(self, inputs, which, capsys):
+        Path(inputs[which]).write_bytes(b"pair\xff\n")
+        code = main(_rank(inputs, "--format", "text", "--manifest", inputs["manifest"]))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot read {inputs[which]}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+    def test_out_naming_a_file_is_validation_error(self, inputs, tmp_path, capsys):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("keep me\n", encoding="utf-8")
+        code = main(_rank(inputs, "--format", "text", "--out", str(taken)))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
+        assert taken.read_text(encoding="utf-8") == "keep me\n"
+
     def test_malformed_scores_file_reports_line(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad_scores.tsv"
         bad.write_text(
@@ -295,8 +312,19 @@ class TestVerify:
             ("autorank_exact", "NaN", "golden row autorank_exact is not a finite decimal: 'NaN'"),
             ("position", "first", "golden row position is not an integer: 'first'"),
             ("position", 1.5, "golden row position is not an integer: 1.5"),
+            ("selected", "false", "golden row selected is not a boolean: 'false'"),
+            ("selected", 0, "golden row selected is not a boolean: 0"),
+            ("selected", None, "golden row selected is not a boolean: None"),
         ],
-        ids=["word-score", "nan-score", "word-position", "fractional-position"],
+        ids=[
+            "word-score",
+            "nan-score",
+            "word-position",
+            "fractional-position",
+            "string-selected",
+            "zero-selected",
+            "null-selected",
+        ],
     )
     def test_golden_row_with_bad_value(self, tmp_path, capsys, field, value, reason):
         golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
@@ -331,6 +359,35 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: {path}: malformed golden report: config is not an object\n"
         )
+
+    @pytest.mark.parametrize(
+        "key,value,reason",
+        [
+            ("cutof_gap", "0.5", "unknown config key 'cutof_gap'"),
+            ("display_decimals", 1.9, "display_decimals must be 1, got 1.9"),
+            ("display_decimals", True, "display_decimals must be 1, got True"),
+            ("display_decimals", 2, "display_decimals must be 1, got 2"),
+            ("display_decimals", "1", "display_decimals must be 1, got '1'"),
+        ],
+        ids=["typo-key", "fractional-decimals", "bool-decimals", "two-decimals", "text-decimals"],
+    )
+    def test_golden_config_is_strict(self, tmp_path, capsys, key, value, reason):
+        golden = json.loads((DATA / "golden" / "en-de.json").read_text(encoding="utf-8"))
+        golden["config"][key] = value
+        path = tmp_path / "en-de.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: malformed golden report: {reason}\n"
+
+    def test_golden_not_utf8_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "en-de.json"
+        path.write_bytes(b'{"pairs": "\xff"}')
+        code = main(_verify("--golden", str(tmp_path)))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
     def test_golden_without_config_uses_default(self, tmp_path, capsys, absent):

@@ -32,7 +32,6 @@ def two_row_table():
             raw_scores={m.id: 0.0 for m in DEFAULT_METRICS},
             normalized={m.id: exact for m in DEFAULT_METRICS},
             autorank_exact=exact,
-            autorank_display=exact,
             position=pos,
             reasons=(ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,),
         )

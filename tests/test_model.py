@@ -14,7 +14,6 @@ from autorank import (
     SystemCategory,
     SystemEntry,
     display_str,
-    round_display,
 )
 
 
@@ -71,8 +70,8 @@ def test_config_defaults_match_shipped_tables():
     assert config.cutoff_gap == 1.5
     assert config.closed_fraction == Fraction(1, 3)
     assert config.open_fraction == Fraction(2, 3)
-    assert config.display_decimals == 1
     assert config.scale_span is ScaleSpan.FULL_N
+    assert config.as_dict()["display_decimals"] == 1
 
 
 @pytest.mark.parametrize(
@@ -83,7 +82,7 @@ def test_config_defaults_match_shipped_tables():
         {"closed_fraction": 0},
         {"closed_fraction": Fraction(3, 4), "open_fraction": Fraction(1, 2)},
         {"open_fraction": Fraction(5, 4)},
-        {"display_decimals": -1},
+        {"cutoff_gap": float("nan")},
     ],
 )
 def test_config_rejects_invalid_values(kwargs):
@@ -91,10 +90,19 @@ def test_config_rejects_invalid_values(kwargs):
         RankingConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", ["1/3", 0.5, True])
+def test_config_rejects_inexact_fractions(value):
+    # text is parsed by from_dict only; a float would carry its binary expansion
+    with pytest.raises(TypeError, match="closed_fraction must be a Fraction or int"):
+        RankingConfig(closed_fraction=value)
+
+
 def test_config_accepts_textual_fractions():
-    config = RankingConfig(closed_fraction="1/3", open_fraction="0.5")
+    config = RankingConfig.from_dict({"closed_fraction": "1/3", "open_fraction": "0.5"})
     assert config.closed_fraction == Fraction(1, 3)
     assert config.open_fraction == Fraction(1, 2)
+    # a JSON float means the decimal that was typed
+    assert RankingConfig.from_dict({"closed_fraction": 0.1}).closed_fraction == Fraction(1, 10)
 
 
 def test_config_dict_round_trip():
@@ -111,21 +119,29 @@ def test_config_from_non_mapping_is_rejected(data):
         RankingConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("value", [1.9, 1.0, True, 2, 0, "1", None])
+def test_config_from_dict_requires_one_display_decimal(value):
+    with pytest.raises(ValueError, match="display_decimals must be 1, got "):
+        RankingConfig.from_dict({"display_decimals": value})
+    assert RankingConfig.from_dict({"display_decimals": 1}) == RankingConfig()
+
+
+DISPLAY_CASES = [
+    (1.85, "1.9"),  # ties away from zero, not banker's
+    (2.25, "2.3"),
+    (1.84999, "1.8"),
+    (21.0, "21.0"),
+    (1.9513, "2.0"),
+    (-0.25, "-0.3"),
+]
+
+
+# ids read value-decimals-expected; every aggregate displays with one decimal
 @pytest.mark.parametrize(
-    "value,decimals,expected",
-    [
-        (1.85, 1, "1.9"),  # ties away from zero, not banker's
-        (2.25, 1, "2.3"),
-        (1.84999, 1, "1.8"),
-        (21.0, 1, "21.0"),
-        (1.9513, 1, "2.0"),
-        (3.0455, 2, "3.05"),
-        (7.0, 0, "7"),
-    ],
+    "value,expected", DISPLAY_CASES, ids=[f"{v}-1-{e}" for v, e in DISPLAY_CASES]
 )
-def test_display_rounding_half_away_from_zero(value, decimals, expected):
-    assert display_str(value, decimals) == expected
-    assert round_display(value, decimals) == float(expected)
+def test_display_rounding_half_away_from_zero(value, expected):
+    assert display_str(value) == expected
 
 
 def test_reason_codes_partition_into_selected_and_excluded():
@@ -153,7 +169,6 @@ def test_ranked_row_verdict_is_read_from_reasons(reasons, selected, above_cutoff
         raw_scores={},
         normalized={},
         autorank_exact=1.0,
-        autorank_display=1.0,
         reasons=reasons,
     )
     assert (row.selected, row.above_cutoff) == (selected, above_cutoff)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from autorank import (
     NormalizationContext,
     RankingConfig,
     RenderOptions,
+    ScaleSpan,
     ScoreRecord,
     SystemCategory,
     SystemEntry,
@@ -241,7 +244,6 @@ def _ordered_rows(aggregates, withdrawn, categories):
                 raw_scores={MX.id: 0.0, CK.id: 0.0},
                 normalized={},
                 autorank_exact=value,
-                autorank_display=value,
                 position=i,
                 withdrawn=gone,
             )
@@ -311,11 +313,11 @@ def test_every_row_gets_coherent_reasons(rows):
 # --- display rounding ---------------------------------------------------------
 
 
-@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), st.integers(0, 4))
-def test_display_rounds_to_nearest_ties_away_from_zero(value, decimals):
+@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+def test_display_rounds_to_nearest_ties_away_from_zero(value):
     # independent oracle in exact rational arithmetic
     exact = Fraction(Decimal(repr(value)))
-    quantum = Fraction(1, 10**decimals)
+    quantum = Fraction(1, 10)
     quotient = exact / quantum
     floor = quotient.numerator // quotient.denominator
     candidates = [floor * quantum, (floor + 1) * quantum]
@@ -326,17 +328,14 @@ def test_display_rounds_to_nearest_ties_away_from_zero(value, decimals):
         want = candidates[1]
     else:  # tie: away from zero
         want = max(candidates, key=abs)
-    got = Fraction(Decimal(display_str(value, decimals)))
+    got = Fraction(Decimal(display_str(value)))
     assert got == want
 
 
-@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), st.integers(0, 4))
-def test_display_string_has_requested_precision(value, decimals):
-    text = display_str(value, decimals)
-    if decimals == 0:
-        assert "." not in text
-    else:
-        assert len(text.split(".")[1]) == decimals
+@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+def test_display_string_has_requested_precision(value):
+    # the precision is the ranking rule's: one decimal, always
+    assert len(display_str(value).split(".")[1]) == 1
 
 
 # --- JSON layout ---------------------------------------------------------------
@@ -389,3 +388,64 @@ def test_rendered_json_matches_stdlib_encoder(names):
     rendered.append(render_report(tables))
     for text in rendered:
         assert text == _stdlib_layout(json.loads(text))
+
+
+# --- Markdown escaping ---------------------------------------------------------
+
+# GFM splits a row on every pipe that no backslash escapes
+_MD_CELL_BREAK = re.compile(r"(?<!\\)\|")
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(
+        st.text(alphabet="a |\\翻訳システム", min_size=1, max_size=8),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    ),
+    st.booleans(),
+)
+def test_markdown_column_count_survives_hostile_names(names, show_reasons):
+    registry = [
+        SystemEntry(
+            name=name,
+            category=list(SystemCategory)[i % 3],
+            withdrawn=i % 4 == 1,
+            unsupported_pairs=frozenset({PAIR}) if i % 2 else frozenset(),
+        )
+        for i, name in enumerate(names)
+    ]
+    records = [
+        ScoreRecord(PAIR, name, metric.id, float(i * i))
+        for i, name in enumerate(names)
+        for metric in DEFAULT_METRICS
+    ]
+    table = rank_pair(registry, records, PAIR)
+    out = render_table(table, RenderOptions(TableFormat.MARKDOWN, show_reasons=show_reasons))
+    lines = out.splitlines()
+    assert len(lines) == 2 + len(names) + (table.cutoff_position is not None)
+    assert {len(_MD_CELL_BREAK.split(line)) for line in lines} == {len(lines[0].split("|"))}
+
+
+# --- config text ---------------------------------------------------------------
+
+_CONFIGS = st.builds(
+    lambda gap, fractions, span: RankingConfig(gap, min(fractions), max(fractions), span),
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(bool),
+        min_size=2,
+        max_size=2,
+    ),
+    st.sampled_from(ScaleSpan),
+)
+
+
+@given(_CONFIGS, st.text(min_size=1, max_size=12))
+def test_config_text_round_trips_and_rejects_extra_keys(config, key):
+    text = json.loads(json.dumps(config.as_dict()))
+    assert RankingConfig.from_dict(text) == config
+    if key not in text:
+        with pytest.raises(ValueError, match="unknown config key"):
+            RankingConfig.from_dict({**text, key: "1"})

@@ -15,6 +15,7 @@ from autorank import (
     SystemEntry,
     build_context,
     compute_autorank,
+    display_str,
     normalize_score,
     order_rows,
     rank_pair,
@@ -135,14 +136,14 @@ def test_compute_autorank_published_examples():
     ) / 2
     assert rows["IOL-Research"].autorank_exact == pytest.approx(iol_expected, rel=1e-12)
     assert rows["IOL-Research"].autorank_exact == pytest.approx(1.878, abs=5e-4)
-    assert rows["IOL-Research"].autorank_display == 1.9
+    assert display_str(rows["IOL-Research"].autorank_exact) == "1.9"
 
     gpt4_expected = (
         oracle(1.4, 0.9, 19.5, 20, True) + oracle(0.677, 0.719, 0.146, 20, False)
     ) / 2
     assert rows["GPT-4"].autorank_exact == pytest.approx(gpt4_expected, rel=1e-12)
     assert rows["GPT-4"].autorank_exact == pytest.approx(2.0018, abs=5e-5)
-    assert rows["GPT-4"].autorank_display == 2.0
+    assert display_str(rows["GPT-4"].autorank_exact) == "2.0"
 
     assert rows["Unbabel-Tower70B"].autorank_exact == 1.0
     assert rows["CycleL"].autorank_exact == 21.0
@@ -218,7 +219,7 @@ def test_order_breaks_display_tie_by_exact_value():
         "CycleL",
     ]
     assert [row.position for row in ordered] == [1, 2, 3, 4]
-    assert ordered[1].autorank_display == ordered[2].autorank_display
+    assert display_str(ordered[1].autorank_exact) == display_str(ordered[2].autorank_exact)
     assert ordered[1].autorank_exact < ordered[2].autorank_exact
 
 

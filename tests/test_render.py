@@ -37,7 +37,6 @@ def _tiny_table() -> LeaderboardTable:
             raw_scores={MX.id: 1.0, CK.id: 0.5},
             normalized={MX.id: exact, CK.id: exact},
             autorank_exact=exact,
-            autorank_display=exact,
             position=pos,
             withdrawn=withdrawn,
             claimed_support=support,
@@ -222,6 +221,17 @@ class TestLatex:
     def test_special_characters_escaped(self):
         out = render_table(_tiny_table(), _opts(TableFormat.LATEX))
         assert "Bravo \\& Co" in out
+
+    def test_hostile_name_escaped_in_one_pass(self):
+        table = _tiny_table()
+        hostile = SystemEntry(name="c\\~^ & {x}_1", category=SystemCategory.CLOSED)
+        rows = (replace(table.rows[0], system=hostile),) + table.rows[1:]
+        out = render_table(replace(table, rows=rows), _opts(TableFormat.LATEX))
+        assert out.splitlines()[3] == (
+            "\\closedtrack{c\\textbackslash{}\\textasciitilde{}\\textasciicircum{} "
+            "\\& \\{x\\}\\_1 & 1.0 & 1.0 & 0.5 & "
+            "\\colorbox{black}{\\textcolor{white}{\\ding{51}}}} \\\\"
+        )
 
 
 class TestJson:

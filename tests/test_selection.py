@@ -33,7 +33,6 @@ def _row(
         raw_scores={MX.id: 0.0, CK.id: 0.0},
         normalized={MX.id: autorank, CK.id: autorank},
         autorank_exact=autorank,
-        autorank_display=round(autorank, 1),
         position=position,
         withdrawn=withdrawn,
     )
