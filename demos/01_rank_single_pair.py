@@ -23,11 +23,11 @@ data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 # the registry says who participated, in which category, and whether
 # they withdrew; the scores file holds one row per (pair, system, metric)
 registry = parse_registry((data / "systems.tsv").read_text())
-records = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
+scores = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
 
 # rank Czech-to-Ukrainian: normalize both metrics onto a shared 1..1+N
 # scale, average them, sort, draw the quality line, mark selections
-table = rank_pair(registry, records, LanguagePair.from_code("cs-uk"))
+table = rank_pair(registry, scores, LanguagePair.from_code("cs-uk"))
 
 print(render_table(table, RenderOptions(format=TableFormat.TEXT)))
 

@@ -20,8 +20,8 @@ from autorank import (
 
 data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 registry = parse_registry((data / "systems.tsv").read_text())
-records = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
-table = rank_pair(registry, records, LanguagePair.from_code("en-is"))
+scores = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
+table = rank_pair(registry, scores, LanguagePair.from_code("en-is"))
 
 # markdown for READMEs and issue trackers
 print(render_table(table, RenderOptions(format=TableFormat.MARKDOWN)))

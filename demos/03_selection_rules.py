@@ -17,11 +17,11 @@ from autorank import (
 
 data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 registry = parse_registry((data / "systems.tsv").read_text())
-records = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
+scores = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
 
 # English-to-Hindi has the tightest quality line in the corpus: the
 # first aggregate jump over 1.5 is 1.62, between positions 15 and 16
-table = rank_pair(registry, records, LanguagePair.from_code("en-hi"))
+table = rank_pair(registry, scores, LanguagePair.from_code("en-hi"))
 above = table.rows[table.cutoff_position - 2]
 below = table.rows[table.cutoff_position - 1]
 print(f"{table.pair.code}: N={table.n_systems}, cutoff at position {table.cutoff_position}")

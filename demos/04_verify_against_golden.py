@@ -19,7 +19,7 @@ from autorank import (
 
 data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 registry = parse_registry((data / "systems.tsv").read_text())
-records = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
+scores = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
 
 # the goldens were transcribed from the published tables, so their
 # aggregates carry display precision only; comparison allows 0.05 slack
@@ -33,7 +33,7 @@ allow = {("cs-uk", "Llama3-70B")}
 
 for path in sorted((data / "golden").glob("*.json")):
     entry = json.load(open(path))["pairs"][0]
-    table = rank_pair(registry, records, LanguagePair.from_code(entry["pair"]))
+    table = rank_pair(registry, scores, LanguagePair.from_code(entry["pair"]))
     comparison = compare_pair(table, entry, tolerance, allow)
     state = "ok" if comparison.ok else "MISMATCH"
     print(f"{entry['pair']}: {state} ({table.n_systems} systems)")

@@ -26,7 +26,6 @@ from .model import (
     RankingConfig,
     ReasonCode,
     ScaleSpan,
-    ScoreRecord,
     SystemCategory,
     SystemEntry,
     display_str,
@@ -70,7 +69,6 @@ __all__ = [
     "ReasonCode",
     "RenderOptions",
     "ScaleSpan",
-    "ScoreRecord",
     "SystemCategory",
     "SystemEntry",
     "TableFormat",

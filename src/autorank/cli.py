@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .golden import compare_pair, parse_allow_list, validate_golden_pair
 from .ingest import ParseError, parse_manifest, parse_registry, parse_scores
-from .model import DEFAULT_METRICS, LanguagePair, RankingConfig, ScaleSpan, ScoreRecord
+from .model import DEFAULT_METRICS, LanguagePair, RankingConfig, ScaleSpan
 from .pipeline import pairs_in, rank_pair
 from .render import RenderOptions, TableFormat, file_extension, render_report, render_table
 
@@ -118,18 +118,10 @@ def _parse_inputs(args: argparse.Namespace):
     except ParseError as exc:
         raise _ValidationError(f"{args.systems}: {exc}") from None
     try:
-        records = parse_scores(_read(args.scores), registry, DEFAULT_METRICS)
+        scores = parse_scores(_read(args.scores), registry, DEFAULT_METRICS)
     except ParseError as exc:
         raise _ValidationError(f"{args.scores}: {exc}") from None
-    return registry, records
-
-
-def _group_by_pair(records: list[ScoreRecord]) -> dict[LanguagePair, list[ScoreRecord]]:
-    # one pass, so ranking every pair costs O(records), not O(pairs x records)
-    by_pair: dict[LanguagePair, list[ScoreRecord]] = {}
-    for record in records:
-        by_pair.setdefault(record.pair, []).append(record)
-    return by_pair
+    return registry, scores
 
 
 def _config_from(args: argparse.Namespace) -> RankingConfig:
@@ -165,7 +157,7 @@ def _want_color(fmt: TableFormat) -> bool:
 
 
 def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
-    registry, records = _parse_inputs(args)
+    registry, scores = _parse_inputs(args)
     config = _config_from(args)
     fmt = TableFormat(args.format)
 
@@ -176,7 +168,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
     else:
-        pairs = pairs_in(records)
+        pairs = pairs_in(scores)
         if not pairs:
             raise _ValidationError(f"{args.scores}: no score records, nothing to rank")
 
@@ -191,13 +183,12 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
                 f"{args.manifest}: no manifest entry for pair(s): {', '.join(absent)}"
             )
 
-    by_pair = _group_by_pair(records)
     tables = []
     for pair in pairs:
-        if pair not in by_pair:
+        if pair not in scores:
             raise _ValidationError(f"{args.scores}: no scores for pair {pair.code}")
         try:
-            tables.append(rank_pair(registry, by_pair[pair], pair, DEFAULT_METRICS, config))
+            tables.append(rank_pair(registry, scores, pair, DEFAULT_METRICS, config))
         except ValueError as exc:
             raise _ValidationError(str(exc)) from None
 
@@ -210,13 +201,14 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
 
     if args.out is not None:
         out_dir = Path(args.out)
+        target = args.out
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             for table in tables:
-                path = out_dir / f"{table.pair.code}.{file_extension(fmt)}"
-                _write_atomic(path, render_table(table, options))
+                target = out_dir / f"{table.pair.code}.{file_extension(fmt)}"
+                _write_atomic(target, render_table(table, options))
         except OSError as exc:
-            raise _ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+            raise _ValidationError(f"cannot write {target}: {exc.strerror or exc}") from None
     elif fmt is TableFormat.JSON:
         sys.stdout.write(render_report(tables, options.include_closed))
     else:
@@ -225,7 +217,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
 
 
 def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
-    registry, records = _parse_inputs(args)
+    registry, scores = _parse_inputs(args)
     if not (math.isfinite(args.autorank_tol) and args.autorank_tol >= 0):
         raise _UsageError("--autorank-tol must be a finite number >= 0")
     tolerance = Decimal(str(args.autorank_tol))
@@ -242,13 +234,13 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
         raise _ValidationError(f"{args.golden}: not a directory")
     golden_files = sorted(golden_dir.glob("*.json"))
 
-    by_pair = _group_by_pair(records)
     compared = 0
     failed = 0
     for path in golden_files:
         try:
             report = json.loads(_read(path))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer too long to convert, or nesting too deep
             raise _ValidationError(f"{path}: {exc}") from None
         if not isinstance(report, dict):
             raise _ValidationError(f"{path}: malformed golden report: top level is not an object")
@@ -265,13 +257,13 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
 
         for pair, entry in zip(pairs, entries):
             compared += 1
-            if pair not in by_pair:
+            if pair not in scores:
                 failed += 1
                 print(f"{pair.code}: MISMATCH")
                 print(f"  {pair.code}: no scores for this pair")
                 continue
             try:
-                table = rank_pair(registry, by_pair[pair], pair, DEFAULT_METRICS, config)
+                table = rank_pair(registry, scores, pair, DEFAULT_METRICS, config)
             except ValueError as exc:
                 raise _ValidationError(str(exc)) from None
             result = compare_pair(table, entry, tolerance, allow)

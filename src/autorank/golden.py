@@ -32,6 +32,8 @@ from typing import Mapping, Sequence
 from .model import LeaderboardTable, RankedRow
 
 REQUIRED_ROW_FIELDS = ("system", "autorank_exact", "position", "selected", "category")
+# compare_pair scales by a golden value's exponent; keep it far inside the decimal context
+_EXPONENT_LIMIT = 1000
 
 
 @dataclass
@@ -66,9 +68,10 @@ def parse_allow_list(text: str) -> set[tuple[str, str]]:
 def validate_golden_pair(payload: Mapping[str, object]) -> None:
     """Raise ValueError unless a golden pair entry has the shape compare_pair reads.
 
-    That is an object whose ``rows`` is a list of objects, each holding
-    the required fields, an integer ``position``, a boolean ``selected``
-    and a finite decimal ``autorank_exact``.
+    That is an object whose ``rows`` is a list of objects, one per
+    system, each holding the required fields, an integer ``position``, a
+    boolean ``selected`` and a finite decimal ``autorank_exact`` whose
+    exponent and magnitude lie within 1000 powers of ten.
     """
 
     if not isinstance(payload, dict):
@@ -79,12 +82,17 @@ def validate_golden_pair(payload: Mapping[str, object]) -> None:
     rows = payload["rows"]
     if not isinstance(rows, list):
         raise ValueError("golden field 'rows' is not a list")
+    systems: set[str] = set()
     for row in rows:
         if not isinstance(row, dict):
             raise ValueError("golden row is not an object")
         for key in REQUIRED_ROW_FIELDS:
             if key not in row:
                 raise ValueError(f"golden row missing field {key!r}")
+        system = str(row["system"])
+        if system in systems:
+            raise ValueError(f"duplicate golden row for system {system!r}")
+        systems.add(system)
         position = row["position"]
         if not isinstance(position, int) or isinstance(position, bool):
             raise ValueError(f"golden row position is not an integer: {position!r}")
@@ -92,11 +100,14 @@ def validate_golden_pair(payload: Mapping[str, object]) -> None:
             raise ValueError(f"golden row selected is not a boolean: {row['selected']!r}")
         text = str(row["autorank_exact"])
         try:
-            finite = Decimal(text).is_finite()
+            value = Decimal(text)
         except InvalidOperation:
-            finite = False
-        if not finite:
+            value = Decimal("NaN")
+        if not value.is_finite():
             raise ValueError(f"golden row autorank_exact is not a finite decimal: {text!r}")
+        exponent = int(value.as_tuple().exponent)
+        if not -_EXPONENT_LIMIT <= exponent <= value.adjusted() <= _EXPONENT_LIMIT:
+            raise ValueError(f"golden row autorank_exact is out of range: {text!r}")
 
 
 def _half_ulp(text: str) -> Decimal:

@@ -17,15 +17,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .model import (
-    LanguagePair,
-    MetricSpec,
-    ScoreRecord,
-    SystemCategory,
-    SystemEntry,
-)
+from .model import LanguagePair, MetricSpec, SystemCategory, SystemEntry
 
 REGISTRY_HEADER = "system\tcategory\twithdrawn\tunsupported_pairs"
 SCORES_HEADER = "pair\tsystem\tmetric\tscore"
@@ -125,25 +119,24 @@ def parse_scores(
     text: str,
     registry: Sequence[SystemEntry],
     metrics: Sequence[MetricSpec],
-) -> list[ScoreRecord]:
-    """Parse score records against a registry and known metrics.
+) -> dict[LanguagePair, dict[str, dict[str, float]]]:
+    """Parse a scores file into pair -> system name -> metric id -> score.
 
     Rejects unknown systems, unknown metrics, non-finite or non-numeric
-    scores, and duplicate (pair, system, metric) triples.  File order is
-    preserved.  Each distinct pair token is parsed once; records of one
-    pair share its ``LanguagePair``.
+    scores, and duplicate (pair, system, metric) triples.  Pairs,
+    systems and metrics keep the order they first appear in.  Each
+    distinct pair token is parsed once.
     """
 
     known_systems = {entry.name for entry in registry}
     known_metrics = {metric.id for metric in metrics}
-    records: list[ScoreRecord] = []
-    pairs: dict[str, LanguagePair] = {}
-    # a valid token is its pair's code, so the raw token keys the triple
-    seen: set[tuple[str, str, str]] = set()
+    scores: dict[LanguagePair, dict[str, dict[str, float]]] = {}
+    # a valid token is its pair's code, so the raw token finds the matrix
+    matrices: dict[str, dict[str, dict[str, float]]] = {}
     for line, (pair_token, system, metric, score_token) in _rows(text, SCORES_HEADER):
-        pair = pairs.get(pair_token)
-        if pair is None:
-            pair = pairs[pair_token] = _parse_pair(pair_token, line)
+        matrix = matrices.get(pair_token)
+        if matrix is None:
+            matrix = scores[_parse_pair(pair_token, line)] = matrices[pair_token] = {}
         if system not in known_systems:
             raise ParseError(line, f"unknown system {system!r}")
         if metric not in known_metrics:
@@ -153,12 +146,11 @@ def parse_scores(
         score = float(score_token)
         if not math.isfinite(score):
             raise ParseError(line, f"score must be finite, got {score_token!r}")
-        key = (pair_token, system, metric)
-        if key in seen:
-            raise ParseError(line, f"duplicate score for {pair}/{system}/{metric}")
-        seen.add(key)
-        records.append(ScoreRecord(pair=pair, system=system, metric=metric, score=score))
-    return records
+        row = matrix.setdefault(system, {})
+        if metric in row:
+            raise ParseError(line, f"duplicate score for {pair_token}/{system}/{metric}")
+        row[metric] = score
+    return scores
 
 
 def parse_manifest(text: str) -> dict[LanguagePair, tuple[int, int]]:
@@ -206,12 +198,12 @@ def serialize_registry(entries: Iterable[SystemEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_scores(records: Iterable[ScoreRecord]) -> str:
+def serialize_scores(scores: Mapping[LanguagePair, Mapping[str, Mapping[str, float]]]) -> str:
     lines = [SCORES_HEADER]
-    for record in records:
-        lines.append(
-            "\t".join((record.pair.code, record.system, record.metric, repr(record.score)))
-        )
+    for pair, matrix in scores.items():
+        for system, row in matrix.items():
+            for metric, score in row.items():
+                lines.append(f"{pair.code}\t{system}\t{metric}\t{score!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -224,34 +216,29 @@ def serialize_manifest(entries: dict[LanguagePair, tuple[int, int]]) -> str:
 
 
 def check_completeness(
-    records: Iterable[ScoreRecord],
+    matrix: Mapping[str, Mapping[str, float]],
     registry: Sequence[SystemEntry],
     metrics: Sequence[MetricSpec],
     pair: LanguagePair,
-) -> dict[str, dict[str, float]]:
-    """Collect ``pair``'s score matrix and check that it is complete.
+) -> None:
+    """Check that ``pair``'s score matrix, system -> metric -> score, is rankable.
 
-    A participant is any registered system with at least one score
-    record for the pair; systems with none simply did not take part.
-
-    Returns:
-        system name -> metric id -> raw score, systems in the order
-        they first appear in ``records``; empty when nobody scored the
-        pair.
+    A participant is any system with a row in the matrix; systems with
+    none simply did not take part, so an empty matrix passes.
 
     Raises:
-        ValueError: a scored system missing from ``registry``, or a
-            participant lacking a score for one of ``metrics``.
+        ValueError: a scored system missing from ``registry``, a score
+            that is not finite, or a participant lacking a score for
+            one of ``metrics``.
     """
 
     known = {entry.name for entry in registry}
-    matrix: dict[str, dict[str, float]] = {}
-    for record in records:
-        if record.pair != pair:
-            continue
-        if record.system not in known:
-            raise ValueError(f"system {record.system!r} has scores but no registry entry")
-        matrix.setdefault(record.system, {})[record.metric] = record.score
+    for system, row in matrix.items():
+        if system not in known:
+            raise ValueError(f"system {system!r} has scores but no registry entry")
+        for metric, score in row.items():
+            if not math.isfinite(score):
+                raise ValueError(f"{pair} score for {system}/{metric} is not finite: {score!r}")
     holes = ", ".join(
         f"{system}/{metric.id}"
         for system in sorted(matrix)
@@ -260,4 +247,3 @@ def check_completeness(
     )
     if holes:
         raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
-    return matrix

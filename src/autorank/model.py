@@ -126,20 +126,6 @@ class SystemEntry:
         return pair not in self.unsupported_pairs
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    """One raw metric score for one system on one language pair."""
-
-    pair: LanguagePair
-    system: str
-    metric: str
-    score: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise ValueError(f"score must be finite, got {self.score!r}")
-
-
 class ScaleSpan(Enum):
     """Width of the normalized rank scale.
 
@@ -182,6 +168,8 @@ class RankingConfig:
             value = getattr(self, name)
             if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a Fraction or int, got {value!r}")
+        if not isinstance(self.scale_span, ScaleSpan):
+            raise TypeError(f"scale_span must be a ScaleSpan, got {self.scale_span!r}")
         if not (math.isfinite(self.cutoff_gap) and self.cutoff_gap > 0):
             raise ValueError(f"cutoff_gap must be a positive real, got {self.cutoff_gap!r}")
         if not 0 < self.closed_fraction <= self.open_fraction <= 1:

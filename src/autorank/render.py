@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import Iterable, Sequence
+from unicodedata import east_asian_width
 
 from .model import (
     LeaderboardTable,
@@ -224,20 +225,27 @@ _GREEN = "\x1b[32m"
 _RESET = "\x1b[0m"
 
 
+def _columns(text: str) -> int:
+    # terminal columns: East-Asian wide and fullwidth characters take two
+    if text.isascii():
+        return len(text)
+    return sum(2 if east_asian_width(char) in ("W", "F") else 1 for char in text)
+
+
 def _render_text(
     table: LeaderboardTable, rows: Sequence[RankedRow], options: RenderOptions
 ) -> str:
     header = _header_cells(table, options)
     body = [_body_cells(table, row, options) for row in rows]
-    widths = [len(cell) for cell in header]
+    widths = [_columns(cell) for cell in header]
     for cells in body:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, cells)]
+        widths = [max(w, _columns(cell)) for w, cell in zip(widths, cells)]
 
     def line(cells: list[str]) -> str:
-        padded = [
-            cell.ljust(w) if i == 0 else cell.rjust(w)
-            for i, (cell, w) in enumerate(zip(cells, widths))
-        ]
+        padded = []
+        for i, (cell, w) in enumerate(zip(cells, widths)):
+            fill = " " * (w - _columns(cell))
+            padded.append(cell + fill if i == 0 else fill + cell)
         return "  ".join(padded).rstrip()
 
     total = sum(widths) + 2 * (len(widths) - 1)

@@ -21,7 +21,7 @@ def registry():
 
 
 @pytest.fixture(scope="session")
-def records(registry):
+def scores(registry):
     return parse_scores(
         (DATA_DIR / "scores.tsv").read_text(encoding="utf-8"), registry, DEFAULT_METRICS
     )
@@ -39,8 +39,6 @@ def goldens() -> dict[str, dict]:
 
 
 @pytest.fixture(scope="session")
-def tables(registry, records, goldens):
+def tables(registry, scores, goldens):
     """Engine-ranked tables for every pair in the fixture corpus."""
-    return {
-        code: rank_pair(registry, records, LanguagePair.from_code(code)) for code in goldens
-    }
+    return {code: rank_pair(registry, scores, LanguagePair.from_code(code)) for code in goldens}

@@ -175,32 +175,26 @@ def test_criterion_1_aggregates_match_published_tables(tables, goldens):
     assert flips == ROUNDING_FLIPS
 
 
-def test_criterion_2_scale_endpoints_exact(tables, records):
+def test_criterion_2_scale_endpoints_exact(tables, scores):
     """Best on both metrics lands on 1.0, worst on both on 1 + N, exactly."""
 
     metric_x, comet = DEFAULT_METRICS
-    by_pair: dict[str, dict[str, dict[str, float]]] = {}
-    for record in records:
-        by_pair.setdefault(record.pair.code, {}).setdefault(record.system, {})[
-            record.metric
-        ] = record.score
-
     for code in sorted(tables):
         table = tables[code]
-        scores = by_pair[code]
-        best_x = min(s[metric_x.id] for s in scores.values())
-        worst_x = max(s[metric_x.id] for s in scores.values())
-        best_c = max(s[comet.id] for s in scores.values())
-        worst_c = min(s[comet.id] for s in scores.values())
+        matrix = scores[LanguagePair.from_code(code)]
+        best_x = min(s[metric_x.id] for s in matrix.values())
+        worst_x = max(s[metric_x.id] for s in matrix.values())
+        best_c = max(s[comet.id] for s in matrix.values())
+        worst_c = min(s[comet.id] for s in matrix.values())
         rows = {row.name: row for row in table.rows}
         dominant = [
             name
-            for name, s in scores.items()
+            for name, s in matrix.items()
             if s[metric_x.id] == best_x and s[comet.id] == best_c
         ]
         dominated = [
             name
-            for name, s in scores.items()
+            for name, s in matrix.items()
             if s[metric_x.id] == worst_x and s[comet.id] == worst_c
         ]
         assert dominant and dominated, code

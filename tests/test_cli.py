@@ -201,6 +201,20 @@ class TestRankErrors:
         assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
         assert taken.read_text(encoding="utf-8") == "keep me\n"
 
+    def test_out_write_failure_names_the_file_and_keeps_earlier_ones(
+        self, inputs, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        (out / "zz-ww.txt").mkdir(parents=True)
+        code = main(_rank(inputs, "--format", "text", "--out", str(out)))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'zz-ww.txt'}: Is a directory\n"
+        )
+        # pairs are written in code order; xx-yy came first and stays
+        assert (out / "xx-yy.txt").read_text(encoding="utf-8").startswith("xx-yy  (N=3)")
+        assert sorted(path.name for path in out.iterdir()) == ["xx-yy.txt", "zz-ww.txt"]
+
     def test_malformed_scores_file_reports_line(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad_scores.tsv"
         bad.write_text(
@@ -310,6 +324,12 @@ class TestVerify:
         [
             ("autorank_exact", "high", "golden row autorank_exact is not a finite decimal: 'high'"),
             ("autorank_exact", "NaN", "golden row autorank_exact is not a finite decimal: 'NaN'"),
+            (
+                "autorank_exact",
+                "1e999999999",
+                "golden row autorank_exact is out of range: '1e999999999'",
+            ),
+            ("autorank_exact", "1e-1001", "golden row autorank_exact is out of range: '1e-1001'"),
             ("position", "first", "golden row position is not an integer: 'first'"),
             ("position", 1.5, "golden row position is not an integer: 1.5"),
             ("selected", "false", "golden row selected is not a boolean: 'false'"),
@@ -319,6 +339,8 @@ class TestVerify:
         ids=[
             "word-score",
             "nan-score",
+            "huge-exponent-score",
+            "tiny-exponent-score",
             "word-position",
             "fractional-position",
             "string-selected",
@@ -334,6 +356,33 @@ class TestVerify:
         code = main(_verify("--golden", str(tmp_path)))
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: malformed golden report: {reason}\n"
+
+    def test_duplicate_golden_row(self, tmp_path, capsys):
+        # 21 rows for cs-uk's 20 systems used to verify as ok
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        rows = golden["pairs"][0]["rows"]
+        rows.append(dict(rows[4]))
+        path = tmp_path / "cs-uk.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed golden report: "
+            f"duplicate golden row for system {rows[4]['system']!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"pairs": ' + "1" * 5000 + "}"],
+        ids=["deep", "long"],
+    )
+    def test_golden_json_beyond_parser_limits(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_golden_config_with_zero_denominator(self, tmp_path, capsys):
         golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
@@ -478,15 +527,16 @@ class TestLinearity:
         original = autorank.pipeline.check_completeness
         received = []
 
-        def counting(records, *rest):
-            received.append(len(records))
-            return original(records, *rest)
+        def counting(matrix, *rest):
+            received.append(len(matrix))
+            return original(matrix, *rest)
 
         monkeypatch.setattr(autorank.pipeline, "check_completeness", counting)
         assert main(argv[:1] + WMT24_INPUTS + argv[1:]) == 0
         capsys.readouterr()
+        # one call per pair, each seeing only that pair's systems
         assert len(received) == 11
-        assert sum(received) == 488
+        assert sum(received) == 244
 
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"

@@ -6,7 +6,6 @@ from autorank import (
     DEFAULT_METRICS,
     LanguagePair,
     ParseError,
-    ScoreRecord,
     SystemCategory,
     SystemEntry,
     check_completeness,
@@ -34,6 +33,7 @@ SCORES = (
     "cs-uk\tGPT-4\tmetricx-23-xl\t1.4\n"
     "cs-uk\tGPT-4\tcometkiwi-da-xl\t0.677\n"
 )
+CSUK = LanguagePair.from_code("cs-uk")
 
 
 def _registry():
@@ -103,11 +103,14 @@ def test_parse_registry_rejects_wrong_header():
 
 
 def test_parse_scores_basic():
-    records = parse_scores(SCORES, _registry(), DEFAULT_METRICS)
-    assert len(records) == 4
-    assert records[0].pair.code == "cs-uk"
-    assert records[0].system == "IKUN"
-    assert records[0].score == 1.6
+    scores = parse_scores(SCORES, _registry(), DEFAULT_METRICS)
+    assert scores == {
+        CSUK: {
+            "IKUN": {"metricx-23-xl": 1.6, "cometkiwi-da-xl": 0.664},
+            "GPT-4": {"metricx-23-xl": 1.4, "cometkiwi-da-xl": 0.677},
+        }
+    }
+    assert list(scores[CSUK]) == ["IKUN", "GPT-4"]
 
 
 @pytest.mark.parametrize(
@@ -149,14 +152,20 @@ def test_parse_scores_reports_a_duplicate_triple_at_its_second_line():
 
 
 def test_parse_scores_shares_one_pair_object_per_token():
-    records = parse_scores(SCORES, _registry(), DEFAULT_METRICS)
-    assert len({id(record.pair) for record in records}) == 1
+    # interleaved pairs still index under one key each, in first-seen order
+    encs = LanguagePair.from_code("en-cs")
+    text = SCORES + "en-cs\tIKUN\tmetricx-23-xl\t1.0\n" + "cs-uk\tIOL\tmetricx-23-xl\t2.0\n"
+    registry = _registry() + [SystemEntry(name="IOL", category=SystemCategory.OPEN)]
+    scores = parse_scores(text, registry, DEFAULT_METRICS)
+    assert list(scores) == [CSUK, encs]
+    assert list(scores[CSUK]) == ["IKUN", "GPT-4", "IOL"]
+    assert scores[encs] == {"IKUN": {"metricx-23-xl": 1.0}}
 
 
 def test_parse_scores_keeps_full_precision():
     text = "pair\tsystem\tmetric\tscore\ncs-uk\tIKUN\tmetricx-23-xl\t1.6000000000000001\n"
-    (record,) = parse_scores(text, _registry(), DEFAULT_METRICS)
-    assert record.score == 1.6000000000000001
+    scores = parse_scores(text, _registry(), DEFAULT_METRICS)
+    assert scores[CSUK]["IKUN"]["metricx-23-xl"] == 1.6000000000000001
 
 
 def test_registry_round_trip_bytes():
@@ -167,9 +176,9 @@ def test_scores_round_trip_bytes():
     assert serialize_scores(parse_scores(SCORES, _registry(), DEFAULT_METRICS)) == SCORES
 
 
-def test_wmt24_fixture_round_trips_byte_exactly(data_dir, registry, records):
+def test_wmt24_fixture_round_trips_byte_exactly(data_dir, registry, scores):
     assert serialize_registry(registry) == (data_dir / "systems.tsv").read_text(encoding="utf-8")
-    assert serialize_scores(records) == (data_dir / "scores.tsv").read_text(encoding="utf-8")
+    assert serialize_scores(scores) == (data_dir / "scores.tsv").read_text(encoding="utf-8")
 
 
 def test_parse_manifest_and_round_trip():
@@ -202,43 +211,41 @@ def test_parse_manifest_rejects_duplicate_pair():
     assert info.value.line == 3
 
 
-def test_check_completeness_full_matrix(registry, records):
-    matrix = check_completeness(records, registry, DEFAULT_METRICS, LanguagePair.from_code("cs-uk"))
+def test_check_completeness_full_matrix(registry, scores):
+    matrix = scores[CSUK]
+    check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
     assert len(matrix) == 20
-    assert all(set(scores) == {m.id for m in DEFAULT_METRICS} for scores in matrix.values())
+    assert all(set(row) == {m.id for m in DEFAULT_METRICS} for row in matrix.values())
     assert matrix["IOL-Research"] == {"metricx-23-xl": 1.3, "cometkiwi-da-xl": 0.681}
 
 
 def test_check_completeness_flags_missing_metric():
     registry = _registry()
-    records = parse_scores(SCORES, registry, DEFAULT_METRICS)[:-1]  # drop GPT-4 CometKiwi
+    matrix = parse_scores(SCORES, registry, DEFAULT_METRICS)[CSUK]
+    del matrix["GPT-4"]["cometkiwi-da-xl"]
     with pytest.raises(ValueError) as info:
-        check_completeness(records, registry, DEFAULT_METRICS, LanguagePair.from_code("cs-uk"))
+        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: GPT-4/cometkiwi-da-xl"
 
 
 def test_check_completeness_lists_holes_by_system_then_metric():
     # the lone-metric matrix build_context used to reject, plus a second
-    # hole that sorts first although its record comes later
-    pair = LanguagePair.from_code("cs-uk")
+    # hole that sorts first although its row comes later
     registry = [
         SystemEntry(name="A", category=SystemCategory.OPEN),
         SystemEntry(name="0", category=SystemCategory.OPEN),
     ]
-    records = [
-        ScoreRecord(pair, "A", "metricx-23-xl", 1.0),
-        ScoreRecord(pair, "0", "cometkiwi-da-xl", 0.5),
-    ]
+    matrix = {"A": {"metricx-23-xl": 1.0}}
     with pytest.raises(ValueError) as info:
-        check_completeness(records[:1], registry, DEFAULT_METRICS, pair)
+        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: A/cometkiwi-da-xl"
+    matrix["0"] = {"cometkiwi-da-xl": 0.5}
     with pytest.raises(ValueError) as info:
-        check_completeness(records, registry, DEFAULT_METRICS, pair)
+        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == (
         "cs-uk is not rankable, missing scores: 0/metricx-23-xl, A/cometkiwi-da-xl"
     )
 
 
 def test_check_completeness_empty_pair_is_vacuously_rankable():
-    matrix = check_completeness([], _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh"))
-    assert matrix == {}
+    check_completeness({}, _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh"))

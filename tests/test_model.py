@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 
 from autorank import (
+    DEFAULT_METRICS,
     LanguagePair,
     RankedRow,
     RankingConfig,
     ReasonCode,
     ScaleSpan,
-    ScoreRecord,
     SystemCategory,
     SystemEntry,
     display_str,
+    rank_pair,
 )
 
 
@@ -58,11 +59,15 @@ def test_system_entry_rejects_bad_names():
 
 
 def test_score_record_rejects_non_finite():
+    # parse_scores never yields these; a hand-built index is checked by rank_pair
     pair = LanguagePair.from_code("en-de")
-    with pytest.raises(ValueError):
-        ScoreRecord(pair=pair, system="S", metric="m", score=float("nan"))
-    with pytest.raises(ValueError):
-        ScoreRecord(pair=pair, system="S", metric="m", score=float("inf"))
+    registry = [SystemEntry(name=name, category=SystemCategory.OPEN) for name in "ST"]
+    mx, ck = (metric.id for metric in DEFAULT_METRICS)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        scores = {pair: {"S": {mx: 1.0, ck: 0.5}, "T": {mx: 2.0, ck: bad}}}
+        with pytest.raises(ValueError) as info:
+            rank_pair(registry, scores, pair)
+        assert str(info.value) == f"en-de score for T/{ck} is not finite: {bad!r}"
 
 
 def test_config_defaults_match_shipped_tables():
@@ -95,6 +100,12 @@ def test_config_rejects_inexact_fractions(value):
     # text is parsed by from_dict only; a float would carry its binary expansion
     with pytest.raises(TypeError, match="closed_fraction must be a Fraction or int"):
         RankingConfig(closed_fraction=value)
+
+
+@pytest.mark.parametrize("value", ["n", "n-1", None])
+def test_config_rejects_scale_span_that_is_not_a_scale_span(value):
+    with pytest.raises(TypeError, match="scale_span must be a ScaleSpan"):
+        RankingConfig(scale_span=value)
 
 
 def test_config_accepts_textual_fractions():

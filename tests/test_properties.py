@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,6 @@ from autorank import (
     RankingConfig,
     RenderOptions,
     ScaleSpan,
-    ScoreRecord,
     SystemCategory,
     SystemEntry,
     TableFormat,
@@ -39,6 +42,7 @@ from autorank import (
     serialize_registry,
     serialize_scores,
 )
+from autorank.cli import main
 from autorank.model import RankedRow
 from autorank.render import _dump_json
 
@@ -58,32 +62,65 @@ _SCORES = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 @st.composite
-def _score_rows(draw):
+def _score_indexes(draw):
+    """Names and a pair -> system -> metric -> score index over them, any order."""
     names = draw(st.lists(_NAMES, min_size=1, max_size=6, unique=True))
-    triples = draw(
-        st.lists(
-            st.tuples(_CODES, st.sampled_from(names), st.sampled_from([MX.id, CK.id])),
-            min_size=1,
-            max_size=20,
-            unique=True,
-        )
-    )
-    return names, [
-        ScoreRecord(
-            pair=LanguagePair.from_code(code), system=system, metric=metric, score=draw(_SCORES)
-        )
-        for code, system, metric in triples
-    ]
+    index = {}
+    for code in draw(st.lists(_CODES, min_size=1, max_size=3, unique=True)):
+        systems = draw(st.lists(st.sampled_from(names), min_size=1, max_size=6, unique=True))
+        index[LanguagePair.from_code(code)] = {
+            system: {
+                metric: draw(_SCORES)
+                for metric in draw(st.permutations([MX.id, CK.id]))[: draw(st.integers(1, 2))]
+            }
+            for system in systems
+        }
+    return names, index
 
 
-@given(_score_rows())
+def _nested_items(index):
+    return [(p, [(s, list(row.items())) for s, row in m.items()]) for p, m in index.items()]
+
+
+@given(_score_indexes())
 def test_scores_serialize_parse_round_trip(data):
-    names, records = data
+    names, index = data
     registry = [SystemEntry(name=n, category=SystemCategory.OPEN) for n in names]
-    text = serialize_scores(records)
-    assert parse_scores(text, registry, DEFAULT_METRICS) == records
+    text = serialize_scores(index)
+    parsed = parse_scores(text, registry, DEFAULT_METRICS)
+    # same scores, with pairs, systems and metrics in the same order
+    assert _nested_items(parsed) == _nested_items(index)
     # canonical form is a fixed point
-    assert serialize_scores(parse_scores(text, registry, DEFAULT_METRICS)) == text
+    assert serialize_scores(parsed) == text
+
+
+@settings(max_examples=50)
+@given(st.lists(_NAMES, min_size=1, max_size=8, unique=True), st.data())
+def test_shuffled_score_lines_render_identically(names, data):
+    registry = [
+        SystemEntry(name=name, category=list(SystemCategory)[i % 3], withdrawn=i % 5 == 4)
+        for i, name in enumerate(names)
+    ]
+    pairs = [PAIR, LanguagePair.from_code("zz-ww")]
+    score = st.floats(min_value=-100, max_value=100).map(lambda x: round(x, 2))
+    index = {
+        pair: {name: {m.id: data.draw(score) for m in DEFAULT_METRICS} for name in names}
+        for pair in pairs
+    }
+    text = serialize_scores(index)
+    header, *lines = text.split("\n")[:-1]
+    shuffled = "\n".join([header, *data.draw(st.permutations(lines))]) + "\n"
+
+    def rendered(scores_text):
+        scores = parse_scores(scores_text, registry, DEFAULT_METRICS)
+        tables = [rank_pair(registry, scores, pair) for pair in pairs]
+        return [render_report(tables)] + [
+            render_table(table, RenderOptions(fmt, show_reasons=True))
+            for table in tables
+            for fmt in TableFormat
+        ]
+
+    assert rendered(shuffled) == rendered(text)
 
 
 @st.composite
@@ -377,13 +414,14 @@ def test_json_layout_matches_stdlib_encoder(payload):
 def test_rendered_json_matches_stdlib_encoder(names):
     registry = [SystemEntry(name=name, category=SystemCategory.OPEN) for name in names]
     other = LanguagePair.from_code("zz-ww")
-    records = [
-        ScoreRecord(pair, name, metric.id, float(i) + offset)
+    scores = {
+        pair: {
+            name: {metric.id: float(i) + offset for metric in DEFAULT_METRICS}
+            for i, name in enumerate(names)
+        }
         for pair, offset in ((PAIR, 0.0), (other, 0.5))
-        for i, name in enumerate(names)
-        for metric in DEFAULT_METRICS
-    ]
-    tables = [rank_pair(registry, records, pair) for pair in (PAIR, other)]
+    }
+    tables = [rank_pair(registry, scores, pair) for pair in (PAIR, other)]
     rendered = [render_table(table, RenderOptions(TableFormat.JSON)) for table in tables]
     rendered.append(render_report(tables))
     for text in rendered:
@@ -416,12 +454,13 @@ def test_markdown_column_count_survives_hostile_names(names, show_reasons):
         )
         for i, name in enumerate(names)
     ]
-    records = [
-        ScoreRecord(PAIR, name, metric.id, float(i * i))
-        for i, name in enumerate(names)
-        for metric in DEFAULT_METRICS
-    ]
-    table = rank_pair(registry, records, PAIR)
+    scores = {
+        PAIR: {
+            name: {metric.id: float(i * i) for metric in DEFAULT_METRICS}
+            for i, name in enumerate(names)
+        }
+    }
+    table = rank_pair(registry, scores, PAIR)
     out = render_table(table, RenderOptions(TableFormat.MARKDOWN, show_reasons=show_reasons))
     lines = out.splitlines()
     assert len(lines) == 2 + len(names) + (table.cutoff_position is not None)
@@ -449,3 +488,133 @@ def test_config_text_round_trips_and_rejects_extra_keys(config, key):
     if key not in text:
         with pytest.raises(ValueError, match="unknown config key"):
             RankingConfig.from_dict({**text, key: "1"})
+
+
+# --- hostile input files -------------------------------------------------------
+
+_SYSTEM_NAMES = ["A", "B", "C|\\", "翻訳システム"]
+
+
+def _rarely():
+    """True about one draw in ten, so most fuzzed files get past the parsers."""
+    return st.integers(0, 9).map(lambda k: k == 5)
+
+
+def _usually(strategy, odd):
+    return _rarely().flatmap(lambda rare: odd if rare else strategy)
+
+
+def _mostly(common, rare):
+    """Usually one of ``common``; now and then one of ``rare`` or arbitrary text."""
+    odd = st.one_of(st.sampled_from(rare), st.text(max_size=4))
+    return _usually(st.sampled_from(common), odd)
+
+
+_SCORE_TEXT = _mostly(["1.5", "0.7", "-2", "3", "0", "1e308", "-1e308"], ["nan", "1e999", "1_0"])
+
+
+@st.composite
+def _hostile_tsv(draw, header, rows):
+    """A TSV file built from valid rows, then now and then damaged."""
+    lines = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(1, 2)) if draw(_rarely()) else 0):
+        at = draw(st.integers(0, len(lines)))
+        damage = draw(st.sampled_from(["drop", "repeat", "cell", "extra"]))
+        if at < len(lines):
+            line = list(lines[at])
+            if damage == "drop":
+                del lines[at]
+            elif damage == "repeat":
+                lines.insert(at, line)
+            elif damage == "cell":
+                line[draw(st.integers(0, len(line) - 1))] = draw(st.text(max_size=6))
+                lines[at] = line
+            else:
+                lines[at] = line + [""]
+    first = draw(_mostly([header], [header + "\tx"]))
+    text = "\n".join([first, *("\t".join(line) for line in lines)]) + "\n"
+    return draw(st.binary(max_size=20)) if draw(_rarely()) else text.encode("utf-8")
+
+
+@st.composite
+def _hostile_inputs(draw):
+    """A systems file and a scores file, mostly consistent with each other."""
+    names = draw(st.lists(st.sampled_from(_SYSTEM_NAMES), min_size=1, max_size=4, unique=True))
+    registry = [
+        [
+            name,
+            draw(_mostly(["open", "closed", "constrained"], ["public"])),
+            draw(_mostly(["0", "0", "1", "xx-yy"], ["2", "xx-yy,zz-ww", "xxyy"])),
+            draw(_mostly(["", "", "xx-yy"], ["zz-ww,xx-yy", "xx-xx"])),
+        ]
+        for name in names
+    ]
+    scored = names + ["Ghost"] if draw(_rarely()) else names
+    scores = [
+        [pair, system, metric.id, draw(_SCORE_TEXT)]
+        for pair in draw(st.lists(_mostly(["xx-yy", "zz-ww"], ["xx-xx"]), min_size=1, max_size=2))
+        for system in draw(st.lists(st.sampled_from(scored), min_size=1, unique=True))
+        for metric in DEFAULT_METRICS
+    ]
+    return (
+        draw(_hostile_tsv("system\tcategory\twithdrawn\tunsupported_pairs", registry)),
+        draw(_hostile_tsv("pair\tsystem\tmetric\tscore", scores)),
+    )
+
+
+_GOLDEN_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 30),
+    st.sampled_from(["1.0", "2.5", "1e999999999", "NaN", "A", "open", "closed", "xx-yy"]),
+)
+
+
+def _hostile_golden():
+    """A golden report close to the real shape, now and then any JSON or any text."""
+    row = st.fixed_dictionaries(
+        {
+            "system": _mostly(_SYSTEM_NAMES, [""]),
+            "category": _mostly(["open", "closed", "constrained"], ["public"]),
+            "autorank_exact": _mostly(["1.0", "2.5", "4.0"], ["1e999999999", "NaN", "x"]),
+            "position": _usually(st.integers(1, 4), _GOLDEN_VALUES),
+            "selected": _usually(st.booleans(), _GOLDEN_VALUES),
+        }
+    )
+    entry = st.fixed_dictionaries(
+        {
+            "pair": _mostly(["xx-yy", "zz-ww"], ["xxyy", "xx-xx"]),
+            "cutoff_position": _usually(st.none() | st.integers(1, 4), _GOLDEN_VALUES),
+            "rows": st.lists(row, max_size=4),
+        }
+    )
+    config = _usually(st.sampled_from([None, {"cutoff_gap": "1.0"}]), _GOLDEN_VALUES)
+    report = st.builds(lambda c, p: {"config": c, "pairs": p}, config, st.lists(entry, max_size=2))
+    odd = st.one_of(_JSON_VALUES.map(json.dumps), st.text())
+    return _usually(report.map(json.dumps), odd).map(lambda text: text.encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _hostile_inputs(),
+    st.one_of(st.none(), _hostile_golden()),
+    st.sampled_from([f.value for f in TableFormat]),
+)
+def test_cli_ends_hostile_files_with_an_exit_code_and_one_line(inputs, golden, fmt):
+    systems, scores = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "systems.tsv").write_bytes(systems)
+        (root / "scores.tsv").write_bytes(scores)
+        argv = ["--scores", str(root / "scores.tsv"), "--systems", str(root / "systems.tsv")]
+        if golden is None:
+            argv = ["rank", *argv, "--format", fmt]
+        else:
+            (root / "golden").mkdir()
+            (root / "golden" / "report.json").write_bytes(golden)
+            argv = ["verify", *argv, "--golden", str(root / "golden")]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)  # an exception here is the traceback a user would see
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue() == "" or (code and err.getvalue().count("\n") == 1), err.getvalue()

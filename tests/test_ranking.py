@@ -10,7 +10,6 @@ from autorank import (
     Orientation,
     RankingConfig,
     ScaleSpan,
-    ScoreRecord,
     SystemCategory,
     SystemEntry,
     build_context,
@@ -149,25 +148,17 @@ def test_compute_autorank_published_examples():
     assert rows["CycleL"].autorank_exact == 21.0
 
 
-def _records(matrix):
-    return [
-        ScoreRecord(CSUK, name, metric, score)
-        for name, scores in matrix.items()
-        for metric, score in scores.items()
-    ]
-
-
 def test_rank_pair_requires_complete_matrix():
     matrix = {"A": {MX.id: 1.0, CK.id: 0.7}, "B": {MX.id: 2.0}}
     with pytest.raises(ValueError) as info:
-        rank_pair([_entry("A"), _entry("B")], _records(matrix), CSUK)
+        rank_pair([_entry("A"), _entry("B")], {CSUK: matrix}, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: B/cometkiwi-da-xl"
 
 
 def test_rank_pair_requires_registered_systems():
     matrix = {"A": {MX.id: 1.0, CK.id: 0.7}}
     with pytest.raises(ValueError) as info:
-        rank_pair([], _records(matrix), CSUK)
+        rank_pair([], {CSUK: matrix}, CSUK)
     assert str(info.value) == "system 'A' has scores but no registry entry"
 
 

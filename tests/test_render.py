@@ -122,6 +122,19 @@ class TestText:
         assert "○ ⊘ Bravo & Co" in out
         assert "Charlie †" in out and not out.splitlines()[5].startswith("●")
 
+    def test_wide_characters_count_two_columns(self):
+        # each CJK character fills two terminal columns, so the rows still line up
+        table = _tiny_table()
+        wide = replace(table.rows[1], system=SystemEntry("翻訳システム", SystemCategory.OPEN))
+        table = replace(table, rows=(table.rows[0], wide))
+        assert render_table(table, _opts(TableFormat.TEXT)) == (
+            "xx-yy  (N=2)\n"
+            "System Name       AutoRank ↓  MetricX ↓  CometKiwi ↑  Human eval?\n"
+            "─────────────────────────────────────────────────────────────────\n"
+            "● Alpha                  1.0        1.0          0.5            ✓\n"
+            "○ ⊘ 翻訳システム         1.5        1.0          0.5            ✓\n"
+        )
+
     def test_no_cutoff_no_dashed_rule(self, tables):
         table = tables["cs-uk"]
         below = ReasonCode.EXCLUDED_BELOW_CUTOFF
