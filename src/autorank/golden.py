@@ -32,8 +32,6 @@ from typing import Mapping, Sequence
 from .model import LeaderboardTable, RankedRow
 
 REQUIRED_ROW_FIELDS = ("system", "autorank_exact", "position", "selected", "category")
-# compare_pair scales by a golden value's exponent; keep it far inside the decimal context
-_EXPONENT_LIMIT = 1000
 
 
 @dataclass
@@ -71,7 +69,8 @@ def validate_golden_pair(payload: Mapping[str, object]) -> None:
     That is an object whose ``rows`` is a list of objects, one per
     system, each holding the required fields, an integer ``position``, a
     boolean ``selected`` and a finite decimal ``autorank_exact`` whose
-    exponent and magnitude lie within 1000 powers of ten.
+    uncertainty band, the value plus and minus half an ulp, fits the
+    decimal context.
     """
 
     if not isinstance(payload, dict):
@@ -105,9 +104,12 @@ def validate_golden_pair(payload: Mapping[str, object]) -> None:
             value = Decimal("NaN")
         if not value.is_finite():
             raise ValueError(f"golden row autorank_exact is not a finite decimal: {text!r}")
-        exponent = int(value.as_tuple().exponent)
-        if not -_EXPONENT_LIMIT <= exponent <= value.adjusted() <= _EXPONENT_LIMIT:
-            raise ValueError(f"golden row autorank_exact is out of range: {text!r}")
+        try:
+            # compare_pair computes both band edges; the decimal context must hold them
+            half_ulp = _half_ulp(text)
+            value - half_ulp, value + half_ulp
+        except ArithmeticError:
+            raise ValueError(f"golden row autorank_exact is out of range: {text!r}") from None
 
 
 def _half_ulp(text: str) -> Decimal:

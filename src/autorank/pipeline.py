@@ -39,8 +39,8 @@ def rank_pair(
         It has no rows when nobody scored the pair.
 
     Raises:
-        ValueError: incomplete score matrix, non-finite score or
-            unregistered system.
+        ValueError: incomplete score matrix, non-finite score,
+            unregistered system, or a score range too wide for a float.
     """
 
     matrix = scores.get(pair, {})

@@ -20,6 +20,7 @@ happens only at display time (``model.display_str``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Iterable, Mapping
@@ -80,7 +81,8 @@ def build_context(
         The context for ``normalize_score``.
 
     Raises:
-        ValueError: empty matrix.
+        ValueError: empty matrix, or a metric whose best and worst
+            scores lie further apart than a float can hold.
     """
 
     if not scores_by_system:
@@ -89,10 +91,15 @@ def build_context(
     worst: dict[str, float] = {}
     for metric in metrics:
         column = [row[metric.id] for row in scores_by_system.values()]
+        low, high = min(column), max(column)
+        if not math.isfinite(high - low):
+            raise ValueError(
+                f"{pair} score range for {metric.id} is not finite: {low!r} to {high!r}"
+            )
         if metric.orientation is Orientation.LOWER_BETTER:
-            best[metric.id], worst[metric.id] = min(column), max(column)
+            best[metric.id], worst[metric.id] = low, high
         else:
-            best[metric.id], worst[metric.id] = max(column), min(column)
+            best[metric.id], worst[metric.id] = high, low
     return NormalizationContext(pair=pair, n_systems=len(scores_by_system), best=best, worst=worst)
 
 

@@ -227,8 +227,6 @@ _RESET = "\x1b[0m"
 
 def _columns(text: str) -> int:
     # terminal columns: East-Asian wide and fullwidth characters take two
-    if text.isascii():
-        return len(text)
     return sum(2 if east_asian_width(char) in ("W", "F") else 1 for char in text)
 
 

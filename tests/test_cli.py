@@ -48,6 +48,14 @@ def inputs(tmp_path: Path) -> dict[str, str]:
     return {"scores": str(scores), "systems": str(systems), "manifest": str(manifest)}
 
 
+_HUGE_RANGE_SCORES = """pair\tsystem\tmetric\tscore
+xx-yy\tAda\tmetricx-23-xl\t1e308
+xx-yy\tAda\tcometkiwi-da-xl\t0.5
+xx-yy\tBell\tmetricx-23-xl\t-1e308
+xx-yy\tBell\tcometkiwi-da-xl\t0.6
+"""
+
+
 def _rank(inputs, *extra: str) -> list[str]:
     return [
         "rank",
@@ -215,6 +223,15 @@ class TestRankErrors:
         assert (out / "xx-yy.txt").read_text(encoding="utf-8").startswith("xx-yy  (N=3)")
         assert sorted(path.name for path in out.iterdir()) == ["xx-yy.txt", "zz-ww.txt"]
 
+    def test_score_range_beyond_float_is_validation_error(self, inputs, capsys):
+        # 1e308 - -1e308 overflows; Ada used to rank first with a NaN AutoRank
+        Path(inputs["scores"]).write_text(_HUGE_RANGE_SCORES, encoding="utf-8")
+        code = main(_rank(inputs, "--format", "text"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: xx-yy score range for metricx-23-xl is not finite: -1e+308 to 1e+308\n"
+        )
+
     def test_malformed_scores_file_reports_line(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad_scores.tsv"
         bad.write_text(
@@ -329,7 +346,17 @@ class TestVerify:
                 "1e999999999",
                 "golden row autorank_exact is out of range: '1e999999999'",
             ),
-            ("autorank_exact", "1e-1001", "golden row autorank_exact is out of range: '1e-1001'"),
+            (
+                "autorank_exact",
+                "1e-3000000",
+                "golden row autorank_exact is out of range: '1e-3000000'",
+            ),
+            (
+                "autorank_exact",
+                "9.9999999999999999999999999999e999999",
+                "golden row autorank_exact is out of range: "
+                "'9.9999999999999999999999999999e999999'",
+            ),
             ("position", "first", "golden row position is not an integer: 'first'"),
             ("position", 1.5, "golden row position is not an integer: 1.5"),
             ("selected", "false", "golden row selected is not a boolean: 'false'"),
@@ -341,6 +368,7 @@ class TestVerify:
             "nan-score",
             "huge-exponent-score",
             "tiny-exponent-score",
+            "band-edge-overflow-score",
             "word-position",
             "fractional-position",
             "string-selected",
@@ -452,6 +480,22 @@ class TestVerify:
     def test_invalid_json_golden(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{", encoding="utf-8")
         assert main(_verify("--golden", str(tmp_path))) == 1
+
+    def test_golden_pair_with_score_range_beyond_float(self, inputs, tmp_path, capsys):
+        Path(inputs["scores"]).write_text(_HUGE_RANGE_SCORES, encoding="utf-8")
+        row = {"category": "open", "autorank_exact": "1.0", "selected": True}
+        rows = [dict(row, system="Bell", position=1), dict(row, system="Ada", position=2)]
+        entry = {"pair": "xx-yy", "cutoff_position": None, "rows": rows}
+        report = {"config": None, "pairs": [entry]}
+        (tmp_path / "golden").mkdir()
+        (tmp_path / "golden" / "xx-yy.json").write_text(json.dumps(report), encoding="utf-8")
+        argv = _rank(inputs, "--golden", str(tmp_path / "golden"))
+        argv[0] = "verify"
+        code = main(argv)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: xx-yy score range for metricx-23-xl is not finite: -1e+308 to 1e+308\n"
+        )
 
     def test_golden_pair_without_scores_mismatches(self, tmp_path, capsys):
         report = {

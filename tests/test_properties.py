@@ -576,7 +576,10 @@ def _hostile_golden():
         {
             "system": _mostly(_SYSTEM_NAMES, [""]),
             "category": _mostly(["open", "closed", "constrained"], ["public"]),
-            "autorank_exact": _mostly(["1.0", "2.5", "4.0"], ["1e999999999", "NaN", "x"]),
+            "autorank_exact": _mostly(
+                ["1.0", "2.5", "4.0"],
+                ["1e999999999", "9.9999999999999999999999999999e999999", "NaN", "x"],
+            ),
             "position": _usually(st.integers(1, 4), _GOLDEN_VALUES),
             "selected": _usually(st.booleans(), _GOLDEN_VALUES),
         }

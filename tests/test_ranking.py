@@ -111,6 +111,13 @@ def test_build_context_rejects_empty():
         build_context(CSUK, {}, DEFAULT_METRICS)
 
 
+def test_build_context_rejects_range_beyond_float():
+    # best - worst would be inf, and inf / inf a NaN AutoRank
+    matrix = {"A": {MX.id: -1e308, CK.id: 0.7}, "B": {MX.id: 1e308, CK.id: 0.5}}
+    with pytest.raises(ValueError, match="score range for metricx-23-xl is not finite"):
+        build_context(CSUK, matrix, DEFAULT_METRICS)
+
+
 def _entry(name: str, category=SystemCategory.OPEN) -> SystemEntry:
     return SystemEntry(name=name, category=category)
 
