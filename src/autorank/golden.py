@@ -13,7 +13,9 @@ Three consequences, all reported as notes rather than failures:
 * an aggregate matches when it lands within the band around the golden
   value;
 * relative order is enforced only between rows whose bands do not
-  overlap, since rounding noise can legitimately permute near-ties;
+  overlap, since rounding noise can legitimately permute near-ties.
+  The check is exact and O(N log N): one sweep finds whether any such
+  pair is inverted, and only then are the inverted pairs listed;
 * a selection flag may swap between rows sharing one displayed
   aggregate when the swap preserves, per category, how many rows of
   that tie group are selected.  Anything else is a mismatch unless the
@@ -25,6 +27,7 @@ becomes effectively exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Mapping, Sequence
@@ -106,15 +109,45 @@ def validate_golden_pair(payload: Mapping[str, object]) -> None:
             raise ValueError(f"golden row autorank_exact is not a finite decimal: {text!r}")
         try:
             # compare_pair computes both band edges; the decimal context must hold them
-            half_ulp = _half_ulp(text)
+            half_ulp = _half_ulp(value)
             value - half_ulp, value + half_ulp
         except ArithmeticError:
             raise ValueError(f"golden row autorank_exact is out of range: {text!r}") from None
 
 
-def _half_ulp(text: str) -> Decimal:
-    exponent = Decimal(text).as_tuple().exponent
-    return Decimal(1).scaleb(int(exponent)) / 2
+def _half_ulp(value: Decimal) -> Decimal:
+    return Decimal(1).scaleb(int(value.as_tuple().exponent)) / 2
+
+
+def _has_binding_inversion(
+    hi: Sequence[Decimal], lo: Sequence[Decimal], positions: Sequence[int]
+) -> bool:
+    """Whether some i < j has ``hi[i] < lo[j]`` and ``positions[i] > positions[j]``.
+
+    One sweep in index order over a Fenwick prefix-max of positions,
+    keyed by the rank of each ``hi`` among the sorted upper edges: an
+    earlier row i has ``hi[i] < lo[j]`` exactly when its rank is below
+    ``bisect_left(edges, lo[j])``.
+    """
+
+    edges = sorted(hi)
+    size = len(edges)
+    best = [float("-inf")] * (size + 1)
+    for upper, lower, position in zip(hi, lo, positions):
+        k = bisect_left(edges, lower)
+        top = float("-inf")
+        while k:
+            if best[k] > top:
+                top = best[k]
+            k &= k - 1
+        if top > position:
+            return True
+        k = bisect_left(edges, upper) + 1
+        while k <= size:
+            if best[k] < position:
+                best[k] = position
+            k += k & -k
+    return False
 
 
 def compare_pair(
@@ -159,27 +192,30 @@ def compare_pair(
             f"{pair}: cutoff_position: expected {golden_cutoff}, got {table.cutoff_position}"
         )
 
-    values: dict[str, Decimal] = {}
-    bands: dict[str, Decimal] = {}
+    hi: list[Decimal] = []
+    lo: list[Decimal] = []
     for row in rows:
         name = str(row["system"])
         text = str(row["autorank_exact"])
-        values[name] = Decimal(text)
-        bands[name] = tolerance + _half_ulp(text)
+        value = Decimal(text)
+        band = tolerance + _half_ulp(value)
         got = Decimal(repr(computed[name].autorank_exact))
-        if abs(got - values[name]) > bands[name]:
+        if abs(got - value) > band:
             result.mismatches.append(
-                f"{pair}: {name}: autorank: expected {text} (±{bands[name]}), got {got}"
+                f"{pair}: {name}: autorank: expected {text} (±{band}), got {got}"
             )
+        hi.append(value + band)
+        lo.append(value - band)
 
     # order is binding only between rows whose uncertainty bands are disjoint
-    for i, earlier in enumerate(golden_names):
-        for later in golden_names[i + 1 :]:
-            separated = values[earlier] + bands[earlier] < values[later] - bands[later]
-            if separated and computed[earlier].position > computed[later].position:
-                result.mismatches.append(
-                    f"{pair}: order inversion: {earlier} ranked after {later}"
-                )
+    positions = [computed[name].position for name in golden_names]
+    if _has_binding_inversion(hi, lo, positions):
+        for i, earlier in enumerate(golden_names):
+            for j in range(i + 1, len(golden_names)):
+                if hi[i] < lo[j] and positions[i] > positions[j]:
+                    result.mismatches.append(
+                        f"{pair}: order inversion: {earlier} ranked after {golden_names[j]}"
+                    )
     for row in rows:
         name = str(row["system"])
         if computed[name].position != int(row["position"]):  # type: ignore[arg-type]

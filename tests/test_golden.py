@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import copy
+import time
 from decimal import Decimal
 
 import pytest
 
 from autorank import (
+    DEFAULT_METRICS,
+    LanguagePair,
+    LeaderboardTable,
+    RankedRow,
+    ReasonCode,
+    SystemCategory,
+    SystemEntry,
     compare_pair,
     parse_allow_list,
     validate_golden_pair,
@@ -14,34 +22,47 @@ from autorank import (
 TOL = Decimal("0.05")
 
 
-@pytest.fixture()
-def two_row_table():
-    from autorank import (
-        DEFAULT_METRICS,
-        LanguagePair,
-        LeaderboardTable,
-        RankedRow,
-        ReasonCode,
-        SystemCategory,
-        SystemEntry,
+def _row(name, exact, pos):
+    return RankedRow(
+        system=SystemEntry(name=name, category=SystemCategory.OPEN),
+        raw_scores={m.id: 0.0 for m in DEFAULT_METRICS},
+        normalized={m.id: exact for m in DEFAULT_METRICS},
+        autorank_exact=exact,
+        position=pos,
+        reasons=(ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,),
     )
 
-    def row(name, exact, pos):
-        return RankedRow(
-            system=SystemEntry(name=name, category=SystemCategory.OPEN),
-            raw_scores={m.id: 0.0 for m in DEFAULT_METRICS},
-            normalized={m.id: exact for m in DEFAULT_METRICS},
-            autorank_exact=exact,
-            position=pos,
-            reasons=(ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,),
-        )
 
+def _table(rows):
     return LeaderboardTable(
         pair=LanguagePair.from_code("xx-yy"),
         metrics=DEFAULT_METRICS,
-        rows=(row("A", 1.0, 1), row("B", 2.0, 2)),
+        rows=tuple(rows),
         cutoff_position=None,
     )
+
+
+def _golden(rows):
+    """A golden entry for xx-yy from (system, autorank_exact text, position) triples."""
+    return {
+        "pair": "xx-yy",
+        "cutoff_position": None,
+        "rows": [
+            {
+                "system": name,
+                "category": "open",
+                "autorank_exact": text,
+                "position": position,
+                "selected": True,
+            }
+            for name, text, position in rows
+        ],
+    }
+
+
+@pytest.fixture()
+def two_row_table():
+    return _table([_row("A", 1.0, 1), _row("B", 2.0, 2)])
 
 
 class TestParseAllowList:
@@ -159,6 +180,43 @@ class TestComparePair:
         }
         result = compare_pair(contradicted, golden, TOL)
         assert any("order inversion" in m and "A" in m for m in result.mismatches)
+
+    def test_order_inversions_listed_in_golden_order(self):
+        # golden order is not sorted by value.  With tolerance 0.05 and
+        # one-decimal text every band is ±0.1, so A's upper edge (2.1)
+        # equals D's lower edge (2.1): touching bands bind no order.
+        golden = _golden(
+            [("A", "2.0", 3), ("B", "1.0", 1), ("C", "3.0", 5), ("D", "2.2", 4), ("E", "1.5", 2)]
+        )
+        computed = _table(
+            [
+                _row("C", 3.0, 1),
+                _row("D", 2.2, 2),
+                _row("E", 1.5, 3),
+                _row("A", 2.0, 4),
+                _row("B", 1.0, 5),
+            ]
+        )
+        result = compare_pair(computed, golden, TOL)
+        assert result.mismatches == [
+            "xx-yy: order inversion: A ranked after C",
+            "xx-yy: order inversion: B ranked after C",
+            "xx-yy: order inversion: B ranked after D",
+            "xx-yy: order inversion: B ranked after E",
+        ]
+
+    def test_order_check_is_not_quadratic(self):
+        # 3,000 rows hold about 4.5M row pairs.  A pairwise band scan
+        # takes about 2 s for them on a 2-vCPU VM; the sweep takes tens
+        # of milliseconds.
+        rows = [_row(f"S{i:04d}", i / 10, i) for i in range(1, 3001)]
+        golden = _golden([(row.name, repr(row.autorank_exact), row.position) for row in rows])
+        computed = _table(rows)
+        start = time.perf_counter()
+        result = compare_pair(computed, golden, TOL)
+        elapsed = time.perf_counter() - start
+        assert result.ok
+        assert elapsed < 1.0
 
     def test_position_drift_within_band_is_a_note(self, tables, goldens):
         # en-de carries a published near-tie the engine orders differently

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from autorank import (
     DEFAULT_METRICS,
     LanguagePair,
+    LeaderboardTable,
     NormalizationContext,
     RankingConfig,
     RenderOptions,
@@ -28,6 +29,7 @@ from autorank import (
     TableFormat,
     apply_selection,
     build_context,
+    compare_pair,
     compute_autorank,
     display_str,
     find_cutoff,
@@ -43,6 +45,7 @@ from autorank import (
     serialize_scores,
 )
 from autorank.cli import main
+from autorank.golden import _has_binding_inversion
 from autorank.model import RankedRow
 from autorank.render import _dump_json
 
@@ -488,6 +491,86 @@ def test_config_text_round_trips_and_rejects_extra_keys(config, key):
     if key not in text:
         with pytest.raises(ValueError, match="unknown config key"):
             RankingConfig.from_dict({**text, key: "1"})
+
+
+# --- golden order check -------------------------------------------------------
+
+
+def _band_edges(rows, tolerance):
+    hi, lo = [], []
+    for row in rows:
+        value = Decimal(row["autorank_exact"])
+        band = tolerance + Decimal(1).scaleb(value.as_tuple().exponent) / 2
+        hi.append(value + band)
+        lo.append(value - band)
+    return hi, lo
+
+
+def _pairwise_inversions(pair, rows, positions, tolerance):
+    """The O(N^2) binding-order scan compare_pair must agree with, line for line."""
+    hi, lo = _band_edges(rows, tolerance)
+    return [
+        f"{pair}: order inversion: {rows[i]['system']} ranked after {rows[j]['system']}"
+        for i in range(len(rows))
+        for j in range(i + 1, len(rows))
+        if hi[i] < lo[j] and positions[rows[i]["system"]] > positions[rows[j]["system"]]
+    ]
+
+
+@st.composite
+def _golden_texts(draw, tolerance):
+    """1-12 decimal texts in no particular order, at mixed textual precisions.
+
+    A value comes at several precisions ("2E+1", "20", "20.0"), each
+    with its own half-ulp.  Some texts step from an earlier one at its
+    precision by exactly the two bands, so the two band edges are equal
+    and the strict comparison must not bind their order.
+    """
+    texts = []
+    for _ in range(draw(st.integers(1, 12))):
+        digits = draw(st.integers(-30, 30))
+        exponent = draw(st.integers(-2, 1))
+        pad = draw(st.integers(0, 2))
+        text = str(Decimal(digits * 10**pad).scaleb(exponent - pad))
+        if texts and draw(st.booleans()):
+            base = Decimal(draw(st.sampled_from(texts)))
+            ulp = Decimal(1).scaleb(base.as_tuple().exponent)
+            touching = base + draw(st.sampled_from([1, -1])) * (2 * tolerance + ulp)
+            if touching == touching.quantize(ulp):
+                text = str(touching.quantize(ulp))
+        texts.append(text)
+    return texts
+
+
+@given(st.sampled_from(["0", "0.05", "0.1", "0.25"]).map(Decimal), st.data())
+def test_order_check_matches_pairwise_scan(tolerance, data):
+    values = data.draw(_golden_texts(tolerance))
+    n = len(values)
+    names = [f"S{i:02d}" for i in range(n)]
+    positions = dict(zip(names, data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))))
+    golden_rows = [
+        {"system": name, "category": "open", "autorank_exact": text, "position": 1, "selected": False}
+        for name, text in zip(names, values)
+    ]
+    table_rows = [
+        RankedRow(
+            system=SystemEntry(name=row["system"], category=SystemCategory.OPEN),
+            raw_scores={},
+            normalized={},
+            autorank_exact=float(row["autorank_exact"]),
+            position=positions[row["system"]],
+        )
+        for row in data.draw(st.permutations(golden_rows))
+    ]
+    table = LeaderboardTable(
+        pair=PAIR, metrics=DEFAULT_METRICS, rows=tuple(table_rows), cutoff_position=None
+    )
+    golden = {"pair": PAIR.code, "cutoff_position": None, "rows": golden_rows}
+    expected = _pairwise_inversions(PAIR.code, golden_rows, positions, tolerance)
+    assert compare_pair(table, golden, tolerance).mismatches == expected
+    # the sweep alone decides whether the pairwise listing runs at all
+    hi, lo = _band_edges(golden_rows, tolerance)
+    assert _has_binding_inversion(hi, lo, [positions[name] for name in names]) == bool(expected)
 
 
 # --- hostile input files -------------------------------------------------------
