@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Mapping, Sequence
 
-from .model import LeaderboardTable, RankedRow
+from .model import LeaderboardTable
 
 REQUIRED_ROW_FIELDS = ("system", "autorank_exact", "position", "selected", "category")
 
@@ -175,11 +175,22 @@ def compare_pair(
     rows: Sequence[Mapping[str, object]] = golden["rows"]  # type: ignore[assignment]
 
     computed = {row.name: row for row in table.rows}
-    golden_names = [str(r["system"]) for r in rows]
-    for name in golden_names:
+    # each golden row's fields, read once: system, aggregate text,
+    # position, selected, category
+    fields = [
+        (
+            str(row["system"]),
+            str(row["autorank_exact"]),
+            row["position"],
+            bool(row["selected"]),
+            str(row["category"]),
+        )
+        for row in rows
+    ]
+    for name, *_ in fields:
         if name not in computed:
             result.mismatches.append(f"{pair}: {name}: missing from computed table")
-    golden_set = set(golden_names)
+    golden_set = {name for name, *_ in fields}
     for name in computed:
         if name not in golden_set:
             result.mismatches.append(f"{pair}: {name}: absent from golden table")
@@ -194,76 +205,59 @@ def compare_pair(
 
     hi: list[Decimal] = []
     lo: list[Decimal] = []
-    for row in rows:
-        name = str(row["system"])
-        text = str(row["autorank_exact"])
+    positions: list[int] = []
+    differing: list[int] = []  # rows whose selection flag disagrees
+    for i, (name, text, golden_position, expected, _) in enumerate(fields):
+        row = computed[name]
         value = Decimal(text)
         band = tolerance + _half_ulp(value)
-        got = Decimal(repr(computed[name].autorank_exact))
+        got = Decimal(repr(row.autorank_exact))
         if abs(got - value) > band:
             result.mismatches.append(
                 f"{pair}: {name}: autorank: expected {text} (±{band}), got {got}"
             )
         hi.append(value + band)
         lo.append(value - band)
+        positions.append(row.position)
+        if row.position != int(golden_position):  # type: ignore[call-overload]
+            result.notes.append(
+                f"{pair}: {name}: position {row.position} vs golden "
+                f"{golden_position} (within rounding uncertainty)"
+            )
+        if row.selected != expected:
+            differing.append(i)
 
     # order is binding only between rows whose uncertainty bands are disjoint
-    positions = [computed[name].position for name in golden_names]
     if _has_binding_inversion(hi, lo, positions):
-        for i, earlier in enumerate(golden_names):
-            for j in range(i + 1, len(golden_names)):
+        for i, (earlier, *_) in enumerate(fields):
+            for j in range(i + 1, len(fields)):
                 if hi[i] < lo[j] and positions[i] > positions[j]:
                     result.mismatches.append(
-                        f"{pair}: order inversion: {earlier} ranked after {golden_names[j]}"
+                        f"{pair}: order inversion: {earlier} ranked after {fields[j][0]}"
                     )
-    for row in rows:
-        name = str(row["system"])
-        if computed[name].position != int(row["position"]):  # type: ignore[arg-type]
-            result.notes.append(
-                f"{pair}: {name}: position {computed[name].position} vs golden "
-                f"{row['position']} (within rounding uncertainty)"
-            )
+    if not differing:
+        return result
 
-    # selection: exact, except allow-list and count-preserving tie swaps
-    tie_groups: dict[str, list[Mapping[str, object]]] = {}
-    for row in rows:
-        tie_groups.setdefault(str(row["autorank_exact"]), []).append(row)
-    for row in rows:
-        name = str(row["system"])
-        expected = bool(row["selected"])
+    # selection: exact, except allow-list and swaps inside a display tie
+    # (rows sharing one golden text) that keep each category's count
+    surplus: dict[tuple[str, str], int] = {}
+    for name, text, _, expected, category in fields:
+        key = (text, category)
+        surplus[key] = surplus.get(key, 0) + computed[name].selected - expected
+    unbalanced = {text for (text, _), count in surplus.items() if count}
+    for i in differing:
+        name, text, _, expected, _ = fields[i]
         got = computed[name].selected
-        if got == expected:
-            continue
         if (pair, name) in allow:
             result.allow_used.append((pair, name))
             result.notes.append(
                 f"{pair}: {name}: selection differs (expected {expected}, got {got}), allow-listed"
             )
-            continue
-        group = tie_groups[str(row["autorank_exact"])]
-        if _counts_preserved(group, computed):
+        elif text not in unbalanced:
             result.notes.append(
                 f"{pair}: {name}: selection swapped within display tie "
                 f"(expected {expected}, got {got})"
             )
-            continue
-        result.mismatches.append(
-            f"{pair}: {name}: selected: expected {expected}, got {got}"
-        )
+        else:
+            result.mismatches.append(f"{pair}: {name}: selected: expected {expected}, got {got}")
     return result
-
-
-def _counts_preserved(
-    group: Sequence[Mapping[str, object]],
-    computed: Mapping[str, RankedRow],
-) -> bool:
-    """Per-category selected counts of a tie group, golden vs computed."""
-
-    golden_counts: dict[str, int] = {}
-    computed_counts: dict[str, int] = {}
-    for row in group:
-        category = str(row["category"])
-        golden_counts[category] = golden_counts.get(category, 0) + int(bool(row["selected"]))
-        crow = computed[str(row["system"])]
-        computed_counts[category] = computed_counts.get(category, 0) + int(crow.selected)
-    return golden_counts == computed_counts

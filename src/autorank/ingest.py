@@ -25,9 +25,9 @@ REGISTRY_HEADER = "system\tcategory\twithdrawn\tunsupported_pairs"
 SCORES_HEADER = "pair\tsystem\tmetric\tscore"
 MANIFEST_HEADER = "pair\tsegments\twords"
 
-# float() is looser than we want (it takes "1_0" and "nan"); scores in
-# files must look like ordinary decimal or scientific notation
-_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# float() is looser than we want (it takes "1_0", "nan" and "٣"); scores
+# in files must look like ordinary decimal or scientific notation
+_NUMBER = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 
 
 class ParseError(ValueError):
@@ -167,7 +167,8 @@ def parse_manifest(text: str) -> dict[LanguagePair, tuple[int, int]]:
             raise ParseError(line, f"duplicate manifest entry for {pair}")
         counts = []
         for label, token in (("segments", segments_token), ("words", words_token)):
-            if not token.isdigit() or int(token) <= 0:
+            # str.isdigit also holds for "²" and "٣", which int() rejects or reads
+            if not (token.isascii() and token.isdigit()) or int(token) <= 0:
                 raise ParseError(line, f"{label} must be a positive integer, got {token!r}")
             counts.append(int(token))
         entries[pair] = (counts[0], counts[1])

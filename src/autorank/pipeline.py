@@ -1,4 +1,9 @@
-"""End-to-end assembly: parsed scores in, finished leaderboard out."""
+"""End-to-end assembly: parsed scores in, finished leaderboard out.
+
+Each stage runs once per pair.  Every system becomes a plain sort key
+(``ranking.RankKey``); the cutoff and reason codes are decided on the
+ordered keys, and ``apply_selection`` builds each ``RankedRow`` once.
+"""
 
 from __future__ import annotations
 
@@ -52,11 +57,10 @@ def rank_pair(
 
     entries = {entry.name: entry for entry in registry}
     context = build_context(pair, matrix, metrics)
-    rows = compute_autorank(entries, matrix, context, metrics, config)
-    ordered = order_rows(rows, metrics[0])
+    ordered = order_rows(compute_autorank(matrix, context, metrics, config))
     cutoff = find_cutoff(ordered, config)
-    verdicts = select_for_human_eval(ordered, cutoff, config)
-    final = apply_selection(ordered, verdicts)
+    verdicts = select_for_human_eval(ordered, cutoff, entries, pair, config)
+    final = apply_selection(ordered, verdicts, entries, matrix, pair)
     return LeaderboardTable(
         pair=pair,
         metrics=metrics,

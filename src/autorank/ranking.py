@@ -16,24 +16,21 @@ where every system scored the same maps everyone to 1.0.
 The aggregate ("autorank") is the arithmetic mean of the normalized
 values across metrics, computed at full float precision.  Rounding
 happens only at display time (``model.display_str``).
+
+No row is built here.  ``compute_autorank`` turns each system into a
+plain ``RankKey`` tuple, with each column's constants computed once per
+pair, and ``order_rows`` sorts the keys into leaderboard order.  The
+selection stages decide on the ordered keys and
+``selection.apply_selection`` builds each ``RankedRow`` once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from statistics import fmean
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
-from .model import (
-    LanguagePair,
-    MetricSpec,
-    Orientation,
-    RankedRow,
-    RankingConfig,
-    ScaleSpan,
-    SystemEntry,
-)
+from .model import LanguagePair, MetricSpec, Orientation, RankingConfig, ScaleSpan
 
 
 @dataclass(frozen=True)
@@ -103,8 +100,34 @@ def build_context(
     return NormalizationContext(pair=pair, n_systems=len(scores_by_system), best=best, worst=worst)
 
 
-def _span(config: RankingConfig, n_systems: int) -> int:
-    return n_systems if config.scale_span is ScaleSpan.FULL_N else n_systems - 1
+def _normalizer(
+    metric: MetricSpec, context: NormalizationContext, config: RankingConfig
+) -> Callable[[float], float]:
+    """``normalize_score`` for one column, its constants computed once."""
+
+    if metric.id not in context.best:
+        raise ValueError(f"metric {metric.id!r} not covered by this context")
+    best = context.best[metric.id]
+    lower_better = metric.orientation is Orientation.LOWER_BETTER
+    worst_disadvantage = context.worst_disadvantage(metric)
+    n = context.n_systems
+    span = n if config.scale_span is ScaleSpan.FULL_N else n - 1
+
+    def normalize(score: float) -> float:
+        disadvantage = score - best if lower_better else best - score
+        if disadvantage < 0 or disadvantage > worst_disadvantage:
+            raise ValueError(
+                f"score {score!r} for {metric.id!r} outside observed range "
+                f"[{best!r}, {context.worst[metric.id]!r}]"
+            )
+        if worst_disadvantage == 0:
+            # every participant scored identically on this metric
+            return 1.0
+        # divide before scaling: the worst score's ratio is then exactly 1.0,
+        # keeping both scale endpoints exact in float arithmetic
+        return 1.0 + span * (disadvantage / worst_disadvantage)
+
+    return normalize
 
 
 def normalize_score(
@@ -120,74 +143,52 @@ def normalize_score(
     different data, which is a caller bug worth failing loudly on.
     """
 
-    if metric.id not in context.best:
-        raise ValueError(f"metric {metric.id!r} not covered by this context")
-    best = context.best[metric.id]
-    if metric.orientation is Orientation.LOWER_BETTER:
-        disadvantage = score - best
-    else:
-        disadvantage = best - score
-    worst_disadvantage = context.worst_disadvantage(metric)
-    if disadvantage < 0 or disadvantage > worst_disadvantage:
-        raise ValueError(
-            f"score {score!r} for {metric.id!r} outside observed range "
-            f"[{context.best[metric.id]!r}, {context.worst[metric.id]!r}]"
-        )
-    if worst_disadvantage == 0:
-        # every participant scored identically on this metric
-        return 1.0
-    # divide before scaling: the worst score's ratio is then exactly 1.0,
-    # keeping both scale endpoints exact in float arithmetic
-    return 1.0 + _span(config, context.n_systems) * (disadvantage / worst_disadvantage)
+    return _normalizer(metric, context, config)(score)
+
+
+# (autorank_exact, first metric's normalized value, system name,
+# metric id -> normalized value); names are unique within a pair, so
+# tuple order is the leaderboard order and the mapping is never compared
+RankKey = tuple[float, float, str, dict[str, float]]
 
 
 def compute_autorank(
-    entries: Mapping[str, SystemEntry],
     scores_by_system: Mapping[str, Mapping[str, float]],
     context: NormalizationContext,
     metrics: tuple[MetricSpec, ...],
     config: RankingConfig,
-) -> list[RankedRow]:
-    """Build unordered rows with normalized columns and the aggregate.
+) -> list[RankKey]:
+    """Normalize every system's scores and average them into its sort key.
 
     Args:
-        entries: registry lookup covering every scored system.
         scores_by_system: complete matrix, system -> metric -> raw score
             (see ``check_completeness``).
         context: observed extremes for this pair (see ``build_context``).
-        metrics: metric columns in display order.
+        metrics: metric columns in display order; the first breaks
+            aggregate ties.
         config: scale span.
 
     Returns:
-        One row per system, positions not yet assigned.
+        One ``RankKey`` per system, in matrix order.
     """
 
-    rows = []
+    if not metrics:
+        raise ValueError("ranking needs at least one metric")
+    ids = [m.id for m in metrics]
+    columns = [(m.id, _normalizer(m, context, config)) for m in metrics]
+    keys = []
     for name, raw in scores_by_system.items():
-        entry = entries[name]
-        normalized = {m.id: normalize_score(raw[m.id], m, context, config) for m in metrics}
-        rows.append(
-            RankedRow(
-                system=entry,
-                raw_scores=dict(raw),
-                normalized=normalized,
-                autorank_exact=fmean(normalized[m.id] for m in metrics),
-                withdrawn=entry.is_withdrawn(context.pair),
-                claimed_support=entry.claims_support(context.pair),
-            )
-        )
-    return rows
+        values = [normalize(raw[metric_id]) for metric_id, normalize in columns]
+        # fsum(values) / n is statistics.fmean(values), bit for bit
+        keys.append((math.fsum(values) / len(values), values[0], name, dict(zip(ids, values))))
+    return keys
 
 
-def order_rows(rows: Iterable[RankedRow], first_metric: MetricSpec) -> list[RankedRow]:
-    """Sort rows into leaderboard order and stamp 1-based positions.
+def order_rows(keys: Iterable[RankKey]) -> list[RankKey]:
+    """Sort keys into leaderboard order; a key's index plus one is its position.
 
     Ties on the exact aggregate break by the first metric's normalized
-    value, then by system name; the sort is stable beyond that.
+    value, then by system name.
     """
 
-    ordered = sorted(
-        rows,
-        key=lambda r: (r.autorank_exact, r.normalized[first_metric.id], r.name),
-    )
-    return [replace(row, position=i) for i, row in enumerate(ordered, start=1)]
+    return sorted(keys)

@@ -14,16 +14,20 @@ The JSON report is the machine-readable golden format: deterministic
 key order, rows sorted by position, pairs sorted by code, and every
 real number carried as a decimal string.  Its bytes equal
 ``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)``
-plus a final newline; a small layout function writes them because the
-standard library's indenting encoder runs in pure Python.
+plus a final newline.  The standard library's indenting encoder runs in
+pure Python, so each row is written from a fixed per-table template
+instead: keys in sorted order, metric ids encoded once per table,
+strings through the C encoder ``encode_basestring`` and the displayed
+aggregate through ``display_str``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Iterable, Sequence
+from typing import Sequence
 from unicodedata import east_asian_width
 
 from .model import (
@@ -31,6 +35,7 @@ from .model import (
     MetricSpec,
     Orientation,
     RankedRow,
+    ReasonCode,
     SystemCategory,
     display_str,
 )
@@ -92,68 +97,60 @@ def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = Tru
     tables = sorted(tables, key=lambda t: t.pair.code)
     if len({table.config for table in tables}) > 1:
         raise ValueError("tables in one report must share a single config")
-    return _dump_json(
-        {
-            "config": tables[0].config.as_dict() if tables else None,
-            "pairs": [_pair_dict(t, visible_rows(t, include_closed)) for t in tables],
-        }
+    if not tables:
+        return '{\n  "config": null,\n  "pairs": []\n}\n'
+    # the config is a handful of keys; the stdlib lays it out, one level in
+    config = json.dumps(tables[0].config.as_dict(), indent=2, sort_keys=True, ensure_ascii=False)
+    config = config.replace("\n", "\n  ")
+    pairs = ",".join([_pair_json(t, visible_rows(t, include_closed)) for t in tables])
+    return '{\n  "config": ' + config + ',\n  "pairs": [' + pairs + "\n  ]\n}\n"
+
+
+# JSON text of each enum value a row carries, encoded once; a reason
+# code comes with the newline and indent of its place in "reasons"
+_CATEGORY_JSON = {category: encode_basestring(category.value) for category in SystemCategory}
+_REASON_JSON = {code: "\n" + " " * 12 + encode_basestring(code.value) for code in ReasonCode}
+_CLOSE_LIST = "\n" + " " * 10 + "]"
+_CLOSE_OBJECT = "\n" + " " * 10 + "}"
+
+
+def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
+    # one entry of "pairs" as json.dumps(indent=2, sort_keys=True) lays it
+    # out at that depth; a float's repr and display_str's text need no
+    # escaping inside quotes
+    cutoff = "null" if table.cutoff_position is None else table.cutoff_position
+    head = (
+        f'\n    {{\n      "cutoff_position": {cutoff},\n      "n_systems": {table.n_systems},'
+        f'\n      "pair": {encode_basestring(table.pair.code)},\n      "rows": '
     )
-
-
-def _dump_json(payload: object) -> str:
-    return _layout(payload, "\n") + "\n"
-
-
-def _layout(value: object, newline: str) -> str:
-    # json.dumps(indent=2, sort_keys=True, ensure_ascii=False) for the
-    # types a report holds; strings go through the C encoder
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{encode_basestring(key)}: {_layout(value[key], inner)}" for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [_layout(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _pair_dict(table: LeaderboardTable, rows: Iterable[RankedRow]) -> dict[str, object]:
-    return {
-        "pair": table.pair.code,
-        "n_systems": table.n_systems,
-        "cutoff_position": table.cutoff_position,
-        "rows": [_row_dict(table, row) for row in rows],
-    }
-
-
-def _row_dict(table: LeaderboardTable, row: RankedRow) -> dict[str, object]:
-    return {
-        "system": row.name,
-        "category": row.category.value,
-        "withdrawn": row.withdrawn,
-        "claimed_support": row.claimed_support,
-        "scores": {m.id: repr(row.raw_scores[m.id]) for m in table.metrics},
-        "autorank_exact": repr(row.autorank_exact),
-        "autorank_display": display_str(row.autorank_exact),
-        "position": row.position,
-        "above_cutoff": row.above_cutoff,
-        "selected": row.selected,
-        "reasons": [reason.value for reason in row.reasons],
-    }
+    if not rows:
+        return head + "[]\n    }"
+    score_keys = [
+        (metric_id, "\n" + " " * 12 + encode_basestring(metric_id) + ': "')
+        for metric_id in sorted({m.id for m in table.metrics})
+    ]
+    texts = []
+    for row in rows:
+        raw = row.raw_scores
+        scores = ",".join([key + repr(raw[metric_id]) + '"' for metric_id, key in score_keys])
+        reasons = ",".join([_REASON_JSON[code] for code in row.reasons])
+        texts.append(
+            f"""
+        {{
+          "above_cutoff": {"true" if row.above_cutoff else "false"},
+          "autorank_display": "{display_str(row.autorank_exact)}",
+          "autorank_exact": "{row.autorank_exact!r}",
+          "category": {_CATEGORY_JSON[row.category]},
+          "claimed_support": {"true" if row.claimed_support else "false"},
+          "position": {row.position},
+          "reasons": {"[" + reasons + _CLOSE_LIST if reasons else "[]"},
+          "scores": {"{" + scores + _CLOSE_OBJECT if scores else "{}"},
+          "selected": {"true" if row.selected else "false"},
+          "system": {encode_basestring(row.name)},
+          "withdrawn": {"true" if row.withdrawn else "false"}
+        }}"""
+        )
+    return head + "[" + ",".join(texts) + "\n      ]\n    }"
 
 
 # --- shared cell helpers ---------------------------------------------------

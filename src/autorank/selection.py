@@ -14,28 +14,35 @@ Two mechanisms prune the automatic ranking before human judgment:
 
 A system is selected when it is not withdrawn for the pair, sits above
 the cutoff, and meets its category's depth limit.
+
+The stages read the sort keys ``ranking.order_rows`` returns, in
+leaderboard order; a key's position is its index plus one.
+``find_cutoff`` and ``select_for_human_eval`` decide on the keys, and
+``apply_selection`` then builds each ``RankedRow`` once, with its final
+position and reason codes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .model import RankedRow, RankingConfig, ReasonCode, SystemCategory
+from .model import LanguagePair, RankedRow, RankingConfig, ReasonCode, SystemCategory, SystemEntry
+from .ranking import RankKey
 
 
-def find_cutoff(ordered: Sequence[RankedRow], config: RankingConfig) -> int | None:
+def find_cutoff(ordered: Sequence[RankKey], config: RankingConfig) -> int | None:
     """Position of the first row below the quality line, or None.
 
     Returns the smallest position p >= 2 whose exact aggregate exceeds
-    the previous row's by more than ``cutoff_gap``.  Rows are assumed
-    ordered and 1-based as produced by ``order_rows``.
+    the previous row's by more than ``cutoff_gap``.  ``ordered`` is in
+    leaderboard order as ``order_rows`` returns it; only each key's
+    aggregate, its first element, is read.
     """
 
-    for previous, current in zip(ordered, ordered[1:]):
-        if current.autorank_exact - previous.autorank_exact > config.cutoff_gap:
-            return current.position
+    for position, (previous, current) in enumerate(zip(ordered, ordered[1:]), start=2):
+        if current[0] - previous[0] > config.cutoff_gap:
+            return position
     return None
 
 
@@ -52,49 +59,78 @@ def category_limits(n_systems: int, config: RankingConfig) -> tuple[int, int]:
 
 
 def select_for_human_eval(
-    ordered: Sequence[RankedRow],
+    ordered: Sequence[RankKey],
     cutoff_position: int | None,
+    entries: Mapping[str, SystemEntry],
+    pair: LanguagePair,
     config: RankingConfig,
 ) -> list[tuple[ReasonCode, ...]]:
     """Decide which rows go to human evaluation.
 
     Args:
-        ordered: full table in leaderboard order, positions stamped.
-        cutoff_position: result of ``find_cutoff`` on the same rows.
+        ordered: every system's key in leaderboard order (see
+            ``order_rows``); a key's position is its index plus one.
+        cutoff_position: result of ``find_cutoff`` on the same keys.
+        entries: registry lookup covering every ranked system.
+        pair: the direction being ranked, for pair-scoped withdrawals.
         config: category fractions.
 
     Returns:
-        One reason tuple per row, in row order: exactly one selected
-        code, or every exclusion code that applies.
+        One reason tuple per key, in order: exactly one selected code,
+        or every exclusion code that applies.
     """
 
     closed_limit, open_limit = category_limits(len(ordered), config)
     verdicts = []
-    for row in ordered:
+    for position, key in enumerate(ordered, start=1):
+        entry = entries[key[2]]
+        category = entry.category
         exclusions: list[ReasonCode] = []
-        if row.withdrawn:
+        if entry.is_withdrawn(pair):
             exclusions.append(ReasonCode.EXCLUDED_WITHDRAWN)
-        if cutoff_position is not None and row.position >= cutoff_position:
+        if cutoff_position is not None and position >= cutoff_position:
             exclusions.append(ReasonCode.EXCLUDED_BELOW_CUTOFF)
-        if row.category is SystemCategory.CLOSED and row.position > closed_limit:
+        if category is SystemCategory.CLOSED and position > closed_limit:
             exclusions.append(ReasonCode.EXCLUDED_CLOSED_BELOW_THIRD)
-        elif row.category is SystemCategory.OPEN and row.position > open_limit:
+        elif category is SystemCategory.OPEN and position > open_limit:
             exclusions.append(ReasonCode.EXCLUDED_OPEN_BELOW_TWO_THIRDS)
-        verdicts.append(tuple(exclusions) or (_SELECTED[row.category],))
+        verdicts.append(tuple(exclusions) or _SELECTED[category])
     return verdicts
 
 
 _SELECTED = {
-    SystemCategory.CONSTRAINED: ReasonCode.SELECTED_CONSTRAINED,
-    SystemCategory.OPEN: ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,
-    SystemCategory.CLOSED: ReasonCode.SELECTED_CLOSED_TOP_THIRD,
+    SystemCategory.CONSTRAINED: (ReasonCode.SELECTED_CONSTRAINED,),
+    SystemCategory.OPEN: (ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,),
+    SystemCategory.CLOSED: (ReasonCode.SELECTED_CLOSED_TOP_THIRD,),
 }
 
 
 def apply_selection(
-    ordered: Sequence[RankedRow],
+    ordered: Sequence[RankKey],
     verdicts: Sequence[tuple[ReasonCode, ...]],
+    entries: Mapping[str, SystemEntry],
+    scores_by_system: Mapping[str, Mapping[str, float]],
+    pair: LanguagePair,
 ) -> list[RankedRow]:
-    """Stamp each row with its reason tuple from ``select_for_human_eval``."""
+    """Build the finished rows, each once, with its position and reasons.
 
-    return [replace(row, reasons=reasons) for row, reasons in zip(ordered, verdicts)]
+    ``verdicts`` is ``select_for_human_eval``'s result for the same
+    keys.  This is the one place a ranked pair's ``RankedRow``s are
+    constructed.
+    """
+
+    return [
+        RankedRow(
+            system=entries[name],
+            raw_scores=dict(scores_by_system[name]),
+            normalized=normalized,
+            autorank_exact=autorank,
+            position=position,
+            withdrawn=entries[name].is_withdrawn(pair),
+            claimed_support=entries[name].claims_support(pair),
+            reasons=reasons,
+        )
+        for position, ((autorank, _, name, normalized), reasons) in enumerate(
+            zip(ordered, verdicts), start=1
+        )
+    ]

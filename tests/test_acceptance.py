@@ -34,23 +34,20 @@ from autorank import (
     SystemCategory,
     SystemEntry,
     TableFormat,
-    build_context,
     category_limits,
     compare_pair,
-    compute_autorank,
     display_str,
-    file_extension,
-    order_rows,
     parse_registry,
     parse_scores,
+    rank_pair,
     render_table,
     serialize_manifest,
     serialize_registry,
     serialize_scores,
     parse_manifest,
-    visible_rows,
 )
 from autorank.cli import main
+from autorank.render import file_extension, visible_rows
 
 TOLERANCE = Decimal("0.05")
 
@@ -374,14 +371,12 @@ def test_criterion_6_randomized_instances_match_direct_formula():
             name: {metrics[j].id: columns[j][name] for j in range(2)}
             for name in names
         }
-        entries = {
-            name: SystemEntry(name=name, category=SystemCategory.OPEN)
-            for name in names
-        }
-        context = build_context(pair, scores, metrics)
-        ordered = order_rows(
-            compute_autorank(entries, scores, context, metrics, config), metrics[0]
-        )
+        registry = [SystemEntry(name=name, category=SystemCategory.OPEN) for name in names]
+
+        def ranked(matrix):
+            return rank_pair(registry, {pair: matrix}, pair, metrics, config).rows
+
+        ordered = ranked(scores)
 
         for row in ordered:
             expected = []
@@ -432,12 +427,7 @@ def test_criterion_6_randomized_instances_match_direct_formula():
             }
             for name in names
         }
-        recomputed = order_rows(
-            compute_autorank(
-                entries, rescaled, build_context(pair, rescaled, metrics), metrics, config
-            ),
-            metrics[0],
-        )
+        recomputed = ranked(rescaled)
         for before, after in zip(ordered, recomputed):
             assert before.name == after.name
             assert math.isclose(
@@ -447,14 +437,7 @@ def test_criterion_6_randomized_instances_match_direct_formula():
         # input order is irrelevant to the final ordering
         shuffled_names = names[:]
         rng.shuffle(shuffled_names)
-        shuffled_scores = {name: scores[name] for name in shuffled_names}
-        shuffled_entries = {name: entries[name] for name in shuffled_names}
-        reordered = order_rows(
-            compute_autorank(
-                shuffled_entries, shuffled_scores, context, metrics, config
-            ),
-            metrics[0],
-        )
+        reordered = ranked({name: scores[name] for name in shuffled_names})
         assert [row.name for row in reordered] == [row.name for row in ordered]
         assert [row.position for row in reordered] == [row.position for row in ordered]
 

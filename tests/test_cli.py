@@ -192,6 +192,16 @@ class TestRankErrors:
         assert code == 1
         assert "no manifest entry for pair(s): zz-ww" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0663"])  # superscript 2, Arabic-Indic 3
+    def test_manifest_count_in_non_ascii_digits_is_validation_error(self, inputs, count, capsys):
+        Path(inputs["manifest"]).write_text(MANIFEST.replace("1000", count), encoding="utf-8")
+        code = main(_rank(inputs, "--format", "text", "--manifest", inputs["manifest"]))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {inputs['manifest']}: line 2: "
+            f"segments must be a positive integer, got {count!r}\n"
+        )
+
     @pytest.mark.parametrize("which", ["systems", "scores", "manifest"])
     def test_input_not_utf8_is_validation_error(self, inputs, which, capsys):
         Path(inputs[which]).write_bytes(b"pair\xff\n")

@@ -16,8 +16,8 @@ from autorank import (
     SystemEntry,
     compare_pair,
     parse_allow_list,
-    validate_golden_pair,
 )
+from autorank.golden import validate_golden_pair
 
 TOL = Decimal("0.05")
 

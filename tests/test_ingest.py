@@ -8,7 +8,6 @@ from autorank import (
     ParseError,
     SystemCategory,
     SystemEntry,
-    check_completeness,
     parse_manifest,
     parse_registry,
     parse_scores,
@@ -16,6 +15,7 @@ from autorank import (
     serialize_registry,
     serialize_scores,
 )
+from autorank.ingest import check_completeness
 
 REGISTRY = (
     "system\tcategory\twithdrawn\tunsupported_pairs\n"
@@ -202,6 +202,32 @@ def test_parse_manifest_rejects_bad_rows(row, needle):
         parse_manifest("pair\tsegments\twords\n" + row + "\n")
     assert info.value.line == 2
     assert needle in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "row,needle",
+    [
+        # superscript two: str.isdigit holds, int() raises a bare ValueError
+        ("cs-uk\t\u00b2\t32000", "segments must be a positive integer, got '\u00b2'"),
+        # Arabic-Indic three: int() reads it as 3
+        ("cs-uk\t2300\t\u0663", "words must be a positive integer, got '\u0663'"),
+    ],
+)
+def test_parse_manifest_rejects_non_ascii_digits(row, needle):
+    with pytest.raises(ParseError) as info:
+        parse_manifest("pair\tsegments\twords\n" + row + "\n")
+    assert info.value.line == 2
+    assert needle in str(info.value)
+
+
+def test_parse_scores_rejects_non_ascii_digits():
+    # Arabic-Indic 3.5: float() reads it, the file format does not
+    with pytest.raises(ParseError) as info:
+        parse_scores(
+            SCORES + "en-de\tIKUN\tcometkiwi-da-xl\t\u0663.\u0665\n", _registry(), DEFAULT_METRICS
+        )
+    assert info.value.line == 6
+    assert "malformed score" in str(info.value)
 
 
 def test_parse_manifest_rejects_duplicate_pair():

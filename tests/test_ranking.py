@@ -1,23 +1,29 @@
 from __future__ import annotations
 
+import dataclasses
+from statistics import fmean
+
 import pytest
 
 from autorank import (
     DEFAULT_METRICS,
     LanguagePair,
     MetricSpec,
-    NormalizationContext,
     Orientation,
+    RankedRow,
     RankingConfig,
     ScaleSpan,
     SystemCategory,
     SystemEntry,
+    display_str,
+    rank_pair,
+)
+from autorank.ranking import (
+    NormalizationContext,
     build_context,
     compute_autorank,
-    display_str,
     normalize_score,
     order_rows,
-    rank_pair,
 )
 
 MX, CK = DEFAULT_METRICS
@@ -130,29 +136,49 @@ def test_compute_autorank_published_examples():
         "Unbabel-Tower70B": {MX.id: 0.9, CK.id: 0.719},
         "CycleL": {MX.id: 19.5, CK.id: 0.146},
     }
-    ctx = CSUK_CTX
-    entries = {name: _entry(name) for name in matrix}
-    rows = {
-        row.name: row
-        for row in compute_autorank(entries, matrix, ctx, DEFAULT_METRICS, RankingConfig())
+    aggregates = {
+        name: autorank
+        for autorank, _, name, _ in compute_autorank(
+            matrix, CSUK_CTX, DEFAULT_METRICS, RankingConfig()
+        )
     }
 
     iol_expected = (
         oracle(1.3, 0.9, 19.5, 20, True) + oracle(0.681, 0.719, 0.146, 20, False)
     ) / 2
-    assert rows["IOL-Research"].autorank_exact == pytest.approx(iol_expected, rel=1e-12)
-    assert rows["IOL-Research"].autorank_exact == pytest.approx(1.878, abs=5e-4)
-    assert display_str(rows["IOL-Research"].autorank_exact) == "1.9"
+    assert aggregates["IOL-Research"] == pytest.approx(iol_expected, rel=1e-12)
+    assert aggregates["IOL-Research"] == pytest.approx(1.878, abs=5e-4)
+    assert display_str(aggregates["IOL-Research"]) == "1.9"
 
     gpt4_expected = (
         oracle(1.4, 0.9, 19.5, 20, True) + oracle(0.677, 0.719, 0.146, 20, False)
     ) / 2
-    assert rows["GPT-4"].autorank_exact == pytest.approx(gpt4_expected, rel=1e-12)
-    assert rows["GPT-4"].autorank_exact == pytest.approx(2.0018, abs=5e-5)
-    assert display_str(rows["GPT-4"].autorank_exact) == "2.0"
+    assert aggregates["GPT-4"] == pytest.approx(gpt4_expected, rel=1e-12)
+    assert aggregates["GPT-4"] == pytest.approx(2.0018, abs=5e-5)
+    assert display_str(aggregates["GPT-4"]) == "2.0"
 
-    assert rows["Unbabel-Tower70B"].autorank_exact == 1.0
-    assert rows["CycleL"].autorank_exact == 21.0
+    assert aggregates["Unbabel-Tower70B"] == 1.0
+    assert aggregates["CycleL"] == 21.0
+
+
+def test_compute_autorank_key_carries_the_tie_breaks_and_columns():
+    matrix = {"A": {MX.id: 1.3, CK.id: 0.681}}
+    ((autorank, first, name, normalized),) = compute_autorank(
+        matrix, CSUK_CTX, DEFAULT_METRICS, RankingConfig()
+    )
+    assert normalized == {
+        metric.id: normalize_score(matrix["A"][metric.id], metric, CSUK_CTX, RankingConfig())
+        for metric in DEFAULT_METRICS
+    }
+    assert first == normalized[MX.id] and name == "A"
+    # the mean of the columns, as statistics.fmean computes it
+    assert autorank == fmean(normalized.values())
+
+
+def test_compute_autorank_rejects_scores_outside_the_context():
+    matrix = {"A": {MX.id: 0.8, CK.id: 0.7}}  # better than the observed best
+    with pytest.raises(ValueError, match="outside observed range"):
+        compute_autorank(matrix, CSUK_CTX, DEFAULT_METRICS, RankingConfig())
 
 
 def test_rank_pair_requires_complete_matrix():
@@ -172,32 +198,28 @@ def test_rank_pair_requires_registered_systems():
 def test_compute_autorank_single_system_is_one():
     matrix = {"Solo": {MX.id: 4.2, CK.id: 0.33}}
     ctx = build_context(CSUK, matrix, DEFAULT_METRICS)
-    (row,) = compute_autorank(
-        {"Solo": _entry("Solo")}, matrix, ctx, DEFAULT_METRICS, RankingConfig()
-    )
-    assert row.autorank_exact == 1.0
+    ((autorank, *_),) = compute_autorank(matrix, ctx, DEFAULT_METRICS, RankingConfig())
+    assert autorank == 1.0
 
 
-def test_compute_autorank_resolves_pair_scoped_flags():
+def test_rank_pair_resolves_pair_scoped_flags():
     matrix = {"W": {MX.id: 1.0, CK.id: 0.7}, "V": {MX.id: 2.0, CK.id: 0.6}}
-    ctx = build_context(CSUK, matrix, DEFAULT_METRICS)
-    entries = {
-        "W": SystemEntry(name="W", category=SystemCategory.OPEN, withdrawn_pairs=frozenset({CSUK})),
-        "V": SystemEntry(
-            name="V", category=SystemCategory.OPEN, unsupported_pairs=frozenset({CSUK})
-        ),
-    }
-    rows = {
-        r.name: r for r in compute_autorank(entries, matrix, ctx, DEFAULT_METRICS, RankingConfig())
-    }
+    registry = [
+        SystemEntry(name="W", category=SystemCategory.OPEN, withdrawn_pairs=frozenset({CSUK})),
+        SystemEntry(name="V", category=SystemCategory.OPEN, unsupported_pairs=frozenset({CSUK})),
+    ]
+    rows = {r.name: r for r in rank_pair(registry, {CSUK: matrix}, CSUK).rows}
     assert rows["W"].withdrawn and rows["W"].claimed_support
     assert not rows["V"].withdrawn and not rows["V"].claimed_support
 
 
 def _ranked(matrix):
     ctx = build_context(CSUK, matrix, DEFAULT_METRICS)
-    entries = {name: _entry(name) for name in matrix}
-    return compute_autorank(entries, matrix, ctx, DEFAULT_METRICS, RankingConfig())
+    return compute_autorank(matrix, ctx, DEFAULT_METRICS, RankingConfig())
+
+
+def _names(keys):
+    return [name for _, _, name, _ in keys]
 
 
 def test_order_breaks_display_tie_by_exact_value():
@@ -209,16 +231,15 @@ def test_order_breaks_display_tie_by_exact_value():
         "Unbabel-Tower70B": {MX.id: 0.9, CK.id: 0.719},
         "CycleL": {MX.id: 19.5, CK.id: 0.146},
     }
-    ordered = order_rows(_ranked(matrix), DEFAULT_METRICS[0])
-    assert [row.name for row in ordered] == [
+    ordered = order_rows(_ranked(matrix))
+    assert _names(ordered) == [
         "Unbabel-Tower70B",
         "IOL-Research",
         "CommandR-plus",
         "CycleL",
     ]
-    assert [row.position for row in ordered] == [1, 2, 3, 4]
-    assert display_str(ordered[1].autorank_exact) == display_str(ordered[2].autorank_exact)
-    assert ordered[1].autorank_exact < ordered[2].autorank_exact
+    assert display_str(ordered[1][0]) == display_str(ordered[2][0])
+    assert ordered[1][0] < ordered[2][0]
 
 
 def test_order_breaks_exact_tie_by_first_metric_then_name():
@@ -229,8 +250,7 @@ def test_order_breaks_exact_tie_by_first_metric_then_name():
         "Best": {MX.id: 1.0, CK.id: 0.7},
         "Worst": {MX.id: 3.0, CK.id: 0.5},
     }
-    ordered = order_rows(_ranked(matrix), DEFAULT_METRICS[0])
-    names = [row.name for row in ordered]
+    names = _names(order_rows(_ranked(matrix)))
     assert names[0] == "Best" and names[-1] == "Worst"
     assert names[1] == "FirstMetricStrong"  # beats Balanced on MetricX
 
@@ -240,8 +260,7 @@ def test_order_breaks_exact_tie_by_first_metric_then_name():
         "Alpha": {MX.id: 2.0, CK.id: 0.6},
         "Best": {MX.id: 1.0, CK.id: 0.7},
     }
-    ordered = order_rows(_ranked(matrix), DEFAULT_METRICS[0])
-    assert [row.name for row in ordered] == ["Best", "Alpha", "Zeta"]
+    assert _names(order_rows(_ranked(matrix))) == ["Best", "Alpha", "Zeta"]
 
 
 def test_order_is_input_order_invariant():
@@ -250,7 +269,27 @@ def test_order_is_input_order_invariant():
         "B": {MX.id: 1.5, CK.id: 0.65},
         "C": {MX.id: 2.0, CK.id: 0.6},
     }
-    rows = _ranked(matrix)
-    forward = order_rows(rows, DEFAULT_METRICS[0])
-    backward = order_rows(list(reversed(rows)), DEFAULT_METRICS[0])
-    assert forward == backward
+    keys = _ranked(matrix)
+    assert order_rows(keys) == order_rows(list(reversed(keys)))
+
+
+def test_rank_pair_builds_each_row_once(monkeypatch):
+    built = []
+    init = RankedRow.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("system"))
+        init(self, *args, **kwargs)
+
+    def no_replace(*args, **kwargs):
+        raise AssertionError("dataclasses.replace called on the rank path")
+
+    # replace() builds its copy through __init__, so the count sees it too
+    monkeypatch.setattr(RankedRow, "__init__", counting_init)
+    monkeypatch.setattr(dataclasses, "replace", no_replace)
+    matrix = {f"S{i}": {MX.id: float(i), CK.id: 1.0 / (i + 1)} for i in range(7)}
+    registry = [_entry(name, category) for name, category in zip(matrix, list(SystemCategory) * 3)]
+    table = rank_pair(registry, {CSUK: matrix}, CSUK)
+    assert len(table.rows) == 7
+    assert len(built) == 7
+    assert {entry.name for entry in built} == set(matrix)

@@ -17,11 +17,10 @@ from autorank import (
     SystemCategory,
     SystemEntry,
     TableFormat,
-    file_extension,
     render_report,
     render_table,
-    visible_rows,
 )
+from autorank.render import file_extension, visible_rows
 
 MX, CK = DEFAULT_METRICS
 
@@ -300,6 +299,23 @@ class TestJson:
         by_name = {r["system"]: r for r in full["pairs"][0]["rows"]}
         for row in rows:
             assert row == by_name[row["system"]]
+
+    def test_empty_scores_and_reasons_keep_the_stdlib_layout(self):
+        # only a hand-built table has no metric columns or no reasons
+        row = RankedRow(
+            system=SystemEntry(name="Solo", category=SystemCategory.OPEN),
+            raw_scores={},
+            normalized={},
+            autorank_exact=1.0,
+            position=1,
+        )
+        table = LeaderboardTable(
+            pair=LanguagePair.from_code("xx-yy"), metrics=(), rows=(row,), cutoff_position=None
+        )
+        out = render_report([table])
+        again = json.dumps(json.loads(out), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert again == out
+        assert '"reasons": [],' in out and '"scores": {},' in out
 
     def test_report_combines_sorted_pairs(self, tables):
         out = render_report([tables["en-de"], tables["cs-uk"]])

@@ -6,81 +6,86 @@ import pytest
 
 from autorank import (
     DEFAULT_METRICS,
+    LanguagePair,
     RankedRow,
     RankingConfig,
     ReasonCode,
     SystemCategory,
     SystemEntry,
-    apply_selection,
     category_limits,
-    find_cutoff,
-    select_for_human_eval,
 )
+from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
 
 MX, CK = DEFAULT_METRICS
+PAIR = LanguagePair.from_code("xx-yy")
 
 
-def _row(
+def _system(
     name: str,
     autorank: float,
-    position: int,
     category: SystemCategory = SystemCategory.OPEN,
     withdrawn: bool = False,
-) -> RankedRow:
-    entry = SystemEntry(name=name, category=category)
-    return RankedRow(
-        system=entry,
-        raw_scores={MX.id: 0.0, CK.id: 0.0},
-        normalized={MX.id: autorank, CK.id: autorank},
-        autorank_exact=autorank,
-        position=position,
-        withdrawn=withdrawn,
-    )
+) -> tuple[SystemEntry, float]:
+    return SystemEntry(name=name, category=category, withdrawn=withdrawn), autorank
 
 
-def _table(*values: float, withdrawn: set[int] = frozenset()) -> list[RankedRow]:
+def _table(*values: float, withdrawn: set[int] = frozenset()) -> list[tuple[SystemEntry, float]]:
+    """Open systems S01, S02, ... in leaderboard order with these aggregates."""
     return [
-        _row(f"S{i:02d}", v, i, withdrawn=i in withdrawn)
-        for i, v in enumerate(values, start=1)
+        _system(f"S{i:02d}", v, withdrawn=i in withdrawn) for i, v in enumerate(values, start=1)
     ]
+
+
+def _keys(systems) -> list[tuple]:
+    """The ordered sort keys ``order_rows`` would return for ``systems``."""
+    return [(v, v, entry.name, {MX.id: v, CK.id: v}) for entry, v in systems]
 
 
 class TestFindCutoff:
     def test_large_tail_gap_cuts_last_row(self):
         # the Czech-Ukrainian shape: a 6.1 jump onto the last row
-        assert find_cutoff(_table(1.0, 1.9, 2.0, 2.9, 9.0), RankingConfig()) == 5
+        assert find_cutoff(_keys(_table(1.0, 1.9, 2.0, 2.9, 9.0)), RankingConfig()) == 5
 
     def test_gap_just_over_threshold_triggers(self):
         # 3.0 -> 4.62 is a 1.62 jump, strictly above 1.5; the 0.33 jump
         # after it changes nothing
-        assert find_cutoff(_table(1.0, 2.0, 3.0, 4.62, 4.95), RankingConfig()) == 4
+        assert find_cutoff(_keys(_table(1.0, 2.0, 3.0, 4.62, 4.95)), RankingConfig()) == 4
 
     def test_gap_under_threshold_does_not_trigger(self):
-        assert find_cutoff(_table(1.0, 1.33, 2.5, 3.3), RankingConfig()) is None
+        assert find_cutoff(_keys(_table(1.0, 1.33, 2.5, 3.3)), RankingConfig()) is None
 
     def test_gap_exactly_threshold_does_not_trigger(self):
-        assert find_cutoff(_table(1.0, 2.5), RankingConfig()) is None
-        assert find_cutoff(_table(1.0, 2.5 + 1e-9), RankingConfig()) == 2
+        assert find_cutoff(_keys(_table(1.0, 2.5)), RankingConfig()) is None
+        assert find_cutoff(_keys(_table(1.0, 2.5 + 1e-9)), RankingConfig()) == 2
 
     def test_first_qualifying_gap_wins(self):
-        assert find_cutoff(_table(1.0, 3.0, 3.1, 5.0), RankingConfig()) == 2
+        assert find_cutoff(_keys(_table(1.0, 3.0, 3.1, 5.0)), RankingConfig()) == 2
 
     def test_all_equal_has_no_cutoff(self):
-        assert find_cutoff(_table(1.0, 1.0, 1.0), RankingConfig()) is None
+        assert find_cutoff(_keys(_table(1.0, 1.0, 1.0)), RankingConfig()) is None
 
     def test_withdrawn_rows_still_carry_gaps(self):
         # the jump lands on a withdrawn row; the line is drawn all the same
-        ordered = _table(1.0, 1.2, 4.0, 4.1, withdrawn={3})
-        assert find_cutoff(ordered, RankingConfig()) == 3
+        systems = [
+            _system(f"S{i}", v, SystemCategory.CONSTRAINED, withdrawn=i == 3)
+            for i, v in enumerate((1.0, 1.2, 4.0, 4.1), start=1)
+        ]
+        assert find_cutoff(_keys(systems), RankingConfig()) == 3
+        outcome = _outcome(systems)
+        assert outcome["S3"].reasons == (
+            ReasonCode.EXCLUDED_WITHDRAWN,
+            ReasonCode.EXCLUDED_BELOW_CUTOFF,
+        )
+        assert outcome["S4"].reasons == (ReasonCode.EXCLUDED_BELOW_CUTOFF,)
 
     def test_configurable_gap(self):
-        ordered = _table(1.0, 2.0, 3.0)
+        ordered = _keys(_table(1.0, 2.0, 3.0))
         assert find_cutoff(ordered, RankingConfig(cutoff_gap=0.5)) == 2
         assert find_cutoff(ordered, RankingConfig(cutoff_gap=2.0)) is None
 
     def test_empty_and_singleton(self):
         assert find_cutoff([], RankingConfig()) is None
-        assert find_cutoff(_table(1.0), RankingConfig()) is None
+        assert find_cutoff(_keys(_table(1.0)), RankingConfig()) is None
 
 
 class TestCategoryLimits:
@@ -109,11 +114,14 @@ class TestCategoryLimits:
         assert category_limits(9, config) == (5, 9)
 
 
-def _outcome(rows, config=None) -> dict[str, RankedRow]:
-    """The rows stamped with their verdicts, keyed by system name."""
+def _outcome(systems, config=None) -> dict[str, RankedRow]:
+    """The finished rows of ``systems`` (in leaderboard order), keyed by name."""
     config = config or RankingConfig()
-    verdicts = select_for_human_eval(rows, find_cutoff(rows, config), config)
-    return {row.name: row for row in apply_selection(rows, verdicts)}
+    ordered = _keys(systems)
+    entries = {entry.name: entry for entry, _ in systems}
+    verdicts = select_for_human_eval(ordered, find_cutoff(ordered, config), entries, PAIR, config)
+    matrix = {name: {MX.id: 0.0, CK.id: 0.0} for name in entries}
+    return {row.name: row for row in apply_selection(ordered, verdicts, entries, matrix, PAIR)}
 
 
 class TestSelection:
@@ -121,8 +129,8 @@ class TestSelection:
         # 26 systems: closed limit ceil(26/3) = 9.  A closed system at
         # position 9 qualifies, at position 10 it does not.
         rows = _table(*[1.0 + 0.1 * i for i in range(26)])
-        rows[8] = _row("ClosedIn", rows[8].autorank_exact, 9, SystemCategory.CLOSED)
-        rows[9] = _row("ClosedOut", rows[9].autorank_exact, 10, SystemCategory.CLOSED)
+        rows[8] = _system("ClosedIn", rows[8][1], SystemCategory.CLOSED)
+        rows[9] = _system("ClosedOut", rows[9][1], SystemCategory.CLOSED)
         outcome = _outcome(rows)
         assert outcome["ClosedIn"].selected
         assert not outcome["ClosedOut"].selected
@@ -139,7 +147,7 @@ class TestSelection:
 
     def test_constrained_has_no_depth_limit(self):
         rows = _table(*[1.0 + 0.1 * i for i in range(20)])
-        rows[-1] = _row("Tail", rows[-1].autorank_exact, 20, SystemCategory.CONSTRAINED)
+        rows[-1] = _system("Tail", rows[-1][1], SystemCategory.CONSTRAINED)
         outcome = _outcome(rows)
         assert outcome["Tail"].selected
         assert outcome["Tail"].reasons == (ReasonCode.SELECTED_CONSTRAINED,)
@@ -147,22 +155,23 @@ class TestSelection:
     def test_withdrawn_always_excluded_but_keeps_position(self):
         # constrained rows dodge the depth limits, isolating withdrawal
         rows = [
-            _row("S01", 1.0, 1, SystemCategory.CONSTRAINED, withdrawn=True),
-            _row("S02", 1.1, 2, SystemCategory.CONSTRAINED),
-            _row("S03", 1.2, 3, SystemCategory.CONSTRAINED),
+            _system("S01", 1.0, SystemCategory.CONSTRAINED, withdrawn=True),
+            _system("S02", 1.1, SystemCategory.CONSTRAINED),
+            _system("S03", 1.2, SystemCategory.CONSTRAINED),
         ]
         outcome = _outcome(rows)
         assert not outcome["S01"].selected
         assert outcome["S01"].reasons == (ReasonCode.EXCLUDED_WITHDRAWN,)
-        # the rows under it are judged at their stated positions
+        assert outcome["S01"].position == 1
+        # the rows under it are judged at their own positions
         assert outcome["S02"].selected and outcome["S03"].selected
 
     def test_below_cutoff_excluded_even_when_constrained(self):
         rows = [
-            _row("Top", 1.0, 1, SystemCategory.CONSTRAINED),
-            _row("Dropped", 3.0, 2, SystemCategory.CONSTRAINED),
+            _system("Top", 1.0, SystemCategory.CONSTRAINED),
+            _system("Dropped", 3.0, SystemCategory.CONSTRAINED),
         ]
-        assert find_cutoff(rows, RankingConfig()) == 2
+        assert find_cutoff(_keys(rows), RankingConfig()) == 2
         outcome = _outcome(rows)
         assert not outcome["Dropped"].above_cutoff
         assert outcome["Top"].selected
@@ -180,8 +189,11 @@ class TestSelection:
 
     def test_reason_partition_invariant(self):
         rows = _table(*[1.0 + 0.2 * i for i in range(15)], withdrawn={4, 9})
-        rows[2] = _row("C", rows[2].autorank_exact, 3, SystemCategory.CLOSED)
-        verdicts = select_for_human_eval(rows, find_cutoff(rows, RankingConfig()), RankingConfig())
+        rows[2] = _system("C", rows[2][1], SystemCategory.CLOSED)
+        ordered = _keys(rows)
+        entries = {entry.name: entry for entry, _ in rows}
+        cutoff = find_cutoff(ordered, RankingConfig())
+        verdicts = select_for_human_eval(ordered, cutoff, entries, PAIR, RankingConfig())
         assert len(verdicts) == len(rows)
         for codes in verdicts:
             assert codes
@@ -192,13 +204,21 @@ class TestSelection:
 
     def test_apply_selection_stamps_rows(self):
         rows = _table(1.0, 1.2, 3.0)
-        stamped = apply_selection(rows, select_for_human_eval(rows, 3, RankingConfig()))
-        assert [r.above_cutoff for r in stamped] == [True, True, False]
-        assert [r.selected for r in stamped] == [True, True, False]
+        ordered = _keys(rows)
+        entries = {entry.name: entry for entry, _ in rows}
+        verdicts = select_for_human_eval(ordered, 3, entries, PAIR, RankingConfig())
+        matrix = {name: {MX.id: float(i), CK.id: 0.5} for i, name in enumerate(entries)}
+        built = apply_selection(ordered, verdicts, entries, matrix, PAIR)
+        assert [r.position for r in built] == [1, 2, 3]
+        assert [r.above_cutoff for r in built] == [True, True, False]
+        assert [r.selected for r in built] == [True, True, False]
         # S03 is both under the cutoff and past the open depth (floor(6/3)=2)
-        assert stamped[2].reasons == (
+        assert built[2].reasons == (
             ReasonCode.EXCLUDED_BELOW_CUTOFF,
             ReasonCode.EXCLUDED_OPEN_BELOW_TWO_THIRDS,
         )
-        # originals untouched
-        assert all(r.reasons == () for r in rows)
+        assert [r.autorank_exact for r in built] == [1.0, 1.2, 3.0]
+        assert built[1].normalized == {MX.id: 1.2, CK.id: 1.2}
+        assert built[1].raw_scores == {MX.id: 1.0, CK.id: 0.5}
+        # the row keeps its own copy of the raw scores
+        assert built[1].raw_scores is not matrix["S02"]
