@@ -18,7 +18,6 @@ written atomically (temp file then rename).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -233,6 +232,8 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
     if not golden_dir.is_dir():
         raise _ValidationError(f"{args.golden}: not a directory")
     golden_files = sorted(golden_dir.glob("*.json"))
+
+    import json  # only verify reads JSON
 
     compared = 0
     failed = 0

@@ -28,7 +28,6 @@ becomes effectively exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Mapping, Sequence
 
@@ -37,14 +36,19 @@ from .model import LeaderboardTable
 REQUIRED_ROW_FIELDS = ("system", "autorank_exact", "position", "selected", "category")
 
 
-@dataclass
 class PairComparison:
-    """Outcome of checking one recomputed pair against its golden."""
+    """Outcome of checking one recomputed pair against its golden.
 
-    pair: str
-    mismatches: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    allow_used: list[tuple[str, str]] = field(default_factory=list)
+    ``compare_pair`` fills the three lists as it goes.
+    """
+
+    __slots__ = ("pair", "mismatches", "notes", "allow_used")
+
+    def __init__(self, pair: str) -> None:
+        self.pair = pair
+        self.mismatches: list[str] = []
+        self.notes: list[str] = []
+        self.allow_used: list[tuple[str, str]] = []
 
     @property
     def ok(self) -> bool:

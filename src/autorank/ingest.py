@@ -103,15 +103,13 @@ def parse_registry(text: str) -> list[SystemEntry]:
                 ) from None
             if not withdrawn_pairs:
                 raise ParseError(line, f"malformed withdrawn flag {withdrawn_token!r}")
-        entries.append(
-            SystemEntry(
-                name=name,
-                category=category,
-                withdrawn=withdrawn,
-                withdrawn_pairs=withdrawn_pairs,
-                unsupported_pairs=_parse_pair_set(unsupported_token, line),
+        unsupported_pairs = _parse_pair_set(unsupported_token, line)
+        try:
+            entries.append(
+                SystemEntry(name, category, withdrawn, withdrawn_pairs, unsupported_pairs)
             )
-        )
+        except ValueError as exc:
+            raise ParseError(line, str(exc)) from None
     return entries
 
 

@@ -4,39 +4,50 @@ Everything downstream (parsing, ranking, selection, rendering) works in
 terms of these types.  They are deliberately dumb containers with
 validation at construction time; the arithmetic lives in
 :mod:`autorank.ranking` and :mod:`autorank.selection`.
+
+Each record is a named tuple: its fields are read-only, setting any
+attribute raises ``AttributeError``, and equality, hashing and ordering
+are the tuple's, done in C.  A record that validates its fields, or
+derives some from others, does so in ``__new__``; a ``RankedRow``
+stores its ``name``, ``category``, ``selected`` and ``above_cutoff``
+once, when it is built.  Floats are what a record keeps; how ties
+between them are decided exactly is :mod:`autorank.ranking`'s business.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 _PAIR_CODE = re.compile(r"^[a-z]{2}-[a-z]{2}$")
+# category Cc (C0, DEL, C1), the line and paragraph separators, and the
+# bidi embeddings, overrides and isolates: none may reach a terminal
+_HOSTILE_NAME_CHARS = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029\u202a-\u202e\u2066-\u2069]")
 
 
-@dataclass(frozen=True, order=True)
-class LanguagePair:
+class LanguagePair(namedtuple("LanguagePair", "source target")):
     """A directed translation direction, e.g. Czech into Ukrainian.
 
     Both fields are two-letter ISO 639-1 codes.  The canonical textual
     form is ``source-target`` ("cs-uk") and is what every file format
-    and report uses.
+    and report uses.  Pairs order by (source, target), which is the
+    order of their codes.
     """
 
-    source: str
-    target: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        code = f"{self.source}-{self.target}"
+    def __new__(cls, source: str, target: str) -> "LanguagePair":
+        code = f"{source}-{target}"
         if not _PAIR_CODE.match(code):
             raise ValueError(f"malformed language pair code: {code!r}")
-        if self.source == self.target:
+        if source == target:
             raise ValueError(f"source and target must differ: {code!r}")
+        return tuple.__new__(cls, (source, target))
 
     @classmethod
     def from_code(cls, code: str) -> "LanguagePair":
@@ -66,6 +77,11 @@ class SystemCategory(Enum):
     OPEN = "open"
     CLOSED = "closed"
 
+    # members are singletons that compare by identity, so an identity hash
+    # agrees with equality; it runs in C, where Enum's hashes the name in
+    # Python, and every row looks its category up
+    __hash__ = object.__hash__
+
 
 class Orientation(Enum):
     """Whether smaller or larger raw metric scores mean better output."""
@@ -74,17 +90,15 @@ class Orientation(Enum):
     HIGHER_BETTER = "higher"
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(namedtuple("MetricSpec", "id orientation display_name")):
     """Identity and orientation of one automatic metric column."""
 
-    id: str
-    orientation: Orientation
-    display_name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(cls, id: str, orientation: Orientation, display_name: str) -> "MetricSpec":
+        if not id:
             raise ValueError("metric id must be non-empty")
+        return tuple.__new__(cls, (id, orientation, display_name))
 
 
 # The two quality-estimation columns every shipped table uses, in column
@@ -95,8 +109,9 @@ DEFAULT_METRICS: tuple[MetricSpec, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SystemEntry:
+class SystemEntry(
+    namedtuple("SystemEntry", "name category withdrawn withdrawn_pairs unsupported_pairs")
+):
     """Registry row for one submitted system.
 
     Withdrawal is pair-scoped: a system can be pulled from human
@@ -105,19 +120,33 @@ class SystemEntry:
     pair.  ``unsupported_pairs`` lists directions the submitter never
     claimed to support; such rows still get ranked but are flagged in
     rendered tables.
+
+    A name is non-empty and holds no control character (category
+    ``Cc``: tabs, newlines, ESC, DEL, the C1 range), no line or
+    paragraph separator and no bidi embedding, override or isolate
+    (U+202A-202E, U+2066-2069), so it cannot restyle a terminal or
+    reorder the cells around it.
     """
 
-    name: str
-    category: SystemCategory
-    withdrawn: bool = False
-    withdrawn_pairs: frozenset[LanguagePair] = frozenset()
-    unsupported_pairs: frozenset[LanguagePair] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(
+        cls,
+        name: str,
+        category: SystemCategory,
+        withdrawn: bool = False,
+        withdrawn_pairs: frozenset[LanguagePair] = frozenset(),
+        unsupported_pairs: frozenset[LanguagePair] = frozenset(),
+    ) -> "SystemEntry":
+        if not name:
             raise ValueError("system name must be non-empty")
-        if "\t" in self.name or "\n" in self.name:
-            raise ValueError(f"system name may not contain tabs or newlines: {self.name!r}")
+        hostile = _HOSTILE_NAME_CHARS.search(name)
+        if hostile:
+            raise ValueError(
+                f"system name may not contain control or bidi character "
+                f"U+{ord(hostile.group()):04X}: {name!r}"
+            )
+        return tuple.__new__(cls, (name, category, withdrawn, withdrawn_pairs, unsupported_pairs))
 
     def is_withdrawn(self, pair: LanguagePair) -> bool:
         return self.withdrawn or pair in self.withdrawn_pairs
@@ -147,8 +176,9 @@ _CONFIG_PARSERS = dict(
 )
 
 
-@dataclass(frozen=True)
-class RankingConfig:
+class RankingConfig(
+    namedtuple("RankingConfig", "cutoff_gap closed_fraction open_fraction scale_span")
+):
     """Tunable knobs of the ranking and selection procedure.
 
     Defaults reproduce the shipped leaderboards: systems whose aggregate
@@ -158,25 +188,28 @@ class RankingConfig:
     (``Fraction`` or ``int``); ``from_dict`` reads them from text.
     """
 
-    cutoff_gap: float = 1.5
-    closed_fraction: Fraction = Fraction(1, 3)
-    open_fraction: Fraction = Fraction(2, 3)
-    scale_span: ScaleSpan = ScaleSpan.FULL_N
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("closed_fraction", "open_fraction"):
-            value = getattr(self, name)
+    def __new__(
+        cls,
+        cutoff_gap: float = 1.5,
+        closed_fraction: Fraction = Fraction(1, 3),
+        open_fraction: Fraction = Fraction(2, 3),
+        scale_span: ScaleSpan = ScaleSpan.FULL_N,
+    ) -> "RankingConfig":
+        for name, value in (("closed_fraction", closed_fraction), ("open_fraction", open_fraction)):
             if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a Fraction or int, got {value!r}")
-        if not isinstance(self.scale_span, ScaleSpan):
-            raise TypeError(f"scale_span must be a ScaleSpan, got {self.scale_span!r}")
-        if not (math.isfinite(self.cutoff_gap) and self.cutoff_gap > 0):
-            raise ValueError(f"cutoff_gap must be a positive real, got {self.cutoff_gap!r}")
-        if not 0 < self.closed_fraction <= self.open_fraction <= 1:
+        if not isinstance(scale_span, ScaleSpan):
+            raise TypeError(f"scale_span must be a ScaleSpan, got {scale_span!r}")
+        if not (math.isfinite(cutoff_gap) and cutoff_gap > 0):
+            raise ValueError(f"cutoff_gap must be a positive real, got {cutoff_gap!r}")
+        if not 0 < closed_fraction <= open_fraction <= 1:
             raise ValueError(
                 "fractions must satisfy 0 < closed_fraction <= open_fraction <= 1, "
-                f"got {self.closed_fraction}, {self.open_fraction}"
+                f"got {closed_fraction}, {open_fraction}"
             )
+        return tuple.__new__(cls, (cutoff_gap, closed_fraction, open_fraction, scale_span))
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready form; reals as strings so no float formatting drifts."""
@@ -222,6 +255,8 @@ class ReasonCode(Enum):
     EXCLUDED_BELOW_CUTOFF = "excluded_below_cutoff"
     EXCLUDED_WITHDRAWN = "excluded_withdrawn"
 
+    __hash__ = object.__hash__  # as SystemCategory's
+
     @property
     def is_selected(self) -> bool:
         return self.name.startswith("SELECTED")
@@ -237,51 +272,75 @@ def display_str(value: float) -> str:
     return str(Decimal(repr(value)).quantize(_DISPLAY_QUANTUM, rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class RankedRow:
+# the codes RankedRow reads its verdict from
+_SELECTED_CODES = tuple(code for code in ReasonCode if code.is_selected)
+_BELOW_CUTOFF = ReasonCode.EXCLUDED_BELOW_CUTOFF
+
+
+class RankedRow(
+    namedtuple(
+        "RankedRow",
+        "system raw_scores normalized autorank_exact position withdrawn claimed_support"
+        " reasons name category selected above_cutoff",
+    )
+):
     """One system's line in a finished leaderboard.
 
     ``withdrawn`` and ``claimed_support`` are the entry's flags resolved
-    against the table's language pair.  ``reasons`` is the row's only
-    stored verdict: exactly one selected code, or every exclusion code
-    that applies.  ``selected`` and ``above_cutoff`` are read from it.
+    against the table's language pair.  ``reasons`` is the row's
+    verdict: exactly one selected code, or every exclusion code that
+    applies.  The constructor takes the first eight fields and stores
+    the last four with them, read once: ``name`` and ``category`` from
+    ``system``, ``selected`` (the first code is a selected code) and
+    ``above_cutoff`` (no ``excluded_below_cutoff`` code) from
+    ``reasons``.
     """
 
-    system: SystemEntry
-    raw_scores: Mapping[str, float]
-    normalized: Mapping[str, float]
-    autorank_exact: float
-    position: int = 0
-    withdrawn: bool = False
-    claimed_support: bool = True
-    reasons: tuple[ReasonCode, ...] = ()
+    __slots__ = ()
 
-    @property
-    def name(self) -> str:
-        return self.system.name
+    def __new__(
+        cls,
+        system: SystemEntry,
+        raw_scores: Mapping[str, float],
+        normalized: Mapping[str, float],
+        autorank_exact: float,
+        position: int = 0,
+        withdrawn: bool = False,
+        claimed_support: bool = True,
+        reasons: tuple[ReasonCode, ...] = (),
+    ) -> "RankedRow":
+        return tuple.__new__(
+            cls,
+            (
+                system,
+                raw_scores,
+                normalized,
+                autorank_exact,
+                position,
+                withdrawn,
+                claimed_support,
+                reasons,
+                system.name,
+                system.category,
+                bool(reasons) and reasons[0] in _SELECTED_CODES,
+                _BELOW_CUTOFF not in reasons,
+            ),
+        )
 
-    @property
-    def category(self) -> SystemCategory:
-        return self.system.category
-
-    @property
-    def selected(self) -> bool:
-        return bool(self.reasons) and self.reasons[0].is_selected
-
-    @property
-    def above_cutoff(self) -> bool:
-        return ReasonCode.EXCLUDED_BELOW_CUTOFF not in self.reasons
+    def _replace(self, **changes: object) -> "RankedRow":
+        """A copy with some of the first eight fields changed; the rest follow."""
+        inputs = self._fields[:8]
+        return RankedRow(*[changes.pop(f, v) for f, v in zip(inputs, self)], **changes)
 
 
-@dataclass(frozen=True)
-class LeaderboardTable:
+class LeaderboardTable(NamedTuple):
     """A fully ranked language pair: ordered rows plus the decisions."""
 
     pair: LanguagePair
     metrics: tuple[MetricSpec, ...]
     rows: tuple[RankedRow, ...]
     cutoff_position: int | None
-    config: RankingConfig = field(default_factory=RankingConfig)
+    config: RankingConfig = RankingConfig()
 
     @property
     def n_systems(self) -> int:

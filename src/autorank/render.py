@@ -18,17 +18,15 @@ plus a final newline.  The standard library's indenting encoder runs in
 pure Python, so each row is written from a fixed per-table template
 instead: keys in sorted order, metric ids encoded once per table,
 strings through the C encoder ``encode_basestring`` and the displayed
-aggregate through ``display_str``.
+aggregate through ``display_str``.  Only the JSON report imports
+``json``; the other formats never load it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from enum import Enum
-from json.encoder import encode_basestring
-from typing import Sequence
-from unicodedata import east_asian_width
+from typing import NamedTuple, Sequence
+from unicodedata import category, east_asian_width
 
 from .model import (
     LeaderboardTable,
@@ -48,8 +46,7 @@ class TableFormat(Enum):
     JSON = "json"
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(NamedTuple):
     format: TableFormat
     include_closed: bool = True
     show_reasons: bool = False
@@ -94,6 +91,8 @@ def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = Tru
     top so a verification run can reproduce the computation.
     """
 
+    import json
+
     tables = sorted(tables, key=lambda t: t.pair.code)
     if len({table.config for table in tables}) > 1:
         raise ValueError("tables in one report must share a single config")
@@ -106,22 +105,25 @@ def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = Tru
     return '{\n  "config": ' + config + ',\n  "pairs": [' + pairs + "\n  ]\n}\n"
 
 
-# JSON text of each enum value a row carries, encoded once; a reason
-# code comes with the newline and indent of its place in "reasons"
-_CATEGORY_JSON = {category: encode_basestring(category.value) for category in SystemCategory}
-_REASON_JSON = {code: "\n" + " " * 12 + encode_basestring(code.value) for code in ReasonCode}
+# JSON text of each enum value a row carries, quoted once (the values are
+# lowercase ASCII words, which JSON needs no escape for); a reason code
+# comes with the newline and indent of its place in "reasons"
+_CATEGORY_JSON = {member: f'"{member.value}"' for member in SystemCategory}
+_REASON_JSON = {code: "\n" + " " * 12 + f'"{code.value}"' for code in ReasonCode}
 _CLOSE_LIST = "\n" + " " * 10 + "]"
 _CLOSE_OBJECT = "\n" + " " * 10 + "}"
 
 
 def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
+    from json.encoder import encode_basestring
+
     # one entry of "pairs" as json.dumps(indent=2, sort_keys=True) lays it
-    # out at that depth; a float's repr and display_str's text need no
-    # escaping inside quotes
+    # out at that depth; a float's repr, display_str's text and a pair
+    # code need no escaping inside quotes
     cutoff = "null" if table.cutoff_position is None else table.cutoff_position
     head = (
         f'\n    {{\n      "cutoff_position": {cutoff},\n      "n_systems": {table.n_systems},'
-        f'\n      "pair": {encode_basestring(table.pair.code)},\n      "rows": '
+        f'\n      "pair": "{table.pair.code}",\n      "rows": '
     )
     if not rows:
         return head + "[]\n    }"
@@ -222,9 +224,24 @@ _GREEN = "\x1b[32m"
 _RESET = "\x1b[0m"
 
 
-def _columns(text: str) -> int:
-    # terminal columns: East-Asian wide and fullwidth characters take two
-    return sum(2 if east_asian_width(char) in ("W", "F") else 1 for char in text)
+class _Columns(dict):
+    """Terminal columns of a text; each distinct character is looked up once.
+
+    Combining marks (``Mn``, ``Me``) and format characters (``Cf``, such
+    as a zero-width joiner) take none, East-Asian wide and fullwidth
+    characters two, everything else one.
+    """
+
+    def __missing__(self, char: str) -> int:
+        if category(char) in ("Mn", "Me", "Cf"):
+            width = 0
+        else:
+            width = 2 if east_asian_width(char) in ("W", "F") else 1
+        self[char] = width
+        return width
+
+    def __call__(self, text: str) -> int:
+        return sum(map(self.__getitem__, text))
 
 
 def _render_text(
@@ -232,28 +249,28 @@ def _render_text(
 ) -> str:
     header = _header_cells(table, options)
     body = [_body_cells(table, row, options) for row in rows]
-    widths = [_columns(cell) for cell in header]
-    for cells in body:
-        widths = [max(w, _columns(cell)) for w, cell in zip(widths, cells)]
+    columns = _Columns()
+    # each cell is measured once
+    measured = [(cells, [columns(cell) for cell in cells]) for cells in [header, *body]]
+    widths = [max(column) for column in zip(*[sizes for _, sizes in measured])]
 
-    def line(cells: list[str]) -> str:
-        padded = []
-        for i, (cell, w) in enumerate(zip(cells, widths)):
-            fill = " " * (w - _columns(cell))
-            padded.append(cell + fill if i == 0 else fill + cell)
+    def line(index: int) -> str:
+        cells, sizes = measured[index]
+        padded = [cells[0] + " " * (widths[0] - sizes[0])]
+        padded += [" " * (w - n) + cell for cell, w, n in zip(cells[1:], widths[1:], sizes[1:])]
         return "  ".join(padded).rstrip()
 
     total = sum(widths) + 2 * (len(widths) - 1)
     cut = _cutoff_index(rows)
     title = f"{table.pair.code}  (N={table.n_systems})"
-    header_line = line(header)
+    header_line = line(0)
     rule = "─" * total
     cutoff_rule = "╌" * total
     out = [title, header_line, rule]
-    for i, (row, cells) in enumerate(zip(rows, body)):
+    for i, row in enumerate(rows):
         if cut is not None and i == cut:
             out.append(cutoff_rule)
-        rendered = line(cells)
+        rendered = line(i + 1)
         if options.color:
             if row.withdrawn:
                 rendered = f"{_DIM}{rendered}{_RESET}"

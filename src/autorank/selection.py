@@ -19,30 +19,48 @@ The stages read the sort keys ``ranking.order_rows`` returns, in
 leaderboard order; a key's position is its index plus one.
 ``find_cutoff`` and ``select_for_human_eval`` decide on the keys, and
 ``apply_selection`` then builds each ``RankedRow`` once, with its final
-position and reason codes.
+position and reason codes.  Each stage resolves the pair's withdrawn
+or unsupported systems into one set of names per pair, so a row costs
+a set lookup.
+
+A gap that lies within the float error bound of ``cutoff_gap`` is
+decided in exact arithmetic (``ranking.ExactScale``), so a gap of
+exactly ``cutoff_gap`` never draws the line, whatever its floats say.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .model import LanguagePair, RankedRow, RankingConfig, ReasonCode, SystemCategory, SystemEntry
-from .ranking import RankKey
+from .ranking import ExactScale, RankKey
 
 
-def find_cutoff(ordered: Sequence[RankKey], config: RankingConfig) -> int | None:
+def find_cutoff(
+    ordered: Sequence[RankKey], config: RankingConfig, exact: ExactScale | None = None
+) -> int | None:
     """Position of the first row below the quality line, or None.
 
-    Returns the smallest position p >= 2 whose exact aggregate exceeds
-    the previous row's by more than ``cutoff_gap``.  ``ordered`` is in
+    Returns the smallest position p >= 2 whose aggregate exceeds the
+    previous row's by more than ``cutoff_gap``.  ``ordered`` is in
     leaderboard order as ``order_rows`` returns it; only each key's
-    aggregate, its first element, is read.
+    aggregate, its first element, is read.  With ``exact``, a float gap
+    within ``exact.epsilon`` plus two ulps of ``cutoff_gap`` of the
+    limit is decided on the exact aggregates against the exact
+    ``Fraction(repr(cutoff_gap))``; without it, the floats decide.
     """
 
+    limit = config.cutoff_gap
+    slack = 0.0 if exact is None else exact.epsilon + 2 * math.ulp(limit)
     for position, (previous, current) in enumerate(zip(ordered, ordered[1:]), start=2):
-        if current[0] - previous[0] > config.cutoff_gap:
+        step = current[0] - previous[0]
+        if step > limit + slack:
             return position
+        if exact is not None and step >= limit - slack:
+            if exact.key(current[2])[0] - exact.key(previous[2])[0] > Fraction(repr(limit)):
+                return position
     return None
 
 
@@ -81,12 +99,13 @@ def select_for_human_eval(
     """
 
     closed_limit, open_limit = category_limits(len(ordered), config)
+    withdrawn = {key[2] for key in ordered if entries[key[2]].is_withdrawn(pair)}
     verdicts = []
     for position, key in enumerate(ordered, start=1):
-        entry = entries[key[2]]
-        category = entry.category
+        name = key[2]
+        category = entries[name].category
         exclusions: list[ReasonCode] = []
-        if entry.is_withdrawn(pair):
+        if name in withdrawn:
             exclusions.append(ReasonCode.EXCLUDED_WITHDRAWN)
         if cutoff_position is not None and position >= cutoff_position:
             exclusions.append(ReasonCode.EXCLUDED_BELOW_CUTOFF)
@@ -98,6 +117,7 @@ def select_for_human_eval(
     return verdicts
 
 
+_WITHDRAWN = ReasonCode.EXCLUDED_WITHDRAWN
 _SELECTED = {
     SystemCategory.CONSTRAINED: (ReasonCode.SELECTED_CONSTRAINED,),
     SystemCategory.OPEN: (ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,),
@@ -115,20 +135,21 @@ def apply_selection(
     """Build the finished rows, each once, with its position and reasons.
 
     ``verdicts`` is ``select_for_human_eval``'s result for the same
-    keys.  This is the one place a ranked pair's ``RankedRow``s are
-    constructed.
+    keys, so a row is withdrawn exactly when its reasons say so.  This
+    is the one place a ranked pair's ``RankedRow``s are constructed.
     """
 
+    unsupported = {key[2] for key in ordered if not entries[key[2]].claims_support(pair)}
     return [
         RankedRow(
-            system=entries[name],
-            raw_scores=dict(scores_by_system[name]),
-            normalized=normalized,
-            autorank_exact=autorank,
-            position=position,
-            withdrawn=entries[name].is_withdrawn(pair),
-            claimed_support=entries[name].claims_support(pair),
-            reasons=reasons,
+            entries[name],
+            dict(scores_by_system[name]),
+            normalized,
+            autorank,
+            position,
+            _WITHDRAWN in reasons,
+            name not in unsupported,
+            reasons,
         )
         for position, ((autorank, _, name, normalized), reasons) in enumerate(
             zip(ordered, verdicts), start=1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -647,6 +648,7 @@ class TestJsonConsistency:
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestTracedStages:
@@ -685,3 +687,43 @@ class TestEntrypoint:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 3
         capsys.readouterr()
+
+
+class TestHostileNames:
+    def test_terminal_escape_in_a_name_exits_with_one_line(self, inputs, capsys):
+        Path(inputs["systems"]).write_text(
+            REGISTRY.replace("Ada\t", "Ada\x1b[31m\t"), encoding="utf-8"
+        )
+        assert main(_rank(inputs, "--format", "text")) == ExitStatus.VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {inputs['systems']}: line 2: system name may not contain control or bidi "
+            "character U+001B: 'Ada\\x1b[31m'\n"
+        )
+
+
+class TestImportGraph:
+    """The CLI loads only what the command it runs needs."""
+
+    def _loaded(self, code: str) -> set[str]:
+        probe = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        return set(result.stdout.split("\n")[-2].split())
+
+    def test_importing_the_cli_loads_no_dataclasses_inspect_or_json(self):
+        loaded = self._loaded("import autorank.cli")
+        assert "autorank.cli" in loaded
+        assert not {"dataclasses", "inspect", "json"} & loaded
+
+    def test_text_ranking_never_loads_json(self):
+        rank = [
+            "rank", "--scores", str(DATA / "scores.tsv"), "--systems", str(DATA / "systems.tsv"),
+            "--format", "text",
+        ]
+        loaded = self._loaded(f"from autorank.cli import main\nassert main({rank!r}) == 0")
+        assert "autorank.render" in loaded
+        assert not {"dataclasses", "inspect", "json"} & loaded

@@ -145,8 +145,6 @@ class TestComparePair:
         assert any("autorank" in m for m in fine.mismatches)
 
     def test_order_inversion_detected_when_bands_disjoint(self, two_row_table):
-        from dataclasses import replace
-
         from autorank import LeaderboardTable
 
         # computed table puts B (aggregate 2.0) ahead of A (1.0); the
@@ -155,7 +153,7 @@ class TestComparePair:
         contradicted = LeaderboardTable(
             pair=two_row_table.pair,
             metrics=two_row_table.metrics,
-            rows=(replace(a, position=2), replace(b, position=1)),
+            rows=(a._replace(position=2), b._replace(position=1)),
             cutoff_position=None,
         )
         golden = {

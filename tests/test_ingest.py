@@ -275,3 +275,12 @@ def test_check_completeness_lists_holes_by_system_then_metric():
 
 def test_check_completeness_empty_pair_is_vacuously_rankable():
     check_completeness({}, _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh"))
+
+
+def test_parse_registry_rejects_terminal_escapes_in_names():
+    text = REGISTRY.replace("\n", "\nEvil\x1b[31m\topen\t0\t\n", 1)
+    with pytest.raises(ParseError) as info:
+        parse_registry(text)
+    assert str(info.value) == (
+        "line 2: system name may not contain control or bidi character U+001B: 'Evil\\x1b[31m'"
+    )

@@ -58,6 +58,40 @@ def test_system_entry_rejects_bad_names():
         SystemEntry(name="a\tb", category=SystemCategory.OPEN)
 
 
+@pytest.mark.parametrize(
+    "char",
+    ["\x1b", "\x00", "\r", "\x7f", "\x85", "\x9b", "\u2028", "\u2029"]
+    + [chr(c) for c in range(0x202A, 0x202F)]
+    + [chr(c) for c in range(0x2066, 0x206A)],
+)
+def test_system_entry_rejects_terminal_controls(char):
+    name = f"Evil{char}[31mSystem"
+    with pytest.raises(ValueError) as info:
+        SystemEntry(name=name, category=SystemCategory.OPEN)
+    assert str(info.value) == (
+        f"system name may not contain control or bidi character U+{ord(char):04X}: {name!r}"
+    )
+
+
+def test_system_entry_keeps_marks_and_joiners():
+    for name in ("Cafe\u0301", "a\u200db", "翻訳システム", "x\u20dd"):
+        assert SystemEntry(name=name, category=SystemCategory.OPEN).name == name
+
+
+def test_records_are_read_only():
+    pair = LanguagePair.from_code("cs-uk")
+    entry = SystemEntry(name="A", category=SystemCategory.OPEN)
+    for record, attr in ((pair, "source"), (entry, "name"), (RankingConfig(), "cutoff_gap")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, "x")
+        with pytest.raises(AttributeError):
+            record.extra = 1  # type: ignore[attr-defined]
+    assert hash(pair) == hash(LanguagePair("cs", "uk"))
+    assert hash(RankingConfig()) == hash(RankingConfig.from_dict({}))
+    with pytest.raises(ValueError, match="malformed language pair code"):
+        LanguagePair("EN", "de")
+
+
 def test_score_record_rejects_non_finite():
     # parse_scores never yields these; a hand-built index is checked by rank_pair
     pair = LanguagePair.from_code("en-de")
@@ -185,3 +219,6 @@ def test_ranked_row_verdict_is_read_from_reasons(reasons, selected, above_cutoff
     assert (row.selected, row.above_cutoff) == (selected, above_cutoff)
     with pytest.raises(AttributeError):
         row.selected = not selected  # type: ignore[misc]
+    # a copy re-reads the verdict from its reasons
+    copy = row._replace(reasons=(ReasonCode.EXCLUDED_BELOW_CUTOFF,))
+    assert (copy.selected, copy.above_cutoff, copy.name) == (False, False, "A")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import runpy
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -48,11 +49,15 @@ MX, CK = DEFAULT_METRICS
 PAIR = LanguagePair.from_code("xx-yy")
 
 _CODES = st.sampled_from(["cs-uk", "en-de", "en-ja", "xx-yy", "zz-ww", "ab-cd"])
-_NAMES = st.text(
-    alphabet=st.characters(codec="utf-8", exclude_characters="\t\n\r"),
-    min_size=1,
-    max_size=24,
-).filter(lambda s: s.strip() == s and s)
+# what a system name may not hold: controls (category Cc, tabs and
+# newlines included), line and paragraph separators, bidi controls
+_NAME_REJECTS = "\u2028\u2029\u202a\u202b\u202c\u202d\u202e\u2066\u2067\u2068\u2069"
+_NAME_CHARS = st.characters(
+    codec="utf-8", exclude_categories=("Cc",), exclude_characters=_NAME_REJECTS
+)
+_NAMES = st.text(alphabet=_NAME_CHARS, min_size=1, max_size=24).filter(
+    lambda s: s.strip() == s and s
+)
 _SCORES = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -254,12 +259,95 @@ def test_leaderboard_order_ignores_input_order(matrix, rng):
     assert rank_pair(registry, {PAIR: shuffled}, PAIR) == rank_pair(registry, {PAIR: matrix}, PAIR)
 
 
+def _exact_key(matrix, name):
+    """(aggregate, first metric's normalized value, name) in exact arithmetic."""
+    n = len(matrix)
+    ratios = []
+    for metric in DEFAULT_METRICS:
+        column = [Fraction(repr(row[metric.id])) for row in matrix.values()]
+        best = min(column) if metric.orientation is Orientation.LOWER_BETTER else max(column)
+        spread = max(column) - min(column)
+        value = Fraction(repr(matrix[name][metric.id]))
+        ratios.append(abs(value - best) / spread if spread else Fraction(0))
+    return (1 + n * sum(ratios) / len(ratios), 1 + n * ratios[0], name)
+
+
 @given(_columns())
 def test_order_is_sorted_and_positions_sequential(matrix):
+    # sorted by the exact key; the floats may split an exact tie either way
     ordered = rank_pair(_open_registry(matrix), {PAIR: matrix}, PAIR).rows
     assert [row.position for row in ordered] == list(range(1, len(ordered) + 1))
-    for left, right in zip(ordered, ordered[1:]):
-        assert left.autorank_exact <= right.autorank_exact
+    keys = [_exact_key(matrix, row.name) for row in ordered]
+    assert keys == sorted(keys)
+
+
+# --- exact decisions against the reference ranker ------------------------------
+
+# perfbench's exact-Fraction ranker, run from its file; it never imports autorank
+_ORACLE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"))
+
+
+def _gap_text(gap):
+    """``gap`` as decimal text a float round-trips (at most 15 digits), else None."""
+    text = str(Decimal(gap.numerator) / Decimal(gap.denominator))
+    if gap <= 0 or Fraction(text) != gap or len(Decimal(text).normalize().as_tuple().digits) > 15:
+        return None
+    return text
+
+
+@st.composite
+def _exact_campaigns(draw):
+    """One pair of 2-12 systems whose decisions hinge on exact ties.
+
+    Each column is a few steps of 0.1, 0.01 or 0.001 above 0, 1 or
+    1000, so exact aggregate ties are common, and the 1000.00x columns
+    are large in magnitude and narrow in range.  The cutoff gap is often
+    one of the exact gaps between neighbours, so a gap of exactly
+    ``cutoff_gap`` is common too.
+    """
+    n = draw(st.integers(2, 12))
+    names = [f"S{i:02d}" for i in draw(st.permutations(range(n)))]
+    texts = {name: {} for name in names}
+    for metric in DEFAULT_METRICS:
+        base = Decimal(draw(st.sampled_from([0, 1, 1000])))
+        places = draw(st.integers(1, 3))
+        top = draw(st.sampled_from([1, 2, 4, 10]))
+        for name in names:
+            step = Decimal(draw(st.integers(0, top))).scaleb(-places)
+            texts[name][metric.id] = str(base + step)
+    categories = [draw(st.sampled_from(["constrained", "open", "closed"])) for _ in names]
+    withdrawn = [draw(st.sampled_from(["0", "0", "1", PAIR.code])) for _ in names]
+    systems = "system\tcategory\twithdrawn\tunsupported_pairs\n" + "".join(
+        f"{name}\t{category}\t{flag}\t\n"
+        for name, category, flag in zip(names, categories, withdrawn)
+    )
+    span = draw(st.sampled_from(ScaleSpan)).value
+    config = {
+        "cutoff_gap": "1.5", "closed_fraction": "1/3", "open_fraction": "2/3", "scale_span": span
+    }
+    oracle_systems = _ORACLE["read_systems"](systems)
+    order = _ORACLE["rank"](PAIR.code, texts, oracle_systems, config).rows
+    gaps = {_gap_text(b.aggregate - a.aggregate) for a, b in zip(order, order[1:])} - {None}
+    config["cutoff_gap"] = draw(st.sampled_from(sorted(gaps) + ["0.5", "1.5", "2.5"]))
+    return texts, systems, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_campaigns())
+def test_decisions_match_the_exact_reference_ranker(campaign):
+    texts, systems, config = campaign
+    expected = _ORACLE["rank"](PAIR.code, texts, _ORACLE["read_systems"](systems), config)
+    registry = parse_registry(systems)
+    scores = {PAIR: {name: {m: float(v) for m, v in row.items()} for name, row in texts.items()}}
+    ranking_config = RankingConfig(
+        cutoff_gap=float(config["cutoff_gap"]), scale_span=ScaleSpan(config["scale_span"])
+    )
+    table = rank_pair(registry, scores, PAIR, DEFAULT_METRICS, ranking_config)
+    assert [row.name for row in table.rows] == [row.system for row in expected.rows]
+    assert table.cutoff_position == expected.cutoff_position
+    assert [{code.value for code in row.reasons} for row in table.rows] == [
+        set(row.reasons) for row in expected.rows
+    ]
 
 
 # --- selection ---------------------------------------------------------------
@@ -434,7 +522,11 @@ def _report_tables(draw):
     """
     names = draw(
         st.lists(
-            _JSON_TEXT.filter(lambda s: s and "\t" not in s and "\n" not in s),
+            st.text(
+                alphabet=st.one_of(st.sampled_from('"\\/\U0001d11e😀翻訳システム'), _NAME_CHARS),
+                min_size=1,
+                max_size=12,
+            ),
             min_size=1,
             max_size=8,
             unique=True,

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+from fractions import Fraction
 from statistics import fmean
 
 import pytest
@@ -19,6 +19,7 @@ from autorank import (
     rank_pair,
 )
 from autorank.ranking import (
+    ExactScale,
     NormalizationContext,
     build_context,
     compute_autorank,
@@ -275,21 +276,64 @@ def test_order_is_input_order_invariant():
 
 def test_rank_pair_builds_each_row_once(monkeypatch):
     built = []
-    init = RankedRow.__init__
+    new = RankedRow.__new__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("system"))
-        init(self, *args, **kwargs)
+    def counting_new(cls, system, *args):
+        built.append(system)
+        return new(cls, system, *args)
 
-    def no_replace(*args, **kwargs):
-        raise AssertionError("dataclasses.replace called on the rank path")
-
-    # replace() builds its copy through __init__, so the count sees it too
-    monkeypatch.setattr(RankedRow, "__init__", counting_init)
-    monkeypatch.setattr(dataclasses, "replace", no_replace)
+    # every RankedRow, _replace copies included, is built through __new__
+    monkeypatch.setattr(RankedRow, "__new__", staticmethod(counting_new))
     matrix = {f"S{i}": {MX.id: float(i), CK.id: 1.0 / (i + 1)} for i in range(7)}
     registry = [_entry(name, category) for name, category in zip(matrix, list(SystemCategory) * 3)]
     table = rank_pair(registry, {CSUK: matrix}, CSUK)
     assert len(table.rows) == 7
     assert len(built) == 7
     assert {entry.name for entry in built} == set(matrix)
+
+
+def test_exact_aggregate_tie_is_not_split_by_float_rounding():
+    # A and C both aggregate to exactly 13/7; A's better MetricX breaks the
+    # tie, although C's float aggregate comes out one ulp lower
+    matrix = {
+        "A": {MX.id: 1.1, CK.id: 1.3},
+        "B": {MX.id: 1.8, CK.id: 1.2},
+        "C": {MX.id: 1.4, CK.id: 1.6},
+        "D": {MX.id: 1.7, CK.id: 0.9},
+    }
+    rows = rank_pair([_entry(name) for name in matrix], {CSUK: matrix}, CSUK).rows
+    assert [row.name for row in rows] == ["A", "C", "B", "D"]
+    assert rows[1].autorank_exact < rows[0].autorank_exact  # the floats, unchanged
+
+
+def test_gap_of_exactly_cutoff_gap_draws_no_line():
+    # B sits exactly 1.5 below A (1 + 3 * 1/2 = 2.5), which is not more
+    # than cutoff_gap; its float aggregate is a hair above 2.5
+    matrix = {
+        "A": {MX.id: 1.5, CK.id: 1.9},
+        "B": {MX.id: 1.6, CK.id: 1.3},
+        "C": {MX.id: 1.7, CK.id: 0.7},
+    }
+    table = rank_pair([_entry(name) for name in matrix], {CSUK: matrix}, CSUK)
+    assert [row.name for row in table.rows] == ["A", "B", "C"]
+    assert table.rows[1].autorank_exact - table.rows[0].autorank_exact > 1.5
+    assert table.cutoff_position is None
+    assert all(row.above_cutoff for row in table.rows)
+
+
+@pytest.mark.parametrize("low,high", [(0.0, 0.004), (1000.001, 1000.004), (-1e6, 1e6)])
+def test_exact_scale_epsilon_covers_the_float_error(low, high):
+    # every pair of float aggregates lies within epsilon of its exact difference
+    step = (high - low) / 7
+    matrix = {
+        f"S{i}": {MX.id: low + step * i, CK.id: low + step * ((3 * i) % 8)} for i in range(8)
+    }
+    context = build_context(CSUK, matrix, DEFAULT_METRICS)
+    keys = compute_autorank(matrix, context, DEFAULT_METRICS, RankingConfig())
+    exact = ExactScale(matrix, context, DEFAULT_METRICS, RankingConfig())
+    for first in keys:
+        for second in keys:
+            float_gap = second[0] - first[0]
+            exact_gap = exact.key(second[2])[0] - exact.key(first[2])[0]
+            assert abs(Fraction(float_gap) - exact_gap) <= Fraction(exact.epsilon)
+    assert exact.epsilon < 1e-6

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -124,8 +123,8 @@ class TestText:
     def test_wide_characters_count_two_columns(self):
         # each CJK character fills two terminal columns, so the rows still line up
         table = _tiny_table()
-        wide = replace(table.rows[1], system=SystemEntry("翻訳システム", SystemCategory.OPEN))
-        table = replace(table, rows=(table.rows[0], wide))
+        wide = table.rows[1]._replace(system=SystemEntry("翻訳システム", SystemCategory.OPEN))
+        table = table._replace(rows=(table.rows[0], wide))
         assert render_table(table, _opts(TableFormat.TEXT)) == (
             "xx-yy  (N=2)\n"
             "System Name       AutoRank ↓  MetricX ↓  CometKiwi ↑  Human eval?\n"
@@ -134,6 +133,18 @@ class TestText:
             "○ ⊘ 翻訳システム         1.5        1.0          0.5            ✓\n"
         )
 
+    @pytest.mark.parametrize("name", ["Cafe\u0301", "Cafe\u20dd", "Ca\u200dfe"])
+    def test_zero_width_characters_take_no_column(self, name):
+        # a combining or enclosing mark, or a joiner, adds nothing to the
+        # row's width: it renders exactly like the plain four letters
+        table = _tiny_table()
+
+        def rendered(system_name):
+            row = table.rows[1]._replace(system=SystemEntry(system_name, SystemCategory.OPEN))
+            return render_table(table._replace(rows=(table.rows[0], row)), _opts(TableFormat.TEXT))
+
+        assert rendered(name).replace(name, "Cafe") == rendered("Cafe")
+
     def test_no_cutoff_no_dashed_rule(self, tables):
         table = tables["cs-uk"]
         below = ReasonCode.EXCLUDED_BELOW_CUTOFF
@@ -141,7 +152,7 @@ class TestText:
             pair=table.pair,
             metrics=table.metrics,
             rows=tuple(
-                replace(r, reasons=tuple(c for c in r.reasons if c is not below))
+                r._replace(reasons=tuple(c for c in r.reasons if c is not below))
                 for r in table.rows
             ),
             cutoff_position=None,
@@ -237,8 +248,8 @@ class TestLatex:
     def test_hostile_name_escaped_in_one_pass(self):
         table = _tiny_table()
         hostile = SystemEntry(name="c\\~^ & {x}_1", category=SystemCategory.CLOSED)
-        rows = (replace(table.rows[0], system=hostile),) + table.rows[1:]
-        out = render_table(replace(table, rows=rows), _opts(TableFormat.LATEX))
+        rows = (table.rows[0]._replace(system=hostile),) + table.rows[1:]
+        out = render_table(table._replace(rows=rows), _opts(TableFormat.LATEX))
         assert out.splitlines()[3] == (
             "\\closedtrack{c\\textbackslash{}\\textasciitilde{}\\textasciicircum{} "
             "\\& \\{x\\}\\_1 & 1.0 & 1.0 & 0.5 & "
