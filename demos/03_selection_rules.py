@@ -6,14 +6,8 @@ How systems qualify for human evaluation
 
 from pathlib import Path
 
-from autorank import (
-    DEFAULT_METRICS,
-    LanguagePair,
-    parse_registry,
-    parse_scores,
-    rank_pair,
-    category_limits,
-)
+from autorank import DEFAULT_METRICS, LanguagePair, parse_registry, parse_scores, rank_pair
+from autorank.selection import category_limits
 
 data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 registry = parse_registry((data / "systems.tsv").read_text())

@@ -31,7 +31,6 @@ from .model import (
 )
 from .pipeline import rank_pair
 from .render import RenderOptions, TableFormat, render_report, render_table
-from .selection import category_limits
 
 __version__ = "0.1.0"
 
@@ -51,7 +50,6 @@ __all__ = [
     "SystemCategory",
     "SystemEntry",
     "TableFormat",
-    "category_limits",
     "compare_pair",
     "display_str",
     "parse_allow_list",

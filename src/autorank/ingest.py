@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from typing import Iterable, Mapping, Sequence
 
 from .model import LanguagePair, MetricSpec, SystemCategory, SystemEntry
@@ -28,6 +29,9 @@ MANIFEST_HEADER = "pair\tsegments\twords"
 # float() is looser than we want (it takes "1_0", "nan" and "٣"); scores
 # in files must look like ordinary decimal or scientific notation
 _NUMBER = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
+# a nonzero score under the smallest normal float would lose its digits
+_NONZERO_MANTISSA = re.compile(r"^[^eE]*[1-9]")
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 class ParseError(ValueError):
@@ -121,9 +125,10 @@ def parse_scores(
     """Parse a scores file into pair -> system name -> metric id -> score.
 
     Rejects unknown systems, unknown metrics, non-finite or non-numeric
-    scores, and duplicate (pair, system, metric) triples.  Pairs,
-    systems and metrics keep the order they first appear in.  Each
-    distinct pair token is parsed once.
+    scores, nonzero scores too small for a normal float (they would read
+    as zero or lose digits), and duplicate (pair, system, metric)
+    triples.  Pairs, systems and metrics keep the order they first
+    appear in.  Each distinct pair token is parsed once.
     """
 
     known_systems = {entry.name for entry in registry}
@@ -144,6 +149,12 @@ def parse_scores(
         score = float(score_token)
         if not math.isfinite(score):
             raise ParseError(line, f"score must be finite, got {score_token!r}")
+        if abs(score) < _SMALLEST_NORMAL and _NONZERO_MANTISSA.match(score_token):
+            raise ParseError(
+                line,
+                f"score {score_token!r} is too small for a float: a nonzero score needs"
+                f" a magnitude of at least {_SMALLEST_NORMAL!r}",
+            )
         row = matrix.setdefault(system, {})
         if metric in row:
             raise ParseError(line, f"duplicate score for {pair_token}/{system}/{metric}")

@@ -10,8 +10,10 @@ attribute raises ``AttributeError``, and equality, hashing and ordering
 are the tuple's, done in C.  A record that validates its fields, or
 derives some from others, does so in ``__new__``; a ``RankedRow``
 stores its ``name``, ``category``, ``selected`` and ``above_cutoff``
-once, when it is built.  Floats are what a record keeps; how ties
-between them are decided exactly is :mod:`autorank.ranking`'s business.
+once, when it is built, and its ``autorank_display`` too.  The floats
+a record keeps are output values; every decision is made on the exact
+integers of :mod:`autorank.ranking`, and ``_tenths`` is the one rule
+that rounds a displayed aggregate.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 _PAIR_CODE = re.compile(r"^[a-z]{2}-[a-z]{2}$")
 # category Cc (C0, DEL, C1), the line and paragraph separators, and the
@@ -169,7 +170,6 @@ class ScaleSpan(Enum):
 
 # a ranking rule, not a setting: aggregates display with one decimal
 DISPLAY_DECIMALS = 1
-_DISPLAY_QUANTUM = Decimal(1).scaleb(-DISPLAY_DECIMALS)
 # how from_dict reads each field back from the text as_dict wrote
 _CONFIG_PARSERS = dict(
     cutoff_gap=float, closed_fraction=Fraction, open_fraction=Fraction, scale_span=ScaleSpan
@@ -262,14 +262,30 @@ class ReasonCode(Enum):
         return self.name.startswith("SELECTED")
 
 
-def display_str(value: float) -> str:
-    """The display form of ``value``: one decimal, ties away from zero.
+def _tenths(numerators: Iterable[int], denominator: int) -> list[str]:
+    """Each ``numerator / denominator`` with one decimal, halves rounded up.
 
-    Built on :class:`decimal.Decimal` over the shortest repr, so 2.25
-    shows as 2.3 regardless of the binary representation underneath.
+    The one rounding rule for displayed aggregates.  ``denominator`` is
+    positive and every numerator non-negative.
     """
 
-    return str(Decimal(repr(value)).quantize(_DISPLAY_QUANTUM, rounding=ROUND_HALF_UP))
+    twice = 2 * denominator
+    return [
+        f"{tenths // 10}.{tenths % 10}"
+        for numerator in numerators
+        for tenths in [(20 * numerator + denominator) // twice]
+    ]
+
+
+def display_str(value: float | Fraction) -> str:
+    """The display form of ``value``: one decimal, ties away from zero.
+
+    A float is read as the decimal of its shortest repr, so 2.25 shows
+    as 2.3 regardless of the binary representation underneath.
+    """
+
+    exact = Fraction(repr(value)) if isinstance(value, float) else Fraction(value)
+    return "-" * (exact < 0) + _tenths([abs(exact.numerator)], exact.denominator)[0]
 
 
 # the codes RankedRow reads its verdict from
@@ -281,7 +297,7 @@ class RankedRow(
     namedtuple(
         "RankedRow",
         "system raw_scores normalized autorank_exact position withdrawn claimed_support"
-        " reasons name category selected above_cutoff",
+        " reasons autorank_display name category selected above_cutoff",
     )
 ):
     """One system's line in a finished leaderboard.
@@ -289,11 +305,13 @@ class RankedRow(
     ``withdrawn`` and ``claimed_support`` are the entry's flags resolved
     against the table's language pair.  ``reasons`` is the row's
     verdict: exactly one selected code, or every exclusion code that
-    applies.  The constructor takes the first eight fields and stores
-    the last four with them, read once: ``name`` and ``category`` from
-    ``system``, ``selected`` (the first code is a selected code) and
-    ``above_cutoff`` (no ``excluded_below_cutoff`` code) from
-    ``reasons``.
+    applies.  ``autorank_display`` is the shown aggregate, rounded from
+    the exact one by the ranker (by default ``display_str`` of
+    ``autorank_exact``).  The constructor takes the first nine fields
+    and stores the last four with them, read once: ``name`` and
+    ``category`` from ``system``, ``selected`` (the first code is a
+    selected code) and ``above_cutoff`` (no ``excluded_below_cutoff``
+    code) from ``reasons``.
     """
 
     __slots__ = ()
@@ -308,6 +326,7 @@ class RankedRow(
         withdrawn: bool = False,
         claimed_support: bool = True,
         reasons: tuple[ReasonCode, ...] = (),
+        autorank_display: str | None = None,
     ) -> "RankedRow":
         return tuple.__new__(
             cls,
@@ -320,6 +339,7 @@ class RankedRow(
                 withdrawn,
                 claimed_support,
                 reasons,
+                display_str(autorank_exact) if autorank_display is None else autorank_display,
                 system.name,
                 system.category,
                 bool(reasons) and reasons[0] in _SELECTED_CODES,
@@ -328,8 +348,8 @@ class RankedRow(
         )
 
     def _replace(self, **changes: object) -> "RankedRow":
-        """A copy with some of the first eight fields changed; the rest follow."""
-        inputs = self._fields[:8]
+        """A copy with some of the first nine fields changed; the rest follow."""
+        inputs = self._fields[:9]
         return RankedRow(*[changes.pop(f, v) for f, v in zip(inputs, self)], **changes)
 
 

@@ -1,10 +1,10 @@
 """End-to-end assembly: parsed scores in, finished leaderboard out.
 
-Each stage runs once per pair.  Every system becomes a plain sort key
-(``ranking.RankKey``); near-ties in the order and at the cutoff are
-decided exactly (``ranking.ExactScale``), the cutoff and reason codes
-are decided on the ordered keys, and ``apply_selection`` builds each
-``RankedRow`` once.
+Each stage runs once per pair.  ``build_context`` scales the pair's
+scores to exact integers, every system becomes a plain sort key
+(``ranking.RankKey``) whose integer decides its order, the cutoff and
+reason codes are decided on the ordered keys, and ``apply_selection``
+builds each ``RankedRow`` once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .model import (
     RankingConfig,
     SystemEntry,
 )
-from .ranking import ExactScale, build_context, compute_autorank, order_rows
+from .ranking import build_context, compute_autorank, order_rows
 from .selection import apply_selection, find_cutoff, select_for_human_eval
 
 
@@ -59,10 +59,8 @@ def rank_pair(
 
     entries = {entry.name: entry for entry in registry}
     context = build_context(pair, matrix, metrics)
-    keys = compute_autorank(matrix, context, metrics, config)
-    exact = ExactScale(matrix, context, metrics, config)
-    ordered = order_rows(keys, exact)
-    cutoff = find_cutoff(ordered, config, exact)
+    ordered = order_rows(compute_autorank(matrix, context, config))
+    cutoff = find_cutoff(ordered, config, context[0])
     verdicts = select_for_human_eval(ordered, cutoff, entries, pair, config)
     final = apply_selection(ordered, verdicts, entries, matrix, pair)
     return LeaderboardTable(

@@ -1,83 +1,89 @@
-"""Rank normalization and aggregation.
+"""Rank normalization and aggregation, decided on one exact integer key.
 
 Each metric column is rescaled linearly onto rank units before
 averaging, so metrics with very different native scales contribute
-equally.  For a pair with N ranked systems and a metric whose observed
-best and worst raw scores are b and w:
+equally.  On a metric, a system's disadvantage d is its distance from
+the best observed score (``s - b`` for lower-is-better metrics,
+``b - s`` for higher-is-better ones), D is the worst system's, and
 
-    normalized(s) = 1 + span * disadvantage(s) / disadvantage(w)
+    normalized = 1 + span * d / D
 
-where disadvantage(s) is ``s - b`` for lower-is-better metrics and
-``b - s`` for higher-is-better ones, and span is N (default) or N - 1
-depending on configuration.  The best observed score therefore maps to
-exactly 1.0 and the worst to exactly 1 + span.  A degenerate column
-where every system scored the same maps everyone to 1.0.
+with span N, the number of ranked systems, or N - 1.  The best score
+maps to 1, the worst to 1 + span, and a column where everyone scored
+the same maps everyone to 1.  The aggregate ("autorank") is the mean
+of the normalized values.
 
-The aggregate ("autorank") is the arithmetic mean of the normalized
-values across metrics, computed at full float precision.  Rounding
-happens only at display time (``model.display_str``).
-
-No row is built here.  ``compute_autorank`` turns each system into a
-plain ``RankKey`` tuple, with each column's constants computed once per
-pair, and ``order_rows`` sorts the keys into leaderboard order.  The
-selection stages decide on the ordered keys and
-``selection.apply_selection`` builds each ``RankedRow`` once.
-
-Ties are decided exactly.  The floats are sorted first; ``ExactScale``
-bounds their rounding error, and only the keys whose float aggregates
-lie within that bound of a neighbour are compared again, in ``Fraction``
-arithmetic on each score's shortest ``repr``.  The exact order is the
-order of (aggregate, first metric's normalized value, system name),
-and ``selection.find_cutoff`` decides a gap near ``cutoff_gap`` the same
-way.  Floats stay the values every row carries and every format prints.
+Every decision is made on integers.  A score is the decimal of its
+``repr``; ``build_context`` scales each column by one power of ten, so
+every d_m and D_m is an integer (D_m = 1 for a constant column).  With
+M metrics, K = sum_m d_m * prod_{k != m} D_k makes the aggregate
+exactly 1 + span * K / (M * prod D).  ``compute_autorank`` keys each
+system by (K, d_1 times a positive constant, name) and rounds its
+display from K; ``selection.find_cutoff`` compares gaps in K with
+``cutoff_gap``.  The floats a row carries, ``autorank_exact`` (``fsum``
+over M) and the normalized values (``1.0 + span * (d / D)``), are
+output only.  No row is built here.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import LanguagePair, MetricSpec, Orientation, RankingConfig, ScaleSpan
+from .model import LanguagePair, MetricSpec, Orientation, RankingConfig, ScaleSpan, _tenths
+
+# 10.0**k is exact for k <= 22; adding and subtracting 1.5 * 2**52
+# rounds a float under 2**51 in magnitude to an integer
+_POWERS = [10.0**k for k in range(23)]
+_FAST_LIMIT = 2.0**50
+_ROUNDER = 1.5 * 2.0**52
 
 
-class NormalizationContext(namedtuple("NormalizationContext", "pair n_systems best worst")):
-    """Observed per-metric extremes for one language pair.
+def _decimal(x: float) -> tuple[int, int]:
+    """(digits, places): the decimal of ``repr(x)`` is digits / 10**places."""
 
-    ``best`` and ``worst`` map metric ids to raw scores actually attained
-    by some participant; ``n_systems`` counts the participants being
-    ranked.  The context pins down the linear rescaling completely, so
-    holding it fixed makes normalization a pure function of the score.
+    mantissa, _, exponent = repr(x).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return int(whole + fraction), len(fraction) - int(exponent or 0)
+
+
+def _decimal_column(column: list[float], low: float, high: float) -> list[int]:
+    """Each score's ``repr`` decimal times 10**k, for one k per column.
+
+    ``low`` and ``high`` are the column's extremes, and k is the most
+    decimals either one's repr has.  While max|x| * 10**k < 2**50,
+    x * 10.0**k lies within 1/4 of an integer i when x's repr has at
+    most k decimals, and the exactly rounded check ``i / 10.0**k == x``
+    admits only that i, as the multiples of 10**-k lie over four float
+    spacings apart (so the shortest decimal that rounds to x has at most
+    k decimals too).  A column that fails the check, with more decimals
+    inside than at its extremes or with a subnormal score, is read from
+    each repr's digits.
     """
 
-    __slots__ = ()
+    k = max(_decimal(low)[1], _decimal(high)[1])
+    if 0 <= k <= 22 and max(-low, high) * _POWERS[k] < _FAST_LIMIT:
+        scale = _POWERS[k]
+        rounded = [(x * scale + _ROUNDER) - _ROUNDER for x in column]
+        if [r / scale for r in rounded] == column:
+            return list(map(int, rounded))
+    parts = [_decimal(x) for x in column]
+    k = max(places for _, places in parts)
+    return [digits * 10 ** (k - places) for digits, places in parts]
 
-    def __new__(
-        cls,
-        pair: LanguagePair,
-        n_systems: int,
-        best: Mapping[str, float],
-        worst: Mapping[str, float],
-    ) -> "NormalizationContext":
-        if n_systems < 1:
-            raise ValueError("a normalization context needs at least one system")
-        if set(best) != set(worst):
-            raise ValueError("best and worst must cover the same metrics")
-        return tuple.__new__(cls, (pair, n_systems, best, worst))
 
-    def worst_disadvantage(self, metric: MetricSpec) -> float:
-        """Distance of the worst score from the best, in raw units. Never negative."""
-        b, w = self.best[metric.id], self.worst[metric.id]
-        return w - b if metric.orientation is Orientation.LOWER_BETTER else b - w
+# (unit, per metric: (id, float best, float worst disadvantage, each
+# system's integer d_m(s) * prod_{k != m} D_k in matrix order)), where
+# unit = M * prod_k D_k
+Context = tuple[int, list[tuple[str, float, float, list[int]]]]
 
 
 def build_context(
     pair: LanguagePair,
     scores_by_system: Mapping[str, Mapping[str, float]],
     metrics: Iterable[MetricSpec],
-) -> NormalizationContext:
-    """Extract observed extremes from a complete score matrix.
+) -> Context:
+    """Scale a complete score matrix to exact integer disadvantages.
 
     Args:
         pair: the direction being ranked.
@@ -87,217 +93,98 @@ def build_context(
         metrics: the metric columns, with orientations.
 
     Returns:
-        The context for ``normalize_score``.
+        The pair's ``Context`` for ``compute_autorank``; its unit is
+        what ``find_cutoff`` measures gaps against.
 
     Raises:
-        ValueError: empty matrix, or a metric whose best and worst
-            scores lie further apart than a float can hold.
+        ValueError: empty matrix, no metric, or a metric whose best and
+            worst scores lie further apart than a float can hold.
     """
 
     if not scores_by_system:
         raise ValueError(f"no participants for {pair}")
-    best: dict[str, float] = {}
-    worst: dict[str, float] = {}
+    rows = scores_by_system.values()
+    columns = []
     for metric in metrics:
-        column = [row[metric.id] for row in scores_by_system.values()]
+        column = [row[metric.id] for row in rows]
         low, high = min(column), max(column)
         if not math.isfinite(high - low):
             raise ValueError(
                 f"{pair} score range for {metric.id} is not finite: {low!r} to {high!r}"
             )
+        exact = _decimal_column(column, low, high)
+        exact_low, exact_high = min(exact), max(exact)
         if metric.orientation is Orientation.LOWER_BETTER:
-            best[metric.id], worst[metric.id] = low, high
+            best, exact_best = low, exact_low
         else:
-            best[metric.id], worst[metric.id] = high, low
-    return NormalizationContext(pair=pair, n_systems=len(scores_by_system), best=best, worst=worst)
+            best, exact_best = high, exact_high
+        worst = exact_high - exact_low or 1
+        columns.append((metric.id, best, high - low, exact, exact_best, worst))
+    if not columns:
+        raise ValueError("ranking needs at least one metric")
+    product = math.prod(worst for *_, worst in columns)
+    return len(columns) * product, [
+        (metric_id, best, spread, [abs(i - exact_best) * factor for i in exact])
+        for metric_id, best, spread, exact, exact_best, worst in columns
+        for factor in [product // worst]
+    ]
 
 
-def _normalize_column(
-    metric: MetricSpec,
-    context: NormalizationContext,
-    config: RankingConfig,
-    scores: list[float],
-) -> list[float]:
-    """``normalize_score`` over a column of scores, its constants computed once."""
-
-    if metric.id not in context.best:
-        raise ValueError(f"metric {metric.id!r} not covered by this context")
-    best = context.best[metric.id]
-    worst_disadvantage = context.worst_disadvantage(metric)
-    if metric.orientation is Orientation.LOWER_BETTER:
-        disadvantages = [score - best for score in scores]
-    else:
-        disadvantages = [best - score for score in scores]
-    if disadvantages and (min(disadvantages) < 0 or max(disadvantages) > worst_disadvantage):
-        score = next(
-            score
-            for score, disadvantage in zip(scores, disadvantages)
-            if disadvantage < 0 or disadvantage > worst_disadvantage
-        )
-        raise ValueError(
-            f"score {score!r} for {metric.id!r} outside observed range "
-            f"[{best!r}, {context.worst[metric.id]!r}]"
-        )
-    if worst_disadvantage == 0:
-        # every participant scored identically on this metric
-        return [1.0] * len(scores)
-    n = context.n_systems
-    span = n if config.scale_span is ScaleSpan.FULL_N else n - 1
-    # divide before scaling: the worst score's ratio is then exactly 1.0,
-    # keeping both scale endpoints exact in float arithmetic
-    return [1.0 + span * (disadvantage / worst_disadvantage) for disadvantage in disadvantages]
-
-
-def normalize_score(
-    score: float,
-    metric: MetricSpec,
-    context: NormalizationContext,
-    config: RankingConfig,
-) -> float:
-    """Map one raw score onto the rank scale.
-
-    The score must lie within the context's observed range for the
-    metric; anything outside it means the context was built from
-    different data, which is a caller bug worth failing loudly on.
-    """
-
-    return _normalize_column(metric, context, config, [score])[0]
-
-
-# (autorank_exact, first metric's normalized value, system name,
-# metric id -> normalized value); names are unique within a pair, so
-# tuple order is the leaderboard order and the mapping is never compared
-RankKey = tuple[float, float, str, dict[str, float]]
+# (K, first metric's weighted disadvantage, system name, autorank_exact,
+# metric id -> normalized value, displayed aggregate); names are unique
+# within a pair, so the first three decide the order and the rest is
+# never compared
+RankKey = tuple[int, int, str, float, dict[str, float], str]
 
 
 def compute_autorank(
     scores_by_system: Mapping[str, Mapping[str, float]],
-    context: NormalizationContext,
-    metrics: tuple[MetricSpec, ...],
+    context: Context,
     config: RankingConfig,
 ) -> list[RankKey]:
-    """Normalize every system's scores and average them into its sort key.
+    """Give every system its sort key, float output values and display.
 
     Args:
         scores_by_system: complete matrix, system -> metric -> raw score
             (see ``check_completeness``).
-        context: observed extremes for this pair (see ``build_context``).
-        metrics: metric columns in display order; the first breaks
-            aggregate ties.
+        context: the pair's integer columns (see ``build_context``).
         config: scale span.
 
     Returns:
         One ``RankKey`` per system, in matrix order.
     """
 
-    if not metrics:
-        raise ValueError("ranking needs at least one metric")
+    unit, columns = context
+    n = len(scores_by_system)
+    span = n if config.scale_span is ScaleSpan.FULL_N else n - 1
     rows = scores_by_system.values()
-    ids = [m.id for m in metrics]
-    columns = [_normalize_column(m, context, config, [row[m.id] for row in rows]) for m in metrics]
+    ids = [metric_id for metric_id, *_ in columns]
+    # divide before scaling: the worst score's ratio is then exactly 1.0,
+    # keeping both scale endpoints exact in float arithmetic
+    normalized = [
+        [1.0 + span * (abs(row[metric_id] - best) / spread) for row in rows]
+        if spread
+        else [1.0] * n
+        for metric_id, best, spread, _ in columns
+    ]
+    weighted = [exact for *_, exact in columns]
+    keys = list(map(sum, zip(*weighted)))
+    displays = _tenths([unit + span * k for k in keys], unit)
+    m = len(ids)
     # fsum(values) / M is statistics.fmean(values), bit for bit
     return [
-        (math.fsum(values) / len(ids), values[0], name, dict(zip(ids, values)))
-        for name, values in zip(scores_by_system, zip(*columns))
+        (k, first, name, math.fsum(values) / m, dict(zip(ids, values)), display)
+        for name, k, first, values, display in zip(
+            scores_by_system, keys, weighted[0], zip(*normalized), displays
+        )
     ]
 
 
-class ExactScale:
-    """Exact rank-unit arithmetic for one pair, used only near float ties.
-
-    ``key(name)`` is a system's (aggregate, first metric's normalized
-    value, name) in ``Fraction`` arithmetic on ``Fraction(repr(score))``:
-    the decimal each score was written as, when it was written with at
-    most 15 significant digits.  Keys are computed on demand and kept.
-
-    ``epsilon`` bounds how far the float difference of two aggregates,
-    as ``compute_autorank`` and one float subtraction produce them, can
-    lie from the exact difference.  With ``ulp = math.ulp``, N systems,
-    M metrics, and per column its largest magnitude S = max(|b|, |w|)
-    and float range R = |w - b|:
-
-    * a float score lies within ulp(S)/2 of its repr's value, and each
-      float subtraction ``s - b`` or ``w - b`` is off by at most
-      ulp(R)/2 <= ulp(S), so both disadvantages are within
-      delta = 2 ulp(S) of the exact ones;
-    * then ``d / D`` is within 2 delta / R of the exact ratio (d <= D),
-      plus ulp(1)/2 for the division; times span <= N, plus ulp(N)/2
-      for the product and ulp(N+1)/2 for adding 1, a normalized value
-      is off by at most e_m = N (4 ulp(S) / R + ulp(1)/2) + ulp(N+1),
-      and by nothing on a constant column (R = 0: every value is 1.0);
-    * ``fsum`` rounds once and the division by M once, so an aggregate
-      is off by at most e = sum(e_m) / M + 2 ulp(N+1);
-    * the float difference of two aggregates is off by at most 2 e,
-      plus ulp(N+1)/2 for the subtraction.
-
-    ``epsilon`` is at least twice that, 4 e + 2 ulp(N+1): a loose bound
-    only sends more keys to an exact comparison, a tight one would let
-    a float decide a tie.  A tiny range R makes it large, even
-    infinite, and then every key of the pair is compared exactly.
-    """
-
-    __slots__ = ("epsilon", "_matrix", "_columns", "_span", "_keys")
-
-    def __init__(
-        self,
-        matrix: Mapping[str, Mapping[str, float]],
-        context: NormalizationContext,
-        metrics: tuple[MetricSpec, ...],
-        config: RankingConfig,
-    ) -> None:
-        n = context.n_systems
-        unit = math.ulp(n + 1)
-        per_column = 0.0
-        # (metric id, exact best score, exact worst disadvantage)
-        self._columns: list[tuple[str, Fraction, Fraction]] = []
-        for metric in metrics:
-            best, worst = context.best[metric.id], context.worst[metric.id]
-            spread = abs(worst - best)
-            if spread:
-                magnitude = max(abs(best), abs(worst))
-                per_column += n * (4 * math.ulp(magnitude) / spread + math.ulp(1.0) / 2) + unit
-            exact_best = Fraction(repr(best))
-            self._columns.append((metric.id, exact_best, abs(Fraction(repr(worst)) - exact_best)))
-        self.epsilon = 4 * (per_column / len(metrics) + 2 * unit) + 2 * unit
-        self._matrix = matrix
-        self._span = n if config.scale_span is ScaleSpan.FULL_N else n - 1
-        self._keys: dict[str, tuple[Fraction, Fraction, str]] = {}
-
-    def key(self, name: str) -> tuple[Fraction, Fraction, str]:
-        key = self._keys.get(name)
-        if key is None:
-            raw = self._matrix[name]
-            ratios = [
-                abs(Fraction(repr(raw[metric_id])) - best) / spread if spread else Fraction(0)
-                for metric_id, best, spread in self._columns
-            ]
-            aggregate = 1 + self._span * sum(ratios) / len(ratios)
-            key = self._keys[name] = (aggregate, 1 + self._span * ratios[0], name)
-        return key
-
-
-def order_rows(keys: Iterable[RankKey], exact: ExactScale | None = None) -> list[RankKey]:
+def order_rows(keys: Iterable[RankKey]) -> list[RankKey]:
     """Sort keys into leaderboard order; a key's index plus one is its position.
 
-    Ties on the aggregate break by the first metric's normalized value,
-    then by system name.  With ``exact``, every maximal run of keys
-    whose neighbouring float aggregates lie within ``exact.epsilon`` is
-    sorted again by its exact keys; outside such runs the float order
-    is the exact order.  Without it, the floats decide.
+    Ties on the exact aggregate break by the first metric, then by
+    system name.
     """
 
-    ordered = sorted(keys)
-    if exact is None:
-        return ordered
-    epsilon = exact.epsilon
-    aggregates = [key[0] for key in ordered]
-    # index i of every key within epsilon of the key before it
-    near = [i for i in range(1, len(ordered)) if aggregates[i] - aggregates[i - 1] <= epsilon]
-    start = end = 0
-    for i in near + [0]:  # the sentinel 0 closes the last run
-        if i != end:
-            if end:
-                ordered[start:end] = sorted(ordered[start:end], key=lambda k: exact.key(k[2]))
-            start = i - 1
-        end = i + 1
-    return ordered
+    return sorted(keys)

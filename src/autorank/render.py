@@ -17,9 +17,11 @@ real number carried as a decimal string.  Its bytes equal
 plus a final newline.  The standard library's indenting encoder runs in
 pure Python, so each row is written from a fixed per-table template
 instead: keys in sorted order, metric ids encoded once per table,
-strings through the C encoder ``encode_basestring`` and the displayed
-aggregate through ``display_str``.  Only the JSON report imports
-``json``; the other formats never load it.
+strings through the C encoder ``encode_basestring``.  Only the JSON
+report imports ``json``; the other formats never load it.
+
+No format rounds: every one prints the ``autorank_display`` the ranker
+set on each row.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .model import (
     RankedRow,
     ReasonCode,
     SystemCategory,
-    display_str,
+    display_str,  # unused here; kept a module-level name for perfbench/tracer.py
 )
 
 
@@ -118,8 +120,8 @@ def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
     from json.encoder import encode_basestring
 
     # one entry of "pairs" as json.dumps(indent=2, sort_keys=True) lays it
-    # out at that depth; a float's repr, display_str's text and a pair
-    # code need no escaping inside quotes
+    # out at that depth; a float's repr and a pair code need no escaping
+    # inside quotes
     cutoff = "null" if table.cutoff_position is None else table.cutoff_position
     head = (
         f'\n    {{\n      "cutoff_position": {cutoff},\n      "n_systems": {table.n_systems},'
@@ -140,7 +142,7 @@ def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
             f"""
         {{
           "above_cutoff": {"true" if row.above_cutoff else "false"},
-          "autorank_display": "{display_str(row.autorank_exact)}",
+          "autorank_display": {encode_basestring(row.autorank_display)},
           "autorank_exact": "{row.autorank_exact!r}",
           "category": {_CATEGORY_JSON[row.category]},
           "claimed_support": {"true" if row.claimed_support else "false"},
@@ -182,7 +184,7 @@ def _metric_header(metric: MetricSpec) -> str:
 
 
 def _score_cells(table: LeaderboardTable, row: RankedRow, check: str = _CHECK) -> list[str]:
-    cells = [display_str(row.autorank_exact)]
+    cells = [row.autorank_display]
     cells.extend(repr(row.raw_scores[m.id]) for m in table.metrics)
     cells.append(check if row.selected else "")
     return cells

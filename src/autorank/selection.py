@@ -19,13 +19,10 @@ The stages read the sort keys ``ranking.order_rows`` returns, in
 leaderboard order; a key's position is its index plus one.
 ``find_cutoff`` and ``select_for_human_eval`` decide on the keys, and
 ``apply_selection`` then builds each ``RankedRow`` once, with its final
-position and reason codes.  Each stage resolves the pair's withdrawn
-or unsupported systems into one set of names per pair, so a row costs
-a set lookup.
-
-A gap that lies within the float error bound of ``cutoff_gap`` is
-decided in exact arithmetic (``ranking.ExactScale``), so a gap of
-exactly ``cutoff_gap`` never draws the line, whatever its floats say.
+position, reason codes and display.  Each stage resolves the pair's
+withdrawn or unsupported systems into one set of names per pair, so a
+row costs a set lookup.  Gaps are compared on the keys' exact integers,
+so a gap of exactly ``cutoff_gap`` never draws the line.
 """
 
 from __future__ import annotations
@@ -34,33 +31,37 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .model import LanguagePair, RankedRow, RankingConfig, ReasonCode, SystemCategory, SystemEntry
-from .ranking import ExactScale, RankKey
+from .model import (
+    LanguagePair,
+    RankedRow,
+    RankingConfig,
+    ReasonCode,
+    ScaleSpan,
+    SystemCategory,
+    SystemEntry,
+)
+from .ranking import RankKey
 
 
-def find_cutoff(
-    ordered: Sequence[RankKey], config: RankingConfig, exact: ExactScale | None = None
-) -> int | None:
+def find_cutoff(ordered: Sequence[RankKey], config: RankingConfig, unit: int) -> int | None:
     """Position of the first row below the quality line, or None.
 
     Returns the smallest position p >= 2 whose aggregate exceeds the
     previous row's by more than ``cutoff_gap``.  ``ordered`` is in
-    leaderboard order as ``order_rows`` returns it; only each key's
-    aggregate, its first element, is read.  With ``exact``, a float gap
-    within ``exact.epsilon`` plus two ulps of ``cutoff_gap`` of the
-    limit is decided on the exact aggregates against the exact
-    ``Fraction(repr(cutoff_gap))``; without it, the floats decide.
+    leaderboard order as ``order_rows`` returns it, and ``unit`` is the
+    pair's ``M * prod D`` from ``build_context``, so an aggregate is
+    ``1 + span * K / unit``.  With ``cutoff_gap`` the decimal g/q of its
+    repr, the test is ``span * (K_p - K_(p-1)) * q > g * unit``, on
+    integers.
     """
 
-    limit = config.cutoff_gap
-    slack = 0.0 if exact is None else exact.epsilon + 2 * math.ulp(limit)
-    for position, (previous, current) in enumerate(zip(ordered, ordered[1:]), start=2):
-        step = current[0] - previous[0]
-        if step > limit + slack:
-            return position
-        if exact is not None and step >= limit - slack:
-            if exact.key(current[2])[0] - exact.key(previous[2])[0] > Fraction(repr(limit)):
-                return position
+    n = len(ordered)
+    gap = Fraction(repr(config.cutoff_gap))
+    scale = (n if config.scale_span is ScaleSpan.FULL_N else n - 1) * gap.denominator
+    limit = gap.numerator * unit
+    for position in range(1, n):
+        if (ordered[position][0] - ordered[position - 1][0]) * scale > limit:
+            return position + 1
     return None
 
 
@@ -150,8 +151,9 @@ def apply_selection(
             _WITHDRAWN in reasons,
             name not in unsupported,
             reasons,
+            display,
         )
-        for position, ((autorank, _, name, normalized), reasons) in enumerate(
+        for position, ((_, _, name, autorank, normalized, display), reasons) in enumerate(
             zip(ordered, verdicts), start=1
         )
     ]

@@ -34,7 +34,6 @@ from autorank import (
     SystemCategory,
     SystemEntry,
     TableFormat,
-    category_limits,
     compare_pair,
     display_str,
     parse_registry,
@@ -48,6 +47,7 @@ from autorank import (
 )
 from autorank.cli import main
 from autorank.render import file_extension, visible_rows
+from autorank.selection import category_limits
 
 TOLERANCE = Decimal("0.05")
 

@@ -243,6 +243,26 @@ class TestRankErrors:
             "error: xx-yy score range for metricx-23-xl is not finite: -1e+308 to 1e+308\n"
         )
 
+    def test_underflowing_scores_are_validation_errors(self, inputs, capsys):
+        # as floats all three are 0.0, a three-way tie; the file orders them
+        # Ada, Cray, Bell
+        Path(inputs["scores"]).write_text(
+            "pair\tsystem\tmetric\tscore\n"
+            + "".join(
+                f"xx-yy\t{name}\t{metric}\t{score}\n"
+                for name, score in (("Ada", "1e-400"), ("Bell", "3e-400"), ("Cray", "2e-400"))
+                for metric in ("metricx-23-xl", "cometkiwi-da-xl")
+            ),
+            encoding="utf-8",
+        )
+        assert main(_rank(inputs, "--format", "text")) == ExitStatus.VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {inputs['scores']}: line 2: score '1e-400' is too small for a float:"
+            " a nonzero score needs a magnitude of at least 2.2250738585072014e-308\n"
+        )
+
     def test_malformed_scores_file_reports_line(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad_scores.tsv"
         bad.write_text(
@@ -601,8 +621,46 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the benchmark's fixed-seed canary inputs (see perfbench/run.py): a
+# campaign of 100 pairs x 100 systems and a wide one of 8 x 400 verified
+# against the reference ranker's goldens, both from seed 7
+CANARY_SEED = 7
+
+
+def _recorded(workload: str, label: str) -> dict[str, str]:
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))[workload][label]
+
+
+def _digests(argv: list[str], out: Path | None, capsys) -> dict[str, str]:
+    """The digests of one in-process run, as perfbench/run.py records them."""
+    assert main(argv) == 0
+    found = {"stdout": _sha256(capsys.readouterr().out.encode("utf-8"))}
+    if out is not None and out.is_dir():
+        found.update((path.name, _sha256(path.read_bytes())) for path in out.iterdir())
+    return found
+
+
+@pytest.fixture(scope="module")
+def canary(tmp_path_factory) -> Path:
+    """The canary inputs, generated with perfbench's gen.py and oracle.py
+    run from their files, as the benchmark makes them."""
+    gen = runpy.run_path(str(PERFBENCH / "gen.py"))
+    oracle = runpy.run_path(str(PERFBENCH / "oracle.py"))
+    root = tmp_path_factory.mktemp("canary")
+    gen["write_campaign"](root / "campaign", 100, 100, CANARY_SEED)
+    wide = root / "wide"
+    gen["write_campaign"](wide, 8, 400, CANARY_SEED)
+    oracle["write_goldens"](
+        wide / "golden",
+        (wide / "systems.tsv").read_text(encoding="utf-8"),
+        (wide / "scores.tsv").read_text(encoding="utf-8"),
+    )
+    return root
+
+
 class TestRecordedDigests:
-    """WMT24 outputs stay byte-identical to the digests the benchmark recorded."""
+    """Outputs stay byte-identical to the digests the benchmark recorded."""
 
     @pytest.mark.parametrize(
         "label,extra",
@@ -622,6 +680,31 @@ class TestRecordedDigests:
         if out.is_dir():
             found.update((path.name, _sha256(path.read_bytes())) for path in out.iterdir())
         assert found == json.loads(DIGESTS.read_text(encoding="utf-8"))["wmt24"][label]
+
+    def test_wmt24_verify_output(self, capsys):
+        argv = _verify(
+            "--golden", str(DATA / "golden"), "--allow-mismatch", str(DATA / "allow_mismatch.txt")
+        )
+        assert _digests(argv, None, capsys) == _recorded("wmt24", "verify")
+
+    @pytest.mark.parametrize("label,extra", [("rank-json", []), ("rank-md", ["--out", "{out}"])])
+    def test_canary_campaign_rank_output(self, label, extra, canary, tmp_path, capsys):
+        inputs = canary / "campaign"
+        out = tmp_path / "out"
+        argv = [
+            "rank", "--scores", str(inputs / "scores.tsv"),
+            "--systems", str(inputs / "systems.tsv"),
+            "--format", label.removeprefix("rank-"), *[arg.format(out=out) for arg in extra],
+        ]
+        assert _digests(argv, out, capsys) == _recorded("campaign", label)
+
+    def test_canary_wide_verify_output(self, canary, capsys):
+        wide = canary / "wide"
+        argv = [
+            "verify", "--scores", str(wide / "scores.tsv"), "--systems", str(wide / "systems.tsv"),
+            "--golden", str(wide / "golden"), "--autorank-tol", "1e-9",
+        ]
+        assert _digests(argv, None, capsys) == _recorded("wide-verify", "verify")
 
 
 class TestJsonConsistency:

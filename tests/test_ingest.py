@@ -134,6 +134,28 @@ def test_parse_scores_rejects_bad_rows_with_line_numbers(mutant, needle):
     assert needle in str(info.value)
 
 
+@pytest.mark.parametrize("token", ["1e-400", "-3E-400", "1.23456789e-320", "2.2e-308"])
+def test_parse_scores_rejects_nonzero_scores_too_small_for_a_float(token):
+    # 1e-400 reads as 0.0 and 1.23456789e-320 as a subnormal whose repr
+    # is 1.2347e-320: either way the decimal in the file is lost
+    text = SCORES + f"cs-uk\tUnbabel-Tower70B\tmetricx-23-xl\t{token}\n"
+    with pytest.raises(ParseError) as info:
+        parse_scores(text, _registry(), DEFAULT_METRICS)
+    assert info.value.line == 6
+    assert str(info.value) == (
+        f"line 6: score {token!r} is too small for a float: a nonzero score needs a"
+        " magnitude of at least 2.2250738585072014e-308"
+    )
+
+
+@pytest.mark.parametrize("token", ["0", "-0.0", "0e-400", "000.000E+5", "2.2250738585072014e-308"])
+def test_parse_scores_keeps_zero_and_the_smallest_normal_float(token):
+    text = SCORES + f"cs-uk\tUnbabel-Tower70B\tmetricx-23-xl\t{token}\n"
+    assert parse_scores(text, _registry(), DEFAULT_METRICS)[CSUK]["Unbabel-Tower70B"] == {
+        "metricx-23-xl": float(token)
+    }
+
+
 def test_parse_scores_reports_a_repeated_bad_pair_token_at_its_first_line():
     bad = "csuk\tIKUN\tmetricx-23-xl\t1.6\n"
     text = SCORES + bad + bad

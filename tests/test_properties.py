@@ -12,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unicodedata import category, east_asian_width
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -42,7 +43,7 @@ from autorank import (
 )
 from autorank.cli import main
 from autorank.golden import _has_binding_inversion
-from autorank.ranking import build_context, normalize_score
+from autorank.ranking import _decimal_column
 from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
 
 MX, CK = DEFAULT_METRICS
@@ -59,6 +60,8 @@ _NAMES = st.text(alphabet=_NAME_CHARS, min_size=1, max_size=24).filter(
     lambda s: s.strip() == s and s
 )
 _SCORES = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# parse_scores rejects a nonzero score below the smallest normal float
+_PARSED_SCORES = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False, width=64)
 
 
 # --- serialization round-trips ----------------------------------------------
@@ -73,7 +76,7 @@ def _score_indexes(draw):
         systems = draw(st.lists(st.sampled_from(names), min_size=1, max_size=6, unique=True))
         index[LanguagePair.from_code(code)] = {
             system: {
-                metric: draw(_SCORES)
+                metric: draw(_PARSED_SCORES)
                 for metric in draw(st.permutations([MX.id, CK.id]))[: draw(st.integers(1, 2))]
             }
             for system in systems
@@ -177,30 +180,33 @@ def _columns(draw):
     return matrix
 
 
+def _open_registry(names):
+    return [SystemEntry(name=name, category=SystemCategory.OPEN) for name in names]
+
+
+def _normalized(matrix, config=RankingConfig()):
+    """Each ranked row's normalized values, keyed by system name."""
+    table = rank_pair(_open_registry(matrix), {PAIR: matrix}, PAIR, DEFAULT_METRICS, config)
+    return {row.name: row.normalized for row in table.rows}
+
+
 @given(_columns())
 def test_normalized_values_live_on_the_rank_scale(matrix):
-    ctx = build_context(PAIR, matrix, DEFAULT_METRICS)
-    config = RankingConfig()
-    n = ctx.n_systems
-    for scores in matrix.values():
-        for metric in DEFAULT_METRICS:
-            value = normalize_score(scores[metric.id], metric, ctx, config)
+    n = len(matrix)
+    for values in _normalized(matrix).values():
+        for value in values.values():
             assert 1.0 - 1e-9 <= value <= 1.0 + n + 1e-9
 
 
 @given(_columns())
 def test_extremes_hit_scale_endpoints(matrix):
-    ctx = build_context(PAIR, matrix, DEFAULT_METRICS)
-    config = RankingConfig()
+    normalized = _normalized(matrix)
     for metric in DEFAULT_METRICS:
-        values = [
-            normalize_score(scores[metric.id], metric, ctx, config)
-            for scores in matrix.values()
-        ]
+        values = [row[metric.id] for row in normalized.values()]
         assert min(values) == 1.0
         column = [scores[metric.id] for scores in matrix.values()]
         if max(column) > min(column):
-            assert max(values) == 1.0 + ctx.n_systems
+            assert max(values) == 1.0 + len(matrix)
         else:
             assert set(values) == {1.0}
 
@@ -209,45 +215,125 @@ def test_extremes_hit_scale_endpoints(matrix):
 def test_normalization_is_antitone_in_quality(matrix):
     # for a lower-better metric, a larger raw score never gets a smaller
     # normalized value; mirrored for higher-better
-    ctx = build_context(PAIR, matrix, DEFAULT_METRICS)
-    config = RankingConfig()
-    rows = list(matrix.values())
+    normalized = _normalized(matrix)
     for metric, sign in ((MX, 1.0), (CK, -1.0)):
         pairs = sorted(
-            (sign * scores[metric.id], normalize_score(scores[metric.id], metric, ctx, config))
-            for scores in rows
+            (sign * scores[metric.id], normalized[name][metric.id])
+            for name, scores in matrix.items()
         )
         for (_, left), (_, right) in zip(pairs, pairs[1:]):
             assert left <= right + 1e-12
 
 
-@given(
-    _columns(),
-    st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
-    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-)
-def test_normalization_invariant_under_positive_affine_maps(matrix, a, b):
-    ctx = build_context(PAIR, matrix, DEFAULT_METRICS)
-    mapped = {
-        name: {mid: a * value + b for mid, value in scores.items()}
-        for name, scores in matrix.items()
+@st.composite
+def _decimal_matrices(draw):
+    """1-30 systems scored with decimals in [-100, 100] of at most 15
+    significant digits, the README's condition for exact decisions.
+
+    Each metric column has its own finest place, 0 to 11 decimals, and
+    each score a place of its own up to it.  So a shift by a decimal of
+    magnitude under 1000 at that place keeps every score within 15
+    digits, and small integer steps make exact ties common.
+    """
+    n = draw(st.integers(min_value=1, max_value=30))
+    columns = []
+    for _ in DEFAULT_METRICS:
+        finest = draw(st.integers(0, 11))
+        column = []
+        for _ in range(n):
+            places = draw(st.integers(0, finest))
+            bound = 100 * 10**places
+            digits = draw(st.integers(-3, 3) | st.integers(-bound, bound))
+            column.append(Decimal(digits).scaleb(-places))
+        columns.append((finest, column))
+    return columns
+
+
+def _decisions(columns, metrics, config):
+    """Cutoff and each row's name, position, reasons and display."""
+    names = [f"S{i:02d}" for i in range(len(columns[0][1]))]
+    registry = [
+        SystemEntry(name=name, category=list(SystemCategory)[i % 3], withdrawn=i % 7 == 6)
+        for i, name in enumerate(names)
+    ]
+    matrix = {
+        name: {metric.id: float(column[i]) for metric, (_, column) in zip(metrics, columns)}
+        for i, name in enumerate(names)
     }
-    mapped_ctx = build_context(PAIR, mapped, DEFAULT_METRICS)
-    config = RankingConfig()
-    for name, scores in matrix.items():
-        for metric in DEFAULT_METRICS:
-            original = normalize_score(scores[metric.id], metric, ctx, config)
-            transformed = normalize_score(
-                mapped[name][metric.id], metric, mapped_ctx, config
-            )
-            assert math.isclose(original, transformed, rel_tol=1e-6, abs_tol=1e-6)
+    # at most 15 digits: each float's repr is the decimal drawn
+    assert all(
+        Decimal(repr(row[m.id])) == column[i]
+        for i, row in enumerate(matrix.values())
+        for m, (_, column) in zip(metrics, columns)
+    )
+    table = rank_pair(registry, {PAIR: matrix}, PAIR, metrics, config)
+    rows = [(r.name, r.position, r.reasons, r.autorank_display) for r in table.rows]
+    return table.cutoff_position, rows
+
+
+@settings(deadline=None)
+@given(
+    _decimal_matrices(),
+    st.sampled_from(["scale", "shift", "negate"]),
+    st.integers(0, len(DEFAULT_METRICS) - 1),
+    st.sampled_from([0.5, 1.5, 2.5]),
+    st.sampled_from(ScaleSpan),
+    st.data(),
+)
+def test_normalization_invariant_under_positive_affine_maps(
+    columns, kind, index, gap, span, data
+):
+    # every decision is exact, so mapping one column by a power of ten, a
+    # decimal shift, or a negation with its orientation flipped moves none
+    config = RankingConfig(cutoff_gap=gap, scale_span=span)
+    finest, column = columns[index]
+    metrics = list(DEFAULT_METRICS)
+    if kind == "scale":
+        power = data.draw(st.integers(-6, 6))
+        mapped = [value.scaleb(power) for value in column]
+    elif kind == "shift":
+        bound = 999 * 10**finest
+        shift = Decimal(data.draw(st.integers(-bound, bound))).scaleb(-finest)
+        mapped = [value + shift for value in column]
+    else:
+        mapped = [-value for value in column]
+        metric = metrics[index]
+        flipped = (
+            Orientation.HIGHER_BETTER
+            if metric.orientation is Orientation.LOWER_BETTER
+            else Orientation.LOWER_BETTER
+        )
+        metrics[index] = metric._replace(orientation=flipped)
+    transformed = list(columns)
+    transformed[index] = (finest, mapped)
+    assert _decisions(transformed, tuple(metrics), config) == _decisions(
+        columns, DEFAULT_METRICS, config
+    )
+
+
+_REPR_SCORES = _SCORES | st.builds(
+    lambda digits, exponent: float(Decimal(digits).scaleb(exponent)),
+    st.integers(-(10**15), 10**15),
+    st.integers(-330, 290),
+)
+
+
+@given(st.lists(_REPR_SCORES, min_size=1, max_size=8))
+def test_integer_scale_reads_each_repr(column):
+    # one power of ten turns every score's repr decimal into an integer
+    scaled = _decimal_column(column, min(column), max(column))
+    exact = [Fraction(repr(value)) for value in column]
+    nonzero = [(Fraction(i), value) for i, value in zip(scaled, exact) if value]
+    if not nonzero:
+        assert scaled == [0] * len(column)
+        return
+    factor = nonzero[0][0] / nonzero[0][1]
+    power = len(str(max(factor.numerator, factor.denominator))) - 1
+    assert factor in (10**power, Fraction(1, 10**power))
+    assert scaled == [value * factor for value in exact]
 
 
 # --- ordering ----------------------------------------------------------------
-
-
-def _open_registry(names):
-    return [SystemEntry(name=name, category=SystemCategory.OPEN) for name in names]
 
 
 @given(_columns(), st.randoms(use_true_random=False))
@@ -274,7 +360,7 @@ def _exact_key(matrix, name):
 
 @given(_columns())
 def test_order_is_sorted_and_positions_sequential(matrix):
-    # sorted by the exact key; the floats may split an exact tie either way
+    # sorted by the exact key, exact ties included
     ordered = rank_pair(_open_registry(matrix), {PAIR: matrix}, PAIR).rows
     assert [row.position for row in ordered] == list(range(1, len(ordered) + 1))
     keys = [_exact_key(matrix, row.name) for row in ordered]
@@ -303,17 +389,22 @@ def _exact_campaigns(draw):
     1000, so exact aggregate ties are common, and the 1000.00x columns
     are large in magnitude and narrow in range.  The cutoff gap is often
     one of the exact gaps between neighbours, so a gap of exactly
-    ``cutoff_gap`` is common too.
+    ``cutoff_gap`` is common too.  A column may span 10 * span steps,
+    pinned by two systems at its ends: then every system's share of the
+    aggregate is a whole number of twentieths, so aggregates that end
+    in 5 at the second decimal, the display's ties, are common as well.
     """
     n = draw(st.integers(2, 12))
+    span = draw(st.sampled_from(ScaleSpan)).value
     names = [f"S{i:02d}" for i in draw(st.permutations(range(n)))]
     texts = {name: {} for name in names}
     for metric in DEFAULT_METRICS:
         base = Decimal(draw(st.sampled_from([0, 1, 1000])))
         places = draw(st.integers(1, 3))
-        top = draw(st.sampled_from([1, 2, 4, 10]))
+        top = draw(st.sampled_from([1, 2, 4, 10, 10 * (n if span == "n" else n - 1)]))
+        pinned = {names[0]: 0, names[1]: top} if draw(st.booleans()) else {}
         for name in names:
-            step = Decimal(draw(st.integers(0, top))).scaleb(-places)
+            step = Decimal(pinned.get(name, draw(st.integers(0, top)))).scaleb(-places)
             texts[name][metric.id] = str(base + step)
     categories = [draw(st.sampled_from(["constrained", "open", "closed"])) for _ in names]
     withdrawn = [draw(st.sampled_from(["0", "0", "1", PAIR.code])) for _ in names]
@@ -321,7 +412,6 @@ def _exact_campaigns(draw):
         f"{name}\t{category}\t{flag}\t\n"
         for name, category, flag in zip(names, categories, withdrawn)
     )
-    span = draw(st.sampled_from(ScaleSpan)).value
     config = {
         "cutoff_gap": "1.5", "closed_fraction": "1/3", "open_fraction": "2/3", "scale_span": span
     }
@@ -348,6 +438,9 @@ def test_decisions_match_the_exact_reference_ranker(campaign):
     assert [{code.value for code in row.reasons} for row in table.rows] == [
         set(row.reasons) for row in expected.rows
     ]
+    assert [row.autorank_display for row in table.rows] == [
+        _ORACLE["decimal_text"](row.aggregate, 1) for row in expected.rows
+    ]
 
 
 # --- selection ---------------------------------------------------------------
@@ -355,43 +448,42 @@ def test_decisions_match_the_exact_reference_ranker(campaign):
 
 @st.composite
 def _tables(draw):
-    """Ordered sort keys and the registry entries they name."""
+    """Ordered sort keys, their pair's unit and the registry entries they name.
+
+    A key's aggregate is 1 + K / scale, so with span N the unit is
+    N * scale.
+    """
     n = draw(st.integers(min_value=1, max_value=25))
-    steps = draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    aggregates = []
-    total = 1.0
-    for step in steps:
-        total += step
-        aggregates.append(total)
+    scale = draw(st.sampled_from([1, 10, 1000, 10**6]))
+    steps = draw(st.lists(st.integers(0, 3 * scale), min_size=n, max_size=n))
     withdrawn = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     categories = draw(st.lists(st.sampled_from(SystemCategory), min_size=n, max_size=n))
     entries = {
         f"S{i:02d}": SystemEntry(name=f"S{i:02d}", category=category, withdrawn=gone)
         for i, (gone, category) in enumerate(zip(withdrawn, categories), start=1)
     }
-    ordered = [(value, value, name, {}) for value, name in zip(aggregates, entries)]
-    return ordered, entries
+    ordered = []
+    k = 0
+    for step, name in zip(steps, entries):
+        k += step
+        aggregate = Fraction(scale + k, scale)
+        ordered.append((k, k, name, float(aggregate), {}, display_str(aggregate)))
+    return ordered, n * scale, entries
 
 
 @given(_tables(), st.floats(min_value=0.1, max_value=2.0), st.floats(min_value=0.0, max_value=3.0))
 def test_cutoff_position_monotone_in_gap(table, gap, extra):
-    ordered, _ = table
-    tight = find_cutoff(ordered, RankingConfig(cutoff_gap=gap))
-    loose = find_cutoff(ordered, RankingConfig(cutoff_gap=gap + extra))
+    ordered, unit, _ = table
+    tight = find_cutoff(ordered, RankingConfig(cutoff_gap=gap), unit)
+    loose = find_cutoff(ordered, RankingConfig(cutoff_gap=gap + extra), unit)
     if loose is not None:
         assert tight is not None and tight <= loose
 
 
 def _selected_rows(table):
-    ordered, entries = table
+    ordered, unit, entries = table
     config = RankingConfig()
-    cutoff = find_cutoff(ordered, config)
+    cutoff = find_cutoff(ordered, config, unit)
     verdicts = select_for_human_eval(ordered, cutoff, entries, PAIR, config)
     return apply_selection(ordered, verdicts, entries, {name: {} for name in entries}, PAIR)
 
@@ -489,7 +581,7 @@ def _report_payload(tables, include_closed):
                         "claimed_support": row.claimed_support,
                         "scores": {m.id: repr(row.raw_scores[m.id]) for m in table.metrics},
                         "autorank_exact": repr(row.autorank_exact),
-                        "autorank_display": display_str(row.autorank_exact),
+                        "autorank_display": row.autorank_display,
                         "position": row.position,
                         "above_cutoff": row.above_cutoff,
                         "selected": row.selected,
@@ -611,6 +703,74 @@ def test_markdown_column_count_survives_hostile_names(names, show_reasons):
     lines = out.splitlines()
     assert len(lines) == 2 + len(names) + (table.cutoff_position is not None)
     assert {len(_MD_CELL_BREAK.split(line)) for line in lines} == {len(lines[0].split("|"))}
+
+
+# --- text alignment ------------------------------------------------------------
+
+
+def _columns_of(text: str) -> int:
+    """Terminal columns, written apart from the renderer: combining marks
+    and format characters take none, East-Asian wide and fullwidth
+    characters two, every other character one."""
+    return sum(
+        0 if category(char) in ("Mn", "Me", "Cf") else 1 + (east_asian_width(char) in ("W", "F"))
+        for char in text
+    )
+
+
+_UNICODE_NAMES = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_UNICODE_NAMES, min_size=1, max_size=5, unique=True))
+def test_text_autorank_column_ends_at_one_display_column(names):
+    # any name either fails with one line, or leaves the AutoRank column
+    # right-aligned: it ends at one display column in every line
+    categories = ["open", "closed", "constrained"]
+    registry = "system\tcategory\twithdrawn\tunsupported_pairs\n" + "".join(
+        f"{name}\t{categories[i % 3]}\t{i % 2}\t{'xx-yy' if i % 4 == 3 else ''}\n"
+        for i, name in enumerate(names)
+    )
+    scores = "pair\tsystem\tmetric\tscore\n" + "".join(
+        f"xx-yy\t{name}\t{metric.id}\t{(i * 7 + j * 3) % 5}.{i}\n"
+        for i, name in enumerate(names)
+        for j, metric in enumerate(DEFAULT_METRICS)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "systems.tsv").write_text(registry, encoding="utf-8")
+        (root / "scores.tsv").write_text(scores, encoding="utf-8")
+        argv = ["rank", "--scores", str(root / "scores.tsv")]
+        argv += ["--systems", str(root / "systems.tsv")]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--format", "text"])
+        if code:
+            assert code == 1 and out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            return
+        with redirect_stdout(io.StringIO()) as report:
+            assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(report.getvalue())["pairs"][0]["rows"]
+    lines = out.getvalue().split("\n")
+    header = lines[1]
+    end = _columns_of(header.split("AutoRank ↓")[0] + "AutoRank ↓")
+    body = [line for line in lines[3:] if line and not line.startswith("╌")]
+    assert len(body) == len(rows)
+    marks = {"closed": "●", "open": "○", "constrained": " "}
+    for line, row in zip(body, rows):
+        name = row["system"]
+        if not row["claimed_support"]:
+            name = "⊘ " + name
+        if row["withdrawn"]:
+            name += " †"
+        cell = f"{marks[row['category']]} {name}"
+        assert line.startswith(cell)
+        rest = line[len(cell):]
+        value = rest.lstrip(" ")
+        assert value.startswith(row["autorank_display"] + " ")
+        width = _columns_of(cell) + len(rest) - len(value) + len(row["autorank_display"])
+        assert width == end
 
 
 # --- config text ---------------------------------------------------------------

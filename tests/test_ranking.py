@@ -18,26 +18,10 @@ from autorank import (
     display_str,
     rank_pair,
 )
-from autorank.ranking import (
-    ExactScale,
-    NormalizationContext,
-    build_context,
-    compute_autorank,
-    normalize_score,
-    order_rows,
-)
+from autorank.ranking import build_context, compute_autorank, order_rows
 
 MX, CK = DEFAULT_METRICS
 CSUK = LanguagePair.from_code("cs-uk")
-
-# observed extremes of the Czech-Ukrainian fixture: MetricX best 0.9 worst
-# 19.5, CometKiwi best 0.719 worst 0.146, twenty systems
-CSUK_CTX = NormalizationContext(
-    pair=CSUK,
-    n_systems=20,
-    best={MX.id: 0.9, CK.id: 0.719},
-    worst={MX.id: 19.5, CK.id: 0.146},
-)
 
 
 def oracle(score: float, best: float, worst: float, n: int, lower_better: bool) -> float:
@@ -50,52 +34,74 @@ def oracle(score: float, best: float, worst: float, n: int, lower_better: bool) 
     return 1.0 + n * disadvantage / worst_disadvantage
 
 
+def _entry(name: str, category=SystemCategory.OPEN) -> SystemEntry:
+    return SystemEntry(name=name, category=category)
+
+
+def _csuk(**systems: tuple[float, float]) -> dict[str, dict[str, float]]:
+    """Twenty systems with the Czech-Ukrainian fixture's observed extremes
+    (MetricX best 0.9 worst 19.5, CometKiwi best 0.719 worst 0.146): the
+    two extreme systems, ``systems``, and middling fillers."""
+    named = {"Unbabel-Tower70B": (0.9, 0.719), "CycleL": (19.5, 0.146), **systems}
+    named.update({f"Filler{i:02d}": (5.0, 0.5) for i in range(20 - len(named))})
+    return {name: {MX.id: mx, CK.id: ck} for name, (mx, ck) in named.items()}
+
+
+def _rows(matrix, config=RankingConfig()) -> dict[str, RankedRow]:
+    registry = [_entry(name) for name in matrix]
+    table = rank_pair(registry, {CSUK: matrix}, CSUK, DEFAULT_METRICS, config)
+    return {row.name: row for row in table.rows}
+
+
+def _exact_aggregates(matrix, span: int) -> dict[str, Fraction]:
+    """Each system's aggregate in Fraction arithmetic on its scores' reprs."""
+    ratios = {name: [] for name in matrix}
+    for metric in DEFAULT_METRICS:
+        column = {name: Fraction(repr(row[metric.id])) for name, row in matrix.items()}
+        lower = metric.orientation is Orientation.LOWER_BETTER
+        best = min(column.values()) if lower else max(column.values())
+        spread = max(column.values()) - min(column.values())
+        for name, value in column.items():
+            ratios[name].append(abs(value - best) / spread if spread else Fraction(0))
+    return {name: 1 + span * sum(r) / len(r) for name, r in ratios.items()}
+
+
 def test_normalize_lower_better_interior_point():
     # 1 + 20 * (1.3 - 0.9) / (19.5 - 0.9) = 1.4301...
-    got = normalize_score(1.3, MX, CSUK_CTX, RankingConfig())
+    got = _rows(_csuk(IOL=(1.3, 0.681)))["IOL"].normalized[MX.id]
     assert got == pytest.approx(oracle(1.3, 0.9, 19.5, 20, True), rel=1e-12)
     assert got == pytest.approx(1.4301, abs=5e-5)
 
 
 def test_normalize_best_maps_to_one_exactly():
-    assert normalize_score(0.719, CK, CSUK_CTX, RankingConfig()) == 1.0
-    assert normalize_score(0.9, MX, CSUK_CTX, RankingConfig()) == 1.0
+    assert _rows(_csuk())["Unbabel-Tower70B"].normalized == {MX.id: 1.0, CK.id: 1.0}
 
 
 def test_normalize_worst_maps_to_one_plus_n_exactly():
-    assert normalize_score(19.5, MX, CSUK_CTX, RankingConfig()) == 21.0
-    assert normalize_score(0.146, CK, CSUK_CTX, RankingConfig()) == 21.0
+    assert _rows(_csuk())["CycleL"].normalized == {MX.id: 21.0, CK.id: 21.0}
 
 
 def test_normalize_span_n_minus_one_variant():
-    config = RankingConfig(scale_span=ScaleSpan.N_MINUS_ONE)
-    assert normalize_score(19.5, MX, CSUK_CTX, config) == 20.0
-    assert normalize_score(1.3, MX, CSUK_CTX, config) == pytest.approx(
+    rows = _rows(_csuk(IOL=(1.3, 0.681)), RankingConfig(scale_span=ScaleSpan.N_MINUS_ONE))
+    assert rows["CycleL"].normalized == {MX.id: 20.0, CK.id: 20.0}
+    assert rows["IOL"].normalized[MX.id] == pytest.approx(
         oracle(1.3, 0.9, 19.5, 19, True), rel=1e-12
     )
 
 
 def test_normalize_all_equal_column_returns_one():
-    ctx = NormalizationContext(
-        pair=CSUK, n_systems=3, best={MX.id: 5.0, CK.id: 0.5}, worst={MX.id: 5.0, CK.id: 0.5}
-    )
-    assert normalize_score(5.0, MX, ctx, RankingConfig()) == 1.0
-    assert normalize_score(0.5, CK, ctx, RankingConfig()) == 1.0
-
-
-def test_normalize_rejects_out_of_range_scores():
-    with pytest.raises(ValueError):
-        normalize_score(0.8, MX, CSUK_CTX, RankingConfig())  # better than observed best
-    with pytest.raises(ValueError):
-        normalize_score(19.6, MX, CSUK_CTX, RankingConfig())
-    with pytest.raises(ValueError):
-        normalize_score(0.720, CK, CSUK_CTX, RankingConfig())
+    matrix = {name: {MX.id: 5.0, CK.id: 0.5} for name in "ABC"}
+    for row in _rows(matrix).values():
+        assert row.normalized == {MX.id: 1.0, CK.id: 1.0}
+        assert (row.autorank_exact, row.autorank_display) == (1.0, "1.0")
 
 
 def test_normalize_rejects_unknown_metric():
+    # a metric column the scores do not cover cannot be normalized
     rogue = MetricSpec("bleu", Orientation.HIGHER_BETTER, "BLEU")
-    with pytest.raises(ValueError):
-        normalize_score(30.0, rogue, CSUK_CTX, RankingConfig())
+    matrix = _csuk()
+    with pytest.raises(ValueError, match="missing scores: CycleL/bleu"):
+        rank_pair([_entry(name) for name in matrix], {CSUK: matrix}, CSUK, (MX, rogue))
 
 
 def test_build_context_from_score_matrix():
@@ -104,12 +110,13 @@ def test_build_context_from_score_matrix():
         "B": {MX.id: 3.0, CK.id: 0.50},
         "C": {MX.id: 2.0, CK.id: 0.60},
     }
-    ctx = build_context(CSUK, matrix, DEFAULT_METRICS)
-    assert ctx.n_systems == 3
-    assert ctx.best == {MX.id: 1.0, CK.id: 0.70}
-    assert ctx.worst == {MX.id: 3.0, CK.id: 0.50}
-    assert ctx.worst_disadvantage(MX) == 2.0
-    assert ctx.worst_disadvantage(CK) == pytest.approx(0.20)
+    unit, columns = build_context(CSUK, matrix, DEFAULT_METRICS)
+    # per metric: id, float best, float worst disadvantage, weighted integers
+    assert [column[:3] for column in columns] == [(MX.id, 1.0, 2.0), (CK.id, 0.7, 0.7 - 0.5)]
+    mx, ck = columns[0][3], columns[1][3]
+    # K / unit is the mean of the exact ratios d / D, system by system
+    assert [Fraction(a + b, unit) for a, b in zip(mx, ck)] == [0, 1, Fraction(1, 2)]
+    assert [Fraction(a * len(columns), unit) for a in mx] == [0, 1, Fraction(1, 2)]
 
 
 def test_build_context_rejects_empty():
@@ -125,61 +132,48 @@ def test_build_context_rejects_range_beyond_float():
         build_context(CSUK, matrix, DEFAULT_METRICS)
 
 
-def _entry(name: str, category=SystemCategory.OPEN) -> SystemEntry:
-    return SystemEntry(name=name, category=category)
+def _keys(matrix, config=RankingConfig()):
+    return compute_autorank(matrix, build_context(CSUK, matrix, DEFAULT_METRICS), config)
 
 
 def test_compute_autorank_published_examples():
     # IOL-Research and GPT-4 from the Czech-Ukrainian fixture
-    matrix = {
-        "IOL-Research": {MX.id: 1.3, CK.id: 0.681},
-        "GPT-4": {MX.id: 1.4, CK.id: 0.677},
-        "Unbabel-Tower70B": {MX.id: 0.9, CK.id: 0.719},
-        "CycleL": {MX.id: 19.5, CK.id: 0.146},
-    }
-    aggregates = {
-        name: autorank
-        for autorank, _, name, _ in compute_autorank(
-            matrix, CSUK_CTX, DEFAULT_METRICS, RankingConfig()
-        )
-    }
+    matrix = _csuk(**{"IOL-Research": (1.3, 0.681), "GPT-4": (1.4, 0.677)})
+    keys = {name: (exact, display) for _, _, name, exact, _, display in _keys(matrix)}
 
     iol_expected = (
         oracle(1.3, 0.9, 19.5, 20, True) + oracle(0.681, 0.719, 0.146, 20, False)
     ) / 2
-    assert aggregates["IOL-Research"] == pytest.approx(iol_expected, rel=1e-12)
-    assert aggregates["IOL-Research"] == pytest.approx(1.878, abs=5e-4)
-    assert display_str(aggregates["IOL-Research"]) == "1.9"
+    assert keys["IOL-Research"][0] == pytest.approx(iol_expected, rel=1e-12)
+    assert keys["IOL-Research"][0] == pytest.approx(1.878, abs=5e-4)
+    assert keys["IOL-Research"][1] == "1.9"
 
     gpt4_expected = (
         oracle(1.4, 0.9, 19.5, 20, True) + oracle(0.677, 0.719, 0.146, 20, False)
     ) / 2
-    assert aggregates["GPT-4"] == pytest.approx(gpt4_expected, rel=1e-12)
-    assert aggregates["GPT-4"] == pytest.approx(2.0018, abs=5e-5)
-    assert display_str(aggregates["GPT-4"]) == "2.0"
+    assert keys["GPT-4"][0] == pytest.approx(gpt4_expected, rel=1e-12)
+    assert keys["GPT-4"][0] == pytest.approx(2.0018, abs=5e-5)
+    assert keys["GPT-4"][1] == "2.0"
 
-    assert aggregates["Unbabel-Tower70B"] == 1.0
-    assert aggregates["CycleL"] == 21.0
+    assert keys["Unbabel-Tower70B"] == (1.0, "1.0")
+    assert keys["CycleL"] == (21.0, "21.0")
 
 
 def test_compute_autorank_key_carries_the_tie_breaks_and_columns():
-    matrix = {"A": {MX.id: 1.3, CK.id: 0.681}}
-    ((autorank, first, name, normalized),) = compute_autorank(
-        matrix, CSUK_CTX, DEFAULT_METRICS, RankingConfig()
-    )
-    assert normalized == {
-        metric.id: normalize_score(matrix["A"][metric.id], metric, CSUK_CTX, RankingConfig())
-        for metric in DEFAULT_METRICS
-    }
-    assert first == normalized[MX.id] and name == "A"
-    # the mean of the columns, as statistics.fmean computes it
-    assert autorank == fmean(normalized.values())
-
-
-def test_compute_autorank_rejects_scores_outside_the_context():
-    matrix = {"A": {MX.id: 0.8, CK.id: 0.7}}  # better than the observed best
-    with pytest.raises(ValueError, match="outside observed range"):
-        compute_autorank(matrix, CSUK_CTX, DEFAULT_METRICS, RankingConfig())
+    matrix = _csuk(A=(1.3, 0.681), B=(1.3, 0.7))
+    keys = {key[2]: key for key in _keys(matrix)}
+    rows = _rows(matrix)
+    exact = _exact_aggregates(matrix, 20)
+    for name, (k, first, key_name, autorank, normalized, display) in keys.items():
+        assert key_name == name
+        assert normalized == rows[name].normalized
+        # the mean of the columns, as statistics.fmean computes it
+        assert autorank == fmean(normalized.values())
+        assert display == rows[name].autorank_display == display_str(exact[name])
+    # K orders by the exact aggregate; the first metric breaks its ties
+    ordered = sorted(keys, key=lambda name: keys[name][:3])
+    assert ordered == sorted(matrix, key=lambda name: (exact[name], matrix[name][MX.id], name))
+    assert keys["A"][1] == keys["B"][1] and keys["A"][0] > keys["B"][0]
 
 
 def test_rank_pair_requires_complete_matrix():
@@ -198,9 +192,8 @@ def test_rank_pair_requires_registered_systems():
 
 def test_compute_autorank_single_system_is_one():
     matrix = {"Solo": {MX.id: 4.2, CK.id: 0.33}}
-    ctx = build_context(CSUK, matrix, DEFAULT_METRICS)
-    ((autorank, *_),) = compute_autorank(matrix, ctx, DEFAULT_METRICS, RankingConfig())
-    assert autorank == 1.0
+    ((k, _, _, autorank, _, display),) = _keys(matrix)
+    assert (k, autorank, display) == (0, 1.0, "1.0")
 
 
 def test_rank_pair_resolves_pair_scoped_flags():
@@ -214,13 +207,8 @@ def test_rank_pair_resolves_pair_scoped_flags():
     assert not rows["V"].withdrawn and not rows["V"].claimed_support
 
 
-def _ranked(matrix):
-    ctx = build_context(CSUK, matrix, DEFAULT_METRICS)
-    return compute_autorank(matrix, ctx, DEFAULT_METRICS, RankingConfig())
-
-
 def _names(keys):
-    return [name for _, _, name, _ in keys]
+    return [key[2] for key in keys]
 
 
 def test_order_breaks_display_tie_by_exact_value():
@@ -232,14 +220,14 @@ def test_order_breaks_display_tie_by_exact_value():
         "Unbabel-Tower70B": {MX.id: 0.9, CK.id: 0.719},
         "CycleL": {MX.id: 19.5, CK.id: 0.146},
     }
-    ordered = order_rows(_ranked(matrix))
+    ordered = order_rows(_keys(matrix))
     assert _names(ordered) == [
         "Unbabel-Tower70B",
         "IOL-Research",
         "CommandR-plus",
         "CycleL",
     ]
-    assert display_str(ordered[1][0]) == display_str(ordered[2][0])
+    assert ordered[1][5] == ordered[2][5]
     assert ordered[1][0] < ordered[2][0]
 
 
@@ -251,7 +239,7 @@ def test_order_breaks_exact_tie_by_first_metric_then_name():
         "Best": {MX.id: 1.0, CK.id: 0.7},
         "Worst": {MX.id: 3.0, CK.id: 0.5},
     }
-    names = _names(order_rows(_ranked(matrix)))
+    names = _names(order_rows(_keys(matrix)))
     assert names[0] == "Best" and names[-1] == "Worst"
     assert names[1] == "FirstMetricStrong"  # beats Balanced on MetricX
 
@@ -261,7 +249,7 @@ def test_order_breaks_exact_tie_by_first_metric_then_name():
         "Alpha": {MX.id: 2.0, CK.id: 0.6},
         "Best": {MX.id: 1.0, CK.id: 0.7},
     }
-    assert _names(order_rows(_ranked(matrix))) == ["Best", "Alpha", "Zeta"]
+    assert _names(order_rows(_keys(matrix))) == ["Best", "Alpha", "Zeta"]
 
 
 def test_order_is_input_order_invariant():
@@ -270,7 +258,7 @@ def test_order_is_input_order_invariant():
         "B": {MX.id: 1.5, CK.id: 0.65},
         "C": {MX.id: 2.0, CK.id: 0.6},
     }
-    keys = _ranked(matrix)
+    keys = _keys(matrix)
     assert order_rows(keys) == order_rows(list(reversed(keys)))
 
 
@@ -321,19 +309,34 @@ def test_gap_of_exactly_cutoff_gap_draws_no_line():
     assert all(row.above_cutoff for row in table.rows)
 
 
+def test_aggregate_of_exactly_1_25_displays_1_3():
+    # S0 aggregates to exactly (1 + 1.5) / 2 = 1.25; its float is
+    # 1.2499999999999996, which rounds to 1.2
+    matrix = {
+        "S0": {MX.id: 0.1, CK.id: 1.1},
+        "S1": {MX.id: 2.0, CK.id: 1.2},
+        "S2": {MX.id: 1.2, CK.id: 0.6},
+    }
+    row = _rows(matrix)["S0"]
+    assert row.autorank_exact < 1.25
+    assert row.autorank_display == display_str(Fraction(5, 4)) == "1.3"
+
+
 @pytest.mark.parametrize("low,high", [(0.0, 0.004), (1000.001, 1000.004), (-1e6, 1e6)])
-def test_exact_scale_epsilon_covers_the_float_error(low, high):
-    # every pair of float aggregates lies within epsilon of its exact difference
+def test_integer_key_is_exact_on_narrow_and_wide_columns(low, high):
+    # large in magnitude and narrow in range, or wide: K / unit is the
+    # exact mean of the ratios, whatever the floats' rounding error
     step = (high - low) / 7
     matrix = {
         f"S{i}": {MX.id: low + step * i, CK.id: low + step * ((3 * i) % 8)} for i in range(8)
     }
-    context = build_context(CSUK, matrix, DEFAULT_METRICS)
-    keys = compute_autorank(matrix, context, DEFAULT_METRICS, RankingConfig())
-    exact = ExactScale(matrix, context, DEFAULT_METRICS, RankingConfig())
-    for first in keys:
-        for second in keys:
-            float_gap = second[0] - first[0]
-            exact_gap = exact.key(second[2])[0] - exact.key(first[2])[0]
-            assert abs(Fraction(float_gap) - exact_gap) <= Fraction(exact.epsilon)
-    assert exact.epsilon < 1e-6
+    unit, _ = context = build_context(CSUK, matrix, DEFAULT_METRICS)
+    exact = _exact_aggregates(matrix, 8)
+    keys = compute_autorank(matrix, context, RankingConfig())
+    for k, _, name, autorank, _, display in keys:
+        assert 1 + Fraction(8 * k, unit) == exact[name]
+        assert display == display_str(exact[name])
+        assert abs(Fraction(autorank) - exact[name]) < Fraction(1, 10**6)
+    assert _names(order_rows(keys)) == sorted(
+        matrix, key=lambda name: (exact[name], Fraction(repr(matrix[name][MX.id])), name)
+    )

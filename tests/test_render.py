@@ -16,6 +16,9 @@ from autorank import (
     SystemCategory,
     SystemEntry,
     TableFormat,
+    parse_registry,
+    parse_scores,
+    rank_pair,
     render_report,
     render_table,
 )
@@ -381,3 +384,35 @@ def test_file_extensions():
     assert file_extension(TableFormat.MARKDOWN) == "md"
     assert file_extension(TableFormat.LATEX) == "tex"
     assert file_extension(TableFormat.JSON) == "json"
+
+
+# C aggregates to exactly (3.7 + 1) / 2 = 2.35, a display tie; its float
+# is 2.3499999999999996, which a float rounding shows as 2.3
+_HALF_TENTH_SCORES = """pair\tsystem\tmetric\tscore
+cs-uk\tA\tmetricx-23-xl\t0.3
+cs-uk\tA\tcometkiwi-da-xl\t0.2
+cs-uk\tB\tmetricx-23-xl\t1.3
+cs-uk\tB\tcometkiwi-da-xl\t1.0
+cs-uk\tC\tmetricx-23-xl\t1.2
+cs-uk\tC\tcometkiwi-da-xl\t1.7
+"""
+
+
+@pytest.mark.parametrize("fmt", list(TableFormat), ids=lambda fmt: fmt.value)
+def test_exact_half_tenth_rounds_up_in_every_format(fmt):
+    registry = parse_registry(
+        "system\tcategory\twithdrawn\tunsupported_pairs\n"
+        + "".join(f"{name}\topen\t0\t\n" for name in "ABC")
+    )
+    scores = parse_scores(_HALF_TENTH_SCORES, registry, DEFAULT_METRICS)
+    table = rank_pair(registry, scores, LanguagePair.from_code("cs-uk"))
+    row = table.rows[0]
+    assert (row.name, row.autorank_exact < 2.35, row.autorank_display) == ("C", True, "2.4")
+    out = render_table(table, _opts(fmt))
+    if fmt is TableFormat.JSON:
+        assert json.loads(out)["pairs"][0]["rows"][0]["autorank_display"] == "2.4"
+    else:
+        line = next(line for line in out.splitlines() if "C " in line and "1.2" in line)
+        assert re.search(r"(^|[ |&])2\.4( |$)", line), line
+        assert "2.3" not in line
+

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,14 @@ from autorank import (
     ReasonCode,
     SystemCategory,
     SystemEntry,
-    category_limits,
+    display_str,
 )
-from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
+from autorank.selection import (
+    apply_selection,
+    category_limits,
+    find_cutoff,
+    select_for_human_eval,
+)
 
 MX, CK = DEFAULT_METRICS
 PAIR = LanguagePair.from_code("xx-yy")
@@ -36,33 +42,51 @@ def _table(*values: float, withdrawn: set[int] = frozenset()) -> list[tuple[Syst
     ]
 
 
+def _scale(systems) -> int:
+    """A common denominator of the aggregates' reprs."""
+    return math.lcm(*(Fraction(repr(v)).denominator for _, v in systems))
+
+
 def _keys(systems) -> list[tuple]:
-    """The ordered sort keys ``order_rows`` would return for ``systems``."""
-    return [(v, v, entry.name, {MX.id: v, CK.id: v}) for entry, v in systems]
+    """The ordered sort keys ``order_rows`` would return for ``systems``.
+
+    A key's K is (aggregate - 1) * ``_scale(systems)``, so with span N
+    the pair's unit is N * ``_scale(systems)``.
+    """
+    scale = _scale(systems)
+    keys = []
+    for entry, v in systems:
+        k = int((Fraction(repr(v)) - 1) * scale)
+        keys.append((k, k, entry.name, v, {MX.id: v, CK.id: v}, display_str(v)))
+    return keys
+
+
+def _cutoff(systems, config: RankingConfig = RankingConfig()) -> int | None:
+    return find_cutoff(_keys(systems), config, len(systems) * _scale(systems))
 
 
 class TestFindCutoff:
     def test_large_tail_gap_cuts_last_row(self):
         # the Czech-Ukrainian shape: a 6.1 jump onto the last row
-        assert find_cutoff(_keys(_table(1.0, 1.9, 2.0, 2.9, 9.0)), RankingConfig()) == 5
+        assert _cutoff(_table(1.0, 1.9, 2.0, 2.9, 9.0), RankingConfig()) == 5
 
     def test_gap_just_over_threshold_triggers(self):
         # 3.0 -> 4.62 is a 1.62 jump, strictly above 1.5; the 0.33 jump
         # after it changes nothing
-        assert find_cutoff(_keys(_table(1.0, 2.0, 3.0, 4.62, 4.95)), RankingConfig()) == 4
+        assert _cutoff(_table(1.0, 2.0, 3.0, 4.62, 4.95), RankingConfig()) == 4
 
     def test_gap_under_threshold_does_not_trigger(self):
-        assert find_cutoff(_keys(_table(1.0, 1.33, 2.5, 3.3)), RankingConfig()) is None
+        assert _cutoff(_table(1.0, 1.33, 2.5, 3.3), RankingConfig()) is None
 
     def test_gap_exactly_threshold_does_not_trigger(self):
-        assert find_cutoff(_keys(_table(1.0, 2.5)), RankingConfig()) is None
-        assert find_cutoff(_keys(_table(1.0, 2.5 + 1e-9)), RankingConfig()) == 2
+        assert _cutoff(_table(1.0, 2.5), RankingConfig()) is None
+        assert _cutoff(_table(1.0, 2.5 + 1e-9), RankingConfig()) == 2
 
     def test_first_qualifying_gap_wins(self):
-        assert find_cutoff(_keys(_table(1.0, 3.0, 3.1, 5.0)), RankingConfig()) == 2
+        assert _cutoff(_table(1.0, 3.0, 3.1, 5.0), RankingConfig()) == 2
 
     def test_all_equal_has_no_cutoff(self):
-        assert find_cutoff(_keys(_table(1.0, 1.0, 1.0)), RankingConfig()) is None
+        assert _cutoff(_table(1.0, 1.0, 1.0), RankingConfig()) is None
 
     def test_withdrawn_rows_still_carry_gaps(self):
         # the jump lands on a withdrawn row; the line is drawn all the same
@@ -70,7 +94,7 @@ class TestFindCutoff:
             _system(f"S{i}", v, SystemCategory.CONSTRAINED, withdrawn=i == 3)
             for i, v in enumerate((1.0, 1.2, 4.0, 4.1), start=1)
         ]
-        assert find_cutoff(_keys(systems), RankingConfig()) == 3
+        assert _cutoff(systems, RankingConfig()) == 3
         outcome = _outcome(systems)
         assert outcome["S3"].reasons == (
             ReasonCode.EXCLUDED_WITHDRAWN,
@@ -79,13 +103,13 @@ class TestFindCutoff:
         assert outcome["S4"].reasons == (ReasonCode.EXCLUDED_BELOW_CUTOFF,)
 
     def test_configurable_gap(self):
-        ordered = _keys(_table(1.0, 2.0, 3.0))
-        assert find_cutoff(ordered, RankingConfig(cutoff_gap=0.5)) == 2
-        assert find_cutoff(ordered, RankingConfig(cutoff_gap=2.0)) is None
+        systems = _table(1.0, 2.0, 3.0)
+        assert _cutoff(systems, RankingConfig(cutoff_gap=0.5)) == 2
+        assert _cutoff(systems, RankingConfig(cutoff_gap=2.0)) is None
 
     def test_empty_and_singleton(self):
-        assert find_cutoff([], RankingConfig()) is None
-        assert find_cutoff(_keys(_table(1.0)), RankingConfig()) is None
+        assert find_cutoff([], RankingConfig(), 1) is None
+        assert _cutoff(_table(1.0), RankingConfig()) is None
 
 
 class TestCategoryLimits:
@@ -119,7 +143,7 @@ def _outcome(systems, config=None) -> dict[str, RankedRow]:
     config = config or RankingConfig()
     ordered = _keys(systems)
     entries = {entry.name: entry for entry, _ in systems}
-    verdicts = select_for_human_eval(ordered, find_cutoff(ordered, config), entries, PAIR, config)
+    verdicts = select_for_human_eval(ordered, _cutoff(systems, config), entries, PAIR, config)
     matrix = {name: {MX.id: 0.0, CK.id: 0.0} for name in entries}
     return {row.name: row for row in apply_selection(ordered, verdicts, entries, matrix, PAIR)}
 
@@ -171,7 +195,7 @@ class TestSelection:
             _system("Top", 1.0, SystemCategory.CONSTRAINED),
             _system("Dropped", 3.0, SystemCategory.CONSTRAINED),
         ]
-        assert find_cutoff(_keys(rows), RankingConfig()) == 2
+        assert _cutoff(rows, RankingConfig()) == 2
         outcome = _outcome(rows)
         assert not outcome["Dropped"].above_cutoff
         assert outcome["Top"].selected
@@ -192,7 +216,7 @@ class TestSelection:
         rows[2] = _system("C", rows[2][1], SystemCategory.CLOSED)
         ordered = _keys(rows)
         entries = {entry.name: entry for entry, _ in rows}
-        cutoff = find_cutoff(ordered, RankingConfig())
+        cutoff = _cutoff(rows)
         verdicts = select_for_human_eval(ordered, cutoff, entries, PAIR, RankingConfig())
         assert len(verdicts) == len(rows)
         for codes in verdicts:
@@ -218,6 +242,7 @@ class TestSelection:
             ReasonCode.EXCLUDED_OPEN_BELOW_TWO_THIRDS,
         )
         assert [r.autorank_exact for r in built] == [1.0, 1.2, 3.0]
+        assert [r.autorank_display for r in built] == ["1.0", "1.2", "3.0"]
         assert built[1].normalized == {MX.id: 1.2, CK.id: 1.2}
         assert built[1].raw_scores == {MX.id: 1.0, CK.id: 0.5}
         # the row keeps its own copy of the raw scores
