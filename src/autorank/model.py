@@ -92,13 +92,23 @@ class Orientation(Enum):
 
 
 class MetricSpec(namedtuple("MetricSpec", "id orientation display_name")):
-    """Identity and orientation of one automatic metric column."""
+    """Identity and orientation of one automatic metric column.
+
+    The display name heads the column, so it obeys the rule for system
+    names: no control, line or paragraph separator, or bidi character.
+    """
 
     __slots__ = ()
 
     def __new__(cls, id: str, orientation: Orientation, display_name: str) -> "MetricSpec":
         if not id:
             raise ValueError("metric id must be non-empty")
+        hostile = _HOSTILE_NAME_CHARS.search(display_name)
+        if hostile:
+            raise ValueError(
+                f"metric display name may not contain control or bidi character "
+                f"U+{ord(hostile.group()):04X}: {display_name!r}"
+            )
         return tuple.__new__(cls, (id, orientation, display_name))
 
 

@@ -5,10 +5,16 @@ horizontal rule where the quality cutoff falls, a marker for the
 system's track, a dagger for withdrawn systems, a slashed circle for
 directions the submitter never claimed, and a checkmark for rows picked
 for human evaluation.  Filtering out closed systems keeps every
-surviving row's values and verdicts exactly as in the full table; the
-cutoff rule is re-derived from the rows' reason codes, never
-recomputed.  The JSON report honours the same filter.  Markdown and
-LaTeX escape cell text, so a system name cannot break the columns.
+surviving row's values and verdicts, and the cutoff rule, exactly as in
+the full table.  The JSON report honours the same filter.
+
+Text, Markdown and LaTeX share one cell builder, ``_cells``, which
+reads what to print from a look: the plain look of text and Markdown or
+the LaTeX look.  Each format is a layout over the cells.  Text pads
+them and measures terminal columns only in free text, the header and
+name cells; every other cell is ASCII or a one-column glyph, so its
+length is its width.  Markdown escapes ``|`` in every cell and LaTeX
+escapes through its look, so no system or metric name breaks a column.
 
 The JSON report is the machine-readable golden format: deterministic
 key order, rows sorted by position, pairs sorted by code, and every
@@ -27,12 +33,11 @@ set on each row.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 from unicodedata import category, east_asian_width
 
 from .model import (
     LeaderboardTable,
-    MetricSpec,
     Orientation,
     RankedRow,
     ReasonCode,
@@ -157,65 +162,82 @@ def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
     return head + "[" + ",".join(texts) + "\n      ]\n    }"
 
 
-# --- shared cell helpers ---------------------------------------------------
+class _Look(NamedTuple):
+    """What a format prints in the cells; ``_cells`` reads it as data."""
 
-_MARKERS = {
-    SystemCategory.CLOSED: "●",  # dark marker
-    SystemCategory.OPEN: "○",  # light marker
-    SystemCategory.CONSTRAINED: " ",
-}
-_CHECK = "✓"
-_DAGGER = "†"
-_NO_SUPPORT = "⊘"
-
-
-def _name_cell(row: RankedRow) -> str:
-    name = row.name
-    if not row.claimed_support:
-        name = f"{_NO_SUPPORT} {name}"
-    if row.withdrawn:
-        name = f"{name} {_DAGGER}"
-    return f"{_MARKERS[row.category]} {name}"
+    escape: Callable[[str], str]  # applied to names and reason codes
+    header: str  # template of every header cell
+    arrows: dict[Orientation, str]
+    human: str  # label of the human-evaluation column
+    markers: dict[SystemCategory, str]  # prefix of the name cell, per track
+    unsupported: str  # template of a name whose direction was never claimed
+    dagger: str  # suffix of a withdrawn system's name
+    check: str  # the cell of a row picked for human evaluation
 
 
-def _metric_header(metric: MetricSpec) -> str:
-    arrow = "↓" if metric.orientation is Orientation.LOWER_BETTER else "↑"
-    return f"{metric.display_name} {arrow}"
+_PLAIN = _Look(
+    escape=str,
+    header="{}",
+    arrows={Orientation.LOWER_BETTER: "↓", Orientation.HIGHER_BETTER: "↑"},
+    human="Human eval?",
+    markers={
+        SystemCategory.CLOSED: "● ",  # dark marker
+        SystemCategory.OPEN: "○ ",  # light marker
+        SystemCategory.CONSTRAINED: "  ",
+    },
+    unsupported="⊘ {}",
+    dagger=" †",
+    check="✓",
+)
+# one translate pass, so the braces a replacement inserts are not escaped again
+_LATEX_ESCAPES = str.maketrans(
+    {"\\": "\\textbackslash{}", "~": "\\textasciitilde{}", "^": "\\textasciicircum{}"}
+    | {char: "\\" + char for char in "&%$#_{}"}
+)
+_LATEX = _Look(
+    escape=lambda text: text.translate(_LATEX_ESCAPES),
+    header="\\bf {}",
+    arrows={Orientation.LOWER_BETTER: "$\\downarrow$", Orientation.HIGHER_BETTER: "$\\uparrow$"},
+    human="Human evaluation?",
+    markers=dict.fromkeys(SystemCategory, ""),
+    unsupported="\\nonsupporting{{{}}}",
+    dagger=" $\\dagger$",
+    check="\\colorbox{black}{\\textcolor{white}{\\ding{51}}}",
+)
 
 
-def _score_cells(table: LeaderboardTable, row: RankedRow, check: str = _CHECK) -> list[str]:
-    cells = [row.autorank_display]
-    cells.extend(repr(row.raw_scores[m.id]) for m in table.metrics)
-    cells.append(check if row.selected else "")
-    return cells
+def _cells(
+    table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions, look: _Look
+) -> tuple[list[str], list[list[str]]]:
+    """The header cells and each row's cells, in column order."""
+
+    escape, arrows = look.escape, look.arrows
+    header = ["System Name", "AutoRank " + arrows[Orientation.LOWER_BETTER]]
+    header += [f"{escape(m.display_name)} {arrows[m.orientation]}" for m in table.metrics]
+    header += [look.human, "Reasons"][: 1 + options.show_reasons]
+    body = []
+    for row in rows:
+        name = escape(row.name)
+        if not row.claimed_support:
+            name = look.unsupported.format(name)
+        if row.withdrawn:
+            name += look.dagger
+        cells = [look.markers[row.category] + name, row.autorank_display]
+        cells += [repr(row.raw_scores[m.id]) for m in table.metrics]
+        cells.append(look.check if row.selected else "")
+        if options.show_reasons:
+            cells.append(escape(", ".join([code.value for code in row.reasons])))
+        body.append(cells)
+    return [look.header.format(cell) for cell in header], body
 
 
-def _reason_cell(row: RankedRow) -> str:
-    return ", ".join(reason.value for reason in row.reasons)
+def _with_cutoff(lines: list[str], rows: list[RankedRow], rule: str) -> list[str]:
+    """``lines``, one per row, with ``rule`` before the first row under the cutoff."""
 
-
-def _header_cells(table: LeaderboardTable, options: RenderOptions) -> list[str]:
-    cells = ["System Name", "AutoRank ↓"]
-    cells.extend(_metric_header(m) for m in table.metrics)
-    cells.append("Human eval?")
-    if options.show_reasons:
-        cells.append("Reasons")
-    return cells
-
-
-def _body_cells(table: LeaderboardTable, row: RankedRow, options: RenderOptions) -> list[str]:
-    cells = [_name_cell(row)] + _score_cells(table, row)
-    if options.show_reasons:
-        cells.append(_reason_cell(row))
-    return cells
-
-
-def _cutoff_index(rows: Sequence[RankedRow]) -> int | None:
-    # first retained row that fell under the quality line
     for i, row in enumerate(rows):
         if not row.above_cutoff:
-            return i
-    return None
+            return [*lines[:i], rule, *lines[i:]]
+    return lines
 
 
 # --- text ------------------------------------------------------------------
@@ -246,118 +268,62 @@ class _Columns(dict):
         return sum(map(self.__getitem__, text))
 
 
-def _render_text(
-    table: LeaderboardTable, rows: Sequence[RankedRow], options: RenderOptions
-) -> str:
-    header = _header_cells(table, options)
-    body = [_body_cells(table, row, options) for row in rows]
+def _render_text(table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions) -> str:
+    header, body = _cells(table, rows, options, _PLAIN)
     columns = _Columns()
-    # each cell is measured once
-    measured = [(cells, [columns(cell) for cell in cells]) for cells in [header, *body]]
-    widths = [max(column) for column in zip(*[sizes for _, sizes in measured])]
+    # free text (header and name cells) by terminal columns, any other cell by its length
+    heads = [columns(cell) for cell in header]
+    names = [columns(cells[0]) for cells in body]
+    first = max([heads[0], *names])
+    _, *rest = [max([head, *map(len, column)]) for head, *column in zip(heads, *body)]
 
-    def line(index: int) -> str:
-        cells, sizes = measured[index]
-        padded = [cells[0] + " " * (widths[0] - sizes[0])]
-        padded += [" " * (w - n) + cell for cell, w, n in zip(cells[1:], widths[1:], sizes[1:])]
-        return "  ".join(padded).rstrip()
+    def line(cells: list[str], left: int, rights: list[int]) -> str:
+        return "  ".join([cells[0].ljust(left), *map(str.rjust, cells[1:], rights)]).rstrip()
 
-    total = sum(widths) + 2 * (len(widths) - 1)
-    cut = _cutoff_index(rows)
-    title = f"{table.pair.code}  (N={table.n_systems})"
-    header_line = line(0)
-    rule = "─" * total
-    cutoff_rule = "╌" * total
-    out = [title, header_line, rule]
-    for i, row in enumerate(rows):
-        if cut is not None and i == cut:
-            out.append(cutoff_rule)
-        rendered = line(i + 1)
-        if options.color:
-            if row.withdrawn:
-                rendered = f"{_DIM}{rendered}{_RESET}"
-            elif row.selected:
-                rendered = rendered.replace(_CHECK, f"{_GREEN}{_CHECK}{_RESET}")
-        out.append(rendered)
+    # str.ljust and rjust count length; free text is padded by its columns instead
+    targets = [w + len(cell) - n for cell, w, n in zip(header, [first, *rest], heads)]
+    header_line = line(header, targets[0], targets[1:])
+    lines = [line(cells, first + len(cells[0]) - n, rest) for cells, n in zip(body, names)]
     if options.color:
-        out[1] = f"{_BOLD}{header_line}{_RESET}"
-    return "\n".join(out) + "\n"
+        header_line = f"{_BOLD}{header_line}{_RESET}"
+        for i, row in enumerate(rows):
+            if row.withdrawn:
+                lines[i] = f"{_DIM}{lines[i]}{_RESET}"
+            elif row.selected:
+                lines[i] = lines[i].replace(_PLAIN.check, f"{_GREEN}{_PLAIN.check}{_RESET}")
+    total = first + sum(rest) + 2 * len(rest)
+    out = [f"{table.pair.code}  (N={table.n_systems})", header_line, "─" * total]
+    return "\n".join(out + _with_cutoff(lines, rows, "╌" * total)) + "\n"
 
 
 # --- markdown ---------------------------------------------------------------
 
 
-def _render_markdown(
-    table: LeaderboardTable, rows: Sequence[RankedRow], options: RenderOptions
-) -> str:
-    header = _header_cells(table, options)
-    aligns = [":---"] + ["---:"] * (1 + len(table.metrics)) + [":---:"]
-    if options.show_reasons:
-        aligns.append(":---")
-    out = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join(aligns) + " |",
-    ]
-    cut = _cutoff_index(rows)
-    for i, row in enumerate(rows):
-        if cut is not None and i == cut:
-            out.append("| " + " | ".join(["╌╌╌"] * len(header)) + " |")
-        cells = [cell.replace("|", "\\|") or " " for cell in _body_cells(table, row, options)]
-        out.append("| " + " | ".join(cells) + " |")
+def _markdown_line(cells: list[str]) -> str:
+    return "| " + " | ".join([cell.replace("|", "\\|") or " " for cell in cells]) + " |"
+
+
+def _render_markdown(table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions) -> str:
+    header, body = _cells(table, rows, options, _PLAIN)
+    aligns = [":---", "---:", *["---:"] * len(table.metrics), ":---:", ":---"][: len(header)]
+    lines = [_markdown_line(cells) for cells in body]
+    out = [_markdown_line(header), _markdown_line(aligns)]
+    out += _with_cutoff(lines, rows, _markdown_line(["╌╌╌"] * len(header)))
     return "\n".join(out) + "\n"
 
 
 # --- latex -------------------------------------------------------------------
 
-_LATEX_CHECK = "\\colorbox{black}{\\textcolor{white}{\\ding{51}}}"
-# one translate pass, so the braces a replacement inserts are not escaped again
-_LATEX_ESCAPES = str.maketrans(
-    {"\\": "\\textbackslash{}", "~": "\\textasciitilde{}", "^": "\\textasciicircum{}"}
-    | {char: "\\" + char for char in "&%$#_{}"}
-)
+# the macro around each row of a track; constrained rows stand bare
+_TRACKS = {SystemCategory.CLOSED: "\\closedtrack{{{}}}", SystemCategory.OPEN: "\\opentrack{{{}}}"}
 
 
-def _latex_escape(text: str) -> str:
-    return text.translate(_LATEX_ESCAPES)
-
-
-def _latex_name(row: RankedRow) -> str:
-    name = _latex_escape(row.name)
-    if not row.claimed_support:
-        name = f"\\nonsupporting{{{name}}}"
-    if row.withdrawn:
-        name = f"{name} $\\dagger$"
-    return name
-
-
-def _render_latex(
-    table: LeaderboardTable, rows: Sequence[RankedRow], options: RenderOptions
-) -> str:
-    n_value_columns = 2 + len(table.metrics)  # autorank + metrics + checkmark
-    column_spec = "R{40mm}" + "C{22mm}" * n_value_columns
-    header = ["\\bf System Name", "\\bf AutoRank $\\downarrow$"]
-    for metric in table.metrics:
-        arrow = "\\downarrow" if metric.orientation is Orientation.LOWER_BETTER else "\\uparrow"
-        header.append(f"\\bf {_latex_escape(metric.display_name)} ${arrow}$")
-    header.append("\\bf Human evaluation?")
-    if options.show_reasons:
-        header.append("\\bf Reasons")
-        column_spec += "C{40mm}"
-
-    out = [f"\\begin{{tabular}}{{{column_spec}}}", " & ".join(header) + " \\\\", "\\toprule"]
-    cut = _cutoff_index(rows)
-    for i, row in enumerate(rows):
-        if cut is not None and i == cut:
-            out.append("\\midrule")
-        cells = [_latex_name(row)] + _score_cells(table, row, _LATEX_CHECK)
-        if options.show_reasons:
-            cells.append(_latex_escape(_reason_cell(row)))
-        core = " & ".join(cells)
-        if row.category is SystemCategory.CLOSED:
-            core = f"\\closedtrack{{{core}}}"
-        elif row.category is SystemCategory.OPEN:
-            core = f"\\opentrack{{{core}}}"
-        out.append(f"{core} \\\\")
-    out.append("\\bottomrule")
-    out.append("\\end{tabular}")
-    return "\n".join(out) + "\n"
+def _render_latex(table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions) -> str:
+    header, body = _cells(table, rows, options, _LATEX)
+    # name, autorank, metrics, checkmark and reasons
+    spec = ["R{40mm}", *["C{22mm}"] * (2 + len(table.metrics)), "C{40mm}"][: len(header)]
+    wraps = [_TRACKS.get(row.category, "{}") for row in rows]
+    lines = [wrap.format(" & ".join(cells)) + " \\\\" for wrap, cells in zip(wraps, body)]
+    out = [f"\\begin{{tabular}}{{{''.join(spec)}}}", " & ".join(header) + " \\\\", "\\toprule"]
+    out += _with_cutoff(lines, rows, "\\midrule")
+    return "\n".join(out + ["\\bottomrule", "\\end{tabular}"]) + "\n"

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import autorank.pipeline
+from autorank import RenderOptions, TableFormat, render_table
 from autorank.cli import ExitStatus, main
 
 REGISTRY = """system\tcategory\twithdrawn\tunsupported_pairs
@@ -705,6 +706,50 @@ class TestRecordedDigests:
             "--golden", str(wide / "golden"), "--autorank-tol", "1e-9",
         ]
         assert _digests(argv, None, capsys) == _recorded("wide-verify", "verify")
+
+
+# SHA-256 of text, Markdown and LaTeX renders as the engine wrote them at
+# a016523, before the three formats shared one cell builder: the CLI's
+# stdout on the seed-7 canary campaign, and WMT24 cs-uk in colour
+RENDER_DIGESTS = {
+    "text": "092e42a51975a33733c841a6807462cd69ce2cbfefb359c7cd712e015ef05999",
+    "text-show-reasons": "e60cd5de93bfdf0d036c0e8407f305767ac8bb2d93b167c4c98cceb45e03cc5c",
+    "text-exclude-closed": "13ec20d3036b73d51023fd57fb75dc2a52de42b45e6a2837c5118ae6d4b48e38",
+    "md-show-reasons-exclude-closed": (
+        "7a5124599e265e25f9308f1f99b55fa7553dfb61814f9a1af9007453ae2ccb15"
+    ),
+    "latex": "3cf1d9527b793bb811ed032bc08eca4e102b08901d4410bf1f53ea2b6cfae5c3",
+    "wmt24-cs-uk-color": "1f6f49606ca618d4198997a3eac383abe602c53dd87a01fe725d14e2c5aa1e0c",
+}
+
+
+class TestRenderDigests:
+    """Text, Markdown and LaTeX keep the bytes the per-format renderers wrote."""
+
+    @pytest.mark.parametrize(
+        "label,extra",
+        [
+            ("text", ["--format", "text"]),
+            ("text-show-reasons", ["--format", "text", "--show-reasons"]),
+            ("text-exclude-closed", ["--format", "text", "--exclude-closed"]),
+            (
+                "md-show-reasons-exclude-closed",
+                ["--format", "md", "--show-reasons", "--exclude-closed"],
+            ),
+            ("latex", ["--format", "latex"]),
+        ],
+    )
+    def test_canary_campaign_render(self, label, extra, canary, capsys):
+        inputs = canary / "campaign"
+        argv = [
+            "rank", "--scores", str(inputs / "scores.tsv"),
+            "--systems", str(inputs / "systems.tsv"), *extra,
+        ]
+        assert _digests(argv, None, capsys) == {"stdout": RENDER_DIGESTS[label]}
+
+    def test_wmt24_colored_text(self, tables):
+        out = render_table(tables["cs-uk"], RenderOptions(TableFormat.TEXT, color=True))
+        assert _sha256(out.encode("utf-8")) == RENDER_DIGESTS["wmt24-cs-uk-color"]
 
 
 class TestJsonConsistency:

@@ -7,6 +7,8 @@ import pytest
 from autorank import (
     DEFAULT_METRICS,
     LanguagePair,
+    MetricSpec,
+    Orientation,
     RankedRow,
     RankingConfig,
     ReasonCode,
@@ -70,6 +72,17 @@ def test_system_entry_rejects_terminal_controls(char):
         SystemEntry(name=name, category=SystemCategory.OPEN)
     assert str(info.value) == (
         f"system name may not contain control or bidi character U+{ord(char):04X}: {name!r}"
+    )
+
+
+@pytest.mark.parametrize("char", ["\x1b", "\n", "\x9b", "\u2028", "\u202e", "\u2066"])
+def test_metric_display_name_rejects_terminal_controls(char):
+    display_name = f"Q{char}[31mE"
+    with pytest.raises(ValueError) as info:
+        MetricSpec("x", Orientation.LOWER_BETTER, display_name)
+    assert str(info.value) == (
+        f"metric display name may not contain control or bidi character "
+        f"U+{ord(char):04X}: {display_name!r}"
     )
 
 

@@ -9,6 +9,7 @@ from autorank import (
     DEFAULT_METRICS,
     LanguagePair,
     LeaderboardTable,
+    MetricSpec,
     RankedRow,
     RankingConfig,
     ReasonCode,
@@ -22,7 +23,7 @@ from autorank import (
     render_report,
     render_table,
 )
-from autorank.render import file_extension, visible_rows
+from autorank.render import _PLAIN, _Columns, file_extension, visible_rows
 
 MX, CK = DEFAULT_METRICS
 
@@ -211,6 +212,19 @@ class TestMarkdown:
         widths = {ln.count(" | ") for ln in out.splitlines()}
         assert len(widths) == 1
 
+    def test_pipe_in_metric_name_is_escaped_in_the_header(self):
+        metrics = (MetricSpec(MX.id, MX.orientation, "Q|E"), CK)
+        registry = parse_registry(
+            "system\tcategory\twithdrawn\tunsupported_pairs\n"
+            + "".join(f"{name}\topen\t0\t\n" for name in "ABC")
+        )
+        scores = parse_scores(_HALF_TENTH_SCORES, registry, metrics)
+        table = rank_pair(registry, scores, LanguagePair.from_code("cs-uk"), metrics)
+        lines = render_table(table, _opts(TableFormat.MARKDOWN)).splitlines()
+        assert lines[0].startswith("| System Name | AutoRank ↓ | Q\\|E ↓ |")
+        # every line has as many column separators as the header
+        assert len({len(re.findall(r"(?<!\\)\|", line)) for line in lines}) == 1
+
 
 class TestLatex:
     def test_structure(self, tables):
@@ -377,6 +391,22 @@ class TestSharedRowAgreement:
                         name,
                         fmt,
                     )
+
+
+def test_plain_look_glyphs_take_one_column_each():
+    # text measures only the header and name cells by terminal columns and
+    # every other cell by its length, so each glyph the plain look adds,
+    # and each reason code, must be as wide as it is long
+    columns = _Columns()
+    glyphs = [
+        *_PLAIN.markers.values(),
+        _PLAIN.unsupported.format(""),
+        _PLAIN.dagger,
+        _PLAIN.check,
+        *_PLAIN.arrows.values(),
+        *(code.value for code in ReasonCode),
+    ]
+    assert [columns(glyph) for glyph in glyphs] == [len(glyph) for glyph in glyphs]
 
 
 def test_file_extensions():
