@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,28 @@ import pytest
 from autorank import DEFAULT_METRICS, LanguagePair, parse_registry, parse_scores, rank_pair
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data" / "wmt24"
+
+# No test may hang the suite: each one, with its setup and teardown, fails
+# once it runs this long.  The whole suite takes well under a minute.
+TEST_TIME_BOUND_S = 120
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    if not hasattr(signal, "SIGALRM"):  # no alarm signal on Windows; run unbounded
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} ran longer than {TEST_TIME_BOUND_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_BOUND_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")
