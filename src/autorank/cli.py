@@ -31,7 +31,14 @@ from .golden import compare_pair, parse_allow_list, validate_golden_pair
 from .ingest import ParseError, parse_manifest, parse_registry, parse_scores
 from .model import DEFAULT_METRICS, LanguagePair, RankingConfig, ScaleSpan
 from .pipeline import pairs_in, rank_pair
-from .render import RenderOptions, TableFormat, file_extension, render_report, render_table
+from .render import (
+    RenderOptions,
+    TableFormat,
+    file_extension,
+    render_report,  # unused here; kept a module-level name for perfbench/tracer.py
+    render_table,
+    report_chunks,
+)
 
 
 class ExitStatus(IntEnum):
@@ -208,10 +215,16 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
                 _write_atomic(target, render_table(table, options))
         except OSError as exc:
             raise _ValidationError(f"cannot write {target}: {exc.strerror or exc}") from None
-    elif fmt is TableFormat.JSON:
-        sys.stdout.write(render_report(tables, options.include_closed))
     else:
-        sys.stdout.write("\n".join(render_table(table, options) for table in tables))
+        # every pair is ranked before the first write, so an error leaves
+        # stdout empty; the text is written as it comes, one pair at a time
+        write = sys.stdout.write
+        if fmt is TableFormat.JSON:
+            for chunk in report_chunks(tables, options.include_closed):
+                write(chunk)
+        else:
+            for i, table in enumerate(tables):
+                write("\n" * (i > 0) + render_table(table, options))
     return ExitStatus.OK
 
 

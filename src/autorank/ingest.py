@@ -131,19 +131,23 @@ def parse_scores(
     appear in.  Each distinct pair token is parsed once.
     """
 
-    known_systems = {entry.name for entry in registry}
-    known_metrics = {metric.id for metric in metrics}
+    # each name maps to the registry's own string, so every row keys its
+    # matrix with one shared copy instead of the line's token
+    known_systems = {entry.name: entry.name for entry in registry}
+    known_metrics = {metric.id: metric.id for metric in metrics}
     scores: dict[LanguagePair, dict[str, dict[str, float]]] = {}
     # a valid token is its pair's code, so the raw token finds the matrix
     matrices: dict[str, dict[str, dict[str, float]]] = {}
-    for line, (pair_token, system, metric, score_token) in _rows(text, SCORES_HEADER):
+    for line, (pair_token, system_token, metric_token, score_token) in _rows(text, SCORES_HEADER):
         matrix = matrices.get(pair_token)
         if matrix is None:
             matrix = scores[_parse_pair(pair_token, line)] = matrices[pair_token] = {}
-        if system not in known_systems:
-            raise ParseError(line, f"unknown system {system!r}")
-        if metric not in known_metrics:
-            raise ParseError(line, f"unknown metric {metric!r}")
+        system = known_systems.get(system_token)
+        if system is None:
+            raise ParseError(line, f"unknown system {system_token!r}")
+        metric = known_metrics.get(metric_token)
+        if metric is None:
+            raise ParseError(line, f"unknown metric {metric_token!r}")
         if not _NUMBER.match(score_token):
             raise ParseError(line, f"malformed score {score_token!r}")
         score = float(score_token)

@@ -26,6 +26,11 @@ instead: keys in sorted order, metric ids encoded once per table,
 strings through the C encoder ``encode_basestring``.  Only the JSON
 report imports ``json``; the other formats never load it.
 
+The report has one writer, ``report_chunks``: the head with the
+config, then one chunk per pair, then the tail.  A caller that writes
+the chunks as they come holds one pair's text at a time, never the
+whole report; ``render_report`` joins them into one string.
+
 No format rounds: every one prints the ``autorank_display`` the ranker
 set on each row.
 """
@@ -33,7 +38,8 @@ set on each row.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple, Sequence
 from unicodedata import category, east_asian_width
 
 from .model import (
@@ -98,18 +104,35 @@ def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = Tru
     top so a verification run can reproduce the computation.
     """
 
+    return "".join(report_chunks(tables, include_closed))
+
+
+def report_chunks(
+    tables: Sequence[LeaderboardTable], include_closed: bool = True
+) -> Iterator[str]:
+    """The text of ``render_report``, one pair at a time.
+
+    The tables are sorted and their configs checked before this
+    returns, so a ``ValueError`` comes before any chunk.  Each pair's
+    text is built only when the iterator reaches it.
+    """
+
     import json
 
     tables = sorted(tables, key=lambda t: t.pair.code)
     if len({table.config for table in tables}) > 1:
         raise ValueError("tables in one report must share a single config")
     if not tables:
-        return '{\n  "config": null,\n  "pairs": []\n}\n'
+        return iter(('{\n  "config": null,\n  "pairs": []\n}\n',))
     # the config is a handful of keys; the stdlib lays it out, one level in
     config = json.dumps(tables[0].config.as_dict(), indent=2, sort_keys=True, ensure_ascii=False)
     config = config.replace("\n", "\n  ")
-    pairs = ",".join([_pair_json(t, visible_rows(t, include_closed)) for t in tables])
-    return '{\n  "config": ' + config + ',\n  "pairs": [' + pairs + "\n  ]\n}\n"
+    head = '{\n  "config": ' + config + ',\n  "pairs": ['
+    pairs = (
+        "," * (i > 0) + _pair_json(table, visible_rows(table, include_closed))
+        for i, table in enumerate(tables)
+    )
+    return chain((head,), pairs, ("\n  ]\n}\n",))
 
 
 # JSON text of each enum value a row carries, quoted once (the values are
@@ -268,12 +291,15 @@ class _Columns(dict):
         return sum(map(self.__getitem__, text))
 
 
+# one cache for every table: the widths of a character never change
+_COLUMNS = _Columns()
+
+
 def _render_text(table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions) -> str:
     header, body = _cells(table, rows, options, _PLAIN)
-    columns = _Columns()
     # free text (header and name cells) by terminal columns, any other cell by its length
-    heads = [columns(cell) for cell in header]
-    names = [columns(cells[0]) for cells in body]
+    heads = [_COLUMNS(cell) for cell in header]
+    names = [_COLUMNS(cells[0]) for cells in body]
     first = max([heads[0], *names])
     _, *rest = [max([head, *map(len, column)]) for head, *column in zip(heads, *body)]
 

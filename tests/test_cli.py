@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
 import json
@@ -7,12 +8,23 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import autorank.cli
 import autorank.pipeline
-from autorank import RenderOptions, TableFormat, render_table
+from autorank import (
+    DEFAULT_METRICS,
+    RenderOptions,
+    TableFormat,
+    parse_registry,
+    parse_scores,
+    rank_pair,
+    render_report,
+    render_table,
+)
 from autorank.cli import ExitStatus, main
 
 REGISTRY = """system\tcategory\twithdrawn\tunsupported_pairs
@@ -773,6 +785,93 @@ class TestJsonConsistency:
         stdout = self._json(capsys, "--pair", "cs-uk", *extra)
         self._json(capsys, "--pair", "cs-uk", "--out", str(tmp_path), *extra)
         assert (tmp_path / "cs-uk.json").read_bytes() == stdout.encode("utf-8")
+
+
+def _ranked(inputs: dict[str, str]) -> list:
+    """Every pair of ``inputs`` ranked through the library, in the CLI's order."""
+    registry = parse_registry(Path(inputs["systems"]).read_text(encoding="utf-8"))
+    scores = parse_scores(
+        Path(inputs["scores"]).read_text(encoding="utf-8"), registry, DEFAULT_METRICS
+    )
+    return [rank_pair(registry, scores, pair) for pair in autorank.pipeline.pairs_in(scores)]
+
+
+class _Sink:
+    """A stdout that counts the characters it is given and keeps none."""
+
+    def __init__(self) -> None:
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+    def isatty(self) -> bool:
+        return False
+
+
+class TestStreamedStdout:
+    """rank writes pair by pair the text the renderers return, once every pair ranked."""
+
+    @pytest.mark.parametrize("fmt", ["text", "md", "latex", "json"])
+    @pytest.mark.parametrize(
+        "extra", [[], ["--exclude-closed", "--show-reasons"]], ids=["all", "open-reasons"]
+    )
+    @pytest.mark.parametrize("corpus", ["wmt24", "two-pair"])
+    def test_stdout_is_the_rendered_tables(self, corpus, extra, fmt, inputs, capsys):
+        if corpus == "wmt24":
+            inputs = {"scores": str(DATA / "scores.tsv"), "systems": str(DATA / "systems.tsv")}
+        tables = _ranked(inputs)
+        assert len(tables) > 1
+        options = RenderOptions(
+            TableFormat(fmt),
+            include_closed="--exclude-closed" not in extra,
+            show_reasons="--show-reasons" in extra,
+        )
+        if fmt == "json":
+            expected = render_report(tables, options.include_closed)
+        else:
+            expected = "\n".join(render_table(table, options) for table in tables)
+        assert main(_rank(inputs, "--format", fmt, *extra)) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_hole_in_the_last_pair_leaves_stdout_empty(self, fmt, inputs, capsys):
+        # zz-ww sorts after xx-yy, so it is ranked last
+        holed = SCORES.replace("zz-ww\tBell\tcometkiwi-da-xl\t0.55\n", "")
+        Path(inputs["scores"]).write_text(holed, encoding="utf-8")
+        assert main(_rank(inputs, "--format", fmt)) == ExitStatus.VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: zz-ww is not rankable, missing scores: Bell/cometkiwi-da-xl\n"
+
+    def test_json_report_is_never_held_whole(self, canary, monkeypatch):
+        inputs = canary / "campaign"
+        rank = autorank.cli.rank_pair
+        ranked = []  # memory in use just after each pair is ranked
+
+        def rank_and_mark(*args):
+            table = rank(*args)
+            tracemalloc.reset_peak()
+            ranked.append(tracemalloc.get_traced_memory()[0])
+            return table
+
+        monkeypatch.setattr(autorank.cli, "rank_pair", rank_and_mark)
+        sink = _Sink()
+        argv = [
+            "rank", "--scores", str(inputs / "scores.tsv"),
+            "--systems", str(inputs / "systems.tsv"), "--format", "json",
+        ]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(argv) == 0
+            # the peak since the last pair was ranked covers all the writing
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ranked) == 100 and sink.size > 4_000_000
+        assert peak - ranked[-1] < sink.size / 4
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -23,7 +23,7 @@ from autorank import (
     render_report,
     render_table,
 )
-from autorank.render import _PLAIN, _Columns, file_extension, visible_rows
+from autorank.render import _PLAIN, _Columns, file_extension, report_chunks, visible_rows
 
 MX, CK = DEFAULT_METRICS
 
@@ -363,6 +363,19 @@ class TestJson:
         )
         with pytest.raises(ValueError):
             render_report([tables["en-de"], other])
+        # before the first chunk: the call raises, not the first next()
+        with pytest.raises(ValueError):
+            report_chunks([tables["en-de"], other])
+
+    def test_report_chunks_are_the_head_each_pair_and_the_tail(self, tables):
+        chunks = list(report_chunks([tables["en-de"], tables["cs-uk"]]))
+        assert "".join(chunks) == render_report([tables["cs-uk"], tables["en-de"]])
+        head, first, second, tail = chunks
+        assert head.startswith('{\n  "config": {') and head.endswith('"pairs": [')
+        assert first.startswith('\n    {\n      "cutoff_position"') and '"pair": "cs-uk"' in first
+        assert second.startswith(',\n    {') and '"pair": "en-de"' in second
+        assert tail == "\n  ]\n}\n"
+        assert list(report_chunks([])) == [render_report([])]
 
 
 class TestSharedRowAgreement:
