@@ -806,9 +806,6 @@ class _Sink:
         self.size += len(text)
         return len(text)
 
-    def isatty(self) -> bool:
-        return False
-
 
 class TestStreamedStdout:
     """rank writes pair by pair the text the renderers return, once every pair ranked."""
