@@ -720,6 +720,59 @@ class TestRecordedDigests:
         assert _digests(argv, None, capsys) == _recorded("wide-verify", "verify")
 
 
+# SHA-256 of verify's stdout on the seed-7 wide canary with cs-fr damaged
+# as _damage_cs_fr does, recorded at 36fb121
+DAMAGED_VERIFY_DIGEST = "870da01b4f40b8ea3f945d578c4ed5abc686c2bc1973a4e94a40bbdc52213cc8"
+
+
+def _damage_cs_fr(golden_dir: Path) -> None:
+    """Damage the cs-fr golden so that verify prints every kind of line."""
+    path = golden_dir / "cs-fr.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    entry = report["pairs"][0]
+    rows = entry["rows"]
+    # two closed, selected systems trade names: their aggregates and
+    # positions disagree, and three pairs of rows invert
+    rows[3]["system"], rows[5]["system"] = rows[5]["system"], rows[3]["system"]
+    entry["cutoff_position"] -= 1
+    rows[21]["selected"] = not rows[21]["selected"]  # open, unbalanced
+    rows[31]["selected"] = not rows[31]["selected"]  # allow-listed below
+    # two closed rows share the coarse text "8" (band ±0.5) and swap
+    # their selection flags: the tie group keeps its count
+    for row in rows[35:37]:
+        row["autorank_exact"] = "8"
+        row["selected"] = not row["selected"]
+    path.write_text(json.dumps(report), encoding="utf-8")
+
+
+def test_damaged_wide_golden_verify_output(canary, tmp_path, capsys):
+    wide = canary / "wide"
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    for path in (wide / "golden").iterdir():
+        (golden / path.name).write_bytes(path.read_bytes())
+    _damage_cs_fr(golden)
+    allow = tmp_path / "allow.txt"
+    allow.write_text("cs-fr/Dubformer-265\n", encoding="utf-8")
+    argv = [
+        "verify", "--scores", str(wide / "scores.tsv"), "--systems", str(wide / "systems.tsv"),
+        "--golden", str(golden), "--autorank-tol", "1e-9", "--allow-mismatch", str(allow),
+    ]
+    assert main(argv) == ExitStatus.GOLDEN_MISMATCH
+    out = capsys.readouterr().out
+    for kind in (
+        ": autorank: expected ",
+        ": order inversion: ",
+        ": cutoff_position: expected ",
+        ": selected: expected ",
+        "selection swapped within display tie",
+        "allow-listed",
+        "(within rounding uncertainty)",
+    ):
+        assert kind in out, kind
+    assert _sha256(out.encode("utf-8")) == DAMAGED_VERIFY_DIGEST
+
+
 # SHA-256 of text, Markdown and LaTeX renders as the engine wrote them at
 # a016523, before the three formats shared one cell builder: the CLI's
 # stdout on the seed-7 canary campaign, and WMT24 cs-uk in colour
