@@ -4,14 +4,13 @@ Verifying a recomputation against golden tables
 
 """
 
-import json
 from decimal import Decimal
 from pathlib import Path
 
 from autorank import (
     DEFAULT_METRICS,
-    LanguagePair,
     compare_pair,
+    parse_golden,
     parse_registry,
     parse_scores,
     rank_pair,
@@ -31,13 +30,17 @@ tolerance = Decimal("0.05")
 # open-category depth limit
 allow = {("cs-uk", "Llama3-70B")}
 
+# parse_golden checks every field and returns the report's ranking
+# config with each pair entry parsed: a LanguagePair, the cutoff and
+# typed rows that compare_pair reads as they are
 for path in sorted((data / "golden").glob("*.json")):
-    entry = json.load(open(path))["pairs"][0]
-    table = rank_pair(registry, scores, LanguagePair.from_code(entry["pair"]))
-    comparison = compare_pair(table, entry, tolerance, allow)
-    state = "ok" if comparison.ok else "MISMATCH"
-    print(f"{entry['pair']}: {state} ({table.n_systems} systems)")
-    for mismatch in comparison.mismatches:
-        print(f"  {mismatch}")
-    for note in comparison.notes:
-        print(f"  note: {note}")
+    config, entries = parse_golden(path.read_text(encoding="utf-8"))
+    for entry in entries:
+        table = rank_pair(registry, scores, entry["pair"], DEFAULT_METRICS, config)
+        comparison = compare_pair(table, entry, tolerance, allow)
+        state = "ok" if comparison.ok else "MISMATCH"
+        print(f"{entry['pair']}: {state} ({table.n_systems} systems)")
+        for mismatch in comparison.mismatches:
+            print(f"  {mismatch}")
+        for note in comparison.notes:
+            print(f"  note: {note}")

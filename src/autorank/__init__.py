@@ -5,7 +5,7 @@ common rank scale, applies the human-evaluation selection rules, and
 renders the result as text, Markdown, LaTeX or a JSON report.
 """
 
-from .golden import PairComparison, compare_pair, parse_allow_list
+from .golden import compare_pair, parse_allow_list, parse_golden
 from .ingest import (
     ParseError,
     parse_manifest,
@@ -40,7 +40,6 @@ __all__ = [
     "LeaderboardTable",
     "MetricSpec",
     "Orientation",
-    "PairComparison",
     "ParseError",
     "RankedRow",
     "RankingConfig",
@@ -53,6 +52,7 @@ __all__ = [
     "compare_pair",
     "display_str",
     "parse_allow_list",
+    "parse_golden",
     "parse_manifest",
     "parse_registry",
     "parse_scores",

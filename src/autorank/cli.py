@@ -27,7 +27,9 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Sequence
 
-from .golden import compare_pair, parse_allow_list, validate_golden_pair
+from .golden import compare_pair, parse_allow_list, parse_golden
+# unused here; kept a module-level name for perfbench/tracer.py
+from .golden import validate_golden_pair
 from .ingest import ParseError, parse_manifest, parse_registry, parse_scores
 from .model import DEFAULT_METRICS, LanguagePair, RankingConfig, ScaleSpan
 from .pipeline import pairs_in, rank_pair
@@ -244,32 +246,16 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
     golden_dir = Path(args.golden)
     if not golden_dir.is_dir():
         raise _ValidationError(f"{args.golden}: not a directory")
-    golden_files = sorted(golden_dir.glob("*.json"))
 
-    import json  # only verify reads JSON
-
-    compared = 0
-    failed = 0
-    for path in golden_files:
+    compared = failed = 0
+    for path in sorted(golden_dir.glob("*.json")):
         try:
-            report = json.loads(_read(path))
-        except (ValueError, RecursionError) as exc:
-            # a JSONDecodeError, an integer too long to convert, or nesting too deep
+            config, entries = parse_golden(_read(path))
+        except ValueError as exc:
             raise _ValidationError(f"{path}: {exc}") from None
-        if not isinstance(report, dict):
-            raise _ValidationError(f"{path}: malformed golden report: top level is not an object")
-        try:
-            config_data = report.get("config")
-            config = RankingConfig.from_dict({} if config_data is None else config_data)
-            entries = report["pairs"]
-            pairs = []
-            for entry in entries:
-                validate_golden_pair(entry)
-                pairs.append(LanguagePair.from_code(str(entry["pair"])))
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise _ValidationError(f"{path}: malformed golden report: {exc}") from None
 
-        for pair, entry in zip(pairs, entries):
+        for entry in entries:
+            pair = entry["pair"]
             compared += 1
             if pair not in scores:
                 failed += 1

@@ -1,4 +1,4 @@
-"""Golden-report comparison for regression verification.
+"""Golden-report parsing and comparison for regression verification.
 
 A golden file is a JSON report (see :mod:`autorank.render`), either
 generated by an earlier engine run or transcribed from a published
@@ -28,12 +28,16 @@ becomes effectively exact.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from typing import Mapping, Sequence
 
-from .model import LeaderboardTable
+from .model import LanguagePair, LeaderboardTable, RankingConfig
 
-REQUIRED_ROW_FIELDS = ("system", "autorank_exact", "position", "selected", "category")
+
+# a parsed golden row: ``text`` is the aggregate as written, ``value``
+# its decimal and ``half_ulp`` half a unit in its last written place
+GoldenRow = namedtuple("GoldenRow", "system category position selected text value half_ulp")
 
 
 class PairComparison:
@@ -70,53 +74,100 @@ def parse_allow_list(text: str) -> set[tuple[str, str]]:
     return entries
 
 
-def validate_golden_pair(payload: Mapping[str, object]) -> None:
-    """Raise ValueError unless a golden pair entry has the shape compare_pair reads.
-
-    That is an object whose ``rows`` is a list of objects, one per
-    system, each holding the required fields, an integer ``position``, a
-    boolean ``selected`` and a finite decimal ``autorank_exact`` whose
-    uncertainty band, the value plus and minus half an ulp, fits the
-    decimal context.
+def parse_golden(text: str) -> tuple[RankingConfig, list[dict]]:
+    """Parse a golden JSON report into its config (absent or null: the
+    default) and each ``pairs`` entry as ``validate_golden_pair`` returns
+    it.  Any fault raises one ValueError: the JSON parser's own message,
+    or ``malformed golden report: `` and what is wrong.
     """
 
-    if not isinstance(payload, dict):
+    import json  # only verify reads JSON
+
+    try:
+        report = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer too long to convert, or nesting too deep
+        raise ValueError(str(exc)) from None
+    try:
+        if not isinstance(report, dict):
+            raise ValueError("top level is not an object")
+        config = report.get("config")
+        config = RankingConfig.from_dict({} if config is None else config)
+        if "pairs" not in report:
+            raise ValueError("golden report missing field 'pairs'")
+        if not isinstance(report["pairs"], list):
+            raise ValueError("golden field 'pairs' is not a list")
+        return config, [validate_golden_pair(entry) for entry in report["pairs"]]
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"malformed golden report: {exc}") from None
+
+
+def validate_golden_pair(entry: object) -> dict:
+    """Parse one golden pair entry into the dict ``compare_pair`` reads.
+
+    ``pair`` becomes a ``LanguagePair``, ``cutoff_position`` (absent,
+    null or a positive integer) an int or None, and ``rows`` a tuple of
+    ``GoldenRow``.  Each row needs a non-empty ``system`` no other row
+    has, a ``category`` of open, closed or constrained, a ``position``
+    from 1 to the row count, a boolean ``selected`` and a finite decimal
+    ``autorank_exact`` whose band, the value ± half an ulp, fits the
+    decimal context.  Raises ValueError on the first fault.
+    """
+
+    if not isinstance(entry, dict):
         raise ValueError("golden pair entry is not an object")
     for key in ("pair", "rows"):
-        if key not in payload:
+        if key not in entry:
             raise ValueError(f"golden pair entry missing field {key!r}")
-    rows = payload["rows"]
+    rows = entry["rows"]
     if not isinstance(rows, list):
         raise ValueError("golden field 'rows' is not a list")
-    systems: set[str] = set()
+    parsed: dict[str, GoldenRow] = {}
     for row in rows:
-        if not isinstance(row, dict):
-            raise ValueError("golden row is not an object")
-        for key in REQUIRED_ROW_FIELDS:
-            if key not in row:
-                raise ValueError(f"golden row missing field {key!r}")
-        system = str(row["system"])
-        if system in systems:
-            raise ValueError(f"duplicate golden row for system {system!r}")
-        systems.add(system)
-        position = row["position"]
-        if not isinstance(position, int) or isinstance(position, bool):
-            raise ValueError(f"golden row position is not an integer: {position!r}")
-        if not isinstance(row["selected"], bool):
-            raise ValueError(f"golden row selected is not a boolean: {row['selected']!r}")
-        text = str(row["autorank_exact"])
-        try:
-            value = Decimal(text)
-        except InvalidOperation:
-            value = Decimal("NaN")
-        if not value.is_finite():
-            raise ValueError(f"golden row autorank_exact is not a finite decimal: {text!r}")
-        try:
-            # compare_pair computes both band edges; the decimal context must hold them
-            half_ulp = _half_ulp(value)
-            value - half_ulp, value + half_ulp
-        except ArithmeticError:
-            raise ValueError(f"golden row autorank_exact is out of range: {text!r}") from None
+        golden_row = _golden_row(row, len(rows))
+        if golden_row.system in parsed:
+            raise ValueError(f"duplicate golden row for system {golden_row.system!r}")
+        parsed[golden_row.system] = golden_row
+    cutoff = entry.get("cutoff_position")
+    if cutoff is not None and (type(cutoff) is not int or cutoff < 1):
+        raise ValueError(f"golden cutoff_position is not null or a positive integer: {cutoff!r}")
+    pair = LanguagePair.from_code(str(entry["pair"]))
+    return {"pair": pair, "cutoff_position": cutoff, "rows": tuple(parsed.values())}
+
+
+def _golden_row(row: object, count: int) -> GoldenRow:
+    if not isinstance(row, dict):
+        raise ValueError("golden row is not an object")
+    try:
+        system, category, position = row["system"], row["category"], row["position"]
+        selected, text = row["selected"], row["autorank_exact"]
+    except KeyError as exc:
+        raise ValueError(f"golden row missing field {exc.args[0]!r}") from None
+    if not isinstance(system, str) or not system:
+        raise ValueError(f"golden row system is not a non-empty string: {system!r}")
+    # a tuple, not a set: an unhashable category must compare unequal, not raise
+    if category not in ("open", "closed", "constrained"):
+        raise ValueError(f"golden row category is not open, closed or constrained: {category!r}")
+    if not isinstance(position, int) or isinstance(position, bool):
+        raise ValueError(f"golden row position is not an integer: {position!r}")
+    if not 1 <= position <= count:
+        raise ValueError(f"golden row position is not between 1 and {count}: {position}")
+    if not isinstance(selected, bool):
+        raise ValueError(f"golden row selected is not a boolean: {selected!r}")
+    text = str(text)
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if not value.is_finite():
+        raise ValueError(f"golden row autorank_exact is not a finite decimal: {text!r}")
+    try:
+        # compare_pair computes both band edges; the decimal context must hold them
+        half_ulp = _half_ulp(value)
+        value - half_ulp, value + half_ulp
+    except ArithmeticError:
+        raise ValueError(f"golden row autorank_exact is out of range: {text!r}") from None
+    return GoldenRow(system, category, position, selected, text, value, half_ulp)
 
 
 def _half_ulp(value: Decimal) -> Decimal:
@@ -164,7 +215,8 @@ def compare_pair(
 
     Args:
         table: freshly computed leaderboard for the same pair.
-        golden: one entry of the golden report's "pairs" list.
+        golden: one entry of the golden report's "pairs" list, as
+            ``validate_golden_pair`` returns it.
         tolerance: allowed |computed - golden| slack on aggregates, on
             top of the golden value's own textual precision.
         allow: (pair, system) entries whose selection flag may differ.
@@ -174,34 +226,22 @@ def compare_pair(
         and allow-listed differences was found.
     """
 
-    pair = str(golden["pair"])
+    pair = golden["pair"].code  # type: ignore[attr-defined]
     result = PairComparison(pair=pair)
-    rows: Sequence[Mapping[str, object]] = golden["rows"]  # type: ignore[assignment]
+    rows: Sequence[GoldenRow] = golden["rows"]  # type: ignore[assignment]
 
     computed = {row.name: row for row in table.rows}
-    # each golden row's fields, read once: system, aggregate text,
-    # position, selected, category
-    fields = [
-        (
-            str(row["system"]),
-            str(row["autorank_exact"]),
-            row["position"],
-            bool(row["selected"]),
-            str(row["category"]),
-        )
-        for row in rows
-    ]
-    for name, *_ in fields:
-        if name not in computed:
-            result.mismatches.append(f"{pair}: {name}: missing from computed table")
-    golden_set = {name for name, *_ in fields}
+    for gold in rows:
+        if gold.system not in computed:
+            result.mismatches.append(f"{pair}: {gold.system}: missing from computed table")
+    golden_set = {gold.system for gold in rows}
     for name in computed:
         if name not in golden_set:
             result.mismatches.append(f"{pair}: {name}: absent from golden table")
     if result.mismatches:
         return result
 
-    golden_cutoff = golden.get("cutoff_position")
+    golden_cutoff = golden["cutoff_position"]
     if golden_cutoff != table.cutoff_position:
         result.mismatches.append(
             f"{pair}: cutoff_position: expected {golden_cutoff}, got {table.cutoff_position}"
@@ -211,33 +251,32 @@ def compare_pair(
     lo: list[Decimal] = []
     positions: list[int] = []
     differing: list[int] = []  # rows whose selection flag disagrees
-    for i, (name, text, golden_position, expected, _) in enumerate(fields):
-        row = computed[name]
-        value = Decimal(text)
-        band = tolerance + _half_ulp(value)
+    for i, gold in enumerate(rows):
+        row = computed[gold.system]
+        band = tolerance + gold.half_ulp
         got = Decimal(repr(row.autorank_exact))
-        if abs(got - value) > band:
+        if abs(got - gold.value) > band:
             result.mismatches.append(
-                f"{pair}: {name}: autorank: expected {text} (±{band}), got {got}"
+                f"{pair}: {gold.system}: autorank: expected {gold.text} (±{band}), got {got}"
             )
-        hi.append(value + band)
-        lo.append(value - band)
+        hi.append(gold.value + band)
+        lo.append(gold.value - band)
         positions.append(row.position)
-        if row.position != int(golden_position):  # type: ignore[call-overload]
+        if row.position != gold.position:
             result.notes.append(
-                f"{pair}: {name}: position {row.position} vs golden "
-                f"{golden_position} (within rounding uncertainty)"
+                f"{pair}: {gold.system}: position {row.position} vs golden "
+                f"{gold.position} (within rounding uncertainty)"
             )
-        if row.selected != expected:
+        if row.selected != gold.selected:
             differing.append(i)
 
     # order is binding only between rows whose uncertainty bands are disjoint
     if _has_binding_inversion(hi, lo, positions):
-        for i, (earlier, *_) in enumerate(fields):
-            for j in range(i + 1, len(fields)):
+        for i, earlier in enumerate(rows):
+            for j in range(i + 1, len(rows)):
                 if hi[i] < lo[j] and positions[i] > positions[j]:
                     result.mismatches.append(
-                        f"{pair}: order inversion: {earlier} ranked after {fields[j][0]}"
+                        f"{pair}: order inversion: {earlier.system} ranked after {rows[j].system}"
                     )
     if not differing:
         return result
@@ -245,12 +284,12 @@ def compare_pair(
     # selection: exact, except allow-list and swaps inside a display tie
     # (rows sharing one golden text) that keep each category's count
     surplus: dict[tuple[str, str], int] = {}
-    for name, text, _, expected, category in fields:
-        key = (text, category)
-        surplus[key] = surplus.get(key, 0) + computed[name].selected - expected
+    for gold in rows:
+        key = (gold.text, gold.category)
+        surplus[key] = surplus.get(key, 0) + computed[gold.system].selected - gold.selected
     unbalanced = {text for (text, _), count in surplus.items() if count}
     for i in differing:
-        name, text, _, expected, _ = fields[i]
+        name, expected, text = rows[i].system, rows[i].selected, rows[i].text
         got = computed[name].selected
         if (pair, name) in allow:
             result.allow_used.append((pair, name))

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import autorank.cli
+import autorank.golden
 import autorank.pipeline
 from autorank import (
     DEFAULT_METRICS,
@@ -406,6 +407,23 @@ class TestVerify:
             ("selected", "false", "golden row selected is not a boolean: 'false'"),
             ("selected", 0, "golden row selected is not a boolean: 0"),
             ("selected", None, "golden row selected is not a boolean: None"),
+            ("system", None, "golden row system is not a non-empty string: None"),
+            ("system", "", "golden row system is not a non-empty string: ''"),
+            ("system", 7, "golden row system is not a non-empty string: 7"),
+            (
+                "category",
+                "banana",
+                "golden row category is not open, closed or constrained: 'banana'",
+            ),
+            ("category", "Open", "golden row category is not open, closed or constrained: 'Open'"),
+            (
+                "category",
+                ["open"],
+                "golden row category is not open, closed or constrained: ['open']",
+            ),
+            ("position", 0, "golden row position is not between 1 and 20: 0"),
+            ("position", 21, "golden row position is not between 1 and 20: 21"),
+            ("position", -3, "golden row position is not between 1 and 20: -3"),
         ],
         ids=[
             "word-score",
@@ -418,6 +436,15 @@ class TestVerify:
             "string-selected",
             "zero-selected",
             "null-selected",
+            "null-system",
+            "empty-system",
+            "number-system",
+            "unknown-category",
+            "capitalised-category",
+            "list-category",
+            "zero-position",
+            "position-past-row-count",
+            "negative-position",
         ],
     )
     def test_golden_row_with_bad_value(self, tmp_path, capsys, field, value, reason):
@@ -442,6 +469,58 @@ class TestVerify:
             f"error: {path}: malformed golden report: "
             f"duplicate golden row for system {rows[4]['system']!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "value,shown",
+        [("18", "'18'"), (True, "True"), (False, "False"), (0, "0"), (-1, "-1"), (18.0, "18.0")],
+        ids=["text", "true", "false", "zero", "negative", "float"],
+    )
+    def test_golden_cutoff_not_null_or_positive_integer(self, tmp_path, capsys, value, shown):
+        # "18" used to print "cutoff_position: expected 18, got 18" and exit 2
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        golden["pairs"][0]["cutoff_position"] = value
+        path = tmp_path / "cs-uk.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed golden report: "
+            f"golden cutoff_position is not null or a positive integer: {shown}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "report,reason",
+        [
+            ({"config": None}, "golden report missing field 'pairs'"),
+            ({"pairs": 3}, "golden field 'pairs' is not a list"),
+            ({"pairs": None}, "golden field 'pairs' is not a list"),
+            ({"pairs": "cs-uk"}, "golden field 'pairs' is not a list"),
+            ({"pairs": {"pair": "cs-uk"}}, "golden field 'pairs' is not a list"),
+        ],
+        ids=["missing", "int", "null", "string", "object"],
+    )
+    def test_golden_pairs_field_not_a_list(self, tmp_path, capsys, report, reason):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: malformed golden report: {reason}\n"
+
+    def test_each_golden_row_is_parsed_once(self, monkeypatch, capsys):
+        original = autorank.golden._half_ulp
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(autorank.golden, "_half_ulp", counting)
+        argv = _verify(
+            "--golden", str(DATA / "golden"), "--allow-mismatch", str(DATA / "allow_mismatch.txt")
+        )
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 244  # the rows of the eleven WMT24 goldens
 
     @pytest.mark.parametrize(
         "text",

@@ -11,13 +11,15 @@ from autorank import (
     LanguagePair,
     LeaderboardTable,
     RankedRow,
+    RankingConfig,
     ReasonCode,
     SystemCategory,
     SystemEntry,
     compare_pair,
     parse_allow_list,
+    parse_golden,
 )
-from autorank.golden import validate_golden_pair
+from autorank.golden import GoldenRow, validate_golden_pair
 
 TOL = Decimal("0.05")
 
@@ -97,9 +99,39 @@ class TestValidateGoldenPair:
             validate_golden_pair(entry)
 
 
+class TestParseGolden:
+    def test_parses_config_pair_cutoff_and_rows(self, data_dir):
+        text = (data_dir / "golden" / "cs-uk.json").read_text(encoding="utf-8")
+        config, (entry,) = parse_golden(text)
+        assert config == RankingConfig()
+        assert entry["pair"] == LanguagePair("cs", "uk")
+        assert entry["cutoff_position"] == 18
+        assert len(entry["rows"]) == 20
+        assert entry["rows"][0] == GoldenRow(
+            "Unbabel-Tower70B", "closed", 1, True, "1.0", Decimal("1.0"), Decimal("0.05")
+        )
+
+    def test_json_fault_is_the_parser_message_alone(self):
+        with pytest.raises(ValueError) as info:
+            parse_golden("{")
+        assert str(info.value) == (
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        )
+
+    def test_shape_fault_is_a_malformed_report(self):
+        with pytest.raises(ValueError) as info:
+            parse_golden("[]")
+        assert str(info.value) == "malformed golden report: top level is not an object"
+
+    def test_leaves_the_raw_entry_as_it_was(self, goldens):
+        entry = copy.deepcopy(goldens["en-de"])
+        validate_golden_pair(entry)
+        assert entry == goldens["en-de"]
+
+
 class TestComparePair:
     def test_clean_pair_passes(self, tables, goldens):
-        result = compare_pair(tables["en-is"], goldens["en-is"], TOL)
+        result = compare_pair(tables["en-is"], validate_golden_pair(goldens["en-is"]), TOL)
         assert result.ok
         assert result.allow_used == []
 
@@ -107,7 +139,7 @@ class TestComparePair:
         golden = copy.deepcopy(goldens["en-is"])
         victim = golden["rows"][2]
         victim["autorank_exact"] = str(Decimal(victim["autorank_exact"]) + Decimal("0.2"))
-        result = compare_pair(tables["en-is"], golden, TOL)
+        result = compare_pair(tables["en-is"], validate_golden_pair(golden), TOL)
         assert not result.ok
         (message,) = [m for m in result.mismatches if "autorank" in m]
         assert victim["system"] in message
@@ -140,8 +172,8 @@ class TestComparePair:
                 ],
             }
 
-        assert compare_pair(two_row_table, golden("1.1"), TOL).ok
-        fine = compare_pair(two_row_table, golden("1.10"), TOL)
+        assert compare_pair(two_row_table, validate_golden_pair(golden("1.1")), TOL).ok
+        fine = compare_pair(two_row_table, validate_golden_pair(golden("1.10")), TOL)
         assert any("autorank" in m for m in fine.mismatches)
 
     def test_order_inversion_detected_when_bands_disjoint(self, two_row_table):
@@ -176,7 +208,7 @@ class TestComparePair:
                 },
             ],
         }
-        result = compare_pair(contradicted, golden, TOL)
+        result = compare_pair(contradicted, validate_golden_pair(golden), TOL)
         assert any("order inversion" in m and "A" in m for m in result.mismatches)
 
     def test_order_inversions_listed_in_golden_order(self):
@@ -195,7 +227,7 @@ class TestComparePair:
                 _row("B", 1.0, 5),
             ]
         )
-        result = compare_pair(computed, golden, TOL)
+        result = compare_pair(computed, validate_golden_pair(golden), TOL)
         assert result.mismatches == [
             "xx-yy: order inversion: A ranked after C",
             "xx-yy: order inversion: B ranked after C",
@@ -209,56 +241,57 @@ class TestComparePair:
         # of milliseconds.
         rows = [_row(f"S{i:04d}", i / 10, i) for i in range(1, 3001)]
         golden = _golden([(row.name, repr(row.autorank_exact), row.position) for row in rows])
+        parsed = validate_golden_pair(golden)
         computed = _table(rows)
         start = time.perf_counter()
-        result = compare_pair(computed, golden, TOL)
+        result = compare_pair(computed, parsed, TOL)
         elapsed = time.perf_counter() - start
         assert result.ok
         assert elapsed < 1.0
 
     def test_position_drift_within_band_is_a_note(self, tables, goldens):
         # en-de carries a published near-tie the engine orders differently
-        result = compare_pair(tables["en-de"], goldens["en-de"], TOL)
+        result = compare_pair(tables["en-de"], validate_golden_pair(goldens["en-de"]), TOL)
         assert result.ok
         assert any("position" in n and "rounding" in n for n in result.notes)
 
     def test_cutoff_mismatch_is_fatal(self, tables, goldens):
         golden = copy.deepcopy(goldens["en-is"])
         golden["cutoff_position"] = 3
-        result = compare_pair(tables["en-is"], golden, TOL)
+        result = compare_pair(tables["en-is"], validate_golden_pair(golden), TOL)
         assert any("cutoff_position" in m for m in result.mismatches)
 
     def test_membership_checked_both_ways(self, tables, goldens):
         golden = copy.deepcopy(goldens["en-is"])
         renamed = golden["rows"][0]["system"]
         golden["rows"][0]["system"] = "Imposter"
-        result = compare_pair(tables["en-is"], golden, TOL)
+        result = compare_pair(tables["en-is"], validate_golden_pair(golden), TOL)
         assert any("Imposter" in m and "missing from computed" in m for m in result.mismatches)
         assert any(renamed in m and "absent from golden" in m for m in result.mismatches)
 
     def test_selection_mismatch_without_allowance(self, tables, goldens):
-        result = compare_pair(tables["cs-uk"], goldens["cs-uk"], TOL)
+        result = compare_pair(tables["cs-uk"], validate_golden_pair(goldens["cs-uk"]), TOL)
         assert result.mismatches == [
             "cs-uk: Llama3-70B: selected: expected False, got True"
         ]
 
     def test_allow_list_converts_mismatch_to_note(self, tables, goldens):
         allow = {("cs-uk", "Llama3-70B")}
-        result = compare_pair(tables["cs-uk"], goldens["cs-uk"], TOL, allow)
+        result = compare_pair(tables["cs-uk"], validate_golden_pair(goldens["cs-uk"]), TOL, allow)
         assert result.ok
         assert result.allow_used == [("cs-uk", "Llama3-70B")]
         assert any("allow-listed" in n for n in result.notes)
 
     def test_allowance_for_other_pair_does_not_leak(self, tables, goldens):
         allow = {("en-cs", "Llama3-70B")}
-        result = compare_pair(tables["cs-uk"], goldens["cs-uk"], TOL, allow)
+        result = compare_pair(tables["cs-uk"], validate_golden_pair(goldens["cs-uk"]), TOL, allow)
         assert not result.ok
         assert result.allow_used == []
 
     def test_tie_swap_preserving_counts_is_a_note(self, tables, goldens):
         # en-de: the engine swaps which of two closed systems sharing a
         # displayed aggregate is selected; counts per category survive
-        result = compare_pair(tables["en-de"], goldens["en-de"], TOL)
+        result = compare_pair(tables["en-de"], validate_golden_pair(goldens["en-de"]), TOL)
         assert result.ok
         swaps = [n for n in result.notes if "selection swapped within display tie" in n]
         assert {n.split(":")[1].strip() for n in swaps} == {"Gemini-1.5-Pro", "ONLINE-W"}
@@ -270,5 +303,5 @@ class TestComparePair:
         for row in golden["rows"]:
             if row["system"] == "Gemini-1.5-Pro":
                 row["category"] = "open"
-        result = compare_pair(tables["en-de"], golden, TOL)
+        result = compare_pair(tables["en-de"], validate_golden_pair(golden), TOL)
         assert any("selected" in m for m in result.mismatches)

@@ -42,7 +42,7 @@ from autorank import (
     serialize_scores,
 )
 from autorank.cli import main
-from autorank.golden import _has_binding_inversion
+from autorank.golden import _has_binding_inversion, validate_golden_pair
 from autorank.ranking import _decimal_column
 from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
 
@@ -871,7 +871,7 @@ def test_order_check_matches_pairwise_scan(tolerance, data):
     )
     golden = {"pair": PAIR.code, "cutoff_position": None, "rows": golden_rows}
     expected = _pairwise_inversions(PAIR.code, golden_rows, positions, tolerance)
-    assert compare_pair(table, golden, tolerance).mismatches == expected
+    assert compare_pair(table, validate_golden_pair(golden), tolerance).mismatches == expected
     # the sweep alone decides whether the pairwise listing runs at all
     hi, lo = _band_edges(golden_rows, tolerance)
     assert _has_binding_inversion(hi, lo, [positions[name] for name in names]) == bool(expected)
