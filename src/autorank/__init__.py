@@ -11,9 +11,6 @@ from .ingest import (
     parse_manifest,
     parse_registry,
     parse_scores,
-    serialize_manifest,
-    serialize_registry,
-    serialize_scores,
 )
 from .model import (
     DEFAULT_METRICS,
@@ -59,8 +56,5 @@ __all__ = [
     "rank_pair",
     "render_report",
     "render_table",
-    "serialize_manifest",
-    "serialize_registry",
-    "serialize_scores",
     "__version__",
 ]

@@ -37,7 +37,7 @@ from .model import LanguagePair, LeaderboardTable, RankingConfig
 
 # a parsed golden row: ``text`` is the aggregate as written, ``value``
 # its decimal and ``half_ulp`` half a unit in its last written place
-GoldenRow = namedtuple("GoldenRow", "system category position selected text value half_ulp")
+GoldenRow = namedtuple("GoldenRow", "system category selected text value half_ulp")
 
 
 class PairComparison:
@@ -46,10 +46,9 @@ class PairComparison:
     ``compare_pair`` fills the three lists as it goes.
     """
 
-    __slots__ = ("pair", "mismatches", "notes", "allow_used")
+    __slots__ = ("mismatches", "notes", "allow_used")
 
-    def __init__(self, pair: str) -> None:
-        self.pair = pair
+    def __init__(self) -> None:
         self.mismatches: list[str] = []
         self.notes: list[str] = []
         self.allow_used: list[tuple[str, str]] = []
@@ -109,9 +108,9 @@ def validate_golden_pair(entry: object) -> dict:
     null or a positive integer) an int or None, and ``rows`` a tuple of
     ``GoldenRow``.  Each row needs a non-empty ``system`` no other row
     has, a ``category`` of open, closed or constrained, a ``position``
-    from 1 to the row count, a boolean ``selected`` and a finite decimal
-    ``autorank_exact`` whose band, the value ± half an ulp, fits the
-    decimal context.  Raises ValueError on the first fault.
+    equal to its 1-based place in the list, a boolean ``selected`` and a
+    finite decimal ``autorank_exact`` whose band, the value ± half an
+    ulp, fits the decimal context.  Raises ValueError on the first fault.
     """
 
     if not isinstance(entry, dict):
@@ -123,8 +122,8 @@ def validate_golden_pair(entry: object) -> dict:
     if not isinstance(rows, list):
         raise ValueError("golden field 'rows' is not a list")
     parsed: dict[str, GoldenRow] = {}
-    for row in rows:
-        golden_row = _golden_row(row, len(rows))
+    for place, row in enumerate(rows, start=1):
+        golden_row = _golden_row(row, place)
         if golden_row.system in parsed:
             raise ValueError(f"duplicate golden row for system {golden_row.system!r}")
         parsed[golden_row.system] = golden_row
@@ -135,7 +134,7 @@ def validate_golden_pair(entry: object) -> dict:
     return {"pair": pair, "cutoff_position": cutoff, "rows": tuple(parsed.values())}
 
 
-def _golden_row(row: object, count: int) -> GoldenRow:
+def _golden_row(row: object, place: int) -> GoldenRow:
     if not isinstance(row, dict):
         raise ValueError("golden row is not an object")
     try:
@@ -150,8 +149,8 @@ def _golden_row(row: object, count: int) -> GoldenRow:
         raise ValueError(f"golden row category is not open, closed or constrained: {category!r}")
     if not isinstance(position, int) or isinstance(position, bool):
         raise ValueError(f"golden row position is not an integer: {position!r}")
-    if not 1 <= position <= count:
-        raise ValueError(f"golden row position is not between 1 and {count}: {position}")
+    if position != place:
+        raise ValueError(f"golden row position is not {place}, its place in the list: {position}")
     if not isinstance(selected, bool):
         raise ValueError(f"golden row selected is not a boolean: {selected!r}")
     text = str(text)
@@ -167,7 +166,7 @@ def _golden_row(row: object, count: int) -> GoldenRow:
         value - half_ulp, value + half_ulp
     except ArithmeticError:
         raise ValueError(f"golden row autorank_exact is out of range: {text!r}") from None
-    return GoldenRow(system, category, position, selected, text, value, half_ulp)
+    return GoldenRow(system, category, selected, text, value, half_ulp)
 
 
 def _half_ulp(value: Decimal) -> Decimal:
@@ -227,7 +226,7 @@ def compare_pair(
     """
 
     pair = golden["pair"].code  # type: ignore[attr-defined]
-    result = PairComparison(pair=pair)
+    result = PairComparison()
     rows: Sequence[GoldenRow] = golden["rows"]  # type: ignore[assignment]
 
     computed = {row.name: row for row in table.rows}
@@ -262,10 +261,10 @@ def compare_pair(
         hi.append(gold.value + band)
         lo.append(gold.value - band)
         positions.append(row.position)
-        if row.position != gold.position:
+        if row.position != i + 1:
             result.notes.append(
                 f"{pair}: {gold.system}: position {row.position} vs golden "
-                f"{gold.position} (within rounding uncertainty)"
+                f"{i + 1} (within rounding uncertainty)"
             )
         if row.selected != gold.selected:
             differing.append(i)

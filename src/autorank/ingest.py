@@ -1,4 +1,4 @@
-"""TSV ingestion and serialization.
+"""TSV ingestion.
 
 Three tab-separated formats, all UTF-8 with LF line endings and an
 exact header line:
@@ -9,8 +9,7 @@ manifest    pair<TAB>segments<TAB>words
 
 The parsers are strict: wrong column counts, unknown columns, duplicate
 keys, unregistered names and malformed values are all rejected with the
-1-based line number.  ``serialize_* (parse_*(text))`` reproduces a
-canonically formatted input byte for byte.
+1-based line number.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
-        self.reason = message
 
 
 def _rows(text: str, header: str) -> Iterable[tuple[int, list[str]]]:
@@ -188,50 +186,9 @@ def parse_manifest(text: str) -> dict[LanguagePair, tuple[int, int]]:
     return entries
 
 
-def _withdrawn_token(entry: SystemEntry) -> str:
-    if entry.withdrawn:
-        return "1"
-    if entry.withdrawn_pairs:
-        return ",".join(sorted(pair.code for pair in entry.withdrawn_pairs))
-    return "0"
-
-
-def serialize_registry(entries: Iterable[SystemEntry]) -> str:
-    lines = [REGISTRY_HEADER]
-    for entry in entries:
-        lines.append(
-            "\t".join(
-                (
-                    entry.name,
-                    entry.category.value,
-                    _withdrawn_token(entry),
-                    ",".join(sorted(pair.code for pair in entry.unsupported_pairs)),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def serialize_scores(scores: Mapping[LanguagePair, Mapping[str, Mapping[str, float]]]) -> str:
-    lines = [SCORES_HEADER]
-    for pair, matrix in scores.items():
-        for system, row in matrix.items():
-            for metric, score in row.items():
-                lines.append(f"{pair.code}\t{system}\t{metric}\t{score!r}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_manifest(entries: dict[LanguagePair, tuple[int, int]]) -> str:
-    lines = [MANIFEST_HEADER]
-    for pair in sorted(entries):
-        segments, words = entries[pair]
-        lines.append(f"{pair.code}\t{segments}\t{words}")
-    return "\n".join(lines) + "\n"
-
-
 def check_completeness(
     matrix: Mapping[str, Mapping[str, float]],
-    registry: Sequence[SystemEntry],
+    entries: Mapping[str, SystemEntry],
     metrics: Sequence[MetricSpec],
     pair: LanguagePair,
 ) -> None:
@@ -239,16 +196,16 @@ def check_completeness(
 
     A participant is any system with a row in the matrix; systems with
     none simply did not take part, so an empty matrix passes.
+    ``entries`` is the registry indexed by name.
 
     Raises:
-        ValueError: a scored system missing from ``registry``, a score
+        ValueError: a scored system missing from ``entries``, a score
             that is not finite, or a participant lacking a score for
             one of ``metrics``.
     """
 
-    known = {entry.name for entry in registry}
     for system, row in matrix.items():
-        if system not in known:
+        if system not in entries:
             raise ValueError(f"system {system!r} has scores but no registry entry")
         for metric, score in row.items():
             if not math.isfinite(score):

@@ -51,13 +51,13 @@ def rank_pair(
     """
 
     matrix = scores.get(pair, {})
-    check_completeness(matrix, registry, metrics, pair)
+    entries = {entry.name: entry for entry in registry}
+    check_completeness(matrix, entries, metrics, pair)
     if not matrix:
         return LeaderboardTable(
             pair=pair, metrics=metrics, rows=(), cutoff_position=None, config=config
         )
 
-    entries = {entry.name: entry for entry in registry}
     context = build_context(pair, matrix, metrics)
     ordered = order_rows(compute_autorank(matrix, context, config))
     cutoff = find_cutoff(ordered, config, context[0])

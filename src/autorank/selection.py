@@ -19,10 +19,8 @@ The stages read the sort keys ``ranking.order_rows`` returns, in
 leaderboard order; a key's position is its index plus one.
 ``find_cutoff`` and ``select_for_human_eval`` decide on the keys, and
 ``apply_selection`` then builds each ``RankedRow`` once, with its final
-position, reason codes and display.  Each stage resolves the pair's
-withdrawn or unsupported systems into one set of names per pair, so a
-row costs a set lookup.  Gaps are compared on the keys' exact integers,
-so a gap of exactly ``cutoff_gap`` never draws the line.
+position, reason codes and display.  Gaps are compared on the keys'
+exact integers, so a gap of exactly ``cutoff_gap`` never draws the line.
 """
 
 from __future__ import annotations
@@ -100,13 +98,12 @@ def select_for_human_eval(
     """
 
     closed_limit, open_limit = category_limits(len(ordered), config)
-    withdrawn = {key[2] for key in ordered if entries[key[2]].is_withdrawn(pair)}
     verdicts = []
     for position, key in enumerate(ordered, start=1):
-        name = key[2]
-        category = entries[name].category
+        entry = entries[key[2]]
+        category = entry.category
         exclusions: list[ReasonCode] = []
-        if name in withdrawn:
+        if entry.is_withdrawn(pair):
             exclusions.append(ReasonCode.EXCLUDED_WITHDRAWN)
         if cutoff_position is not None and position >= cutoff_position:
             exclusions.append(ReasonCode.EXCLUDED_BELOW_CUTOFF)
@@ -140,7 +137,6 @@ def apply_selection(
     is the one place a ranked pair's ``RankedRow``s are constructed.
     """
 
-    unsupported = {key[2] for key in ordered if not entries[key[2]].claims_support(pair)}
     return [
         RankedRow(
             entries[name],
@@ -149,7 +145,7 @@ def apply_selection(
             autorank,
             position,
             _WITHDRAWN in reasons,
-            name not in unsupported,
+            entries[name].claims_support(pair),
             reasons,
             display,
         )

@@ -40,15 +40,14 @@ from autorank import (
     parse_scores,
     rank_pair,
     render_table,
-    serialize_manifest,
-    serialize_registry,
-    serialize_scores,
     parse_manifest,
 )
 from autorank.cli import main
 from autorank.golden import validate_golden_pair
 from autorank.render import file_extension, visible_rows
 from autorank.selection import category_limits
+
+from _tsv import serialize_manifest, serialize_registry, serialize_scores
 
 TOLERANCE = Decimal("0.05")
 

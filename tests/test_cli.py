@@ -421,9 +421,9 @@ class TestVerify:
                 ["open"],
                 "golden row category is not open, closed or constrained: ['open']",
             ),
-            ("position", 0, "golden row position is not between 1 and 20: 0"),
-            ("position", 21, "golden row position is not between 1 and 20: 21"),
-            ("position", -3, "golden row position is not between 1 and 20: -3"),
+            ("position", 0, "golden row position is not 4, its place in the list: 0"),
+            ("position", 21, "golden row position is not 4, its place in the list: 21"),
+            ("position", -3, "golden row position is not 4, its place in the list: -3"),
         ],
         ids=[
             "word-score",
@@ -460,7 +460,7 @@ class TestVerify:
         # 21 rows for cs-uk's 20 systems used to verify as ok
         golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
         rows = golden["pairs"][0]["rows"]
-        rows.append(dict(rows[4]))
+        rows.append(dict(rows[4], position=21))
         path = tmp_path / "cs-uk.json"
         path.write_text(json.dumps(golden), encoding="utf-8")
         code = main(_verify("--golden", str(tmp_path)))
@@ -468,6 +468,20 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: {path}: malformed golden report: "
             f"duplicate golden row for system {rows[4]['system']!r}\n"
+        )
+
+    def test_golden_positions_follow_the_row_list(self, tmp_path, capsys):
+        # every position 1 used to verify as ok, with a note per moved row
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        for row in golden["pairs"][0]["rows"]:
+            row["position"] = 1
+        path = tmp_path / "cs-uk.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path)))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed golden report: "
+            "golden row position is not 2, its place in the list: 1\n"
         )
 
     @pytest.mark.parametrize(

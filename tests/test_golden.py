@@ -108,7 +108,7 @@ class TestParseGolden:
         assert entry["cutoff_position"] == 18
         assert len(entry["rows"]) == 20
         assert entry["rows"][0] == GoldenRow(
-            "Unbabel-Tower70B", "closed", 1, True, "1.0", Decimal("1.0"), Decimal("0.05")
+            "Unbabel-Tower70B", "closed", True, "1.0", Decimal("1.0"), Decimal("0.05")
         )
 
     def test_json_fault_is_the_parser_message_alone(self):
@@ -216,7 +216,7 @@ class TestComparePair:
         # one-decimal text every band is ±0.1, so A's upper edge (2.1)
         # equals D's lower edge (2.1): touching bands bind no order.
         golden = _golden(
-            [("A", "2.0", 3), ("B", "1.0", 1), ("C", "3.0", 5), ("D", "2.2", 4), ("E", "1.5", 2)]
+            [("A", "2.0", 1), ("B", "1.0", 2), ("C", "3.0", 3), ("D", "2.2", 4), ("E", "1.5", 5)]
         )
         computed = _table(
             [

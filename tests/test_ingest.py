@@ -11,11 +11,10 @@ from autorank import (
     parse_manifest,
     parse_registry,
     parse_scores,
-    serialize_manifest,
-    serialize_registry,
-    serialize_scores,
 )
 from autorank.ingest import check_completeness
+
+from _tsv import serialize_manifest, serialize_registry, serialize_scores
 
 REGISTRY = (
     "system\tcategory\twithdrawn\tunsupported_pairs\n"
@@ -261,7 +260,7 @@ def test_parse_manifest_rejects_duplicate_pair():
 
 def test_check_completeness_full_matrix(registry, scores):
     matrix = scores[CSUK]
-    check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
+    check_completeness(matrix, {e.name: e for e in registry}, DEFAULT_METRICS, CSUK)
     assert len(matrix) == 20
     assert all(set(row) == {m.id for m in DEFAULT_METRICS} for row in matrix.values())
     assert matrix["IOL-Research"] == {"metricx-23-xl": 1.3, "cometkiwi-da-xl": 0.681}
@@ -272,7 +271,7 @@ def test_check_completeness_flags_missing_metric():
     matrix = parse_scores(SCORES, registry, DEFAULT_METRICS)[CSUK]
     del matrix["GPT-4"]["cometkiwi-da-xl"]
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
+        check_completeness(matrix, {e.name: e for e in registry}, DEFAULT_METRICS, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: GPT-4/cometkiwi-da-xl"
 
 
@@ -285,18 +284,20 @@ def test_check_completeness_lists_holes_by_system_then_metric():
     ]
     matrix = {"A": {"metricx-23-xl": 1.0}}
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
+        check_completeness(matrix, {e.name: e for e in registry}, DEFAULT_METRICS, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: A/cometkiwi-da-xl"
     matrix["0"] = {"cometkiwi-da-xl": 0.5}
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
+        check_completeness(matrix, {e.name: e for e in registry}, DEFAULT_METRICS, CSUK)
     assert str(info.value) == (
         "cs-uk is not rankable, missing scores: 0/metricx-23-xl, A/cometkiwi-da-xl"
     )
 
 
 def test_check_completeness_empty_pair_is_vacuously_rankable():
-    check_completeness({}, _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh"))
+    check_completeness(
+        {}, {e.name: e for e in _registry()}, DEFAULT_METRICS, LanguagePair.from_code("en-xh")
+    )
 
 
 def test_parse_registry_rejects_terminal_escapes_in_names():

@@ -38,13 +38,13 @@ from autorank import (
     rank_pair,
     render_report,
     render_table,
-    serialize_registry,
-    serialize_scores,
 )
 from autorank.cli import main
 from autorank.golden import _has_binding_inversion, validate_golden_pair
 from autorank.ranking import _decimal_column
 from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
+
+from _tsv import serialize_registry, serialize_scores
 
 MX, CK = DEFAULT_METRICS
 PAIR = LanguagePair.from_code("xx-yy")
@@ -853,8 +853,14 @@ def test_order_check_matches_pairwise_scan(tolerance, data):
     names = [f"S{i:02d}" for i in range(n)]
     positions = dict(zip(names, data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))))
     golden_rows = [
-        {"system": name, "category": "open", "autorank_exact": text, "position": 1, "selected": False}
-        for name, text in zip(names, values)
+        {
+            "system": name,
+            "category": "open",
+            "autorank_exact": text,
+            "position": place,
+            "selected": False,
+        }
+        for place, (name, text) in enumerate(zip(names, values), start=1)
     ]
     table_rows = [
         RankedRow(
