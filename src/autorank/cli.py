@@ -10,6 +10,8 @@ Two subcommands:
             and an optional allow-list for known selection ambiguities.
 
 Exit codes: 0 ok, 1 validation error, 2 golden mismatch, 3 usage error.
+A stdout that cannot be written (a closed pipe, a full disk) is a
+validation error too, reported in one line.
 Setting the environment variable AUTORANK_NO_COLOR suppresses ANSI
 styling on text output to a terminal.  File output is always plain and
 written atomically (temp file then rename).
@@ -24,14 +26,21 @@ import sys
 import tempfile
 from decimal import Decimal
 from enum import IntEnum
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 from .golden import compare_pair, parse_allow_list, parse_golden
 # unused here; kept a module-level name for perfbench/tracer.py
 from .golden import validate_golden_pair
-from .ingest import ParseError, parse_manifest, parse_registry, parse_scores
-from .model import DEFAULT_METRICS, LanguagePair, RankingConfig, ScaleSpan
+from .ingest import (
+    ParseError,
+    check_completeness,
+    parse_manifest,
+    parse_registry,
+    parse_scores,
+)
+from .model import DEFAULT_METRICS, LanguagePair, LeaderboardTable, RankingConfig, ScaleSpan
 from .pipeline import pairs_in, rank_pair
 from .render import (
     RenderOptions,
@@ -156,6 +165,34 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+class _StdoutError(Exception):
+    pass
+
+
+def _write(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:  # a closed pipe, a full disk
+        raise _StdoutError(exc.strerror or exc) from None
+
+
+def _discard_stdout() -> None:
+    """Point the process's stdout at the null device.
+
+    The interpreter flushes stdout again at exit; with the text still
+    buffered that flush would fail the same way and print a traceback.
+    """
+
+    if sys.stdout is not sys.__stdout__:
+        return
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    except (OSError, ValueError):
+        pass
+
+
 def _want_color(fmt: TableFormat) -> bool:
     if fmt is not TableFormat.TEXT:
         return False
@@ -191,12 +228,15 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
                 f"{args.manifest}: no manifest entry for pair(s): {', '.join(absent)}"
             )
 
-    tables = []
+    # every pair is checked before the first is ranked: a checked pair
+    # cannot fail in ranking, so an error leaves stdout empty and writes
+    # no file under --out
+    entries = {entry.name: entry for entry in registry}
     for pair in pairs:
         if pair not in scores:
             raise _ValidationError(f"{args.scores}: no scores for pair {pair.code}")
         try:
-            tables.append(rank_pair(registry, scores, pair, DEFAULT_METRICS, config))
+            check_completeness(scores[pair], entries, DEFAULT_METRICS, pair)
         except ValueError as exc:
             raise _ValidationError(str(exc)) from None
 
@@ -207,26 +247,29 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
         color=args.out is None and _want_color(fmt),
     )
 
+    def ranked(pair: LanguagePair) -> LeaderboardTable:
+        return rank_pair(registry, scores, pair, DEFAULT_METRICS, config)
+
+    # then each pair is ranked, rendered and written before the next one
+    # is ranked, and nothing keeps its table: at most one is alive
     if args.out is not None:
         out_dir = Path(args.out)
         target = args.out
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            for table in tables:
-                target = out_dir / f"{table.pair.code}.{file_extension(fmt)}"
-                _write_atomic(target, render_table(table, options))
+            for pair in pairs:
+                target = out_dir / f"{pair.code}.{file_extension(fmt)}"
+                _write_atomic(target, render_table(ranked(pair), options))
         except OSError as exc:
             raise _ValidationError(f"cannot write {target}: {exc.strerror or exc}") from None
+    elif fmt is TableFormat.JSON:
+        # the report lists its pairs by code
+        tables = map(ranked, sorted(pairs, key=attrgetter("code")))
+        for chunk in report_chunks(tables, options.include_closed):
+            _write(chunk)
     else:
-        # every pair is ranked before the first write, so an error leaves
-        # stdout empty; the text is written as it comes, one pair at a time
-        write = sys.stdout.write
-        if fmt is TableFormat.JSON:
-            for chunk in report_chunks(tables, options.include_closed):
-                write(chunk)
-        else:
-            for i, table in enumerate(tables):
-                write("\n" * (i > 0) + render_table(table, options))
+        for i, pair in enumerate(pairs):
+            _write("\n" * (i > 0) + render_table(ranked(pair), options))
     return ExitStatus.OK
 
 
@@ -259,8 +302,7 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
             compared += 1
             if pair not in scores:
                 failed += 1
-                print(f"{pair.code}: MISMATCH")
-                print(f"  {pair.code}: no scores for this pair")
+                _write(f"{pair.code}: MISMATCH\n  {pair.code}: no scores for this pair\n")
                 continue
             try:
                 table = rank_pair(registry, scores, pair, DEFAULT_METRICS, config)
@@ -268,33 +310,43 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
                 raise _ValidationError(str(exc)) from None
             result = compare_pair(table, entry, tolerance, allow)
             status = "ok" if result.ok else "MISMATCH"
-            print(f"{pair.code}: {status} ({len(table.rows)} systems)")
+            _write(f"{pair.code}: {status} ({len(table.rows)} systems)\n")
             for line in result.mismatches:
-                print(f"  {line}")
+                _write(f"  {line}\n")
             for line in result.notes:
-                print(f"  note: {line}")
+                _write(f"  note: {line}\n")
             if not result.ok:
                 failed += 1
 
-    print(f"compared {compared} pair(s): {compared - failed} ok, {failed} mismatched")
+    _write(f"compared {compared} pair(s): {compared - failed} ok, {failed} mismatched\n")
     if compared == 0:
-        print("warning: golden directory contained no pair entries")
+        _write("warning: golden directory contained no pair entries\n")
     return ExitStatus.OK if failed == 0 else ExitStatus.GOLDEN_MISMATCH
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    message = None
     try:
         args = parser.parse_args(argv)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        return _cmd_verify(args)
+        status = _cmd_rank(args) if args.command == "rank" else _cmd_verify(args)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return ExitStatus.USAGE_ERROR
+        message, status = f"usage error: {exc}", ExitStatus.USAGE_ERROR
     except _ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitStatus.VALIDATION_ERROR
+        message, status = f"error: {exc}", ExitStatus.VALIDATION_ERROR
+    except _StdoutError as exc:
+        message, status = f"error: cannot write to stdout: {exc}", ExitStatus.VALIDATION_ERROR
+    # what is still buffered fails here, not at the interpreter's exit
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        _discard_stdout()
+        if message is None:
+            reason = exc.strerror or exc
+            message, status = f"error: cannot write to stdout: {reason}", ExitStatus.VALIDATION_ERROR
+    if message is not None:
+        print(message, file=sys.stderr)
+    return status
 
 
 def entrypoint() -> None:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterator, Mapping, Sequence
 
 from .model import LanguagePair, MetricSpec, SystemCategory, SystemEntry
 
@@ -41,14 +42,28 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _rows(text: str, header: str) -> Iterable[tuple[int, list[str]]]:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # trailing newline
-    if not lines or lines[0] != header:
+# _rows splits the text in blocks of about this many characters, each
+# cut at a newline, so no list of every line is ever held
+_BLOCK = 1 << 16
+
+
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """The lines of ``text``, less one final newline, a block at a time."""
+
+    stop = len(text) - text.endswith("\n")
+    start = 0
+    while (end := text.find("\n", start + _BLOCK, stop)) >= 0:
+        yield text[start:end].split("\n")
+        start = end + 1
+    yield text[start:stop].split("\n")
+
+
+def _rows(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
+    lines = chain.from_iterable(_line_blocks(text))
+    if next(lines) != header:
         raise ParseError(1, f"expected header {header!r}")
     width = header.count("\t") + 1
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in enumerate(lines, start=2):
         fields = line.split("\t")
         if len(fields) != width:
             raise ParseError(number, f"expected {width} tab-separated columns, got {len(fields)}")
@@ -196,25 +211,53 @@ def check_completeness(
 
     A participant is any system with a row in the matrix; systems with
     none simply did not take part, so an empty matrix passes.
-    ``entries`` is the registry indexed by name.
+    ``entries`` is the registry indexed by name.  A matrix that passes
+    cannot fail in ``ranking.build_context`` or any later stage.
 
     Raises:
         ValueError: a scored system missing from ``entries``, a score
-            that is not finite, or a participant lacking a score for
-            one of ``metrics``.
+            that is not finite, a participant lacking a score for one
+            of ``metrics``, or a metric whose best and worst scores lie
+            further apart than a float can hold.  The first of these
+            found, in that order, is the one raised.
     """
 
-    for system, row in matrix.items():
-        if system not in entries:
-            raise ValueError(f"system {system!r} has scores but no registry entry")
-        for metric, score in row.items():
-            if not math.isfinite(score):
-                raise ValueError(f"{pair} score for {system}/{metric} is not finite: {score!r}")
-    holes = ", ".join(
-        f"{system}/{metric.id}"
-        for system in sorted(matrix)
-        for metric in metrics
-        if metric.id not in matrix[system]
-    )
-    if holes:
-        raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
+    rows = matrix.values()
+    ids = [metric.id for metric in metrics]
+    try:
+        columns = [[row[metric_id] for row in rows] for metric_id in ids]
+    except KeyError:
+        columns = []  # a hole, reported below in its turn
+    # the common case, checked in a few passes at C speed: every system
+    # registered, each row holding just the metrics' scores, and every
+    # column's sum finite.  A sum is inf or NaN when any term is; finite
+    # terms can overflow it too, and the exact checks then find nothing.
+    if not (
+        len(columns) == len(ids)
+        and matrix.keys() <= entries.keys()
+        and sum(map(len, rows)) == len(ids) * len(matrix)
+        and all(math.isfinite(sum(column)) for column in columns)
+    ):
+        for system, row in matrix.items():
+            if system not in entries:
+                raise ValueError(f"system {system!r} has scores but no registry entry")
+            for metric_id, score in row.items():
+                if not math.isfinite(score):
+                    raise ValueError(
+                        f"{pair} score for {system}/{metric_id} is not finite: {score!r}"
+                    )
+        holes = ", ".join(
+            f"{system}/{metric.id}"
+            for system in sorted(matrix)
+            for metric in metrics
+            if metric.id not in matrix[system]
+        )
+        if holes:
+            raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
+    for metric_id, column in zip(ids, columns) if matrix else ():
+        low, high = min(column), max(column)
+        # best - worst would be inf, and inf / inf a NaN aggregate
+        if not math.isfinite(high - low):
+            raise ValueError(
+                f"{pair} score range for {metric_id} is not finite: {low!r} to {high!r}"
+            )

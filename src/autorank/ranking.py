@@ -87,9 +87,10 @@ def build_context(
 
     Args:
         pair: the direction being ranked.
-        scores_by_system: system name -> metric id -> raw score; every
-            system must have a score for every metric (see
-            ``check_completeness``).
+        scores_by_system: system name -> metric id -> raw score, a
+            matrix ``ingest.check_completeness`` passed: every score
+            finite, every system scored on every metric, and each
+            metric's range finite.
         metrics: the metric columns, with orientations.
 
     Returns:
@@ -97,8 +98,7 @@ def build_context(
         what ``find_cutoff`` measures gaps against.
 
     Raises:
-        ValueError: empty matrix, no metric, or a metric whose best and
-            worst scores lie further apart than a float can hold.
+        ValueError: empty matrix or no metric.
     """
 
     if not scores_by_system:
@@ -108,10 +108,6 @@ def build_context(
     for metric in metrics:
         column = [row[metric.id] for row in rows]
         low, high = min(column), max(column)
-        if not math.isfinite(high - low):
-            raise ValueError(
-                f"{pair} score range for {metric.id} is not finite: {low!r} to {high!r}"
-            )
         exact = _decimal_column(column, low, high)
         exact_low, exact_high = min(exact), max(exact)
         if metric.orientation is Orientation.LOWER_BETTER:

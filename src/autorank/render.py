@@ -27,9 +27,12 @@ strings through the C encoder ``encode_basestring``.  Only the JSON
 report imports ``json``; the other formats never load it.
 
 The report has one writer, ``report_chunks``: the head with the
-config, then one chunk per pair, then the tail.  A caller that writes
-the chunks as they come holds one pair's text at a time, never the
-whole report; ``render_report`` joins them into one string.
+config, then one chunk per pair, then the tail.  It takes each table
+from its iterable only when it reaches it and drops it once its text
+is built, so a caller that hands it tables as they are ranked and
+writes the chunks as they come holds one table and one pair's text at
+a time, never every table or the whole report.  ``render_report``
+sorts the tables by pair code and joins the chunks into one string.
 
 No format rounds: every one prints the ``autorank_display`` the ranker
 set on each row.
@@ -38,8 +41,7 @@ set on each row.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from unicodedata import category, east_asian_width
 
 from .model import (
@@ -104,35 +106,38 @@ def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = Tru
     top so a verification run can reproduce the computation.
     """
 
-    return "".join(report_chunks(tables, include_closed))
+    return "".join(report_chunks(sorted(tables, key=lambda t: t.pair.code), include_closed))
 
 
 def report_chunks(
-    tables: Sequence[LeaderboardTable], include_closed: bool = True
+    tables: Iterable[LeaderboardTable], include_closed: bool = True
 ) -> Iterator[str]:
-    """The text of ``render_report``, one pair at a time.
+    """The text of a JSON report over ``tables``, one pair at a time.
 
-    The tables are sorted and their configs checked before this
-    returns, so a ``ValueError`` comes before any chunk.  Each pair's
-    text is built only when the iterator reaches it.
+    The pairs are listed in the order ``tables`` gives them; sorted by
+    code, that is ``render_report``'s text.  Each table is read only
+    when the iterator reaches it and is dropped once its text is built,
+    so a lazy ``tables`` keeps one table alive at a time.  The first
+    table's config heads the report; a later table with another config
+    raises ``ValueError`` when it is reached.
     """
 
     import json
 
-    tables = sorted(tables, key=lambda t: t.pair.code)
-    if len({table.config for table in tables}) > 1:
-        raise ValueError("tables in one report must share a single config")
-    if not tables:
-        return iter(('{\n  "config": null,\n  "pairs": []\n}\n',))
-    # the config is a handful of keys; the stdlib lays it out, one level in
-    config = json.dumps(tables[0].config.as_dict(), indent=2, sort_keys=True, ensure_ascii=False)
-    config = config.replace("\n", "\n  ")
-    head = '{\n  "config": ' + config + ',\n  "pairs": ['
-    pairs = (
-        "," * (i > 0) + _pair_json(table, visible_rows(table, include_closed))
-        for i, table in enumerate(tables)
-    )
-    return chain((head,), pairs, ("\n  ]\n}\n",))
+    config, comma = None, ""
+    for table in tables:
+        if config is None:
+            config = table.config
+            # the config is a handful of keys; the stdlib lays it out, one level in
+            layout = json.dumps(config.as_dict(), indent=2, sort_keys=True, ensure_ascii=False)
+            yield '{\n  "config": ' + layout.replace("\n", "\n  ") + ',\n  "pairs": ['
+        elif table.config != config:
+            raise ValueError("tables in one report must share a single config")
+        text = comma + _pair_json(table, visible_rows(table, include_closed))
+        comma = ","
+        del table  # the next table is made while this text is written
+        yield text
+    yield '{\n  "config": null,\n  "pairs": []\n}\n' if config is None else "\n  ]\n}\n"
 
 
 # JSON text of each enum value a row carries, quoted once (the values are

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import runpy
@@ -952,9 +954,30 @@ class _Sink:
         self.size += len(text)
         return len(text)
 
+    def flush(self) -> None:
+        pass
+
+
+# a fault in zz-ww, the pair ranked last, and the one error line it gives
+_LAST_PAIR_FAULTS = {
+    "hole": (
+        lambda text: text.replace("zz-ww\tBell\tcometkiwi-da-xl\t0.55\n", ""),
+        "error: zz-ww is not rankable, missing scores: Bell/cometkiwi-da-xl\n",
+    ),
+    "range": (
+        lambda text: text.replace("Ada\tmetricx-23-xl\t1.5", "Ada\tmetricx-23-xl\t-1e308")
+        .replace("Bell\tmetricx-23-xl\t2.5", "Bell\tmetricx-23-xl\t1e308"),
+        "error: zz-ww score range for metricx-23-xl is not finite: -1e+308 to 1e+308\n",
+    ),
+    "unregistered": (
+        lambda text: text + "zz-ww\tZed\tmetricx-23-xl\t1.0\n",
+        "error: {scores}: line 12: unknown system 'Zed'\n",
+    ),
+}
+
 
 class TestStreamedStdout:
-    """rank writes pair by pair the text the renderers return, once every pair ranked."""
+    """rank writes pair by pair the text the renderers return, once every pair is checked."""
 
     @pytest.mark.parametrize("fmt", ["text", "md", "latex", "json"])
     @pytest.mark.parametrize(
@@ -978,7 +1001,7 @@ class TestStreamedStdout:
         assert main(_rank(inputs, "--format", fmt, *extra)) == 0
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("fmt", ["json", "text", "md", "latex"])
     def test_hole_in_the_last_pair_leaves_stdout_empty(self, fmt, inputs, capsys):
         # zz-ww sorts after xx-yy, so it is ranked last
         holed = SCORES.replace("zz-ww\tBell\tcometkiwi-da-xl\t0.55\n", "")
@@ -987,6 +1010,37 @@ class TestStreamedStdout:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: zz-ww is not rankable, missing scores: Bell/cometkiwi-da-xl\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "md", "latex"])
+    @pytest.mark.parametrize("fault", ["hole", "range", "unregistered"])
+    def test_fault_in_the_last_pair_leaves_stdout_empty_and_no_out_file(
+        self, fault, fmt, inputs, tmp_path, capsys
+    ):
+        edit, message = _LAST_PAIR_FAULTS[fault]
+        Path(inputs["scores"]).write_text(edit(SCORES), encoding="utf-8")
+        message = message.format(scores=inputs["scores"])
+        assert main(_rank(inputs, "--format", fmt)) == ExitStatus.VALIDATION_ERROR
+        assert capsys.readouterr() == ("", message)
+        out = tmp_path / "out"
+        assert main(_rank(inputs, "--format", fmt, "--out", str(out))) == 1
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
+    def test_pairs_are_checked_in_the_order_given(self, inputs, capsys):
+        # both pairs are faulty; the first one named is the one reported
+        huge, huge_range = _LAST_PAIR_FAULTS["range"]
+        both = huge(SCORES).replace("xx-yy\tCray\tcometkiwi-da-xl\t0.5\n", "")
+        Path(inputs["scores"]).write_text(both, encoding="utf-8")
+        for order, message in [
+            (["zz-ww", "xx-yy"], huge_range),
+            (
+                ["xx-yy", "zz-ww"],
+                "error: xx-yy is not rankable, missing scores: Cray/cometkiwi-da-xl\n",
+            ),
+        ]:
+            pairs = [arg for code in order for arg in ("--pair", code)]
+            assert main(_rank(inputs, "--format", "json", *pairs)) == 1
+            assert capsys.readouterr() == ("", message)
 
     def test_json_report_is_never_held_whole(self, canary, monkeypatch):
         inputs = canary / "campaign"
@@ -1016,6 +1070,61 @@ class TestStreamedStdout:
         assert len(ranked) == 100 and sink.size > 4_000_000
         assert peak - ranked[-1] < sink.size / 4
 
+    # with --out, pathlib interns each file name, and the interpreter's table
+    # of interned strings can double in size partway through; the check that
+    # each file is written before the next pair is ranked covers --out
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_one_table_is_held_at_a_time(self, fmt, canary, monkeypatch):
+        inputs = canary / "campaign"
+        rank = autorank.cli.rank_pair
+        ranked = []  # memory in use just after each pair is ranked
+
+        def rank_and_mark(*args):
+            table = rank(*args)
+            ranked.append(tracemalloc.get_traced_memory()[0])
+            return table
+
+        monkeypatch.setattr(autorank.cli, "rank_pair", rank_and_mark)
+        argv = [
+            "rank", "--scores", str(inputs / "scores.tsv"),
+            "--systems", str(inputs / "systems.tsv"), "--format", fmt,
+        ]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Sink()):
+                assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        assert len(ranked) == 100
+        # keeping every table to the end grows by about 6.7 MB here
+        assert ranked[-1] - ranked[0] < 670_000
+
+    @pytest.mark.parametrize("fmt", ["text", "md", "latex", "json"])
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_each_pair_is_written_before_the_next_is_ranked(self, out, fmt, tmp_path, monkeypatch):
+        rank = autorank.cli.rank_pair
+        target = tmp_path / "out"
+        stdout = io.StringIO()
+        written = []  # what was written when each pair came to be ranked
+
+        def rank_and_look(*args):
+            if out:
+                written.append(len(list(target.iterdir())))
+            else:
+                written.append(len(stdout.getvalue()))
+            return rank(*args)
+
+        monkeypatch.setattr(autorank.cli, "rank_pair", rank_and_look)
+        argv = ["rank", *WMT24_INPUTS, "--format", fmt] + ["--out", str(target)] * out
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        assert len(written) == 11
+        if out:
+            assert written == list(range(11))
+        else:
+            assert written[0] == 0 and all(b > a for a, b in zip(written, written[1:]))
+            assert len(stdout.getvalue()) > written[-1]
+
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -1031,6 +1140,107 @@ class TestTracedStages:
         for module_name, attr, *_ in bindings:
             module = importlib.import_module(module_name)
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+class _FailingStdout:
+    """A stdout whose ``write`` or ``flush`` raises ``error``."""
+
+    def __init__(self, error: OSError, failing: str) -> None:
+        self.error, self.failing = error, failing
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self) -> None:
+        if self.failing == "flush":
+            raise self.error
+
+    def isatty(self) -> bool:
+        return False
+
+
+_WRITE_ERRORS = {
+    "broken-pipe": (BrokenPipeError(errno.EPIPE, "Broken pipe"), "Broken pipe"),
+    "disk-full": (OSError(errno.ENOSPC, "No space left on device"), "No space left on device"),
+}
+_WRITING_COMMANDS = {
+    "rank-text": ["rank", *WMT24_INPUTS, "--format", "text"],
+    "rank-json": ["rank", *WMT24_INPUTS, "--format", "json"],
+    "verify": [
+        "verify", *WMT24_INPUTS, "--golden", str(DATA / "golden"),
+        "--allow-mismatch", str(DATA / "allow_mismatch.txt"),
+    ],
+}
+
+
+class TestStdoutErrors:
+    """A stdout that cannot be written ends the run with one line and exit 1."""
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("error", _WRITE_ERRORS)
+    @pytest.mark.parametrize("command", _WRITING_COMMANDS)
+    def test_write_error_is_one_line(self, command, error, failing, monkeypatch, capsys):
+        exc, reason = _WRITE_ERRORS[error]
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(exc, failing))
+        assert main(_WRITING_COMMANDS[command]) == ExitStatus.VALIDATION_ERROR
+        assert capsys.readouterr().err == f"error: cannot write to stdout: {reason}\n"
+
+    @staticmethod
+    def _run(argv: list[str], stdout) -> subprocess.CompletedProcess:
+        # stdout block-buffered, as it is by default for a file or a pipe
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run(
+            [sys.executable, "-m", "autorank.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _WRITING_COMMANDS["rank-json"],
+            _WRITING_COMMANDS["verify"],
+            # a few hundred bytes: they stay buffered until the final flush
+            ["rank", *WMT24_INPUTS, "--format", "md", "--pair", "cs-uk"],
+        ],
+        ids=["rank-json", "verify", "buffered"],
+    )
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            result = self._run(argv, full)
+        assert result.returncode == 1
+        assert result.stderr == "error: cannot write to stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_validation_error_after_output_is_the_one_line(self, tmp_path):
+        # verify prints cs-uk's lines, then meets a golden that is not JSON
+        golden = tmp_path / "golden"
+        golden.mkdir()
+        (golden / "a.json").write_bytes((DATA / "golden" / "cs-uk.json").read_bytes())
+        (golden / "z.json").write_text("{\n", encoding="utf-8")
+        argv = ["verify", *WMT24_INPUTS, "--golden", str(golden)]
+        with open("/dev/full", "w") as full:
+            result = self._run(argv, full)
+        assert result.returncode == 1
+        assert result.stderr == (
+            f"error: {golden / 'z.json'}: Expecting property name enclosed in double quotes:"
+            " line 2 column 1 (char 2)\n"
+        )
+
+    def test_closed_pipe(self):
+        read, write = os.pipe()
+        os.close(read)  # nobody will read: every write fails with EPIPE
+        try:
+            result = self._run(_WRITING_COMMANDS["rank-text"], write)
+        finally:
+            os.close(write)
+        assert result.returncode == 1
+        assert result.stderr == "error: cannot write to stdout: Broken pipe\n"
 
 
 class TestEntrypoint:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import pytest
 
 from autorank import (
@@ -11,7 +14,9 @@ from autorank import (
     parse_manifest,
     parse_registry,
     parse_scores,
+    rank_pair,
 )
+import autorank.ingest
 from autorank.ingest import check_completeness
 
 from _tsv import serialize_manifest, serialize_registry, serialize_scores
@@ -298,6 +303,194 @@ def test_check_completeness_empty_pair_is_vacuously_rankable():
     check_completeness(
         {}, {e.name: e for e in _registry()}, DEFAULT_METRICS, LanguagePair.from_code("en-xh")
     )
+
+
+def test_check_completeness_rejects_range_beyond_float():
+    # best - worst would be inf, and inf / inf a NaN AutoRank
+    matrix = {
+        "A": {"metricx-23-xl": -1e308, "cometkiwi-da-xl": 0.7},
+        "B": {"metricx-23-xl": 1e308, "cometkiwi-da-xl": 0.5},
+    }
+    entries = {name: SystemEntry(name=name, category=SystemCategory.OPEN) for name in "AB"}
+    message = "cs-uk score range for metricx-23-xl is not finite: -1e+308 to 1e+308"
+    with pytest.raises(ValueError) as info:
+        check_completeness(matrix, entries, DEFAULT_METRICS, CSUK)
+    assert str(info.value) == message
+    # library callers of rank_pair meet the same check
+    scores = {CSUK: matrix}
+    with pytest.raises(ValueError) as info:
+        rank_pair(list(entries.values()), scores, CSUK)
+    assert str(info.value) == message
+
+
+def test_check_completeness_reports_the_first_problem_in_a_fixed_order():
+    # per system in matrix order: registry, then each score's finiteness;
+    # then holes; then each metric's range
+    entries = {name: SystemEntry(name=name, category=SystemCategory.OPEN) for name in "ABC"}
+
+    def first_problem(matrix):
+        with pytest.raises(ValueError) as info:
+            check_completeness(matrix, entries, DEFAULT_METRICS, CSUK)
+        return str(info.value)
+
+    huge = {"metricx-23-xl": 1e308, "cometkiwi-da-xl": 0.5}
+    tiny = {"metricx-23-xl": -1e308, "cometkiwi-da-xl": 0.5}
+    holed = {"metricx-23-xl": 1.0}
+    nan = {"metricx-23-xl": 1.0, "cometkiwi-da-xl": math.nan}
+    assert first_problem({"A": huge, "B": tiny, "C": holed}) == (
+        "cs-uk is not rankable, missing scores: C/cometkiwi-da-xl"
+    )
+    # a NaN in the middle of a column, which min and max can pass over
+    assert first_problem({"A": huge, "B": nan, "C": tiny}) == (
+        "cs-uk score for B/cometkiwi-da-xl is not finite: nan"
+    )
+    assert first_problem({"A": huge, "B": tiny, "Z": nan}) == (
+        "system 'Z' has scores but no registry entry"
+    )
+    plain = {"metricx-23-xl": 1.0, "cometkiwi-da-xl": 0.5}
+    assert first_problem({"A": plain, "Z": dict(plain)}) == (
+        "system 'Z' has scores but no registry entry"
+    )
+    # a score outside the ranked metrics is still checked
+    assert first_problem({"A": {**plain, "other": math.inf}, "B": dict(plain)}) == (
+        "cs-uk score for A/other is not finite: inf"
+    )
+    # finite scores whose sum overflows are still rankable
+    overflowing = {"A": huge, "B": dict(huge), "C": dict(huge)}
+    check_completeness(overflowing, entries, DEFAULT_METRICS, CSUK)
+
+
+# what each parser makes of a short file: the number of entries it
+# returns, or the line and message it rejects the file with
+_EDGE_ROWS = {
+    "registry": ("Ada\topen\t0\t", "Bell\tclosed\t1\tcs-uk"),
+    "scores": ("cs-uk\tAda\tmetricx-23-xl\t1.5", "cs-uk\tAda\tcometkiwi-da-xl\t0.5"),
+    "manifest": ("cs-uk\t2300\t32000", "en-de\t1\t2"),
+}
+_EDGE_HEADERS = {
+    "registry": autorank.ingest.REGISTRY_HEADER,
+    "scores": autorank.ingest.SCORES_HEADER,
+    "manifest": autorank.ingest.MANIFEST_HEADER,
+}
+_EDGE_CR = {
+    "registry": "malformed language pair code: '\\r'",
+    "scores": "malformed score '1.5\\r'",
+    "manifest": "words must be a positive integer, got '32000\\r'",
+}
+
+
+def _edge_parse(kind: str, text: str):
+    if kind == "registry":
+        return parse_registry(text)
+    if kind == "manifest":
+        return parse_manifest(text)
+    registry = parse_registry(f"{autorank.ingest.REGISTRY_HEADER}\nAda\topen\t0\t\n")
+    return parse_scores(text, registry, DEFAULT_METRICS)
+
+
+def _edge_outcome(kind: str, text: str):
+    try:
+        return len(_edge_parse(kind, text))
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+@pytest.mark.parametrize("kind", ["registry", "scores", "manifest"])
+def test_rows_edge_cases_keep_their_line_numbers_and_messages(kind):
+    header = _EDGE_HEADERS[kind]
+    a, b = _EDGE_ROWS[kind]
+    width = header.count("\t") + 1
+    no_header = (1, f"line 1: expected header {header!r}")
+    blank = f"expected {width} tab-separated columns, got 1"
+    # a scores file keys by (pair, system); both rows are one system's
+    entries = 1 if kind == "scores" else 2
+    cases = {
+        "": no_header,
+        "\n": no_header,
+        header: 0,
+        header + "\n": 0,
+        f"{header}\n{a}\n{b}": entries,
+        f"{header}\n{a}\n\n{b}\n": (3, f"line 3: {blank}"),
+        f"{header}\n{a}\n{b}\n\n": (4, f"line 4: {blank}"),
+        f"{header}\r\n{a}\r\n": no_header,
+        f"{header}\n{a}\r\n{b}\r\n": (2, f"line 2: {_EDGE_CR[kind]}"),
+    }
+    for text, expected in cases.items():
+        assert _edge_outcome(kind, text) == expected, repr(text)
+
+
+@pytest.mark.parametrize("kind", ["registry", "scores", "manifest"])
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 13, 64])
+def test_rows_give_the_same_result_at_any_block_size(kind, block, monkeypatch):
+    # blocks far shorter than a line cut every line at a block boundary
+    header = _EDGE_HEADERS[kind]
+    a, b = _EDGE_ROWS[kind]
+    texts = [
+        header,
+        f"{header}\n{a}\n{b}\n",
+        f"{header}\n{a}\n{b}",
+        f"{header}\n{a}\n\n{b}\n",
+        f"{header}\n{a}\n{b}\n\n",
+        f"{header}\n\n",
+        "\n\n",
+    ]
+    expected = [_edge_outcome(kind, text) for text in texts]
+    monkeypatch.setattr(autorank.ingest, "_BLOCK", block)
+    assert [_edge_outcome(kind, text) for text in texts] == expected
+
+
+def test_rows_line_straddling_a_block_boundary():
+    registry = parse_registry(
+        f"{autorank.ingest.REGISTRY_HEADER}\n"
+        + "".join(f"S{i:04d}\topen\t0\t\n" for i in range(2000))
+    )
+    lines = [autorank.ingest.SCORES_HEADER]
+    size = len(lines[0]) + 1
+    i = 0
+    while size < autorank.ingest._BLOCK - 40:
+        lines.append(f"cs-uk\tS{i // 2:04d}\t{DEFAULT_METRICS[i % 2].id}\t0.{i:04d}")
+        size += len(lines[-1]) + 1
+        i += 1
+    # this line starts under 40 characters before the block's end and
+    # runs past it
+    bad = len(lines) + 1
+    token = "1.5" + "0" * 40
+    lines.append(f"cs-uk\tS{i // 2:04d}\t{DEFAULT_METRICS[i % 2].id}\t{token}.0")
+    text = "\n".join(lines) + "\n"
+    assert size < autorank.ingest._BLOCK < size + len(lines[-1])
+    with pytest.raises(ParseError) as info:
+        parse_scores(text + "cs-uk\tS0000\tmetricx-23-xl\t1\n", registry, DEFAULT_METRICS)
+    assert str(info.value) == f"line {bad}: malformed score '{token}.0'"
+    lines[-1] = lines[-1][:-2]
+    scores = parse_scores("\n".join(lines), registry, DEFAULT_METRICS)[CSUK]
+    assert sum(map(len, scores.values())) == len(lines) - 1
+    assert scores[f"S{i // 2:04d}"][DEFAULT_METRICS[i % 2].id] == 1.5
+
+
+def test_parse_scores_never_holds_every_line_at_once():
+    # a scores file large enough for several blocks
+    registry = parse_registry(
+        f"{autorank.ingest.REGISTRY_HEADER}\n"
+        + "".join(f"S{i:04d}\topen\t0\t\n" for i in range(1000))
+    )
+    text = autorank.ingest.SCORES_HEADER + "\n" + "".join(
+        f"{pair}\tS{i:04d}\t{metric.id}\t0.{i:04d}\n"
+        for pair in ("cs-uk", "en-de", "ja-zh", "en-es", "en-hi")
+        for i in range(1000)
+        for metric in DEFAULT_METRICS
+    )
+    assert len(text) > 4 * autorank.ingest._BLOCK
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        scores = parse_scores(text, registry, DEFAULT_METRICS)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(row) for matrix in scores.values() for row in matrix.values()) == 10_000
+    # splitting the whole text at once peaks at about three times its
+    # size over what the parse keeps
+    assert live > start and peak - live < len(text) / 2
 
 
 def test_parse_registry_rejects_terminal_escapes_in_names():

@@ -363,19 +363,40 @@ class TestJson:
         )
         with pytest.raises(ValueError):
             render_report([tables["en-de"], other])
-        # before the first chunk: the call raises, not the first next()
+        # the chunks read the tables lazily: the mixed one raises when reached
+        chunks = report_chunks([tables["en-de"], other])
+        head, first = next(chunks), next(chunks)
+        assert head.endswith('"pairs": [') and '"pair": "en-de"' in first
         with pytest.raises(ValueError):
-            report_chunks([tables["en-de"], other])
+            next(chunks)
 
     def test_report_chunks_are_the_head_each_pair_and_the_tail(self, tables):
-        chunks = list(report_chunks([tables["en-de"], tables["cs-uk"]]))
-        assert "".join(chunks) == render_report([tables["cs-uk"], tables["en-de"]])
+        chunks = list(report_chunks([tables["cs-uk"], tables["en-de"]]))
+        assert "".join(chunks) == render_report([tables["en-de"], tables["cs-uk"]])
         head, first, second, tail = chunks
         assert head.startswith('{\n  "config": {') and head.endswith('"pairs": [')
         assert first.startswith('\n    {\n      "cutoff_position"') and '"pair": "cs-uk"' in first
         assert second.startswith(',\n    {') and '"pair": "en-de"' in second
         assert tail == "\n  ]\n}\n"
         assert list(report_chunks([])) == [render_report([])]
+
+    def test_report_chunks_list_the_pairs_in_the_order_given(self, tables):
+        pairs = [tables["en-de"], tables["cs-uk"]]
+        report = json.loads("".join(report_chunks(pairs)))
+        assert [p["pair"] for p in report["pairs"]] == ["en-de", "cs-uk"]
+        # each table is taken from the iterator only once its turn comes
+        taken = []
+
+        def lazily():
+            for table in pairs:
+                taken.append(table.pair.code)
+                yield table
+
+        chunks = report_chunks(lazily())
+        assert taken == []
+        next(chunks), next(chunks)
+        assert taken == ["en-de"]
+        assert "".join(chunks).endswith("\n  ]\n}\n") and taken == ["en-de", "cs-uk"]
 
 
 class TestSharedRowAgreement:
