@@ -26,7 +26,6 @@ import sys
 import tempfile
 from decimal import Decimal
 from enum import IntEnum
-from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -49,6 +48,7 @@ from .render import (
     render_report,  # unused here; kept a module-level name for perfbench/tracer.py
     render_table,
     report_chunks,
+    report_key,
 )
 
 
@@ -263,8 +263,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
         except OSError as exc:
             raise _ValidationError(f"cannot write {target}: {exc.strerror or exc}") from None
     elif fmt is TableFormat.JSON:
-        # the report lists its pairs by code
-        tables = map(ranked, sorted(pairs, key=attrgetter("code")))
+        tables = map(ranked, sorted(pairs, key=report_key))
         for chunk in report_chunks(tables, options.include_closed):
             _write(chunk)
     else:

@@ -222,42 +222,27 @@ def check_completeness(
             found, in that order, is the one raised.
     """
 
-    rows = matrix.values()
-    ids = [metric.id for metric in metrics]
-    try:
-        columns = [[row[metric_id] for row in rows] for metric_id in ids]
-    except KeyError:
-        columns = []  # a hole, reported below in its turn
-    # the common case, checked in a few passes at C speed: every system
-    # registered, each row holding just the metrics' scores, and every
-    # column's sum finite.  A sum is inf or NaN when any term is; finite
-    # terms can overflow it too, and the exact checks then find nothing.
-    if not (
-        len(columns) == len(ids)
-        and matrix.keys() <= entries.keys()
-        and sum(map(len, rows)) == len(ids) * len(matrix)
-        and all(math.isfinite(sum(column)) for column in columns)
-    ):
-        for system, row in matrix.items():
-            if system not in entries:
-                raise ValueError(f"system {system!r} has scores but no registry entry")
-            for metric_id, score in row.items():
-                if not math.isfinite(score):
-                    raise ValueError(
-                        f"{pair} score for {system}/{metric_id} is not finite: {score!r}"
-                    )
-        holes = ", ".join(
-            f"{system}/{metric.id}"
-            for system in sorted(matrix)
-            for metric in metrics
-            if metric.id not in matrix[system]
-        )
-        if holes:
-            raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
-    for metric_id, column in zip(ids, columns) if matrix else ():
+    for system, row in matrix.items():
+        if system not in entries:
+            raise ValueError(f"system {system!r} has scores but no registry entry")
+        for metric, score in row.items():
+            if not math.isfinite(score):
+                raise ValueError(f"{pair} score for {system}/{metric} is not finite: {score!r}")
+    holes = ", ".join(
+        f"{system}/{metric.id}"
+        for system in sorted(matrix)
+        for metric in metrics
+        if metric.id not in matrix[system]
+    )
+    if holes:
+        raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
+    if not matrix:
+        return
+    for metric in metrics:
+        column = [row[metric.id] for row in matrix.values()]
         low, high = min(column), max(column)
         # best - worst would be inf, and inf / inf a NaN aggregate
         if not math.isfinite(high - low):
             raise ValueError(
-                f"{pair} score range for {metric_id} is not finite: {low!r} to {high!r}"
+                f"{pair} score range for {metric.id} is not finite: {low!r} to {high!r}"
             )

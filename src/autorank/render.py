@@ -31,8 +31,10 @@ config, then one chunk per pair, then the tail.  It takes each table
 from its iterable only when it reaches it and drops it once its text
 is built, so a caller that hands it tables as they are ranked and
 writes the chunks as they come holds one table and one pair's text at
-a time, never every table or the whole report.  ``render_report``
-sorts the tables by pair code and joins the chunks into one string.
+a time, never every table or the whole report.  The report lists its
+pairs by code; ``report_key`` is that order, for ``render_report``,
+which sorts the tables by it and joins the chunks into one string, and
+for any caller that ranks the pairs in report order.
 
 No format rounds: every one prints the ``autorank_display`` the ranker
 set on each row.
@@ -45,6 +47,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from unicodedata import category, east_asian_width
 
 from .model import (
+    LanguagePair,
     LeaderboardTable,
     Orientation,
     RankedRow,
@@ -106,7 +109,14 @@ def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = Tru
     top so a verification run can reproduce the computation.
     """
 
-    return "".join(report_chunks(sorted(tables, key=lambda t: t.pair.code), include_closed))
+    ordered = sorted(tables, key=lambda table: report_key(table.pair))
+    return "".join(report_chunks(ordered, include_closed))
+
+
+def report_key(pair: LanguagePair) -> str:
+    """The sort key of ``pair`` in a JSON report, which lists its pairs by code."""
+
+    return pair.code
 
 
 def report_chunks(
@@ -115,9 +125,9 @@ def report_chunks(
     """The text of a JSON report over ``tables``, one pair at a time.
 
     The pairs are listed in the order ``tables`` gives them; sorted by
-    code, that is ``render_report``'s text.  Each table is read only
-    when the iterator reaches it and is dropped once its text is built,
-    so a lazy ``tables`` keeps one table alive at a time.  The first
+    ``report_key``, that is ``render_report``'s text.  Each table is
+    read only when the iterator reaches it and is dropped once its text
+    is built, so a lazy ``tables`` keeps one table alive at a time.  The first
     table's config heads the report; a later table with another config
     raises ``ValueError`` when it is reached.
     """
