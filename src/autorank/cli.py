@@ -123,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # decoded as stored, with no newline translation, as a library caller's text is
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise _ValidationError(f"cannot read {path}: {reason}") from None
@@ -231,12 +232,11 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
     # every pair is checked before the first is ranked: a checked pair
     # cannot fail in ranking, so an error leaves stdout empty and writes
     # no file under --out
-    entries = {entry.name: entry for entry in registry}
     for pair in pairs:
         if pair not in scores:
             raise _ValidationError(f"{args.scores}: no scores for pair {pair.code}")
         try:
-            check_completeness(scores[pair], entries, DEFAULT_METRICS, pair)
+            check_completeness(scores[pair], registry, DEFAULT_METRICS, pair)
         except ValueError as exc:
             raise _ValidationError(str(exc)) from None
 

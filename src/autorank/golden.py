@@ -59,10 +59,10 @@ class PairComparison:
 
 
 def parse_allow_list(text: str) -> set[tuple[str, str]]:
-    """Parse allow-list lines of the form ``pair/system``; '#' comments."""
+    """Parse allow-list lines, any line ending, of the form ``pair/system``; '#' comments."""
 
     entries: set[tuple[str, str]] = set()
-    for number, raw in enumerate(text.split("\n"), start=1):
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -60,8 +60,10 @@ def _line_blocks(text: str) -> Iterator[list[str]]:
 
 def _rows(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
     lines = chain.from_iterable(_line_blocks(text))
-    if next(lines) != header:
-        raise ParseError(1, f"expected header {header!r}")
+    first = next(lines)
+    if first != header:
+        bom = " (the file starts with a UTF-8 byte-order mark)" if first[:1] == "\ufeff" else ""
+        raise ParseError(1, f"expected header {header!r}{bom}")
     width = header.count("\t") + 1
     for number, line in enumerate(lines, start=2):
         fields = line.split("\t")
@@ -83,70 +85,60 @@ def _parse_pair_set(token: str, line: int) -> frozenset[LanguagePair]:
     return frozenset(_parse_pair(part, line) for part in token.split(","))
 
 
-def parse_registry(text: str) -> list[SystemEntry]:
-    """Parse the system registry.
+def parse_registry(text: str) -> dict[str, SystemEntry]:
+    """Parse the system registry into name -> entry, in file order.
 
     The withdrawn column is "0" (not withdrawn), "1" (withdrawn from
     every pair), or a comma-separated list of pair codes the system was
-    withdrawn from.  Returns entries in file order.
+    withdrawn from.  Every later stage takes this mapping as it is.
     """
 
-    entries: list[SystemEntry] = []
-    seen: set[str] = set()
+    registry: dict[str, SystemEntry] = {}
     for line, (name, category_token, withdrawn_token, unsupported_token) in _rows(
         text, REGISTRY_HEADER
     ):
         if not name:
             raise ParseError(line, "empty system name")
-        if name in seen:
+        if name in registry:
             raise ParseError(line, f"duplicate system name {name!r}")
-        seen.add(name)
         try:
             category = SystemCategory(category_token)
         except ValueError:
             raise ParseError(line, f"unknown category {category_token!r}") from None
-        if withdrawn_token == "0":
-            withdrawn, withdrawn_pairs = False, frozenset()
-        elif withdrawn_token == "1":
-            withdrawn, withdrawn_pairs = True, frozenset()
-        else:
-            withdrawn = False
+        withdrawn, withdrawn_pairs = withdrawn_token == "1", frozenset()
+        if withdrawn_token not in ("0", "1"):
+            malformed = f"malformed withdrawn flag {withdrawn_token!r}"
             try:
                 withdrawn_pairs = _parse_pair_set(withdrawn_token, line)
             except ParseError:
-                raise ParseError(
-                    line,
-                    f"malformed withdrawn flag {withdrawn_token!r} (want 0, 1 or pair codes)",
-                ) from None
+                raise ParseError(line, f"{malformed} (want 0, 1 or pair codes)") from None
             if not withdrawn_pairs:
-                raise ParseError(line, f"malformed withdrawn flag {withdrawn_token!r}")
+                raise ParseError(line, malformed)
         unsupported_pairs = _parse_pair_set(unsupported_token, line)
         try:
-            entries.append(
-                SystemEntry(name, category, withdrawn, withdrawn_pairs, unsupported_pairs)
+            registry[name] = SystemEntry(
+                name, category, withdrawn, withdrawn_pairs, unsupported_pairs
             )
         except ValueError as exc:
             raise ParseError(line, str(exc)) from None
-    return entries
+    return registry
 
 
 def parse_scores(
     text: str,
-    registry: Sequence[SystemEntry],
+    registry: Mapping[str, SystemEntry],
     metrics: Sequence[MetricSpec],
 ) -> dict[LanguagePair, dict[str, dict[str, float]]]:
     """Parse a scores file into pair -> system name -> metric id -> score.
 
-    Rejects unknown systems, unknown metrics, non-finite or non-numeric
-    scores, nonzero scores too small for a normal float (they would read
-    as zero or lose digits), and duplicate (pair, system, metric)
-    triples.  Pairs, systems and metrics keep the order they first
-    appear in.  Each distinct pair token is parsed once.
+    ``registry`` is ``parse_registry``'s name -> entry mapping.  Rejects
+    unknown systems, unknown metrics, non-finite or non-numeric scores,
+    nonzero scores too small for a normal float (they would read as
+    zero or lose digits), and duplicate (pair, system, metric) triples.
+    Pairs, systems and metrics keep the order they first appear in.
+    Each distinct pair token is parsed once.
     """
 
-    # each name maps to the registry's own string, so every row keys its
-    # matrix with one shared copy instead of the line's token
-    known_systems = {entry.name: entry.name for entry in registry}
     known_metrics = {metric.id: metric.id for metric in metrics}
     scores: dict[LanguagePair, dict[str, dict[str, float]]] = {}
     # a valid token is its pair's code, so the raw token finds the matrix
@@ -155,9 +147,12 @@ def parse_scores(
         matrix = matrices.get(pair_token)
         if matrix is None:
             matrix = scores[_parse_pair(pair_token, line)] = matrices[pair_token] = {}
-        system = known_systems.get(system_token)
-        if system is None:
-            raise ParseError(line, f"unknown system {system_token!r}")
+        row = matrix.get(system_token)
+        if row is None:
+            if system_token not in registry:
+                raise ParseError(line, f"unknown system {system_token!r}")
+            # keyed by the registry's own string: every pair shares one copy
+            row = matrix[registry[system_token].name] = {}
         metric = known_metrics.get(metric_token)
         if metric is None:
             raise ParseError(line, f"unknown metric {metric_token!r}")
@@ -172,9 +167,8 @@ def parse_scores(
                 f"score {score_token!r} is too small for a float: a nonzero score needs"
                 f" a magnitude of at least {_SMALLEST_NORMAL!r}",
             )
-        row = matrix.setdefault(system, {})
         if metric in row:
-            raise ParseError(line, f"duplicate score for {pair_token}/{system}/{metric}")
+            raise ParseError(line, f"duplicate score for {pair_token}/{system_token}/{metric}")
         row[metric] = score
     return scores
 
@@ -203,7 +197,7 @@ def parse_manifest(text: str) -> dict[LanguagePair, tuple[int, int]]:
 
 def check_completeness(
     matrix: Mapping[str, Mapping[str, float]],
-    entries: Mapping[str, SystemEntry],
+    registry: Mapping[str, SystemEntry],
     metrics: Sequence[MetricSpec],
     pair: LanguagePair,
 ) -> None:
@@ -211,11 +205,12 @@ def check_completeness(
 
     A participant is any system with a row in the matrix; systems with
     none simply did not take part, so an empty matrix passes.
-    ``entries`` is the registry indexed by name.  A matrix that passes
-    cannot fail in ``ranking.build_context`` or any later stage.
+    ``registry`` is ``parse_registry``'s name -> entry mapping.  A
+    matrix that passes cannot fail in ``ranking.build_context`` or any
+    later stage.
 
     Raises:
-        ValueError: a scored system missing from ``entries``, a score
+        ValueError: a scored system missing from ``registry``, a score
             that is not finite, a participant lacking a score for one
             of ``metrics``, or a metric whose best and worst scores lie
             further apart than a float can hold.  The first of these
@@ -223,7 +218,7 @@ def check_completeness(
     """
 
     for system, row in matrix.items():
-        if system not in entries:
+        if system not in registry:
             raise ValueError(f"system {system!r} has scores but no registry entry")
         for metric, score in row.items():
             if not math.isfinite(score):

@@ -9,7 +9,7 @@ builds each ``RankedRow`` once.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .ingest import check_completeness
 from .model import (
@@ -25,7 +25,7 @@ from .selection import apply_selection, find_cutoff, select_for_human_eval
 
 
 def rank_pair(
-    registry: Sequence[SystemEntry],
+    registry: Mapping[str, SystemEntry],
     scores: Mapping[LanguagePair, Mapping[str, Mapping[str, float]]],
     pair: LanguagePair,
     metrics: tuple[MetricSpec, ...] = DEFAULT_METRICS,
@@ -34,7 +34,8 @@ def rank_pair(
     """Rank one language pair.
 
     Args:
-        registry: all known systems (participants and not).
+        registry: every known system by name, as ``parse_registry``
+            returns it; only the pair's participants are looked up.
         scores: pair -> system name -> metric id -> raw score, as
             ``parse_scores`` returns; only ``pair``'s matrix is read.
         pair: the direction to rank.
@@ -51,8 +52,7 @@ def rank_pair(
     """
 
     matrix = scores.get(pair, {})
-    entries = {entry.name: entry for entry in registry}
-    check_completeness(matrix, entries, metrics, pair)
+    check_completeness(matrix, registry, metrics, pair)
     if not matrix:
         return LeaderboardTable(
             pair=pair, metrics=metrics, rows=(), cutoff_position=None, config=config
@@ -61,8 +61,8 @@ def rank_pair(
     context = build_context(pair, matrix, metrics)
     ordered = order_rows(compute_autorank(matrix, context, config))
     cutoff = find_cutoff(ordered, config, context[0])
-    verdicts = select_for_human_eval(ordered, cutoff, entries, pair, config)
-    final = apply_selection(ordered, verdicts, entries, matrix, pair)
+    verdicts = select_for_human_eval(ordered, cutoff, registry, pair, config)
+    final = apply_selection(ordered, verdicts, registry, matrix, pair)
     return LeaderboardTable(
         pair=pair,
         metrics=metrics,

@@ -78,7 +78,7 @@ def category_limits(n_systems: int, config: RankingConfig) -> tuple[int, int]:
 def select_for_human_eval(
     ordered: Sequence[RankKey],
     cutoff_position: int | None,
-    entries: Mapping[str, SystemEntry],
+    registry: Mapping[str, SystemEntry],
     pair: LanguagePair,
     config: RankingConfig,
 ) -> list[tuple[ReasonCode, ...]]:
@@ -88,7 +88,7 @@ def select_for_human_eval(
         ordered: every system's key in leaderboard order (see
             ``order_rows``); a key's position is its index plus one.
         cutoff_position: result of ``find_cutoff`` on the same keys.
-        entries: registry lookup covering every ranked system.
+        registry: ``parse_registry``'s name -> entry mapping.
         pair: the direction being ranked, for pair-scoped withdrawals.
         config: category fractions.
 
@@ -100,7 +100,7 @@ def select_for_human_eval(
     closed_limit, open_limit = category_limits(len(ordered), config)
     verdicts = []
     for position, key in enumerate(ordered, start=1):
-        entry = entries[key[2]]
+        entry = registry[key[2]]
         category = entry.category
         exclusions: list[ReasonCode] = []
         if entry.is_withdrawn(pair):
@@ -126,26 +126,27 @@ _SELECTED = {
 def apply_selection(
     ordered: Sequence[RankKey],
     verdicts: Sequence[tuple[ReasonCode, ...]],
-    entries: Mapping[str, SystemEntry],
+    registry: Mapping[str, SystemEntry],
     scores_by_system: Mapping[str, Mapping[str, float]],
     pair: LanguagePair,
 ) -> list[RankedRow]:
     """Build the finished rows, each once, with its position and reasons.
 
     ``verdicts`` is ``select_for_human_eval``'s result for the same
-    keys, so a row is withdrawn exactly when its reasons say so.  This
+    keys, so a row is withdrawn exactly when its reasons say so, and
+    ``registry`` is ``parse_registry``'s name -> entry mapping.  This
     is the one place a ranked pair's ``RankedRow``s are constructed.
     """
 
     return [
         RankedRow(
-            entries[name],
+            registry[name],
             dict(scores_by_system[name]),
             normalized,
             autorank,
             position,
             _WITHDRAWN in reasons,
-            entries[name].claims_support(pair),
+            registry[name].claims_support(pair),
             reasons,
             display,
         )

@@ -1,4 +1,5 @@
-"""Reference serializers for the three TSV inputs, for round-trip tests.
+"""Reference serializers for the three TSV inputs, for round-trip tests,
+and the one builder of a registry made by hand.
 
 autorank reads these files and never writes them, so the writers live
 here: ``serialize_*(parse_*(text))`` reproduces a canonically formatted
@@ -21,9 +22,19 @@ def _withdrawn_token(entry: SystemEntry) -> str:
     return "0"
 
 
-def serialize_registry(entries: Iterable[SystemEntry]) -> str:
-    lines = [REGISTRY_HEADER]
+def registry_of(entries: Iterable[SystemEntry]) -> dict[str, SystemEntry]:
+    """A registry as ``parse_registry`` returns it: name -> entry, in order."""
+
+    registry: dict[str, SystemEntry] = {}
     for entry in entries:
+        assert entry.name not in registry, f"duplicate system name {entry.name!r}"
+        registry[entry.name] = entry
+    return registry
+
+
+def serialize_registry(registry: Mapping[str, SystemEntry]) -> str:
+    lines = [REGISTRY_HEADER]
+    for entry in registry.values():
         lines.append(
             "\t".join(
                 (

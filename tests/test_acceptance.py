@@ -47,7 +47,7 @@ from autorank.golden import validate_golden_pair
 from autorank.render import file_extension, visible_rows
 from autorank.selection import category_limits
 
-from _tsv import serialize_manifest, serialize_registry, serialize_scores
+from _tsv import registry_of, serialize_manifest, serialize_registry, serialize_scores
 
 TOLERANCE = Decimal("0.05")
 
@@ -372,7 +372,7 @@ def test_criterion_6_randomized_instances_match_direct_formula():
             name: {metrics[j].id: columns[j][name] for j in range(2)}
             for name in names
         }
-        registry = [SystemEntry(name=name, category=SystemCategory.OPEN) for name in names]
+        registry = registry_of(SystemEntry(name, SystemCategory.OPEN) for name in names)
 
         def ranked(matrix):
             return rank_pair(registry, {pair: matrix}, pair, metrics, config).rows

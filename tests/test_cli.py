@@ -20,8 +20,10 @@ import autorank.golden
 import autorank.pipeline
 from autorank import (
     DEFAULT_METRICS,
+    ParseError,
     RenderOptions,
     TableFormat,
+    parse_manifest,
     parse_registry,
     parse_scores,
     rank_pair,
@@ -227,6 +229,19 @@ class TestRankErrors:
         assert code == 1
         assert err.startswith(f"error: cannot read {inputs[which]}: ")
         assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("which", ["systems", "scores", "manifest"])
+    def test_byte_order_mark_is_named(self, inputs, which, capsys):
+        path = Path(inputs[which])
+        text = path.read_text(encoding="utf-8")
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        code = main(_rank(inputs, "--format", "text", "--manifest", inputs["manifest"]))
+        assert code == ExitStatus.VALIDATION_ERROR
+        header = text.split("\n", 1)[0]
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: expected header {header!r}"
+            " (the file starts with a UTF-8 byte-order mark)\n"
+        )
 
     def test_out_naming_a_file_is_validation_error(self, inputs, tmp_path, capsys):
         taken = tmp_path / "taken.txt"
@@ -691,21 +706,25 @@ class TestVerify:
 WMT24_INPUTS = ["--scores", str(DATA / "scores.tsv"), "--systems", str(DATA / "systems.tsv")]
 
 
-class TestLinearity:
-    @pytest.mark.parametrize(
-        "argv",
+# rank and verify on WMT24, each exiting 0
+_WMT24_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--format", "text"],
         [
-            ["rank", "--format", "text"],
-            [
-                "verify",
-                "--golden",
-                str(DATA / "golden"),
-                "--allow-mismatch",
-                str(DATA / "allow_mismatch.txt"),
-            ],
+            "verify",
+            "--golden",
+            str(DATA / "golden"),
+            "--allow-mismatch",
+            str(DATA / "allow_mismatch.txt"),
         ],
-        ids=["rank", "verify"],
-    )
+    ],
+    ids=["rank", "verify"],
+)
+
+
+class TestLinearity:
+    @_WMT24_COMMANDS
     def test_completeness_sees_each_record_once(self, argv, monkeypatch, capsys):
         original = autorank.pipeline.check_completeness
         received = []
@@ -720,6 +739,92 @@ class TestLinearity:
         # one call per pair, each seeing only that pair's systems
         assert len(received) == 11
         assert sum(received) == 244
+
+    @_WMT24_COMMANDS
+    def test_registry_is_never_walked_after_parsing(self, argv, monkeypatch, capsys):
+        parse = autorank.cli.parse_registry
+        registries = []
+
+        class Walked(dict):
+            """A registry that counts each walk over its names or entries."""
+
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+            def keys(self):
+                self.walks += 1
+                return super().keys()
+
+            def values(self):
+                self.walks += 1
+                return super().values()
+
+            def items(self):
+                self.walks += 1
+                return super().items()
+
+        def parsing(text):
+            registries.append(Walked(parse(text)))
+            return registries[-1]
+
+        monkeypatch.setattr(autorank.cli, "parse_registry", parsing)
+        assert main(argv[:1] + WMT24_INPUTS + argv[1:]) == 0
+        capsys.readouterr()
+        # every stage looks names up in the one index and never rebuilds it
+        assert len(registries) == 1
+        assert registries[0].walks == 0
+
+
+_WMT24_FILES = {"systems": "systems.tsv", "scores": "scores.tsv", "manifest": "manifest.tsv"}
+
+
+def _library_error(which: str, text: str) -> str:
+    """The message the library rejects ``text`` with, read as the ``which`` input."""
+    with pytest.raises(ParseError) as info:
+        if which == "systems":
+            parse_registry(text)
+        elif which == "scores":
+            registry = parse_registry((DATA / "systems.tsv").read_text(encoding="utf-8"))
+            parse_scores(text, registry, DEFAULT_METRICS)
+        else:
+            parse_manifest(text)
+    return str(info.value)
+
+
+class TestLineEndings:
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("which", list(_WMT24_FILES))
+    def test_cli_rejects_what_the_library_rejects(self, which, newline, tmp_path, capsys):
+        paths = {kind: str(DATA / name) for kind, name in _WMT24_FILES.items()}
+        text = (DATA / _WMT24_FILES[which]).read_bytes().decode("utf-8").replace("\n", newline)
+        copy = tmp_path / _WMT24_FILES[which]
+        copy.write_bytes(text.encode("utf-8"))
+        paths[which] = str(copy)
+        argv = ["rank", "--format", "json", "--manifest", paths["manifest"]]
+        argv += ["--scores", paths["scores"], "--systems", paths["systems"]]
+        assert main(argv) == ExitStatus.VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {copy}: {_library_error(which, text)}\n"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_goldens_and_allow_list_read_the_same_at_any_line_ending(
+        self, newline, tmp_path, capsys
+    ):
+        allow = DATA / "allow_mismatch.txt"
+        assert main(_verify("--golden", str(DATA / "golden"), "--allow-mismatch", str(allow))) == 0
+        expected = capsys.readouterr()
+        golden = tmp_path / "golden"
+        golden.mkdir()
+        for path in (DATA / "golden").glob("*.json"):
+            (golden / path.name).write_bytes(path.read_bytes().replace(b"\n", newline))
+        copy = tmp_path / allow.name
+        copy.write_bytes(allow.read_bytes().replace(b"\n", newline))
+        assert main(_verify("--golden", str(golden), "--allow-mismatch", str(copy))) == 0
+        assert capsys.readouterr() == expected
 
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"

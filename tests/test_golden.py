@@ -82,6 +82,13 @@ class TestParseAllowList:
     def test_empty(self):
         assert parse_allow_list("") == set()
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_any_line_ending_reads_the_same_entries(self, newline):
+        text = "# regression exceptions\n\ncs-uk/Llama3-70B\nen-de/ONLINE-W  \n"
+        assert parse_allow_list(text.replace("\n", newline)) == parse_allow_list(text)
+        with pytest.raises(ValueError, match="line 2"):
+            parse_allow_list(f"cs-uk/ok{newline}not-an-entry")
+
 
 class TestValidateGoldenPair:
     def test_accepts_fixture_goldens(self, goldens):

@@ -19,7 +19,7 @@ from autorank import (
 import autorank.ingest
 from autorank.ingest import check_completeness
 
-from _tsv import serialize_manifest, serialize_registry, serialize_scores
+from _tsv import registry_of, serialize_manifest, serialize_registry, serialize_scores
 
 REGISTRY = (
     "system\tcategory\twithdrawn\tunsupported_pairs\n"
@@ -45,7 +45,7 @@ def _registry():
 
 
 def test_parse_registry_categories_and_flags():
-    entries = {e.name: e for e in _registry()}
+    entries = _registry()
     assert entries["Unbabel-Tower70B"].category is SystemCategory.CLOSED
     assert not entries["Unbabel-Tower70B"].withdrawn
 
@@ -65,7 +65,8 @@ def test_parse_registry_categories_and_flags():
 
 
 def test_parse_registry_preserves_file_order():
-    assert [e.name for e in _registry()] == [
+    registry = _registry()
+    assert list(registry) == [e.name for e in registry.values()] == [
         "Unbabel-Tower70B",
         "BJFU-LPT",
         "IKUN",
@@ -181,7 +182,9 @@ def test_parse_scores_shares_one_pair_object_per_token():
     # interleaved pairs still index under one key each, in first-seen order
     encs = LanguagePair.from_code("en-cs")
     text = SCORES + "en-cs\tIKUN\tmetricx-23-xl\t1.0\n" + "cs-uk\tIOL\tmetricx-23-xl\t2.0\n"
-    registry = _registry() + [SystemEntry(name="IOL", category=SystemCategory.OPEN)]
+    registry = registry_of(
+        [*_registry().values(), SystemEntry(name="IOL", category=SystemCategory.OPEN)]
+    )
     scores = parse_scores(text, registry, DEFAULT_METRICS)
     assert list(scores) == [CSUK, encs]
     assert list(scores[CSUK]) == ["IKUN", "GPT-4", "IOL"]
@@ -265,7 +268,7 @@ def test_parse_manifest_rejects_duplicate_pair():
 
 def test_check_completeness_full_matrix(registry, scores):
     matrix = scores[CSUK]
-    check_completeness(matrix, {e.name: e for e in registry}, DEFAULT_METRICS, CSUK)
+    check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
     assert len(matrix) == 20
     assert all(set(row) == {m.id for m in DEFAULT_METRICS} for row in matrix.values())
     assert matrix["IOL-Research"] == {"metricx-23-xl": 1.3, "cometkiwi-da-xl": 0.681}
@@ -276,33 +279,28 @@ def test_check_completeness_flags_missing_metric():
     matrix = parse_scores(SCORES, registry, DEFAULT_METRICS)[CSUK]
     del matrix["GPT-4"]["cometkiwi-da-xl"]
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, {e.name: e for e in registry}, DEFAULT_METRICS, CSUK)
+        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: GPT-4/cometkiwi-da-xl"
 
 
 def test_check_completeness_lists_holes_by_system_then_metric():
     # the lone-metric matrix build_context used to reject, plus a second
     # hole that sorts first although its row comes later
-    registry = [
-        SystemEntry(name="A", category=SystemCategory.OPEN),
-        SystemEntry(name="0", category=SystemCategory.OPEN),
-    ]
+    registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "A0")
     matrix = {"A": {"metricx-23-xl": 1.0}}
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, {e.name: e for e in registry}, DEFAULT_METRICS, CSUK)
+        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: A/cometkiwi-da-xl"
     matrix["0"] = {"cometkiwi-da-xl": 0.5}
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, {e.name: e for e in registry}, DEFAULT_METRICS, CSUK)
+        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == (
         "cs-uk is not rankable, missing scores: 0/metricx-23-xl, A/cometkiwi-da-xl"
     )
 
 
 def test_check_completeness_empty_pair_is_vacuously_rankable():
-    check_completeness(
-        {}, {e.name: e for e in _registry()}, DEFAULT_METRICS, LanguagePair.from_code("en-xh")
-    )
+    check_completeness({}, _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh"))
 
 
 def test_check_completeness_rejects_range_beyond_float():
@@ -311,26 +309,26 @@ def test_check_completeness_rejects_range_beyond_float():
         "A": {"metricx-23-xl": -1e308, "cometkiwi-da-xl": 0.7},
         "B": {"metricx-23-xl": 1e308, "cometkiwi-da-xl": 0.5},
     }
-    entries = {name: SystemEntry(name=name, category=SystemCategory.OPEN) for name in "AB"}
+    registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "AB")
     message = "cs-uk score range for metricx-23-xl is not finite: -1e+308 to 1e+308"
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, entries, DEFAULT_METRICS, CSUK)
+        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == message
     # library callers of rank_pair meet the same check
     scores = {CSUK: matrix}
     with pytest.raises(ValueError) as info:
-        rank_pair(list(entries.values()), scores, CSUK)
+        rank_pair(registry, scores, CSUK)
     assert str(info.value) == message
 
 
 def test_check_completeness_reports_the_first_problem_in_a_fixed_order():
     # per system in matrix order: registry, then each score's finiteness;
     # then holes; then each metric's range
-    entries = {name: SystemEntry(name=name, category=SystemCategory.OPEN) for name in "ABC"}
+    registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "ABC")
 
     def first_problem(matrix):
         with pytest.raises(ValueError) as info:
-            check_completeness(matrix, entries, DEFAULT_METRICS, CSUK)
+            check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
         return str(info.value)
 
     huge = {"metricx-23-xl": 1e308, "cometkiwi-da-xl": 0.5}
@@ -357,7 +355,7 @@ def test_check_completeness_reports_the_first_problem_in_a_fixed_order():
     )
     # finite scores whose sum overflows are still rankable
     overflowing = {"A": huge, "B": dict(huge), "C": dict(huge)}
-    check_completeness(overflowing, entries, DEFAULT_METRICS, CSUK)
+    check_completeness(overflowing, registry, DEFAULT_METRICS, CSUK)
 
 
 # what each parser makes of a short file: the number of entries it
@@ -417,6 +415,16 @@ def test_rows_edge_cases_keep_their_line_numbers_and_messages(kind):
     }
     for text, expected in cases.items():
         assert _edge_outcome(kind, text) == expected, repr(text)
+
+
+@pytest.mark.parametrize("kind", ["registry", "scores", "manifest"])
+def test_byte_order_mark_is_named_in_the_header_error(kind):
+    header = _EDGE_HEADERS[kind]
+    a, b = _EDGE_ROWS[kind]
+    assert _edge_outcome(kind, f"\ufeff{header}\n{a}\n{b}\n") == (
+        1,
+        f"line 1: expected header {header!r} (the file starts with a UTF-8 byte-order mark)",
+    )
 
 
 @pytest.mark.parametrize("kind", ["registry", "scores", "manifest"])

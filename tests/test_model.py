@@ -19,6 +19,8 @@ from autorank import (
     rank_pair,
 )
 
+from _tsv import registry_of
+
 
 def test_language_pair_code_round_trip():
     pair = LanguagePair.from_code("cs-uk")
@@ -108,7 +110,7 @@ def test_records_are_read_only():
 def test_score_record_rejects_non_finite():
     # parse_scores never yields these; a hand-built index is checked by rank_pair
     pair = LanguagePair.from_code("en-de")
-    registry = [SystemEntry(name=name, category=SystemCategory.OPEN) for name in "ST"]
+    registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "ST")
     mx, ck = (metric.id for metric in DEFAULT_METRICS)
     for bad in (float("nan"), float("inf"), float("-inf")):
         scores = {pair: {"S": {mx: 1.0, ck: 0.5}, "T": {mx: 2.0, ck: bad}}}

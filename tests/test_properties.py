@@ -44,7 +44,7 @@ from autorank.golden import _has_binding_inversion, validate_golden_pair
 from autorank.ranking import _decimal_column
 from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
 
-from _tsv import serialize_registry, serialize_scores
+from _tsv import registry_of, serialize_registry, serialize_scores
 
 MX, CK = DEFAULT_METRICS
 PAIR = LanguagePair.from_code("xx-yy")
@@ -91,7 +91,7 @@ def _nested_items(index):
 @given(_score_indexes())
 def test_scores_serialize_parse_round_trip(data):
     names, index = data
-    registry = [SystemEntry(name=n, category=SystemCategory.OPEN) for n in names]
+    registry = registry_of(SystemEntry(name=n, category=SystemCategory.OPEN) for n in names)
     text = serialize_scores(index)
     parsed = parse_scores(text, registry, DEFAULT_METRICS)
     # same scores, with pairs, systems and metrics in the same order
@@ -103,10 +103,10 @@ def test_scores_serialize_parse_round_trip(data):
 @settings(max_examples=50)
 @given(st.lists(_NAMES, min_size=1, max_size=8, unique=True), st.data())
 def test_shuffled_score_lines_render_identically(names, data):
-    registry = [
+    registry = registry_of(
         SystemEntry(name=name, category=list(SystemCategory)[i % 3], withdrawn=i % 5 == 4)
         for i, name in enumerate(names)
-    ]
+    )
     pairs = [PAIR, LanguagePair.from_code("zz-ww")]
     score = st.floats(min_value=-100, max_value=100).map(lambda x: round(x, 2))
     index = {
@@ -151,13 +151,13 @@ def _registry_entries(draw):
                 ),
             )
         )
-    return entries
+    return registry_of(entries)
 
 
 @given(_registry_entries())
-def test_registry_serialize_parse_round_trip(entries):
-    text = serialize_registry(entries)
-    assert parse_registry(text) == entries
+def test_registry_serialize_parse_round_trip(registry):
+    text = serialize_registry(registry)
+    assert list(parse_registry(text).items()) == list(registry.items())
 
 
 # --- normalization -----------------------------------------------------------
@@ -181,7 +181,7 @@ def _columns(draw):
 
 
 def _open_registry(names):
-    return [SystemEntry(name=name, category=SystemCategory.OPEN) for name in names]
+    return registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in names)
 
 
 def _normalized(matrix, config=RankingConfig()):
@@ -252,10 +252,10 @@ def _decimal_matrices(draw):
 def _decisions(columns, metrics, config):
     """Cutoff and each row's name, position, reasons and display."""
     names = [f"S{i:02d}" for i in range(len(columns[0][1]))]
-    registry = [
+    registry = registry_of(
         SystemEntry(name=name, category=list(SystemCategory)[i % 3], withdrawn=i % 7 == 6)
         for i, name in enumerate(names)
-    ]
+    )
     matrix = {
         name: {metric.id: float(column[i]) for metric, (_, column) in zip(metrics, columns)}
         for i, name in enumerate(names)
@@ -458,17 +458,17 @@ def _tables(draw):
     steps = draw(st.lists(st.integers(0, 3 * scale), min_size=n, max_size=n))
     withdrawn = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     categories = draw(st.lists(st.sampled_from(SystemCategory), min_size=n, max_size=n))
-    entries = {
-        f"S{i:02d}": SystemEntry(name=f"S{i:02d}", category=category, withdrawn=gone)
+    registry = registry_of(
+        SystemEntry(name=f"S{i:02d}", category=category, withdrawn=gone)
         for i, (gone, category) in enumerate(zip(withdrawn, categories), start=1)
-    }
+    )
     ordered = []
     k = 0
-    for step, name in zip(steps, entries):
+    for step, name in zip(steps, registry):
         k += step
         aggregate = Fraction(scale + k, scale)
         ordered.append((k, k, name, float(aggregate), {}, display_str(aggregate)))
-    return ordered, n * scale, entries
+    return ordered, n * scale, registry
 
 
 @given(_tables(), st.floats(min_value=0.1, max_value=2.0), st.floats(min_value=0.0, max_value=3.0))
@@ -481,11 +481,11 @@ def test_cutoff_position_monotone_in_gap(table, gap, extra):
 
 
 def _selected_rows(table):
-    ordered, unit, entries = table
+    ordered, unit, registry = table
     config = RankingConfig()
     cutoff = find_cutoff(ordered, config, unit)
-    verdicts = select_for_human_eval(ordered, cutoff, entries, PAIR, config)
-    return apply_selection(ordered, verdicts, entries, {name: {} for name in entries}, PAIR)
+    verdicts = select_for_human_eval(ordered, cutoff, registry, PAIR, config)
+    return apply_selection(ordered, verdicts, registry, {name: {} for name in registry}, PAIR)
 
 
 @given(_tables())
@@ -624,11 +624,11 @@ def _report_tables(draw):
             unique=True,
         )
     )
-    registry = []
+    entries = []
     for name in names:
         withdrawal = draw(st.sampled_from(["none", "blanket", "pair"]))
         pair_scoped = frozenset(_REPORT_PAIRS[:1]) if withdrawal == "pair" else frozenset()
-        registry.append(
+        entries.append(
             SystemEntry(
                 name=name,
                 category=draw(st.sampled_from(SystemCategory)),
@@ -652,6 +652,7 @@ def _report_tables(draw):
     config = RankingConfig(cutoff_gap=draw(st.sampled_from([0.5, 1.5, 3.0])))
     # a pair nobody scored ranks to a table without rows
     pairs = [*_REPORT_PAIRS, LanguagePair.from_code("ab-cd")]
+    registry = registry_of(entries)
     return [rank_pair(registry, scores, pair, metrics, config) for pair in pairs]
 
 
@@ -684,7 +685,7 @@ _MD_CELL_BREAK = re.compile(r"(?<!\\)\|")
     st.booleans(),
 )
 def test_markdown_column_count_survives_hostile_names(names, show_reasons):
-    registry = [
+    registry = registry_of(
         SystemEntry(
             name=name,
             category=list(SystemCategory)[i % 3],
@@ -692,7 +693,7 @@ def test_markdown_column_count_survives_hostile_names(names, show_reasons):
             unsupported_pairs=frozenset({PAIR}) if i % 2 else frozenset(),
         )
         for i, name in enumerate(names)
-    ]
+    )
     scores = {
         PAIR: {
             name: {metric.id: float(i * i) for metric in DEFAULT_METRICS}

@@ -20,6 +20,8 @@ from autorank import (
 )
 from autorank.ranking import build_context, compute_autorank, order_rows
 
+from _tsv import registry_of
+
 MX, CK = DEFAULT_METRICS
 CSUK = LanguagePair.from_code("cs-uk")
 
@@ -48,7 +50,7 @@ def _csuk(**systems: tuple[float, float]) -> dict[str, dict[str, float]]:
 
 
 def _rows(matrix, config=RankingConfig()) -> dict[str, RankedRow]:
-    registry = [_entry(name) for name in matrix]
+    registry = registry_of(_entry(name) for name in matrix)
     table = rank_pair(registry, {CSUK: matrix}, CSUK, DEFAULT_METRICS, config)
     return {row.name: row for row in table.rows}
 
@@ -101,7 +103,7 @@ def test_normalize_rejects_unknown_metric():
     rogue = MetricSpec("bleu", Orientation.HIGHER_BETTER, "BLEU")
     matrix = _csuk()
     with pytest.raises(ValueError, match="missing scores: CycleL/bleu"):
-        rank_pair([_entry(name) for name in matrix], {CSUK: matrix}, CSUK, (MX, rogue))
+        rank_pair(registry_of(_entry(name) for name in matrix), {CSUK: matrix}, CSUK, (MX, rogue))
 
 
 def test_build_context_from_score_matrix():
@@ -172,14 +174,14 @@ def test_compute_autorank_key_carries_the_tie_breaks_and_columns():
 def test_rank_pair_requires_complete_matrix():
     matrix = {"A": {MX.id: 1.0, CK.id: 0.7}, "B": {MX.id: 2.0}}
     with pytest.raises(ValueError) as info:
-        rank_pair([_entry("A"), _entry("B")], {CSUK: matrix}, CSUK)
+        rank_pair(registry_of([_entry("A"), _entry("B")]), {CSUK: matrix}, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: B/cometkiwi-da-xl"
 
 
 def test_rank_pair_requires_registered_systems():
     matrix = {"A": {MX.id: 1.0, CK.id: 0.7}}
     with pytest.raises(ValueError) as info:
-        rank_pair([], {CSUK: matrix}, CSUK)
+        rank_pair(registry_of([]), {CSUK: matrix}, CSUK)
     assert str(info.value) == "system 'A' has scores but no registry entry"
 
 
@@ -191,10 +193,12 @@ def test_compute_autorank_single_system_is_one():
 
 def test_rank_pair_resolves_pair_scoped_flags():
     matrix = {"W": {MX.id: 1.0, CK.id: 0.7}, "V": {MX.id: 2.0, CK.id: 0.6}}
-    registry = [
-        SystemEntry(name="W", category=SystemCategory.OPEN, withdrawn_pairs=frozenset({CSUK})),
-        SystemEntry(name="V", category=SystemCategory.OPEN, unsupported_pairs=frozenset({CSUK})),
-    ]
+    registry = registry_of(
+        [
+            SystemEntry("W", SystemCategory.OPEN, withdrawn_pairs=frozenset({CSUK})),
+            SystemEntry("V", SystemCategory.OPEN, unsupported_pairs=frozenset({CSUK})),
+        ]
+    )
     rows = {r.name: r for r in rank_pair(registry, {CSUK: matrix}, CSUK).rows}
     assert rows["W"].withdrawn and rows["W"].claimed_support
     assert not rows["V"].withdrawn and not rows["V"].claimed_support
@@ -266,7 +270,7 @@ def test_rank_pair_builds_each_row_once(monkeypatch):
     # every RankedRow, _replace copies included, is built through __new__
     monkeypatch.setattr(RankedRow, "__new__", staticmethod(counting_new))
     matrix = {f"S{i}": {MX.id: float(i), CK.id: 1.0 / (i + 1)} for i in range(7)}
-    registry = [_entry(name, category) for name, category in zip(matrix, list(SystemCategory) * 3)]
+    registry = registry_of(map(_entry, matrix, list(SystemCategory) * 3))
     table = rank_pair(registry, {CSUK: matrix}, CSUK)
     assert len(table.rows) == 7
     assert len(built) == 7
@@ -282,7 +286,7 @@ def test_exact_aggregate_tie_is_not_split_by_float_rounding():
         "C": {MX.id: 1.4, CK.id: 1.6},
         "D": {MX.id: 1.7, CK.id: 0.9},
     }
-    rows = rank_pair([_entry(name) for name in matrix], {CSUK: matrix}, CSUK).rows
+    rows = rank_pair(registry_of(_entry(name) for name in matrix), {CSUK: matrix}, CSUK).rows
     assert [row.name for row in rows] == ["A", "C", "B", "D"]
     assert rows[1].autorank_exact < rows[0].autorank_exact  # the floats, unchanged
 
@@ -295,7 +299,7 @@ def test_gap_of_exactly_cutoff_gap_draws_no_line():
         "B": {MX.id: 1.6, CK.id: 1.3},
         "C": {MX.id: 1.7, CK.id: 0.7},
     }
-    table = rank_pair([_entry(name) for name in matrix], {CSUK: matrix}, CSUK)
+    table = rank_pair(registry_of(_entry(name) for name in matrix), {CSUK: matrix}, CSUK)
     assert [row.name for row in table.rows] == ["A", "B", "C"]
     assert table.rows[1].autorank_exact - table.rows[0].autorank_exact > 1.5
     assert table.cutoff_position is None

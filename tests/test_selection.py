@@ -22,6 +22,8 @@ from autorank.selection import (
     select_for_human_eval,
 )
 
+from _tsv import registry_of
+
 MX, CK = DEFAULT_METRICS
 PAIR = LanguagePair.from_code("xx-yy")
 
@@ -142,10 +144,10 @@ def _outcome(systems, config=None) -> dict[str, RankedRow]:
     """The finished rows of ``systems`` (in leaderboard order), keyed by name."""
     config = config or RankingConfig()
     ordered = _keys(systems)
-    entries = {entry.name: entry for entry, _ in systems}
-    verdicts = select_for_human_eval(ordered, _cutoff(systems, config), entries, PAIR, config)
-    matrix = {name: {MX.id: 0.0, CK.id: 0.0} for name in entries}
-    return {row.name: row for row in apply_selection(ordered, verdicts, entries, matrix, PAIR)}
+    registry = registry_of(entry for entry, _ in systems)
+    verdicts = select_for_human_eval(ordered, _cutoff(systems, config), registry, PAIR, config)
+    matrix = {name: {MX.id: 0.0, CK.id: 0.0} for name in registry}
+    return {row.name: row for row in apply_selection(ordered, verdicts, registry, matrix, PAIR)}
 
 
 class TestSelection:
@@ -215,9 +217,9 @@ class TestSelection:
         rows = _table(*[1.0 + 0.2 * i for i in range(15)], withdrawn={4, 9})
         rows[2] = _system("C", rows[2][1], SystemCategory.CLOSED)
         ordered = _keys(rows)
-        entries = {entry.name: entry for entry, _ in rows}
+        registry = registry_of(entry for entry, _ in rows)
         cutoff = _cutoff(rows)
-        verdicts = select_for_human_eval(ordered, cutoff, entries, PAIR, RankingConfig())
+        verdicts = select_for_human_eval(ordered, cutoff, registry, PAIR, RankingConfig())
         assert len(verdicts) == len(rows)
         for codes in verdicts:
             assert codes
@@ -229,10 +231,10 @@ class TestSelection:
     def test_apply_selection_stamps_rows(self):
         rows = _table(1.0, 1.2, 3.0)
         ordered = _keys(rows)
-        entries = {entry.name: entry for entry, _ in rows}
-        verdicts = select_for_human_eval(ordered, 3, entries, PAIR, RankingConfig())
-        matrix = {name: {MX.id: float(i), CK.id: 0.5} for i, name in enumerate(entries)}
-        built = apply_selection(ordered, verdicts, entries, matrix, PAIR)
+        registry = registry_of(entry for entry, _ in rows)
+        verdicts = select_for_human_eval(ordered, 3, registry, PAIR, RankingConfig())
+        matrix = {name: {MX.id: float(i), CK.id: 0.5} for i, name in enumerate(registry)}
+        built = apply_selection(ordered, verdicts, registry, matrix, PAIR)
         assert [r.position for r in built] == [1, 2, 3]
         assert [r.above_cutoff for r in built] == [True, True, False]
         assert [r.selected for r in built] == [True, True, False]
