@@ -23,11 +23,9 @@ import argparse
 import math
 import os
 import sys
-import tempfile
+from collections.abc import Sequence
 from decimal import Decimal
 from enum import IntEnum
-from pathlib import Path
-from typing import Sequence
 
 from .golden import compare_pair, parse_allow_list, parse_golden
 # unused here; kept a module-level name for perfbench/tracer.py
@@ -39,7 +37,7 @@ from .ingest import (
     parse_registry,
     parse_scores,
 )
-from .model import DEFAULT_METRICS, LanguagePair, LeaderboardTable, RankingConfig, ScaleSpan
+from .model import DEFAULT_METRICS, LanguagePair, LeaderboardTable, RankingConfig, ScaleSpan, _real
 from .pipeline import pairs_in, rank_pair
 from .render import (
     RenderOptions,
@@ -73,6 +71,14 @@ class _ValidationError(Exception):
     pass
 
 
+def _real_flag(text: str) -> float:
+    try:
+        return _real(text)
+    except ValueError:
+        # argparse's own message for a type=float flag
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="autorank", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format",
     )
     rank.add_argument("--out", help="output directory, one file per pair")
-    rank.add_argument("--cutoff-gap", type=float, default=None, help="quality cutoff gap")
+    rank.add_argument("--cutoff-gap", type=_real_flag, default=None, help="quality cutoff gap")
     rank.add_argument("--closed-fraction", default=None, help="closed-track depth, e.g. 1/3")
     rank.add_argument("--open-fraction", default=None, help="open-track depth, e.g. 2/3")
     rank.add_argument(
@@ -113,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--golden", required=True, help="directory of golden JSON reports")
     verify.add_argument(
         "--autorank-tol",
-        type=float,
+        type=_real_flag,
         default=0.05,
         help="aggregate tolerance on top of each golden value's own precision (default 0.05)",
     )
@@ -121,10 +127,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str | Path) -> str:
+def _read(path: str) -> str:
     try:
         # decoded as stored, with no newline translation, as a library caller's text is
-        return Path(path).read_bytes().decode("utf-8")
+        with open(path or os.curdir, "rb") as handle:  # "" is the current directory
+            return handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise _ValidationError(f"cannot read {path}: {reason}") from None
@@ -155,8 +162,10 @@ def _config_from(args: argparse.Namespace) -> RankingConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def _write_atomic(path: str, text: str) -> None:
+    import tempfile  # only --out writes files
+
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -253,12 +262,11 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
     # then each pair is ranked, rendered and written before the next one
     # is ranked, and nothing keeps its table: at most one is alive
     if args.out is not None:
-        out_dir = Path(args.out)
         target = args.out
         try:
-            out_dir.mkdir(parents=True, exist_ok=True)
+            os.makedirs(args.out or os.curdir, exist_ok=True)
             for pair in pairs:
-                target = out_dir / f"{pair.code}.{file_extension(fmt)}"
+                target = os.path.join(args.out, f"{pair.code}.{file_extension(fmt)}")
                 _write_atomic(target, render_table(ranked(pair), options))
         except OSError as exc:
             raise _ValidationError(f"cannot write {target}: {exc.strerror or exc}") from None
@@ -285,12 +293,16 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
         except ValueError as exc:
             raise _ValidationError(f"{args.allow_mismatch}: {exc}") from None
 
-    golden_dir = Path(args.golden)
-    if not golden_dir.is_dir():
-        raise _ValidationError(f"{args.golden}: not a directory")
+    try:
+        names = sorted(n for n in os.listdir(args.golden or os.curdir) if n.endswith(".json"))
+    except (FileNotFoundError, NotADirectoryError):
+        raise _ValidationError(f"{args.golden}: not a directory") from None
+    except OSError as exc:
+        raise _ValidationError(f"cannot read {args.golden}: {exc.strerror or exc}") from None
 
     compared = failed = 0
-    for path in sorted(golden_dir.glob("*.json")):
+    listed_in: dict[LanguagePair, str] = {}  # the golden file each pair was found in
+    for path in [os.path.join(args.golden, name) for name in names]:
         try:
             config, entries = parse_golden(_read(path))
         except ValueError as exc:
@@ -298,6 +310,10 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
 
         for entry in entries:
             pair = entry["pair"]
+            if pair in listed_in:
+                first = listed_in[pair]
+                raise _ValidationError(f"{path}: pair {pair.code} is also listed in {first}")
+            listed_in[pair] = path
             compared += 1
             if pair not in scores:
                 failed += 1

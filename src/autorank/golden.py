@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from decimal import Decimal, InvalidOperation
-from typing import Mapping, Sequence
 
 from .model import LanguagePair, LeaderboardTable, RankingConfig
 
@@ -43,15 +43,14 @@ GoldenRow = namedtuple("GoldenRow", "system category selected text value half_ul
 class PairComparison:
     """Outcome of checking one recomputed pair against its golden.
 
-    ``compare_pair`` fills the three lists as it goes.
+    ``compare_pair`` fills both lists as it goes.
     """
 
-    __slots__ = ("mismatches", "notes", "allow_used")
+    __slots__ = ("mismatches", "notes")
 
     def __init__(self) -> None:
         self.mismatches: list[str] = []
         self.notes: list[str] = []
-        self.allow_used: list[tuple[str, str]] = []
 
     @property
     def ok(self) -> bool:
@@ -291,7 +290,6 @@ def compare_pair(
         name, expected, text = rows[i].system, rows[i].selected, rows[i].text
         got = computed[name].selected
         if (pair, name) in allow:
-            result.allow_used.append((pair, name))
             result.notes.append(
                 f"{pair}: {name}: selection differs (expected {expected}, got {got}), allow-listed"
             )

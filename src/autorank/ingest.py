@@ -17,18 +17,15 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain
-from typing import Iterator, Mapping, Sequence
 
-from .model import LanguagePair, MetricSpec, SystemCategory, SystemEntry
+from .model import _NUMBER, LanguagePair, MetricSpec, SystemCategory, SystemEntry
 
 REGISTRY_HEADER = "system\tcategory\twithdrawn\tunsupported_pairs"
 SCORES_HEADER = "pair\tsystem\tmetric\tscore"
 MANIFEST_HEADER = "pair\tsegments\twords"
 
-# float() is looser than we want (it takes "1_0", "nan" and "٣"); scores
-# in files must look like ordinary decimal or scientific notation
-_NUMBER = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 # a nonzero score under the smallest normal float would lose its digits
 _NONZERO_MANTISSA = re.compile(r"^[^eE]*[1-9]")
 _SMALLEST_NORMAL = sys.float_info.min
@@ -156,7 +153,7 @@ def parse_scores(
         metric = known_metrics.get(metric_token)
         if metric is None:
             raise ParseError(line, f"unknown metric {metric_token!r}")
-        if not _NUMBER.match(score_token):
+        if not _NUMBER.fullmatch(score_token):
             raise ParseError(line, f"malformed score {score_token!r}")
         score = float(score_token)
         if not math.isfinite(score):

@@ -21,11 +21,15 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
 
-_PAIR_CODE = re.compile(r"^[a-z]{2}-[a-z]{2}$")
+_PAIR_CODE = re.compile(r"[a-z]{2}-[a-z]{2}")
+# the syntax of every number read from a file or flag: ASCII decimal or
+# scientific notation; float() and Fraction() also take "1_0", "٣" and blanks
+_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_RATIO = re.compile(r"[+-]?[0-9]+/[0-9]+")
 # category Cc (C0, DEL, C1), the line and paragraph separators, and the
 # bidi embeddings, overrides and isolates: none may reach a terminal
 _HOSTILE_NAME_CHARS = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029\u202a-\u202e\u2066-\u2069]")
@@ -44,7 +48,7 @@ class LanguagePair(namedtuple("LanguagePair", "source target")):
 
     def __new__(cls, source: str, target: str) -> "LanguagePair":
         code = f"{source}-{target}"
-        if not _PAIR_CODE.match(code):
+        if not _PAIR_CODE.fullmatch(code):
             raise ValueError(f"malformed language pair code: {code!r}")
         if source == target:
             raise ValueError(f"source and target must differ: {code!r}")
@@ -180,9 +184,42 @@ class ScaleSpan(Enum):
 
 # a ranking rule, not a setting: aggregates display with one decimal
 DISPLAY_DECIMALS = 1
+
+
+def _real(text: str) -> float:
+    """``float(text)``, for ``_NUMBER`` text or what reads as inf or nan.
+
+    Other text raises the ValueError ``float`` raises for text it rejects.
+    """
+
+    value = float(text)
+    if math.isfinite(value) and not _NUMBER.fullmatch(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return value
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, for ``p/q`` or ``_NUMBER`` text.
+
+    Other text raises the ValueError ``Fraction`` raises for text it
+    rejects.  The exponent has at most four digits, as no power of ten
+    it asks for then takes long to compute, and both terms of the result
+    must be writable as text, as ``as_dict`` writes them.
+    """
+
+    number = _NUMBER.fullmatch(text)
+    if not (number or _RATIO.fullmatch(text)):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    if number and len((number[2] or "e").lstrip("eE+-0")) > 4:
+        raise ValueError(f"exponent out of range: {text!r}")
+    value = Fraction(text)
+    str(value)  # a term past the interpreter's integer digit limit raises ValueError
+    return value
+
+
 # how from_dict reads each field back from the text as_dict wrote
 _CONFIG_PARSERS = dict(
-    cutoff_gap=float, closed_fraction=Fraction, open_fraction=Fraction, scale_span=ScaleSpan
+    cutoff_gap=_real, closed_fraction=_fraction, open_fraction=_fraction, scale_span=ScaleSpan
 )
 
 
@@ -363,14 +400,14 @@ class RankedRow(
         return RankedRow(*[changes.pop(f, v) for f, v in zip(inputs, self)], **changes)
 
 
-class LeaderboardTable(NamedTuple):
+class LeaderboardTable(
+    namedtuple(
+        "LeaderboardTable", "pair metrics rows cutoff_position config", defaults=[RankingConfig()]
+    )
+):
     """A fully ranked language pair: ordered rows plus the decisions."""
 
-    pair: LanguagePair
-    metrics: tuple[MetricSpec, ...]
-    rows: tuple[RankedRow, ...]
-    cutoff_position: int | None
-    config: RankingConfig = RankingConfig()
+    __slots__ = ()
 
     @property
     def n_systems(self) -> int:

@@ -9,7 +9,7 @@ builds each ``RankedRow`` once.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .ingest import check_completeness
 from .model import (

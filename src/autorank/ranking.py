@@ -28,7 +28,7 @@ output only.  No row is built here.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .model import LanguagePair, MetricSpec, Orientation, RankingConfig, ScaleSpan, _tenths
 

@@ -42,8 +42,9 @@ set on each row.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from unicodedata import category, east_asian_width
 
 from .model import (
@@ -64,11 +65,10 @@ class TableFormat(Enum):
     JSON = "json"
 
 
-class RenderOptions(NamedTuple):
-    format: TableFormat
-    include_closed: bool = True
-    show_reasons: bool = False
-    color: bool = False  # ANSI styling, text format only
+# format is a TableFormat; color is ANSI styling, text format only
+RenderOptions = namedtuple(
+    "RenderOptions", "format include_closed show_reasons color", defaults=[True, False, False]
+)
 
 
 _EXTENSIONS = {
@@ -200,32 +200,24 @@ def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
     return head + "[" + ",".join(texts) + "\n      ]\n    }"
 
 
-class _Look(NamedTuple):
-    """What a format prints in the cells; ``_cells`` reads it as data."""
-
-    escape: Callable[[str], str]  # applied to names and reason codes
-    header: str  # template of every header cell
-    arrows: dict[Orientation, str]
-    human: str  # label of the human-evaluation column
-    markers: dict[SystemCategory, str]  # prefix of the name cell, per track
-    unsupported: str  # template of a name whose direction was never claimed
-    dagger: str  # suffix of a withdrawn system's name
-    check: str  # the cell of a row picked for human evaluation
+# What a format prints in the cells; _cells reads it as data.  _PLAIN
+# says what each field holds.
+_Look = namedtuple("_Look", "escape header arrows human markers unsupported dagger check")
 
 
 _PLAIN = _Look(
-    escape=str,
-    header="{}",
+    escape=str,  # applied to names and reason codes
+    header="{}",  # template of every header cell
     arrows={Orientation.LOWER_BETTER: "↓", Orientation.HIGHER_BETTER: "↑"},
-    human="Human eval?",
-    markers={
+    human="Human eval?",  # label of the human-evaluation column
+    markers={  # prefix of the name cell, per track
         SystemCategory.CLOSED: "● ",  # dark marker
         SystemCategory.OPEN: "○ ",  # light marker
         SystemCategory.CONSTRAINED: "  ",
     },
-    unsupported="⊘ {}",
-    dagger=" †",
-    check="✓",
+    unsupported="⊘ {}",  # template of a name whose direction was never claimed
+    dagger=" †",  # suffix of a withdrawn system's name
+    check="✓",  # the cell of a row picked for human evaluation
 )
 # one translate pass, so the braces a replacement inserts are not escaped again
 _LATEX_ESCAPES = str.maketrans(

@@ -26,8 +26,8 @@ exact integers, so a gap of exactly ``cutoff_gap`` never draws the line.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .model import (
     LanguagePair,

@@ -10,6 +10,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -193,6 +194,36 @@ class TestRankErrors:
         assert main(_rank(inputs, "--format", "text", "--closed-fraction", "banana")) == 3
         assert main(_rank(inputs, "--format", "text", "--closed-fraction", "1/0")) == 3
 
+    def test_pair_code_with_a_final_newline_is_usage_error(self, inputs, capsys):
+        # it used to be read as a pair with no scores: a two-line error, exit 1
+        assert main(_rank(inputs, "--pair", "xx-yy\n", "--format", "text")) == 3
+        assert capsys.readouterr().err == (
+            "usage error: malformed language pair code: 'xx-yy\\n'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag,value,error",
+        [
+            ("--cutoff-gap", "\u0663", "argument --cutoff-gap: invalid float value: '\u0663'"),
+            ("--cutoff-gap", "1_0", "argument --cutoff-gap: invalid float value: '1_0'"),
+            ("--closed-fraction", "\u0663/\u0664", "Invalid literal for Fraction: '\u0663/\u0664'"),
+            ("--closed-fraction", "1_0/30", "Invalid literal for Fraction: '1_0/30'"),
+            ("--closed-fraction", "1e-9999999", "exponent out of range: '1e-9999999'"),
+            # the JSON report's config used to end in a traceback
+            ("--closed-fraction", "1e-4400", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["arabic-indic-gap", "underscore-gap", "arabic-indic-fraction",
+             "underscore-fraction", "long-exponent", "unwritable-fraction"],
+    )
+    def test_config_number_outside_the_ascii_syntax_is_usage_error(
+        self, inputs, flag, value, error, capsys
+    ):
+        start = time.perf_counter()
+        assert main(_rank(inputs, "--format", "json", flag, value)) == 3
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage error: {error}") and err.count("\n") == 1
+
     def test_unscored_pair_is_validation_error(self, inputs, capsys):
         code = main(_rank(inputs, "--pair", "qq-rr", "--format", "text"))
         assert code == ExitStatus.VALIDATION_ERROR == 1
@@ -307,6 +338,7 @@ class TestRankErrors:
 
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "wmt24"
+ALLOW = DATA / "allow_mismatch.txt"
 
 
 def _verify(*extra: str) -> list[str]:
@@ -360,17 +392,44 @@ class TestVerify:
         assert code == 1
         assert "malformed golden report" in capsys.readouterr().err
 
-    def test_malformed_golden_pair_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("pair", ["cs", "cs-uk\n"])
+    def test_malformed_golden_pair_code(self, tmp_path, capsys, pair):
         golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
-        golden["pairs"][0]["pair"] = "cs"
+        golden["pairs"][0]["pair"] = pair
         path = tmp_path / "cs.json"
         path.write_text(json.dumps(golden), encoding="utf-8")
         code = main(_verify("--golden", str(tmp_path)))
         err = capsys.readouterr().err
         assert code == 1
         assert err == (
-            f"error: {path}: malformed golden report: malformed language pair code: 'cs'\n"
+            f"error: {path}: malformed golden report: malformed language pair code: {pair!r}\n"
         )
+
+    def test_golden_config_number_outside_the_ascii_syntax(self, tmp_path, capsys):
+        # "\u0663" used to read as a cutoff gap of 3.0
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        golden["config"]["cutoff_gap"] = "\u0663"
+        path = tmp_path / "cs-uk.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        assert main(_verify("--golden", str(tmp_path))) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed golden report: "
+            "could not convert string to float: '\u0663'\n"
+        )
+
+    @pytest.mark.parametrize("files", [1, 2], ids=["one-file", "two-files"])
+    def test_pair_listed_twice_is_validation_error(self, tmp_path, capsys, files):
+        # each entry used to be compared and counted, and verify passed
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        golden["pairs"] *= 3 - files
+        paths = [tmp_path / f"{name}.json" for name in "ab"[:files]]
+        for path in paths:
+            path.write_text(json.dumps(golden), encoding="utf-8")
+        code = main(_verify("--golden", str(tmp_path), "--allow-mismatch", str(ALLOW)))
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.startswith("cs-uk: ok (20 systems)\n") and out.count("cs-uk: ok") == 1
+        assert err == f"error: {paths[-1]}: pair cs-uk is also listed in {paths[0]}\n"
 
     def test_golden_pair_with_score_hole_is_validation_error(self, tmp_path, capsys):
         # dropping the first score row leaves cs-uk's matrix with a hole
@@ -677,6 +736,13 @@ class TestVerify:
         assert "qq-rr: MISMATCH" in out
         assert "no scores for this pair" in out
 
+    def test_tolerance_outside_the_ascii_syntax_is_usage_error(self, tmp_path, capsys):
+        # "\u0663" used to read as a tolerance of 3.0
+        assert main(_verify("--golden", str(tmp_path), "--autorank-tol", "\u0663")) == 3
+        assert capsys.readouterr().err == (
+            "usage error: argument --autorank-tol: invalid float value: '\u0663'\n"
+        )
+
     def test_negative_tolerance_is_usage_error(self, tmp_path, capsys):
         # a non-finite tolerance is no tolerance either: inf would pass anything
         for value in ("-0.1", "nan", "inf"):
@@ -704,6 +770,61 @@ class TestVerify:
 
 
 WMT24_INPUTS = ["--scores", str(DATA / "scores.tsv"), "--systems", str(DATA / "systems.tsv")]
+
+
+class TestPaths:
+    """Which files verify reads, where rank writes, and how paths are named."""
+
+    def test_golden_discovery(self, tmp_path, capsys):
+        golden = tmp_path / "golden"
+        golden.mkdir()
+        # the names sort in another order than the pairs they hold
+        for name, pair in ((".x.json", "en-de"), ("a.json", "ja-zh"), ("c.json", "cs-uk")):
+            (golden / name).write_bytes((DATA / "golden" / f"{pair}.json").read_bytes())
+        (golden / "b.JSON").write_text("not read: the suffix is matched exactly", encoding="utf-8")
+        (golden / "d.json").mkdir()
+        code = main(_verify("--golden", str(golden), "--allow-mismatch", str(ALLOW)))
+        out, err = capsys.readouterr()
+        assert code == 1
+        heads = [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")]
+        assert heads == ["en-de", "ja-zh", "cs-uk"]
+        assert err == f"error: cannot read {golden / 'd.json'}: Is a directory\n"
+
+    def test_out_creates_nested_directories(self, inputs, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        assert main(_rank(inputs, "--format", "md", "--out", str(out))) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["xx-yy.md", "zz-ww.md"]
+
+    def test_paths_are_named_as_typed(self, tmp_path, monkeypatch, capsys):
+        # "./golden/" used to be named "golden"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "golden").mkdir()
+        (tmp_path / "golden" / "list.json").write_text("[]", encoding="utf-8")
+        assert main(_verify("--golden", "./golden/")) == 1
+        assert capsys.readouterr().err == (
+            "error: ./golden/list.json: malformed golden report: top level is not an object\n"
+        )
+
+    def test_an_empty_path_is_the_current_directory(self, inputs, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(_rank(inputs, "--format", "md", "--out", "", "--pair", "xx-yy")) == 0
+        assert (tmp_path / "xx-yy.md").is_file()
+        (tmp_path / "list.json").write_text("[]", encoding="utf-8")
+        assert main(_verify("--golden", "")) == 1
+        assert capsys.readouterr().err == (
+            "error: list.json: malformed golden report: top level is not an object\n"
+        )
+        assert main(_rank(inputs, "--format", "md") + ["--manifest", ""]) == 1
+        assert capsys.readouterr().err == "error: cannot read : Is a directory\n"
+
+    def test_unreadable_golden_directory_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        # an unreadable directory used to list as empty: verify warned and passed
+        def refuse(path):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+        monkeypatch.setattr(autorank.cli.os, "listdir", refuse)
+        assert main(_verify("--golden", str(tmp_path))) == 1
+        assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Permission denied\n"
 
 
 # rank and verify on WMT24, each exiting 0
@@ -1388,27 +1509,53 @@ class TestHostileNames:
         )
 
 
+# site can load modules of its own (a .pth file may import typing), which
+# would hide the CLI's imports, so each probe also runs under -S
+_SITE = pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+# stdlib modules the CLI does not need to rank or verify
+_UNNEEDED = {"typing", "pathlib", "tempfile"}
+
+
 class TestImportGraph:
     """The CLI loads only what the command it runs needs."""
 
-    def _loaded(self, code: str) -> set[str]:
+    def _loaded(self, code: str, flags: list[str]) -> set[str]:
         probe = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         result = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+            [sys.executable, *flags, "-c", probe],
+            capture_output=True, text=True, env=env, check=True,
         )
         return set(result.stdout.split("\n")[-2].split())
 
-    def test_importing_the_cli_loads_no_dataclasses_inspect_or_json(self):
-        loaded = self._loaded("import autorank.cli")
+    def _run(self, argv: list[str], flags: list[str]) -> set[str]:
+        return self._loaded(f"from autorank.cli import main\nassert main({argv!r}) == 0", flags)
+
+    @_SITE
+    def test_importing_the_cli_loads_no_dataclasses_inspect_or_json(self, flags):
+        loaded = self._loaded("import autorank.cli", flags)
         assert "autorank.cli" in loaded
         assert not {"dataclasses", "inspect", "json"} & loaded
 
-    def test_text_ranking_never_loads_json(self):
-        rank = [
-            "rank", "--scores", str(DATA / "scores.tsv"), "--systems", str(DATA / "systems.tsv"),
-            "--format", "text",
-        ]
-        loaded = self._loaded(f"from autorank.cli import main\nassert main({rank!r}) == 0")
+    @_SITE
+    def test_text_ranking_never_loads_json(self, flags):
+        loaded = self._run(["rank", *WMT24_INPUTS, "--format", "text"], flags)
         assert "autorank.render" in loaded
         assert not {"dataclasses", "inspect", "json"} & loaded
+
+    def test_importing_the_cli_loads_no_typing_pathlib_or_tempfile(self):
+        loaded = self._loaded("import autorank.cli", ["-S"])
+        assert "autorank.cli" in loaded
+        assert not _UNNEEDED & loaded
+
+    @pytest.mark.parametrize("command", ["rank-text", "verify", "rank-out"])
+    def test_only_rank_out_loads_tempfile(self, command, tmp_path):
+        argv = {
+            "rank-text": ["rank", *WMT24_INPUTS, "--format", "text"],
+            "verify": ["verify", *WMT24_INPUTS, "--golden", str(DATA / "golden"),
+                       "--allow-mismatch", str(ALLOW)],
+            "rank-out": ["rank", *WMT24_INPUTS, "--format", "md", "--out", str(tmp_path)],
+        }[command]
+        loaded = self._run(argv, ["-S"])
+        assert "autorank.render" in loaded
+        assert _UNNEEDED & loaded == ({"tempfile"} if command == "rank-out" else set())

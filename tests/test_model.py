@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,9 @@ def test_language_pair_code_round_trip():
     assert pair.code == "cs-uk" == str(pair)
 
 
-@pytest.mark.parametrize("bad", ["", "csuk", "cs-uk-en", "CS-UK", "c-u", "cs-", "en-en", "e1-de"])
+@pytest.mark.parametrize(
+    "bad", ["", "csuk", "cs-uk-en", "CS-UK", "c-u", "cs-", "en-en", "e1-de", "cs-uk\n"]
+)
 def test_language_pair_rejects_malformed_codes(bad):
     with pytest.raises(ValueError):
         LanguagePair.from_code(bad)
@@ -163,6 +166,63 @@ def test_config_accepts_textual_fractions():
     assert config.open_fraction == Fraction(1, 2)
     # a JSON float means the decimal that was typed
     assert RankingConfig.from_dict({"closed_fraction": 0.1}).closed_fraction == Fraction(1, 10)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("1/3", Fraction(1, 3)), ("+1/4", Fraction(1, 4)), ("2.5e-1", Fraction(1, 4)),
+     (".5", Fraction(1, 2)), ("1.", Fraction(1)), ("1e-0400", Fraction(1, 10**400)),
+     ("0.1E+0000001", Fraction(1))],
+)
+def test_config_fraction_syntax(text, value):
+    config = RankingConfig.from_dict({"closed_fraction": text, "open_fraction": "1"})
+    assert config.closed_fraction == value
+
+
+@pytest.mark.parametrize(
+    "key,text,error",
+    [
+        ("cutoff_gap", "\u0663", "could not convert string to float: '\u0663'"),
+        ("cutoff_gap", "1_0", "could not convert string to float: '1_0'"),
+        ("cutoff_gap", " 2", "could not convert string to float: ' 2'"),
+        ("cutoff_gap", "2\n", "could not convert string to float: '2\\n'"),
+        ("closed_fraction", "\u0663/\u0664", "Invalid literal for Fraction: '\u0663/\u0664'"),
+        ("closed_fraction", "1_0/30", "Invalid literal for Fraction: '1_0/30'"),
+        ("closed_fraction", " 1/3", "Invalid literal for Fraction: ' 1/3'"),
+        ("closed_fraction", "1e-9999999", "exponent out of range: '1e-9999999'"),
+        ("open_fraction", "1e+00012345", "exponent out of range: '1e+00012345'"),
+        # its denominator would have 4401 digits, too many for as_dict to write
+        ("closed_fraction", "1e-4400", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["arabic-indic-real", "underscore-real", "blank-real", "newline-real",
+         "arabic-indic-fraction", "underscore-fraction", "blank-fraction",
+         "long-exponent", "five-digit-exponent", "unwritable-fraction"],
+)
+def test_config_numbers_are_ascii_with_a_bounded_exponent(key, text, error):
+    # float() and Fraction() read the first seven; Fraction("1e-9999999")
+    # takes seconds to compute and "1e-4400" made a JSON report fail
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        RankingConfig.from_dict({key: text})
+    assert time.perf_counter() - start < 1
+    assert str(info.value).startswith(error)
+
+
+@pytest.mark.parametrize(
+    "key,text,error",
+    [
+        ("cutoff_gap", "abc", ValueError("could not convert string to float: 'abc'")),
+        ("cutoff_gap", "nan", ValueError("cutoff_gap must be a positive real, got nan")),
+        ("cutoff_gap", "1e999", ValueError("cutoff_gap must be a positive real, got inf")),
+        ("closed_fraction", "abc", ValueError("Invalid literal for Fraction: 'abc'")),
+        ("closed_fraction", "nan", ValueError("Invalid literal for Fraction: 'nan'")),
+        ("closed_fraction", "1/0", ZeroDivisionError("Fraction(1, 0)")),
+    ],
+)
+def test_config_text_rejected_by_float_or_fraction_keeps_its_error(key, text, error):
+    with pytest.raises(type(error)) as info:
+        RankingConfig.from_dict({key: text})
+    assert str(info.value) == str(error)
 
 
 def test_config_dict_round_trip():
