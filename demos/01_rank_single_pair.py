@@ -21,9 +21,12 @@ from autorank import (
 data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 
 # the registry says who participated, in which category, and whether
-# they withdrew; the scores file holds one row per (pair, system, metric)
-registry = parse_registry((data / "systems.tsv").read_text())
-scores = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
+# they withdrew; the scores file holds one row per (pair, system, metric).
+# The parsers read an open file in blocks, as the CLI does
+with open(data / "systems.tsv", encoding="utf-8", newline="") as handle:
+    registry = parse_registry(handle)
+with open(data / "scores.tsv", encoding="utf-8", newline="") as handle:
+    scores = parse_scores(handle, registry, DEFAULT_METRICS)
 
 # rank Czech-to-Ukrainian: normalize both metrics onto a shared 1..1+N
 # scale, average them, sort, draw the quality line, mark selections

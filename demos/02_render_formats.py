@@ -19,8 +19,10 @@ from autorank import (
 )
 
 data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
-registry = parse_registry((data / "systems.tsv").read_text())
-scores = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
+with open(data / "systems.tsv", encoding="utf-8", newline="") as handle:
+    registry = parse_registry(handle)
+with open(data / "scores.tsv", encoding="utf-8", newline="") as handle:
+    scores = parse_scores(handle, registry, DEFAULT_METRICS)
 table = rank_pair(registry, scores, LanguagePair.from_code("en-is"))
 
 # markdown for READMEs and issue trackers

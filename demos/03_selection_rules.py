@@ -10,8 +10,10 @@ from autorank import DEFAULT_METRICS, LanguagePair, parse_registry, parse_scores
 from autorank.selection import category_limits
 
 data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
-registry = parse_registry((data / "systems.tsv").read_text())
-scores = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
+with open(data / "systems.tsv", encoding="utf-8", newline="") as handle:
+    registry = parse_registry(handle)
+with open(data / "scores.tsv", encoding="utf-8", newline="") as handle:
+    scores = parse_scores(handle, registry, DEFAULT_METRICS)
 
 # English-to-Hindi has the tightest quality line in the corpus: the
 # first aggregate jump over 1.5 is 1.62, between positions 15 and 16

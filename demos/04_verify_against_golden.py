@@ -17,8 +17,10 @@ from autorank import (
 )
 
 data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
-registry = parse_registry((data / "systems.tsv").read_text())
-scores = parse_scores((data / "scores.tsv").read_text(), registry, DEFAULT_METRICS)
+with open(data / "systems.tsv", encoding="utf-8", newline="") as handle:
+    registry = parse_registry(handle)
+with open(data / "scores.tsv", encoding="utf-8", newline="") as handle:
+    scores = parse_scores(handle, registry, DEFAULT_METRICS)
 
 # the goldens were transcribed from the published tables, so their
 # aggregates carry display precision only; comparison allows 0.05 slack
@@ -34,7 +36,7 @@ allow = {("cs-uk", "Llama3-70B")}
 # config with each pair entry parsed: a LanguagePair, the cutoff and
 # typed rows that compare_pair reads as they are
 for path in sorted((data / "golden").glob("*.json")):
-    config, entries = parse_golden(path.read_text(encoding="utf-8"))
+    config, entries = parse_golden(path.read_bytes().decode("utf-8"))
     for entry in entries:
         table = rank_pair(registry, scores, entry["pair"], DEFAULT_METRICS, config)
         comparison = compare_pair(table, entry, tolerance, allow)

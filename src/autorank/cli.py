@@ -128,8 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
+    """The whole text of a golden or allow-list file."""
+
     try:
-        # decoded as stored, with no newline translation, as a library caller's text is
+        # decoded as stored, with no newline translation, as _parse reads a TSV file
         with open(path or os.curdir, "rb") as handle:  # "" is the current directory
             return handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -137,16 +139,37 @@ def _read(path: str) -> str:
         raise _ValidationError(f"cannot read {path}: {reason}") from None
 
 
+def _parse(parse, path: str, *args):
+    """``parse(file, *args)`` on the TSV file at ``path``, which the parser
+    reads in blocks; any fault ends in one ``_ValidationError``."""
+
+    try:
+        try:
+            # the characters as stored, with no newline translation, as a library caller's text is
+            with open(path or os.curdir, encoding="utf-8", newline="") as handle:
+                return parse(handle, *args)
+        except UnicodeDecodeError as exc:
+            reason = exc  # the position it names counts from the decoder's last read
+        # decoded whole, the file names the byte's own offset; and a faulty
+        # line that ends before that byte is the first fault in the file
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            reason = exc
+            if head := data.rfind(b"\n", 0, exc.start) + 1:
+                parse(data[:head].decode("utf-8"), *args)
+        raise _ValidationError(f"cannot read {path}: {reason}")
+    except ParseError as exc:
+        raise _ValidationError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise _ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _parse_inputs(args: argparse.Namespace):
-    try:
-        registry = parse_registry(_read(args.systems))
-    except ParseError as exc:
-        raise _ValidationError(f"{args.systems}: {exc}") from None
-    try:
-        scores = parse_scores(_read(args.scores), registry, DEFAULT_METRICS)
-    except ParseError as exc:
-        raise _ValidationError(f"{args.scores}: {exc}") from None
-    return registry, scores
+    registry = _parse(parse_registry, args.systems)
+    return registry, _parse(parse_scores, args.scores, registry, DEFAULT_METRICS)
 
 
 def _config_from(args: argparse.Namespace) -> RankingConfig:
@@ -228,10 +251,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
             raise _ValidationError(f"{args.scores}: no score records, nothing to rank")
 
     if args.manifest is not None:
-        try:
-            manifest = parse_manifest(_read(args.manifest))
-        except ParseError as exc:
-            raise _ValidationError(f"{args.manifest}: {exc}") from None
+        manifest = _parse(parse_manifest, args.manifest)
         absent = [pair.code for pair in pairs if pair not in manifest]
         if absent:
             raise _ValidationError(
@@ -280,6 +300,53 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
     return ExitStatus.OK
 
 
+def _verify_golden(
+    path: str,
+    registry: dict,
+    scores: dict,
+    tolerance: Decimal,
+    allow: set[tuple[str, str]],
+    listed_in: dict[LanguagePair, str],
+) -> tuple[int, int]:
+    """Verify each pair of the golden file at ``path``; return how many
+    pairs it holds and how many of them mismatched.
+
+    Its own scope: nothing parsed or ranked for one golden file is alive
+    while the next is read.
+    """
+
+    try:
+        config, entries = parse_golden(_read(path))
+    except ValueError as exc:
+        raise _ValidationError(f"{path}: {exc}") from None
+
+    failed = 0
+    for entry in entries:
+        pair = entry["pair"]
+        if pair in listed_in:
+            first = listed_in[pair]
+            raise _ValidationError(f"{path}: pair {pair.code} is also listed in {first}")
+        listed_in[pair] = path
+        if pair not in scores:
+            failed += 1
+            _write(f"{pair.code}: MISMATCH\n  {pair.code}: no scores for this pair\n")
+            continue
+        try:
+            table = rank_pair(registry, scores, pair, DEFAULT_METRICS, config)
+        except ValueError as exc:
+            raise _ValidationError(str(exc)) from None
+        result = compare_pair(table, entry, tolerance, allow)
+        status = "ok" if result.ok else "MISMATCH"
+        _write(f"{pair.code}: {status} ({len(table.rows)} systems)\n")
+        for line in result.mismatches:
+            _write(f"  {line}\n")
+        for line in result.notes:
+            _write(f"  note: {line}\n")
+        if not result.ok:
+            failed += 1
+    return len(entries), failed
+
+
 def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
     registry, scores = _parse_inputs(args)
     if not (math.isfinite(args.autorank_tol) and args.autorank_tol >= 0):
@@ -302,36 +369,12 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
 
     compared = failed = 0
     listed_in: dict[LanguagePair, str] = {}  # the golden file each pair was found in
-    for path in [os.path.join(args.golden, name) for name in names]:
-        try:
-            config, entries = parse_golden(_read(path))
-        except ValueError as exc:
-            raise _ValidationError(f"{path}: {exc}") from None
-
-        for entry in entries:
-            pair = entry["pair"]
-            if pair in listed_in:
-                first = listed_in[pair]
-                raise _ValidationError(f"{path}: pair {pair.code} is also listed in {first}")
-            listed_in[pair] = path
-            compared += 1
-            if pair not in scores:
-                failed += 1
-                _write(f"{pair.code}: MISMATCH\n  {pair.code}: no scores for this pair\n")
-                continue
-            try:
-                table = rank_pair(registry, scores, pair, DEFAULT_METRICS, config)
-            except ValueError as exc:
-                raise _ValidationError(str(exc)) from None
-            result = compare_pair(table, entry, tolerance, allow)
-            status = "ok" if result.ok else "MISMATCH"
-            _write(f"{pair.code}: {status} ({len(table.rows)} systems)\n")
-            for line in result.mismatches:
-                _write(f"  {line}\n")
-            for line in result.notes:
-                _write(f"  note: {line}\n")
-            if not result.ok:
-                failed += 1
+    for name in names:
+        pairs, mismatched = _verify_golden(
+            os.path.join(args.golden, name), registry, scores, tolerance, allow, listed_in
+        )
+        compared += pairs
+        failed += mismatched
 
     _write(f"compared {compared} pair(s): {compared - failed} ok, {failed} mismatched\n")
     if compared == 0:

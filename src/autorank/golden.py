@@ -32,7 +32,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from decimal import Decimal, InvalidOperation
 
-from .model import LanguagePair, LeaderboardTable, RankingConfig
+from .model import _NUMBER, LanguagePair, LeaderboardTable, RankingConfig
 
 
 # a parsed golden row: ``text`` is the aggregate as written, ``value``
@@ -154,11 +154,13 @@ def _golden_row(row: object, place: int) -> GoldenRow:
         raise ValueError(f"golden row selected is not a boolean: {selected!r}")
     text = str(text)
     try:
+        # a score's ASCII syntax, which has no inf or nan: Decimal alone
+        # also reads "١.٠", "1_0" and blanks
+        if not _NUMBER.fullmatch(text):
+            raise InvalidOperation
         value = Decimal(text)
     except InvalidOperation:
-        value = Decimal("NaN")
-    if not value.is_finite():
-        raise ValueError(f"golden row autorank_exact is not a finite decimal: {text!r}")
+        raise ValueError(f"golden row autorank_exact is not a finite decimal: {text!r}") from None
     try:
         # compare_pair computes both band edges; the decimal context must hold them
         half_ulp = _half_ulp(value)

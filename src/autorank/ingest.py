@@ -10,6 +10,11 @@ manifest    pair<TAB>segments<TAB>words
 The parsers are strict: wrong column counts, unknown columns, duplicate
 keys, unregistered names and malformed values are all rejected with the
 1-based line number.
+
+Each parser takes the text as a ``str`` or as an open text file (opened
+with ``encoding="utf-8", newline=""`` to read what is stored).  A file
+is read in blocks and cut into lines by the same loop that cuts a
+``str``, so neither the whole text nor a list of every line is held.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ import math
 import re
 import sys
 from collections.abc import Iterator, Mapping, Sequence
-from itertools import chain
+from functools import partial
+from io import TextIOBase
+from itertools import chain, repeat
 
 from .model import _NUMBER, LanguagePair, MetricSpec, SystemCategory, SystemEntry
 
@@ -39,23 +46,40 @@ class ParseError(ValueError):
         self.line = line
 
 
-# _rows splits the text in blocks of about this many characters, each
-# cut at a newline, so no list of every line is ever held
+# _rows reads the text in blocks of this many characters and cuts them
+# into lines, so neither the whole text of a file nor a list of every
+# line is ever held
 _BLOCK = 1 << 16
 
 
-def _line_blocks(text: str) -> Iterator[list[str]]:
+def _blocks(text: str | TextIOBase) -> Iterator[str]:
+    """``text`` in pieces of ``_BLOCK`` characters, the last one shorter."""
+
+    if isinstance(text, str):
+        return (text[start : start + _BLOCK] for start in range(0, len(text), _BLOCK))
+    return iter(partial(text.read, _BLOCK), "")
+
+
+def _line_blocks(text: str | TextIOBase) -> Iterator[list[str]]:
     """The lines of ``text``, less one final newline, a block at a time."""
 
-    stop = len(text) - text.endswith("\n")
-    start = 0
-    while (end := text.find("\n", start + _BLOCK, stop)) >= 0:
-        yield text[start:end].split("\n")
-        start = end + 1
-    yield text[start:stop].split("\n")
+    pieces: list[str] = []  # a line that runs on past the blocks read so far
+    cut = False
+    # no name holds a block once it is split
+    for lines in map(str.split, _blocks(text), repeat("\n")):
+        pieces.append(lines[0])
+        if len(lines) > 1:
+            lines[0] = "".join(pieces)
+            pieces = [lines.pop()]
+            cut = True
+            yield lines
+            del lines  # so that it is freed before the next block is read
+    last = "".join(pieces)
+    if last or not cut:
+        yield [last]
 
 
-def _rows(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
+def _rows(text: str | TextIOBase, header: str) -> Iterator[tuple[int, list[str]]]:
     lines = chain.from_iterable(_line_blocks(text))
     first = next(lines)
     if first != header:
@@ -82,7 +106,7 @@ def _parse_pair_set(token: str, line: int) -> frozenset[LanguagePair]:
     return frozenset(_parse_pair(part, line) for part in token.split(","))
 
 
-def parse_registry(text: str) -> dict[str, SystemEntry]:
+def parse_registry(text: str | TextIOBase) -> dict[str, SystemEntry]:
     """Parse the system registry into name -> entry, in file order.
 
     The withdrawn column is "0" (not withdrawn), "1" (withdrawn from
@@ -122,7 +146,7 @@ def parse_registry(text: str) -> dict[str, SystemEntry]:
 
 
 def parse_scores(
-    text: str,
+    text: str | TextIOBase,
     registry: Mapping[str, SystemEntry],
     metrics: Sequence[MetricSpec],
 ) -> dict[LanguagePair, dict[str, dict[str, float]]]:
@@ -170,7 +194,7 @@ def parse_scores(
     return scores
 
 
-def parse_manifest(text: str) -> dict[LanguagePair, tuple[int, int]]:
+def parse_manifest(text: str | TextIOBase) -> dict[LanguagePair, tuple[int, int]]:
     """Parse the evaluation-data manifest into pair -> (segments, words).
 
     Both counts must be positive integers.  Ranking only checks that a

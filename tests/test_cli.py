@@ -5,6 +5,7 @@ import errno
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import runpy
@@ -18,6 +19,7 @@ import pytest
 
 import autorank.cli
 import autorank.golden
+import autorank.ingest
 import autorank.pipeline
 from autorank import (
     DEFAULT_METRICS,
@@ -415,6 +417,23 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: {path}: malformed golden report: "
             "could not convert string to float: '\u0663'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value", ["\u0661.\u0660", "1_0.0"], ids=["arabic-indic", "underscore"]
+    )
+    def test_golden_value_outside_the_ascii_syntax(self, value, tmp_path, capsys):
+        # the first row's "1.0" as "\u0661.\u0660" used to verify as ok, and
+        # "1_0.0" read as 10.0, a mismatch
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        golden["pairs"][0]["rows"][0]["autorank_exact"] = value
+        path = tmp_path / "cs-uk.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        assert main(_verify("--golden", str(tmp_path), "--allow-mismatch", str(ALLOW))) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: {path}: malformed golden report: "
+            f"golden row autorank_exact is not a finite decimal: {value!r}\n",
         )
 
     @pytest.mark.parametrize("files", [1, 2], ids=["one-file", "two-files"])
@@ -948,6 +967,57 @@ class TestLineEndings:
         assert capsys.readouterr() == expected
 
 
+def _filler(which: str) -> bytes:
+    """Valid rows for the ``which`` input, none of them in WMT24, that fill more than a block."""
+    row = {
+        "systems": "Filler-{}{}{}\topen\t0\t\n",
+        "scores": "q{}-{}{}\tCycleL\tmetricx-23-xl\t1.5\n",
+        "manifest": "q{}-{}{}\t1000\t32000\n",
+    }[which]
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    # the second letter is never q, so no pair's target is its source
+    codes = itertools.product(letters[:8], letters.replace("q", ""), letters)
+    data = "".join(row.format(*code) for code in codes)
+    assert len(data) > autorank.ingest._BLOCK
+    return data.encode("utf-8")
+
+
+class TestReadErrors:
+    """A TSV input that is not UTF-8 is named at the bad byte's offset in the
+    file, unless a line wholly before that byte is at fault."""
+
+    def _run(self, which: str, data: bytes, tmp_path: Path, capsys):
+        paths = {kind: str(DATA / name) for kind, name in _WMT24_FILES.items()}
+        copy = tmp_path / _WMT24_FILES[which]
+        copy.write_bytes(data)
+        paths[which] = str(copy)
+        argv = ["rank", "--format", "json", "--manifest", paths["manifest"]]
+        argv += ["--scores", paths["scores"], "--systems", paths["systems"]]
+        assert main(argv) == ExitStatus.VALIDATION_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        return copy, err
+
+    @pytest.mark.parametrize("which", list(_WMT24_FILES))
+    def test_bad_byte_past_the_first_block(self, which, tmp_path, capsys):
+        data = (DATA / _WMT24_FILES[which]).read_bytes() + _filler(which) + b"\xff\n"
+        assert data.index(b"\xff") > autorank.ingest._BLOCK
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8")
+        copy, err = self._run(which, data, tmp_path, capsys)
+        assert err == f"error: cannot read {copy}: {info.value}\n"
+
+    @pytest.mark.parametrize("which", list(_WMT24_FILES))
+    def test_a_fault_on_an_earlier_line_comes_first(self, which, tmp_path, capsys):
+        # the invalid byte used to be reported, wherever it was
+        header, rest = (DATA / _WMT24_FILES[which]).read_bytes().split(b"\n", 1)
+        text = f"{header.decode()}\nmalformed\n{rest.decode()}"
+        copy, err = self._run(which, text.encode("utf-8") + b"\xff", tmp_path, capsys)
+        message = _library_error(which, text)
+        assert message.startswith("line 2: ")
+        assert err == f"error: {copy}: {message}\n"
+
+
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
@@ -1350,6 +1420,85 @@ class TestStreamedStdout:
         else:
             assert written[0] == 0 and all(b > a for a, b in zip(written, written[1:]))
             assert len(stdout.getvalue()) > written[-1]
+
+
+class TestOneInputAtATime:
+    """rank and verify never hold a whole TSV input, nor two goldens' worth."""
+
+    def test_scores_are_parsed_without_holding_the_file(self, canary, monkeypatch):
+        inputs = canary / "campaign"
+        marks = {}
+
+        def mark(name, function):
+            def marked(*args):
+                result = function(*args)
+                marks[name] = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                return result
+
+            monkeypatch.setattr(autorank.cli, name, marked)
+
+        # memory in use as each returns, and the peak since the one before:
+        # the scores' peak covers reading and parsing the scores file, and
+        # pairs_in sees the parsed scores held alone
+        mark("parse_registry", autorank.cli.parse_registry)
+        mark("parse_scores", autorank.cli.parse_scores)
+        mark("pairs_in", autorank.cli.pairs_in)
+        argv = [
+            "rank", "--scores", str(inputs / "scores.tsv"),
+            "--systems", str(inputs / "systems.tsv"), "--format", "json",
+        ]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Sink()):
+                assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        size = (inputs / "scores.tsv").stat().st_size
+        start, parsed = marks["parse_registry"][0], marks["parse_scores"][1]
+        matrix = marks["pairs_in"][0] - start
+        assert size > 700_000 and matrix > size
+        # reading the file whole held its text, and while it was decoded its bytes too
+        assert parsed - start - matrix < size / 2
+
+    def test_verify_holds_one_golden_at_a_time(self, canary, tmp_path, monkeypatch):
+        wide = canary / "wide"
+        parse = autorank.cli.parse_golden
+        started = []  # memory in use when the first golden is parsed
+
+        def parse_and_mark(text):
+            if not started:
+                tracemalloc.reset_peak()
+                started.append(tracemalloc.get_traced_memory()[0])
+            return parse(text)
+
+        monkeypatch.setattr(autorank.cli, "parse_golden", parse_and_mark)
+
+        def golden_peak(golden: Path) -> int:
+            """verify's traced peak from its first golden on, above what it held then."""
+            started.clear()
+            argv = ["verify", "--scores", str(wide / "scores.tsv")]
+            argv += ["--systems", str(wide / "systems.tsv"), "--golden", str(golden)]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(_Sink()):
+                    assert main(argv + ["--autorank-tol", "1e-9"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - started[0]
+
+        goldens = sorted((wide / "golden").glob("*.json"))
+        assert len(goldens) == 8
+        alone = []
+        for path in goldens:
+            single = tmp_path / path.stem
+            single.mkdir()
+            (single / path.name).write_bytes(path.read_bytes())
+            alone.append(golden_peak(single))
+        # keeping one golden's rows, table and comparison while the next is
+        # read adds about 0.47 MB here
+        assert golden_peak(wide / "golden") < max(alone) + 100_000
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -105,6 +105,11 @@ class TestValidateGoldenPair:
         with pytest.raises(ValueError, match="selected"):
             validate_golden_pair(entry)
 
+    @pytest.mark.parametrize("value", ["1.0", 1e-05, -0.0, 3, ".25", "2.5E-1"])
+    def test_reads_a_value_in_the_syntax_of_a_score(self, value):
+        (row,) = validate_golden_pair(_golden([("A", value, 1)]))["rows"]
+        assert row.text == str(value) and row.value == Decimal(str(value))
+
 
 class TestParseGolden:
     def test_parses_config_pair_cutoff_and_rows(self, data_dir):

@@ -447,6 +447,35 @@ def test_rows_give_the_same_result_at_any_block_size(kind, block, monkeypatch):
     assert [_edge_outcome(kind, text) for text in texts] == expected
 
 
+@pytest.mark.parametrize("kind", ["registry", "scores", "manifest"])
+@pytest.mark.parametrize("block", [1, 3, 64, 1 << 16])
+def test_an_open_file_reads_as_its_text_at_any_block_size(kind, block, tmp_path, monkeypatch):
+    header = _EDGE_HEADERS[kind]
+    a, b = _EDGE_ROWS[kind]
+    texts = [
+        "",
+        "\n",
+        header,
+        f"{header}\n{a}\n{b}\n",
+        f"{header}\n{a}\n{b}",
+        f"{header}\n{a}\n\n{b}\n",
+        f"{header}\n{a}\n{b}\n\n",
+        f"{header}\r\n{a}\r\n",
+        f"{header}\n{a}\r{b}\r\n",
+        f"\ufeff{header}\n{a}\n",
+    ]
+    expected = [_edge_outcome(kind, text) for text in texts]
+    monkeypatch.setattr(autorank.ingest, "_BLOCK", block)
+    path = tmp_path / "input.tsv"
+    outcomes = []
+    for text in texts:
+        path.write_bytes(text.encode("utf-8"))
+        # as the CLI opens it: the characters as stored
+        with open(path, encoding="utf-8", newline="") as handle:
+            outcomes.append(_edge_outcome(kind, handle))
+    assert outcomes == expected
+
+
 def test_rows_line_straddling_a_block_boundary():
     registry = parse_registry(
         f"{autorank.ingest.REGISTRY_HEADER}\n"
