@@ -10,8 +10,9 @@ Two subcommands:
             and an optional allow-list for known selection ambiguities.
 
 Exit codes: 0 ok, 1 validation error, 2 golden mismatch, 3 usage error.
-A stdout that cannot be written (a closed pipe, a full disk) is a
-validation error too, reported in one line.
+Usage errors are reported before any input file is read.  A stdout
+that cannot be written (a closed pipe, a full disk) is a validation
+error too, reported in one line.
 Setting the environment variable AUTORANK_NO_COLOR suppresses ANSI
 styling on text output to a terminal.  File output is always plain and
 written atomically (temp file then rename).
@@ -82,10 +83,11 @@ def _real_flag(text: str) -> float:
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="autorank", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--scores", required=True, help="scores TSV file")
+    inputs.add_argument("--systems", required=True, help="system registry TSV file")
 
-    rank = sub.add_parser("rank", help="rank language pairs and render tables")
-    rank.add_argument("--scores", required=True, help="scores TSV file")
-    rank.add_argument("--systems", required=True, help="system registry TSV file")
+    rank = sub.add_parser("rank", parents=[inputs], help="rank language pairs and render tables")
     rank.add_argument("--manifest", help="evaluated-data manifest TSV file")
     rank.add_argument(
         "--pair",
@@ -113,9 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--exclude-closed", action="store_true", help="omit closed systems")
     rank.add_argument("--show-reasons", action="store_true", help="append a reason-code column")
 
-    verify = sub.add_parser("verify", help="recompute pairs and compare against golden reports")
-    verify.add_argument("--scores", required=True, help="scores TSV file")
-    verify.add_argument("--systems", required=True, help="system registry TSV file")
+    verify = sub.add_parser(
+        "verify", parents=[inputs], help="recompute pairs and compare against golden reports"
+    )
     verify.add_argument("--golden", required=True, help="directory of golden JSON reports")
     verify.add_argument(
         "--autorank-tol",
@@ -127,16 +129,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    """The whole text of a golden or allow-list file."""
+def _read(parse, path: str):
+    """``parse(text)`` on the whole text of the golden or allow-list file
+    at ``path``; any fault ends in one ``_ValidationError``."""
 
     try:
         # decoded as stored, with no newline translation, as _parse reads a TSV file
         with open(path or os.curdir, "rb") as handle:  # "" is the current directory
-            return handle.read().decode("utf-8")
+            text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise _ValidationError(f"cannot read {path}: {reason}") from None
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise _ValidationError(f"{path}: {exc}") from None
 
 
 def _parse(parse, path: str, *args):
@@ -198,15 +205,11 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-class _StdoutError(Exception):
-    pass
-
-
 def _write(text: str) -> None:
     try:
         sys.stdout.write(text)
     except OSError as exc:  # a closed pipe, a full disk
-        raise _StdoutError(exc.strerror or exc) from None
+        raise _ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
 
 def _discard_stdout() -> None:
@@ -235,17 +238,16 @@ def _want_color(fmt: TableFormat) -> bool:
 
 
 def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
-    registry, scores = _parse_inputs(args)
     config = _config_from(args)
     fmt = TableFormat(args.format)
+    try:
+        # a repeated --pair is ranked once, in first-seen order
+        pairs = list(dict.fromkeys(LanguagePair.from_code(code) for code in args.pair or ()))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
-    if args.pair:
-        try:
-            # a repeated --pair is ranked once, in first-seen order
-            pairs = list(dict.fromkeys(LanguagePair.from_code(code) for code in args.pair))
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    else:
+    registry, scores = _parse_inputs(args)
+    if not pairs:
         pairs = pairs_in(scores)
         if not pairs:
             raise _ValidationError(f"{args.scores}: no score records, nothing to rank")
@@ -315,11 +317,7 @@ def _verify_golden(
     while the next is read.
     """
 
-    try:
-        config, entries = parse_golden(_read(path))
-    except ValueError as exc:
-        raise _ValidationError(f"{path}: {exc}") from None
-
+    config, entries = _read(parse_golden, path)
     failed = 0
     for entry in entries:
         pair = entry["pair"]
@@ -348,17 +346,14 @@ def _verify_golden(
 
 
 def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
-    registry, scores = _parse_inputs(args)
     if not (math.isfinite(args.autorank_tol) and args.autorank_tol >= 0):
         raise _UsageError("--autorank-tol must be a finite number >= 0")
     tolerance = Decimal(str(args.autorank_tol))
 
+    registry, scores = _parse_inputs(args)
     allow: set[tuple[str, str]] = set()
     if args.allow_mismatch is not None:
-        try:
-            allow = parse_allow_list(_read(args.allow_mismatch))
-        except ValueError as exc:
-            raise _ValidationError(f"{args.allow_mismatch}: {exc}") from None
+        allow = _read(parse_allow_list, args.allow_mismatch)
 
     try:
         names = sorted(n for n in os.listdir(args.golden or os.curdir) if n.endswith(".json"))
@@ -392,8 +387,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         message, status = f"usage error: {exc}", ExitStatus.USAGE_ERROR
     except _ValidationError as exc:
         message, status = f"error: {exc}", ExitStatus.VALIDATION_ERROR
-    except _StdoutError as exc:
-        message, status = f"error: cannot write to stdout: {exc}", ExitStatus.VALIDATION_ERROR
     # what is still buffered fails here, not at the interpreter's exit
     try:
         sys.stdout.flush()

@@ -40,17 +40,13 @@ from .model import _NUMBER, LanguagePair, LeaderboardTable, RankingConfig
 GoldenRow = namedtuple("GoldenRow", "system category selected text value half_ulp")
 
 
-class PairComparison:
+class PairComparison(namedtuple("PairComparison", "mismatches notes")):
     """Outcome of checking one recomputed pair against its golden.
 
     ``compare_pair`` fills both lists as it goes.
     """
 
-    __slots__ = ("mismatches", "notes")
-
-    def __init__(self) -> None:
-        self.mismatches: list[str] = []
-        self.notes: list[str] = []
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -58,16 +54,23 @@ class PairComparison:
 
 
 def parse_allow_list(text: str) -> set[tuple[str, str]]:
-    """Parse allow-list lines, any line ending, of the form ``pair/system``; '#' comments."""
+    """Parse allow-list lines, any line ending, of the form ``pair/system``; '#' comments.
+
+    ``pair`` must be a language pair code and ``system`` non-empty.
+    """
 
     entries: set[tuple[str, str]] = set()
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "/" not in line:
+        pair, _, system = line.partition("/")
+        if not system:
             raise ValueError(f"allow-list line {number}: expected pair/system, got {line!r}")
-        pair, system = line.split("/", 1)
+        try:
+            LanguagePair.from_code(pair)
+        except ValueError as exc:
+            raise ValueError(f"allow-list line {number}: {exc}") from None
         entries.add((pair, system))
     return entries
 
@@ -227,7 +230,7 @@ def compare_pair(
     """
 
     pair = golden["pair"].code  # type: ignore[attr-defined]
-    result = PairComparison()
+    result = PairComparison([], [])
     rows: Sequence[GoldenRow] = golden["rows"]  # type: ignore[assignment]
 
     computed = {row.name: row for row in table.rows}

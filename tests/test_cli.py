@@ -755,6 +755,17 @@ class TestVerify:
         assert "qq-rr: MISMATCH" in out
         assert "no scores for this pair" in out
 
+    def test_allow_list_line_naming_no_pair_is_validation_error(self, tmp_path, capsys):
+        # "cs_uk/Llama3-70B" used to be read, match nothing, and leave cs-uk mismatched
+        allow = tmp_path / "allow.txt"
+        allow.write_text("cs_uk/Llama3-70B\n", encoding="utf-8")
+        code = main(_verify("--golden", str(DATA / "golden"), "--allow-mismatch", str(allow)))
+        assert code == ExitStatus.VALIDATION_ERROR
+        assert capsys.readouterr() == (
+            "",
+            f"error: {allow}: allow-list line 1: malformed language pair code: 'cs_uk'\n",
+        )
+
     def test_tolerance_outside_the_ascii_syntax_is_usage_error(self, tmp_path, capsys):
         # "\u0663" used to read as a tolerance of 3.0
         assert main(_verify("--golden", str(tmp_path), "--autorank-tol", "\u0663")) == 3
@@ -789,6 +800,28 @@ class TestVerify:
 
 
 WMT24_INPUTS = ["--scores", str(DATA / "scores.tsv"), "--systems", str(DATA / "systems.tsv")]
+
+
+class TestUsageErrorsComeFirst:
+    """A usage error is reported before any input file is read."""
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["rank", "--format", "text", "--closed-fraction", "banana"],
+             "Invalid literal for Fraction: 'banana'"),
+            (["rank", "--format", "text", "--pair", "xxyy"],
+             "malformed language pair code: 'xxyy'"),
+            (["verify", "--golden", str(DATA / "golden"), "--autorank-tol", "-1"],
+             "--autorank-tol must be a finite number >= 0"),
+        ],
+        ids=["closed-fraction", "pair", "autorank-tol"],
+    )
+    def test_with_a_missing_scores_file(self, argv, error, tmp_path, capsys):
+        # each used to end in "cannot read" and exit 1
+        absent = ["--scores", str(tmp_path / "absent.tsv"), "--systems", str(DATA / "systems.tsv")]
+        assert main([argv[0], *absent, *argv[1:]]) == ExitStatus.USAGE_ERROR
+        assert capsys.readouterr() == ("", f"usage error: {error}\n")
 
 
 class TestPaths:
@@ -1506,7 +1539,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestTracedStages:
-    """Every stage the benchmark's tracer rebinds still exists."""
+    """Every stage the benchmark's tracer rebinds still exists, and a
+    traced run prints what a plain run prints."""
 
     def test_every_binding_names_a_callable(self):
         # run_path compiles the file without writing a bytecode cache
@@ -1515,6 +1549,50 @@ class TestTracedStages:
         for module_name, attr, *_ in bindings:
             module = importlib.import_module(module_name)
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+    _COMMANDS = {
+        **{
+            f"rank-{fmt}": (["rank", *WMT24_INPUTS, "--format", fmt], stages)
+            for fmt, stages in [
+                ("text", {"render.text": 11}),
+                ("md", {"render.md": 11}),
+                ("latex", {"render.latex": 11}),
+                ("json", {}),  # the report is streamed by report_chunks, which is not bound
+            ]
+        },
+        "verify": (
+            ["verify", *WMT24_INPUTS, "--golden", str(DATA / "golden"),
+             "--allow-mismatch", str(ALLOW)],
+            {"golden.parse_allow_list": 1, "golden.compare_pair": 11},
+        ),
+    }
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_traced_run_matches_the_plain_run(self, command, capsys):
+        tracer_module = runpy.run_path(str(TRACER))
+        argv, stages = self._COMMANDS[command]
+        plain = autorank.cli.main(argv), capsys.readouterr().out
+        modules = {name: importlib.import_module(name) for name, *_ in tracer_module["BINDINGS"]}
+        before = {name: dict(vars(module)) for name, module in modules.items()}
+        tracer = tracer_module["Tracer"]().install()
+        try:
+            traced = autorank.cli.main(argv), capsys.readouterr().out
+        finally:
+            tracer.restore()
+        assert plain[0] == ExitStatus.OK and traced == plain
+        names = [span[0] for span in tracer.spans]
+        expected = {
+            "cli.main": 1,
+            "ingest.parse_registry": 1,
+            "ingest.parse_scores": 1,
+            "pipeline.rank_pair": 11,  # one per pair
+            **stages,
+        }
+        assert {name: names.count(name) for name in expected} == expected
+        for name, module in modules.items():
+            after = vars(module)
+            assert after.keys() == before[name].keys(), name
+            assert all(after[key] is before[name][key] for key in after), name
 
 
 class _FailingStdout:

@@ -82,6 +82,22 @@ class TestParseAllowList:
     def test_empty(self):
         assert parse_allow_list("") == set()
 
+    @pytest.mark.parametrize(
+        "line,error",
+        [
+            ("cs_uk/X", "malformed language pair code: 'cs_uk'"),
+            ("cs-cs/X", "source and target must differ: 'cs-cs'"),
+            ("/X", "malformed language pair code: ''"),
+            ("cs-uk/", "expected pair/system, got 'cs-uk/'"),
+        ],
+        ids=["underscore", "same-language", "no-pair", "no-system"],
+    )
+    def test_rejects_a_pair_that_is_no_pair_code_or_an_empty_system(self, line, error):
+        # each used to be read as an entry that matches no row
+        with pytest.raises(ValueError) as info:
+            parse_allow_list(f"cs-uk/ok\n{line}\n")
+        assert str(info.value) == f"allow-list line 2: {error}"
+
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_any_line_ending_reads_the_same_entries(self, newline):
         text = "# regression exceptions\n\ncs-uk/Llama3-70B\nen-de/ONLINE-W  \n"
