@@ -24,7 +24,6 @@ from .model import (
     ScaleSpan,
     SystemCategory,
     SystemEntry,
-    display_str,
 )
 from .pipeline import rank_pair
 from .render import RenderOptions, TableFormat, render_report, render_table
@@ -47,7 +46,6 @@ __all__ = [
     "SystemEntry",
     "TableFormat",
     "compare_pair",
-    "display_str",
     "parse_allow_list",
     "parse_golden",
     "parse_manifest",

@@ -14,8 +14,10 @@ Usage errors are reported before any input file is read.  A stdout
 that cannot be written (a closed pipe, a full disk) is a validation
 error too, reported in one line.
 Setting the environment variable AUTORANK_NO_COLOR suppresses ANSI
-styling on text output to a terminal.  File output is always plain and
-written atomically (temp file then rename).
+styling on text output to a terminal.  Output is UTF-8 whatever the
+encoding of stdout.  File output is always plain and written atomically
+(temp file then rename), with the mode of the file it replaces, or the
+mode the umask gives a new file.
 """
 
 from __future__ import annotations
@@ -195,10 +197,17 @@ def _config_from(args: argparse.Namespace) -> RankingConfig:
 def _write_atomic(path: str, text: str) -> None:
     import tempfile  # only --out writes files
 
+    try:  # the mode of the file replaced, or the one open() would give a new file
+        mode = os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+            os.fchmod(fd, mode)  # mkstemp makes it 0600
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -206,8 +215,13 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write(text: str) -> None:
+    # UTF-8 bytes, as under --out, whatever encoding stdout has
+    out = getattr(sys.stdout, "buffer", None)
     try:
-        sys.stdout.write(text)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            out.write(text.encode("utf-8"))
     except OSError as exc:  # a closed pipe, a full disk
         raise _ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
@@ -371,6 +385,13 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
         compared += pairs
         failed += mismatched
 
+    # a verified pair's rows are its scored systems, as rank_pair ranks them all
+    for code, system in sorted(allow):
+        pair = LanguagePair.from_code(code)
+        if pair not in listed_in or system not in scores.get(pair, ()):
+            _write(
+                f"note: allow-list entry {code}/{system} matches no row of any verified pair\n"
+            )
     _write(f"compared {compared} pair(s): {compared - failed} ok, {failed} mismatched\n")
     if compared == 0:
         _write("warning: golden directory contained no pair entries\n")

@@ -7,13 +7,12 @@ validation at construction time; the arithmetic lives in
 
 Each record is a named tuple: its fields are read-only, setting any
 attribute raises ``AttributeError``, and equality, hashing and ordering
-are the tuple's, done in C.  A record that validates its fields, or
-derives some from others, does so in ``__new__``; a ``RankedRow``
-stores its ``name``, ``category``, ``selected`` and ``above_cutoff``
-once, when it is built, and its ``autorank_display`` too.  The floats
-a record keeps are output values; every decision is made on the exact
-integers of :mod:`autorank.ranking`, and ``_tenths`` is the one rule
-that rounds a displayed aggregate.
+are the tuple's, done in C.  A record that validates its fields does
+so in ``__new__``; a ``RankedRow`` stores only what the tables print,
+with the display the ranker rounded, and reads its verdict flags from
+its reasons.  The floats a record keeps are output values; every
+decision is made on the exact integers of :mod:`autorank.ranking`, and
+``_tenths`` is the one rule that rounds a displayed aggregate.
 """
 
 from __future__ import annotations
@@ -343,61 +342,32 @@ _BELOW_CUTOFF = ReasonCode.EXCLUDED_BELOW_CUTOFF
 class RankedRow(
     namedtuple(
         "RankedRow",
-        "system raw_scores normalized autorank_exact position withdrawn claimed_support"
-        " reasons autorank_display name category selected above_cutoff",
+        "name category raw_scores autorank_exact autorank_display position withdrawn"
+        " claimed_support reasons",
+        defaults=(0, False, True, ()),
     )
 ):
-    """One system's line in a finished leaderboard.
+    """One system's line in a finished leaderboard: what the tables print.
 
+    ``raw_scores`` maps metric id to the input score, ``autorank_exact``
+    is the float aggregate and ``autorank_display`` its shown rounding.
     ``withdrawn`` and ``claimed_support`` are the entry's flags resolved
     against the table's language pair.  ``reasons`` is the row's
     verdict: exactly one selected code, or every exclusion code that
-    applies.  ``autorank_display`` is the shown aggregate, rounded from
-    the exact one by the ranker (by default ``display_str`` of
-    ``autorank_exact``).  The constructor takes the first nine fields
-    and stores the last four with them, read once: ``name`` and
-    ``category`` from ``system``, ``selected`` (the first code is a
-    selected code) and ``above_cutoff`` (no ``excluded_below_cutoff``
-    code) from ``reasons``.
+    applies; ``selected`` and ``above_cutoff`` read it.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        system: SystemEntry,
-        raw_scores: Mapping[str, float],
-        normalized: Mapping[str, float],
-        autorank_exact: float,
-        position: int = 0,
-        withdrawn: bool = False,
-        claimed_support: bool = True,
-        reasons: tuple[ReasonCode, ...] = (),
-        autorank_display: str | None = None,
-    ) -> "RankedRow":
-        return tuple.__new__(
-            cls,
-            (
-                system,
-                raw_scores,
-                normalized,
-                autorank_exact,
-                position,
-                withdrawn,
-                claimed_support,
-                reasons,
-                display_str(autorank_exact) if autorank_display is None else autorank_display,
-                system.name,
-                system.category,
-                bool(reasons) and reasons[0] in _SELECTED_CODES,
-                _BELOW_CUTOFF not in reasons,
-            ),
-        )
+    @property
+    def selected(self) -> bool:
+        """The first reason is a selected code."""
+        return bool(self.reasons) and self.reasons[0] in _SELECTED_CODES
 
-    def _replace(self, **changes: object) -> "RankedRow":
-        """A copy with some of the first nine fields changed; the rest follow."""
-        inputs = self._fields[:9]
-        return RankedRow(*[changes.pop(f, v) for f, v in zip(inputs, self)], **changes)
+    @property
+    def above_cutoff(self) -> bool:
+        """No reason is ``excluded_below_cutoff``."""
+        return _BELOW_CUTOFF not in self.reasons
 
 
 class LeaderboardTable(

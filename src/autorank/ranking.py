@@ -20,8 +20,8 @@ M metrics, K = sum_m d_m * prod_{k != m} D_k makes the aggregate
 exactly 1 + span * K / (M * prod D).  ``compute_autorank`` keys each
 system by (K, d_1 times a positive constant, name) and rounds its
 display from K; ``selection.find_cutoff`` compares gaps in K with
-``cutoff_gap``.  The floats a row carries, ``autorank_exact`` (``fsum``
-over M) and the normalized values (``1.0 + span * (d / D)``), are
+``cutoff_gap``.  The one float a row carries, ``autorank_exact``, the
+``fsum`` over M of the normalized values ``1.0 + span * (d / D)``, is
 output only.  No row is built here.
 """
 
@@ -127,10 +127,9 @@ def build_context(
 
 
 # (K, first metric's weighted disadvantage, system name, autorank_exact,
-# metric id -> normalized value, displayed aggregate); names are unique
-# within a pair, so the first three decide the order and the rest is
-# never compared
-RankKey = tuple[int, int, str, float, dict[str, float], str]
+# displayed aggregate); names are unique within a pair, so the first
+# three decide the order and the rest is never compared
+RankKey = tuple[int, int, str, float, str]
 
 
 def compute_autorank(
@@ -138,7 +137,7 @@ def compute_autorank(
     context: Context,
     config: RankingConfig,
 ) -> list[RankKey]:
-    """Give every system its sort key, float output values and display.
+    """Give every system its sort key, float aggregate and display.
 
     Args:
         scores_by_system: complete matrix, system -> metric -> raw score
@@ -154,7 +153,6 @@ def compute_autorank(
     n = len(scores_by_system)
     span = n if config.scale_span is ScaleSpan.FULL_N else n - 1
     rows = scores_by_system.values()
-    ids = [metric_id for metric_id, *_ in columns]
     # divide before scaling: the worst score's ratio is then exactly 1.0,
     # keeping both scale endpoints exact in float arithmetic
     normalized = [
@@ -166,10 +164,10 @@ def compute_autorank(
     weighted = [exact for *_, exact in columns]
     keys = list(map(sum, zip(*weighted)))
     displays = _tenths([unit + span * k for k in keys], unit)
-    m = len(ids)
+    m = len(columns)
     # fsum(values) / M is statistics.fmean(values), bit for bit
     return [
-        (k, first, name, math.fsum(values) / m, dict(zip(ids, values)), display)
+        (k, first, name, math.fsum(values) / m, display)
         for name, k, first, values, display in zip(
             scores_by_system, keys, weighted[0], zip(*normalized), displays
         )

@@ -134,23 +134,25 @@ def apply_selection(
 
     ``verdicts`` is ``select_for_human_eval``'s result for the same
     keys, so a row is withdrawn exactly when its reasons say so, and
-    ``registry`` is ``parse_registry``'s name -> entry mapping.  This
-    is the one place a ranked pair's ``RankedRow``s are constructed.
+    ``registry`` is ``parse_registry``'s name -> entry mapping, read
+    once per row for its category and claimed support.  This is the
+    one place a ranked pair's ``RankedRow``s are constructed.
     """
 
     return [
         RankedRow(
-            registry[name],
+            name,
+            entry.category,
             dict(scores_by_system[name]),
-            normalized,
             autorank,
+            display,
             position,
             _WITHDRAWN in reasons,
-            registry[name].claims_support(pair),
+            entry.claims_support(pair),
             reasons,
-            display,
         )
-        for position, ((_, _, name, autorank, normalized, display), reasons) in enumerate(
+        for position, ((_, _, name, autorank, display), reasons) in enumerate(
             zip(ordered, verdicts), start=1
         )
+        for entry in [registry[name]]
     ]

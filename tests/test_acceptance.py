@@ -35,7 +35,6 @@ from autorank import (
     SystemEntry,
     TableFormat,
     compare_pair,
-    display_str,
     parse_registry,
     parse_scores,
     rank_pair,
@@ -44,6 +43,7 @@ from autorank import (
 )
 from autorank.cli import main
 from autorank.golden import validate_golden_pair
+from autorank.model import display_str
 from autorank.render import file_extension, visible_rows
 from autorank.selection import category_limits
 
@@ -380,6 +380,15 @@ def test_criterion_6_randomized_instances_match_direct_formula():
             return rank_pair(registry, {pair: matrix}, pair, metrics, config).rows
 
         ordered = ranked(scores)
+        # ranked on one metric alone, a row's aggregate is its normalized
+        # value on that metric: fsum([x]) / 1 == x
+        normalized = {
+            metric.id: {
+                row.name: row.autorank_exact
+                for row in rank_pair(registry, {pair: scores}, pair, (metric,), config).rows
+            }
+            for metric in metrics
+        }
 
         for row in ordered:
             expected = []
@@ -387,7 +396,7 @@ def test_criterion_6_randomized_instances_match_direct_formula():
                 col = list(columns[j].values())
                 lower = metric.orientation is Orientation.LOWER_BETTER
                 want = oracle(columns[j][row.name], col, lower, n)
-                got = row.normalized[metric.id]
+                got = normalized[metric.id][row.name]
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
                 assert 1.0 <= got <= 1.0 + n
                 if columns[j][row.name] == (min(col) if lower else max(col)):
@@ -402,7 +411,6 @@ def test_criterion_6_randomized_instances_match_direct_formula():
             )
 
         # strictly better raw score, strictly smaller normalized value
-        by_name = {row.name: row for row in ordered}
         if n >= 2:
             for j, metric in enumerate(metrics):
                 col = columns[j]
@@ -412,14 +420,11 @@ def test_criterion_6_randomized_instances_match_direct_formula():
                 for _ in range(5):
                     a, b = rng.sample(names, 2)
                     if col[a] == col[b]:
-                        assert by_name[a].normalized[metric.id] == by_name[b].normalized[metric.id]
+                        assert normalized[metric.id][a] == normalized[metric.id][b]
                         continue
                     better = a if (col[a] < col[b]) == lower else b
                     other = b if better == a else a
-                    assert (
-                        by_name[better].normalized[metric.id]
-                        < by_name[other].normalized[metric.id]
-                    )
+                    assert normalized[metric.id][better] < normalized[metric.id][other]
 
         # positive affine rescaling of one metric's raw column is invisible
         scale, shift = rng.uniform(0.1, 10.0), rng.uniform(-10.0, 10.0)

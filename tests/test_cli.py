@@ -183,6 +183,24 @@ class TestRankFiles:
         assert (out_dir / "xx-yy.json").read_bytes() == first
 
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=["022", "027", "077"])
+    def test_out_file_mode_follows_the_umask_and_a_replaced_file_keeps_its_own(
+        self, inputs, tmp_path, umask
+    ):
+        # every table used to be written 0600, and a replaced 0644 file became 0600
+        out_dir = tmp_path / "out"
+        argv = _rank(inputs, "--pair", "xx-yy", "--format", "md", "--out", str(out_dir))
+        old = os.umask(umask)
+        try:
+            assert main(argv) == 0
+            table = out_dir / "xx-yy.md"
+            assert table.stat().st_mode & 0o777 == 0o666 & ~umask
+            table.chmod(0o604)
+            assert main(argv) == 0
+        finally:
+            os.umask(old)
+        assert table.stat().st_mode & 0o777 == 0o604
+
 class TestRankErrors:
     def test_malformed_pair_code_is_usage_error(self, inputs, capsys):
         code = main(_rank(inputs, "--pair", "xxyy", "--format", "text"))
@@ -376,6 +394,34 @@ class TestVerify:
         assert "cs-uk: MISMATCH" in out
         assert "Llama3-70B" in out
         assert "compared 11 pair(s): 10 ok, 1 mismatched" in out
+
+    def test_allow_list_entry_matching_no_row_is_noted(self, tmp_path, capsys):
+        # a typo, a system the pair does not score, and a pair no golden lists;
+        # the typo alone used to read as an engine mismatch, with no word on the entry
+        allow = tmp_path / "allow.txt"
+        allow.write_text("cs-uk/Llama3-70b\n", encoding="utf-8")
+        code = main(_verify("--golden", str(DATA / "golden"), "--allow-mismatch", str(allow)))
+        out = capsys.readouterr().out
+        assert code == ExitStatus.GOLDEN_MISMATCH
+        assert "cs-uk: Llama3-70B: selected" in out
+        assert out.endswith(
+            "note: allow-list entry cs-uk/Llama3-70b matches no row of any verified pair\n"
+            "compared 11 pair(s): 10 ok, 1 mismatched\n"
+        )
+        allow.write_text(
+            "xx-yy/Llama3-70B\ncs-uk/Llama3-70B\ncs-uk/CUNI-NL\nen-de/CUNI-NL\n", encoding="utf-8"
+        )
+        code = main(_verify("--golden", str(DATA / "golden"), "--allow-mismatch", str(allow)))
+        out = capsys.readouterr().out
+        assert code == ExitStatus.OK
+        assert out.endswith(
+            "note: allow-list entry cs-uk/CUNI-NL matches no row of any verified pair\n"
+            "note: allow-list entry xx-yy/Llama3-70B matches no row of any verified pair\n"
+            "compared 11 pair(s): 11 ok, 0 mismatched\n"
+        )
+        # the bundled list names a row: no note
+        assert main(_verify("--golden", str(DATA / "golden"), "--allow-mismatch", str(ALLOW))) == 0
+        assert "allow-list entry" not in capsys.readouterr().out
 
     def test_empty_golden_dir_warns_but_passes(self, tmp_path, capsys):
         code = main(_verify("--golden", str(tmp_path)))
@@ -1644,6 +1690,7 @@ class TestStdoutErrors:
     def _run(argv: list[str], stdout) -> subprocess.CompletedProcess:
         # stdout block-buffered, as it is by default for a file or a pipe
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
         return subprocess.run(
             [sys.executable, "-m", "autorank.cli", *argv],
             stdout=stdout,
@@ -1696,6 +1743,23 @@ class TestStdoutErrors:
         assert result.stderr == "error: cannot write to stdout: Broken pipe\n"
 
 
+class TestStdoutEncoding:
+    """stdout gets UTF-8 bytes, the bytes of the --out file, whatever its encoding."""
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-16"])
+    @pytest.mark.parametrize("fmt", [f.value for f in TableFormat])
+    def test_stdout_bytes_are_the_out_file(self, fmt, encoding, tmp_path):
+        # text and md used to die on the first glyph under ascii and latin-1
+        # with a UnicodeEncodeError traceback, and utf-16 wrote other bytes
+        argv = [sys.executable, "-m", "autorank.cli", "rank", *WMT24_INPUTS, "--pair", "cs-uk"]
+        argv += ["--format", fmt]
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": encoding}
+        result = subprocess.run(argv, capture_output=True, env=env)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert subprocess.run([*argv, "--out", str(tmp_path)], env=env).returncode == 0
+        (table,) = tmp_path.iterdir()
+        assert result.stdout == table.read_bytes()
+
 class TestEntrypoint:
     def test_console_script_runs(self, inputs):
         result = subprocess.run(
@@ -1713,6 +1777,7 @@ class TestEntrypoint:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert result.returncode == 0
         assert "xx-yy" in result.stdout

@@ -14,22 +14,23 @@ from autorank import (
     RankingConfig,
     ReasonCode,
     SystemCategory,
-    SystemEntry,
     compare_pair,
     parse_allow_list,
     parse_golden,
 )
 from autorank.golden import GoldenRow, validate_golden_pair
+from autorank.model import display_str
 
 TOL = Decimal("0.05")
 
 
 def _row(name, exact, pos):
     return RankedRow(
-        system=SystemEntry(name=name, category=SystemCategory.OPEN),
+        name=name,
+        category=SystemCategory.OPEN,
         raw_scores={m.id: 0.0 for m in DEFAULT_METRICS},
-        normalized={m.id: exact for m in DEFAULT_METRICS},
         autorank_exact=exact,
+        autorank_display=display_str(exact),
         position=pos,
         reasons=(ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,),
     )

@@ -16,9 +16,9 @@ from autorank import (
     ScaleSpan,
     SystemCategory,
     SystemEntry,
-    display_str,
     rank_pair,
 )
+from autorank.model import display_str
 
 from _tsv import registry_of
 
@@ -285,10 +285,11 @@ def test_reason_codes_partition_into_selected_and_excluded():
 )
 def test_ranked_row_verdict_is_read_from_reasons(reasons, selected, above_cutoff):
     row = RankedRow(
-        system=SystemEntry(name="A", category=SystemCategory.OPEN),
+        name="A",
+        category=SystemCategory.OPEN,
         raw_scores={},
-        normalized={},
         autorank_exact=1.0,
+        autorank_display="1.0",
         reasons=reasons,
     )
     assert (row.selected, row.above_cutoff) == (selected, above_cutoff)

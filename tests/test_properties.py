@@ -32,7 +32,6 @@ from autorank import (
     SystemEntry,
     TableFormat,
     compare_pair,
-    display_str,
     parse_registry,
     parse_scores,
     rank_pair,
@@ -41,6 +40,7 @@ from autorank import (
 )
 from autorank.cli import main
 from autorank.golden import _has_binding_inversion, validate_golden_pair
+from autorank.model import display_str
 from autorank.ranking import _decimal_column
 from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
 
@@ -185,9 +185,14 @@ def _open_registry(names):
 
 
 def _normalized(matrix, config=RankingConfig()):
-    """Each ranked row's normalized values, keyed by system name."""
-    table = rank_pair(_open_registry(matrix), {PAIR: matrix}, PAIR, DEFAULT_METRICS, config)
-    return {row.name: row.normalized for row in table.rows}
+    """Each system's normalized values, keyed by name: ranked on one
+    metric alone, a row's aggregate is that value (``fsum([x]) / 1 == x``)."""
+    registry = _open_registry(matrix)
+    values = {name: {} for name in matrix}
+    for metric in DEFAULT_METRICS:
+        for row in rank_pair(registry, {PAIR: matrix}, PAIR, (metric,), config).rows:
+            values[row.name][metric.id] = row.autorank_exact
+    return values
 
 
 @given(_columns())
@@ -467,7 +472,7 @@ def _tables(draw):
     for step, name in zip(steps, registry):
         k += step
         aggregate = Fraction(scale + k, scale)
-        ordered.append((k, k, name, float(aggregate), {}, display_str(aggregate)))
+        ordered.append((k, k, name, float(aggregate), display_str(aggregate)))
     return ordered, n * scale, registry
 
 
@@ -865,10 +870,11 @@ def test_order_check_matches_pairwise_scan(tolerance, data):
     ]
     table_rows = [
         RankedRow(
-            system=SystemEntry(name=row["system"], category=SystemCategory.OPEN),
+            name=row["system"],
+            category=SystemCategory.OPEN,
             raw_scores={},
-            normalized={},
             autorank_exact=float(row["autorank_exact"]),
+            autorank_display=display_str(float(row["autorank_exact"])),
             position=positions[row["system"]],
         )
         for row in data.draw(st.permutations(golden_rows))

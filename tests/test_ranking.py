@@ -15,9 +15,9 @@ from autorank import (
     ScaleSpan,
     SystemCategory,
     SystemEntry,
-    display_str,
     rank_pair,
 )
+from autorank.model import display_str
 from autorank.ranking import build_context, compute_autorank, order_rows
 
 from _tsv import registry_of
@@ -55,6 +55,17 @@ def _rows(matrix, config=RankingConfig()) -> dict[str, RankedRow]:
     return {row.name: row for row in table.rows}
 
 
+def _normalized(matrix, config=RankingConfig()) -> dict[str, dict[str, float]]:
+    """Each system's normalized value per metric, keyed by name: ranked on
+    one metric alone, a row's aggregate is that value (``fsum([x]) / 1 == x``)."""
+    registry = registry_of(_entry(name) for name in matrix)
+    values: dict[str, dict[str, float]] = {name: {} for name in matrix}
+    for metric in DEFAULT_METRICS:
+        for row in rank_pair(registry, {CSUK: matrix}, CSUK, (metric,), config).rows:
+            values[row.name][metric.id] = row.autorank_exact
+    return values
+
+
 def _exact_aggregates(matrix, span: int) -> dict[str, Fraction]:
     """Each system's aggregate in Fraction arithmetic on its scores' reprs."""
     ratios = {name: [] for name in matrix}
@@ -70,31 +81,33 @@ def _exact_aggregates(matrix, span: int) -> dict[str, Fraction]:
 
 def test_normalize_lower_better_interior_point():
     # 1 + 20 * (1.3 - 0.9) / (19.5 - 0.9) = 1.4301...
-    got = _rows(_csuk(IOL=(1.3, 0.681)))["IOL"].normalized[MX.id]
+    got = _normalized(_csuk(IOL=(1.3, 0.681)))["IOL"][MX.id]
     assert got == pytest.approx(oracle(1.3, 0.9, 19.5, 20, True), rel=1e-12)
     assert got == pytest.approx(1.4301, abs=5e-5)
 
 
 def test_normalize_best_maps_to_one_exactly():
-    assert _rows(_csuk())["Unbabel-Tower70B"].normalized == {MX.id: 1.0, CK.id: 1.0}
+    assert _normalized(_csuk())["Unbabel-Tower70B"] == {MX.id: 1.0, CK.id: 1.0}
 
 
 def test_normalize_worst_maps_to_one_plus_n_exactly():
-    assert _rows(_csuk())["CycleL"].normalized == {MX.id: 21.0, CK.id: 21.0}
+    assert _normalized(_csuk())["CycleL"] == {MX.id: 21.0, CK.id: 21.0}
 
 
 def test_normalize_span_n_minus_one_variant():
-    rows = _rows(_csuk(IOL=(1.3, 0.681)), RankingConfig(scale_span=ScaleSpan.N_MINUS_ONE))
-    assert rows["CycleL"].normalized == {MX.id: 20.0, CK.id: 20.0}
-    assert rows["IOL"].normalized[MX.id] == pytest.approx(
+    values = _normalized(
+        _csuk(IOL=(1.3, 0.681)), RankingConfig(scale_span=ScaleSpan.N_MINUS_ONE)
+    )
+    assert values["CycleL"] == {MX.id: 20.0, CK.id: 20.0}
+    assert values["IOL"][MX.id] == pytest.approx(
         oracle(1.3, 0.9, 19.5, 19, True), rel=1e-12
     )
 
 
 def test_normalize_all_equal_column_returns_one():
     matrix = {name: {MX.id: 5.0, CK.id: 0.5} for name in "ABC"}
+    assert _normalized(matrix) == {name: {MX.id: 1.0, CK.id: 1.0} for name in matrix}
     for row in _rows(matrix).values():
-        assert row.normalized == {MX.id: 1.0, CK.id: 1.0}
         assert (row.autorank_exact, row.autorank_display) == (1.0, "1.0")
 
 
@@ -134,7 +147,7 @@ def _keys(matrix, config=RankingConfig()):
 def test_compute_autorank_published_examples():
     # IOL-Research and GPT-4 from the Czech-Ukrainian fixture
     matrix = _csuk(**{"IOL-Research": (1.3, 0.681), "GPT-4": (1.4, 0.677)})
-    keys = {name: (exact, display) for _, _, name, exact, _, display in _keys(matrix)}
+    keys = {name: (exact, display) for _, _, name, exact, display in _keys(matrix)}
 
     iol_expected = (
         oracle(1.3, 0.9, 19.5, 20, True) + oracle(0.681, 0.719, 0.146, 20, False)
@@ -158,12 +171,13 @@ def test_compute_autorank_key_carries_the_tie_breaks_and_columns():
     matrix = _csuk(A=(1.3, 0.681), B=(1.3, 0.7))
     keys = {key[2]: key for key in _keys(matrix)}
     rows = _rows(matrix)
+    normalized = _normalized(matrix)
     exact = _exact_aggregates(matrix, 20)
-    for name, (k, first, key_name, autorank, normalized, display) in keys.items():
+    for name, (k, first, key_name, autorank, display) in keys.items():
         assert key_name == name
-        assert normalized == rows[name].normalized
+        assert autorank == rows[name].autorank_exact
         # the mean of the columns, as statistics.fmean computes it
-        assert autorank == fmean(normalized.values())
+        assert autorank == fmean(normalized[name].values())
         assert display == rows[name].autorank_display == display_str(exact[name])
     # K orders by the exact aggregate; the first metric breaks its ties
     ordered = sorted(keys, key=lambda name: keys[name][:3])
@@ -187,7 +201,7 @@ def test_rank_pair_requires_registered_systems():
 
 def test_compute_autorank_single_system_is_one():
     matrix = {"Solo": {MX.id: 4.2, CK.id: 0.33}}
-    ((k, _, _, autorank, _, display),) = _keys(matrix)
+    ((k, _, _, autorank, display),) = _keys(matrix)
     assert (k, autorank, display) == (0, 1.0, "1.0")
 
 
@@ -224,7 +238,7 @@ def test_order_breaks_display_tie_by_exact_value():
         "CommandR-plus",
         "CycleL",
     ]
-    assert ordered[1][5] == ordered[2][5]
+    assert ordered[1][4] == ordered[2][4]
     assert ordered[1][0] < ordered[2][0]
 
 
@@ -263,18 +277,18 @@ def test_rank_pair_builds_each_row_once(monkeypatch):
     built = []
     new = RankedRow.__new__
 
-    def counting_new(cls, system, *args):
-        built.append(system)
-        return new(cls, system, *args)
+    def counting_new(cls, name, *args):
+        built.append(name)
+        return new(cls, name, *args)
 
-    # every RankedRow, _replace copies included, is built through __new__
+    # apply_selection builds every row it returns through __new__
     monkeypatch.setattr(RankedRow, "__new__", staticmethod(counting_new))
     matrix = {f"S{i}": {MX.id: float(i), CK.id: 1.0 / (i + 1)} for i in range(7)}
     registry = registry_of(map(_entry, matrix, list(SystemCategory) * 3))
     table = rank_pair(registry, {CSUK: matrix}, CSUK)
     assert len(table.rows) == 7
     assert len(built) == 7
-    assert {entry.name for entry in built} == set(matrix)
+    assert set(built) == set(matrix)
 
 
 def test_exact_aggregate_tie_is_not_split_by_float_rounding():
@@ -330,7 +344,7 @@ def test_integer_key_is_exact_on_narrow_and_wide_columns(low, high):
     unit, _ = context = build_context(CSUK, matrix, DEFAULT_METRICS)
     exact = _exact_aggregates(matrix, 8)
     keys = compute_autorank(matrix, context, RankingConfig())
-    for k, _, name, autorank, _, display in keys:
+    for k, _, name, autorank, display in keys:
         assert 1 + Fraction(8 * k, unit) == exact[name]
         assert display == display_str(exact[name])
         assert abs(Fraction(autorank) - exact[name]) < Fraction(1, 10**6)

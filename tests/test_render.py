@@ -15,7 +15,6 @@ from autorank import (
     ReasonCode,
     RenderOptions,
     SystemCategory,
-    SystemEntry,
     TableFormat,
     parse_registry,
     parse_scores,
@@ -23,6 +22,7 @@ from autorank import (
     render_report,
     render_table,
 )
+from autorank.model import display_str
 from autorank.render import _PLAIN, _Columns, file_extension, report_chunks, visible_rows
 
 MX, CK = DEFAULT_METRICS
@@ -35,10 +35,11 @@ def _opts(fmt: TableFormat, **kwargs) -> RenderOptions:
 def _tiny_table() -> LeaderboardTable:
     def row(name, category, exact, pos, reason, withdrawn=False, support=True):
         return RankedRow(
-            system=SystemEntry(name=name, category=category),
+            name=name,
+            category=category,
             raw_scores={MX.id: 1.0, CK.id: 0.5},
-            normalized={MX.id: exact, CK.id: exact},
             autorank_exact=exact,
+            autorank_display=display_str(exact),
             position=pos,
             withdrawn=withdrawn,
             claimed_support=support,
@@ -127,7 +128,7 @@ class TestText:
     def test_wide_characters_count_two_columns(self):
         # each CJK character fills two terminal columns, so the rows still line up
         table = _tiny_table()
-        wide = table.rows[1]._replace(system=SystemEntry("翻訳システム", SystemCategory.OPEN))
+        wide = table.rows[1]._replace(name="翻訳システム")
         table = table._replace(rows=(table.rows[0], wide))
         assert render_table(table, _opts(TableFormat.TEXT)) == (
             "xx-yy  (N=2)\n"
@@ -144,7 +145,7 @@ class TestText:
         table = _tiny_table()
 
         def rendered(system_name):
-            row = table.rows[1]._replace(system=SystemEntry(system_name, SystemCategory.OPEN))
+            row = table.rows[1]._replace(name=system_name)
             return render_table(table._replace(rows=(table.rows[0], row)), _opts(TableFormat.TEXT))
 
         assert rendered(name).replace(name, "Cafe") == rendered("Cafe")
@@ -264,8 +265,7 @@ class TestLatex:
 
     def test_hostile_name_escaped_in_one_pass(self):
         table = _tiny_table()
-        hostile = SystemEntry(name="c\\~^ & {x}_1", category=SystemCategory.CLOSED)
-        rows = (table.rows[0]._replace(system=hostile),) + table.rows[1:]
+        rows = (table.rows[0]._replace(name="c\\~^ & {x}_1"),) + table.rows[1:]
         out = render_table(table._replace(rows=rows), _opts(TableFormat.LATEX))
         assert out.splitlines()[3] == (
             "\\closedtrack{c\\textbackslash{}\\textasciitilde{}\\textasciicircum{} "
@@ -331,10 +331,11 @@ class TestJson:
     def test_empty_scores_and_reasons_keep_the_stdlib_layout(self):
         # only a hand-built table has no metric columns or no reasons
         row = RankedRow(
-            system=SystemEntry(name="Solo", category=SystemCategory.OPEN),
+            name="Solo",
+            category=SystemCategory.OPEN,
             raw_scores={},
-            normalized={},
             autorank_exact=1.0,
+            autorank_display="1.0",
             position=1,
         )
         table = LeaderboardTable(

@@ -13,8 +13,8 @@ from autorank import (
     ReasonCode,
     SystemCategory,
     SystemEntry,
-    display_str,
 )
+from autorank.model import display_str
 from autorank.selection import (
     apply_selection,
     category_limits,
@@ -59,7 +59,7 @@ def _keys(systems) -> list[tuple]:
     keys = []
     for entry, v in systems:
         k = int((Fraction(repr(v)) - 1) * scale)
-        keys.append((k, k, entry.name, v, {MX.id: v, CK.id: v}, display_str(v)))
+        keys.append((k, k, entry.name, v, display_str(v)))
     return keys
 
 
@@ -245,7 +245,10 @@ class TestSelection:
         )
         assert [r.autorank_exact for r in built] == [1.0, 1.2, 3.0]
         assert [r.autorank_display for r in built] == ["1.0", "1.2", "3.0"]
-        assert built[1].normalized == {MX.id: 1.2, CK.id: 1.2}
+        # name, category and claimed support come from the registry entry
+        assert [(r.name, r.category, r.claimed_support) for r in built] == [
+            (f"S0{i}", SystemCategory.OPEN, True) for i in (1, 2, 3)
+        ]
         assert built[1].raw_scores == {MX.id: 1.0, CK.id: 0.5}
         # the row keeps its own copy of the raw scores
         assert built[1].raw_scores is not matrix["S02"]
