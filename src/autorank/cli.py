@@ -23,6 +23,7 @@ mode the umask gives a new file.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -195,19 +196,16 @@ def _config_from(args: argparse.Namespace) -> RankingConfig:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    import tempfile  # only --out writes files
-
-    try:  # the mode of the file replaced, or the one open() would give a new file
-        mode = os.stat(path).st_mode & 0o777
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
+    directory, base = os.path.split(path)
+    tmp = os.path.join(directory, f".{base}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 0o666 less the umask
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-            os.fchmod(fd, mode)  # mkstemp makes it 0600
+            try:  # a replaced file keeps its mode
+                os.fchmod(fd, os.stat(path).st_mode & 0o777)
+            except FileNotFoundError:
+                pass
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -215,13 +213,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write(text: str) -> None:
-    # UTF-8 bytes, as under --out, whatever encoding stdout has
-    out = getattr(sys.stdout, "buffer", None)
     try:
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            out.write(text.encode("utf-8"))
+        sys.stdout.write(text)
     except OSError as exc:  # a closed pipe, a full disk
         raise _ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
@@ -323,9 +316,11 @@ def _verify_golden(
     tolerance: Decimal,
     allow: set[tuple[str, str]],
     listed_in: dict[LanguagePair, str],
+    unmatched: set[tuple[str, str]],
 ) -> tuple[int, int]:
     """Verify each pair of the golden file at ``path``; return how many
-    pairs it holds and how many of them mismatched.
+    pairs it holds and how many of them mismatched.  Allow-list entries
+    that name a row of a compared table leave ``unmatched``.
 
     Its own scope: nothing parsed or ranked for one golden file is alive
     while the next is read.
@@ -348,6 +343,7 @@ def _verify_golden(
         except ValueError as exc:
             raise _ValidationError(str(exc)) from None
         result = compare_pair(table, entry, tolerance, allow)
+        unmatched.difference_update((pair.code, row.name) for row in table.rows)
         status = "ok" if result.ok else "MISMATCH"
         _write(f"{pair.code}: {status} ({len(table.rows)} systems)\n")
         for line in result.mismatches:
@@ -378,20 +374,17 @@ def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
 
     compared = failed = 0
     listed_in: dict[LanguagePair, str] = {}  # the golden file each pair was found in
+    unmatched = set(allow)
     for name in names:
+        path = os.path.join(args.golden, name)
         pairs, mismatched = _verify_golden(
-            os.path.join(args.golden, name), registry, scores, tolerance, allow, listed_in
+            path, registry, scores, tolerance, allow, listed_in, unmatched
         )
         compared += pairs
         failed += mismatched
 
-    # a verified pair's rows are its scored systems, as rank_pair ranks them all
-    for code, system in sorted(allow):
-        pair = LanguagePair.from_code(code)
-        if pair not in listed_in or system not in scores.get(pair, ()):
-            _write(
-                f"note: allow-list entry {code}/{system} matches no row of any verified pair\n"
-            )
+    for code, system in sorted(unmatched):
+        _write(f"note: allow-list entry {code}/{system} matches no row of any verified pair\n")
     _write(f"compared {compared} pair(s): {compared - failed} ok, {failed} mismatched\n")
     if compared == 0:
         _write("warning: golden directory contained no pair entries\n")
@@ -422,6 +415,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # UTF-8, as under --out, whatever encoding the process's stdout has
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
     raise SystemExit(main())
 
 

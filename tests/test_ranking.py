@@ -275,14 +275,20 @@ def test_order_is_input_order_invariant():
 
 def test_rank_pair_builds_each_row_once(monkeypatch):
     built = []
-    new = RankedRow.__new__
+    new, make = RankedRow.__new__, RankedRow._make
 
     def counting_new(cls, name, *args):
         built.append(name)
         return new(cls, name, *args)
 
-    # apply_selection builds every row it returns through __new__
+    def counting_make(cls, iterable):
+        fields = tuple(iterable)
+        built.append(fields[0])
+        return make(fields)
+
+    # every RankedRow is built through __new__ or, as _replace copies are, _make
     monkeypatch.setattr(RankedRow, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(RankedRow, "_make", classmethod(counting_make))
     matrix = {f"S{i}": {MX.id: float(i), CK.id: 1.0 / (i + 1)} for i in range(7)}
     registry = registry_of(map(_entry, matrix, list(SystemCategory) * 3))
     table = rank_pair(registry, {CSUK: matrix}, CSUK)
