@@ -50,7 +50,6 @@ from .render import (
     render_report,  # unused here; kept a module-level name for perfbench/tracer.py
     render_table,
     report_chunks,
-    report_key,
 )
 
 
@@ -300,7 +299,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
         except OSError as exc:
             raise _ValidationError(f"cannot write {target}: {exc.strerror or exc}") from None
     elif fmt is TableFormat.JSON:
-        tables = map(ranked, sorted(pairs, key=report_key))
+        tables = map(ranked, sorted(pairs))
         for chunk in report_chunks(tables, options.include_closed):
             _write(chunk)
     else:

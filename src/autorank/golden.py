@@ -112,7 +112,10 @@ def validate_golden_pair(entry: object) -> dict:
     has, a ``category`` of open, closed or constrained, a ``position``
     equal to its 1-based place in the list, a boolean ``selected`` and a
     finite decimal ``autorank_exact`` whose band, the value ± half an
-    ulp, fits the decimal context.  Raises ValueError on the first fault.
+    ulp, fits the decimal context.  Where the entry carries them,
+    ``n_systems`` must be the row count and each row's ``above_cutoff``
+    must say whether its position is above the cutoff.  Raises
+    ValueError on the first fault.
     """
 
     if not isinstance(entry, dict):
@@ -132,6 +135,17 @@ def validate_golden_pair(entry: object) -> dict:
     cutoff = entry.get("cutoff_position")
     if cutoff is not None and (type(cutoff) is not int or cutoff < 1):
         raise ValueError(f"golden cutoff_position is not null or a positive integer: {cutoff!r}")
+    # the fields the report derives from the rows and the cutoff, where carried
+    n = entry.get("n_systems", len(rows))
+    if type(n) is not int or n != len(rows):
+        raise ValueError(f"golden n_systems is not {len(rows)}, the row count: {n!r}")
+    for place, row in enumerate(rows, start=1):
+        above = cutoff is None or place < cutoff
+        if row.get("above_cutoff", above) is not above:
+            raise ValueError(
+                f"golden row above_cutoff is not {str(above).lower()} at position {place}"
+                f" under cutoff_position {cutoff or 'null'}: {row['above_cutoff']!r}"
+            )
     pair = LanguagePair.from_code(str(entry["pair"]))
     return {"pair": pair, "cutoff_position": cutoff, "rows": tuple(parsed.values())}
 

@@ -10,9 +10,10 @@ attribute raises ``AttributeError``, and equality, hashing and ordering
 are the tuple's, done in C.  A record that validates its fields does
 so in ``__new__``; a ``RankedRow`` stores only what the tables print,
 with the display the ranker rounded, and reads its verdict flags from
-its reasons.  The floats a record keeps are output values; every
-decision is made on the exact integers of :mod:`autorank.ranking`, and
-``_tenths`` is the one rule that rounds a displayed aggregate.
+its reasons, as a ``LeaderboardTable`` reads its cutoff from its rows.
+The floats a record keeps are output values; every decision is made on
+the exact integers of :mod:`autorank.ranking`, and ``_tenths`` is the
+one rule that rounds a displayed aggregate.
 """
 
 from __future__ import annotations
@@ -334,27 +335,27 @@ def display_str(value: float | Fraction) -> str:
     return "-" * (exact < 0) + _tenths([abs(exact.numerator)], exact.denominator)[0]
 
 
-# the codes RankedRow reads its verdict from
+# the codes RankedRow and LeaderboardTable read their decisions from
 _SELECTED_CODES = tuple(code for code in ReasonCode if code.is_selected)
 _BELOW_CUTOFF = ReasonCode.EXCLUDED_BELOW_CUTOFF
+_WITHDRAWN = ReasonCode.EXCLUDED_WITHDRAWN
 
 
 class RankedRow(
     namedtuple(
         "RankedRow",
-        "name category raw_scores autorank_exact autorank_display position withdrawn"
-        " claimed_support reasons",
-        defaults=(0, False, True, ()),
+        "name category raw_scores autorank_exact autorank_display position claimed_support reasons",
+        defaults=(0, True, ()),
     )
 ):
     """One system's line in a finished leaderboard: what the tables print.
 
     ``raw_scores`` maps metric id to the input score, ``autorank_exact``
     is the float aggregate and ``autorank_display`` its shown rounding.
-    ``withdrawn`` and ``claimed_support`` are the entry's flags resolved
-    against the table's language pair.  ``reasons`` is the row's
-    verdict: exactly one selected code, or every exclusion code that
-    applies; ``selected`` and ``above_cutoff`` read it.
+    ``claimed_support`` is the entry's flag resolved against the table's
+    language pair.  ``reasons`` is the row's verdict: exactly one
+    selected code, or every exclusion code that applies; ``selected``,
+    ``above_cutoff`` and ``withdrawn`` read it.
     """
 
     __slots__ = ()
@@ -369,16 +370,24 @@ class RankedRow(
         """No reason is ``excluded_below_cutoff``."""
         return _BELOW_CUTOFF not in self.reasons
 
+    @property
+    def withdrawn(self) -> bool:
+        """A reason is ``excluded_withdrawn``."""
+        return _WITHDRAWN in self.reasons
+
 
 class LeaderboardTable(
-    namedtuple(
-        "LeaderboardTable", "pair metrics rows cutoff_position config", defaults=[RankingConfig()]
-    )
+    namedtuple("LeaderboardTable", "pair metrics rows config", defaults=[RankingConfig()])
 ):
-    """A fully ranked language pair: ordered rows plus the decisions."""
+    """A fully ranked language pair: ordered rows, which carry the decisions."""
 
     __slots__ = ()
 
     @property
     def n_systems(self) -> int:
         return len(self.rows)
+
+    @property
+    def cutoff_position(self) -> int | None:
+        """Position of the first row below the cutoff, or None."""
+        return next((row.position for row in self.rows if not row.above_cutoff), None)

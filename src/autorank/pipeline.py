@@ -4,7 +4,8 @@ Each stage runs once per pair.  ``build_context`` scales the pair's
 scores to exact integers, every system becomes a plain sort key
 (``ranking.RankKey``) whose integer decides its order, the cutoff and
 reason codes are decided on the ordered keys, and ``apply_selection``
-builds each ``RankedRow`` once.
+builds each ``RankedRow`` once.  The table keeps no decision of its
+own: its cutoff is read from the rows' reasons.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ def rank_pair(
         config: ranking and selection knobs.
 
     Returns:
-        The finished table: ordered rows, cutoff, selection verdicts.
-        It has no rows when nobody scored the pair.
+        The finished table: ordered rows, each with its verdict.  It
+        has no rows when nobody scored the pair.
 
     Raises:
         ValueError: incomplete score matrix, non-finite score,
@@ -53,23 +54,14 @@ def rank_pair(
 
     matrix = scores.get(pair, {})
     check_completeness(matrix, registry, metrics, pair)
-    if not matrix:
-        return LeaderboardTable(
-            pair=pair, metrics=metrics, rows=(), cutoff_position=None, config=config
-        )
-
-    context = build_context(pair, matrix, metrics)
-    ordered = order_rows(compute_autorank(matrix, context, config))
-    cutoff = find_cutoff(ordered, config, context[0])
-    verdicts = select_for_human_eval(ordered, cutoff, registry, pair, config)
-    final = apply_selection(ordered, verdicts, registry, matrix, pair)
-    return LeaderboardTable(
-        pair=pair,
-        metrics=metrics,
-        rows=tuple(final),
-        cutoff_position=cutoff,
-        config=config,
-    )
+    rows = []
+    if matrix:
+        context = build_context(pair, matrix, metrics)
+        ordered = order_rows(compute_autorank(matrix, context, config))
+        cutoff = find_cutoff(ordered, config, context[0])
+        verdicts = select_for_human_eval(ordered, cutoff, registry, pair, config)
+        rows = apply_selection(ordered, verdicts, registry, matrix, pair)
+    return LeaderboardTable(pair, metrics, tuple(rows), config)
 
 
 def pairs_in(scores: Mapping[LanguagePair, object]) -> list[LanguagePair]:

@@ -11,10 +11,9 @@ the full table.  The JSON report honours the same filter.
 Text, Markdown and LaTeX share one cell builder, ``_cells``, which
 reads what to print from a look: the plain look of text and Markdown or
 the LaTeX look.  Each format is a layout over the cells.  Text pads
-them and measures terminal columns only in free text, the header and
-name cells; every other cell is ASCII or a one-column glyph, so its
-length is its width.  Markdown escapes ``|`` in every cell and LaTeX
-escapes through its look, so no system or metric name breaks a column.
+every cell by its terminal columns.  Markdown escapes ``|`` in every
+cell and LaTeX escapes through its look, so no system or metric name
+breaks a column.
 
 The JSON report is the machine-readable golden format: deterministic
 key order, rows sorted by position, pairs sorted by code, and every
@@ -32,9 +31,10 @@ from its iterable only when it reaches it and drops it once its text
 is built, so a caller that hands it tables as they are ranked and
 writes the chunks as they come holds one table and one pair's text at
 a time, never every table or the whole report.  The report lists its
-pairs by code; ``report_key`` is that order, for ``render_report``,
-which sorts the tables by it and joins the chunks into one string, and
-for any caller that ranks the pairs in report order.
+pairs by code.  A ``LanguagePair`` sorts in that order, as its two
+halves are fixed two-letter codes, so ``render_report`` sorts the
+tables by pair and joins the chunks into one string, and a caller that
+ranks the pairs in report order sorts them.
 
 No format rounds: every one prints the ``autorank_display`` the ranker
 set on each row.
@@ -48,7 +48,6 @@ from enum import Enum
 from unicodedata import category, east_asian_width
 
 from .model import (
-    LanguagePair,
     LeaderboardTable,
     Orientation,
     RankedRow,
@@ -109,14 +108,8 @@ def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = Tru
     top so a verification run can reproduce the computation.
     """
 
-    ordered = sorted(tables, key=lambda table: report_key(table.pair))
+    ordered = sorted(tables, key=lambda table: table.pair)
     return "".join(report_chunks(ordered, include_closed))
-
-
-def report_key(pair: LanguagePair) -> str:
-    """The sort key of ``pair`` in a JSON report, which lists its pairs by code."""
-
-    return pair.code
 
 
 def report_chunks(
@@ -125,9 +118,9 @@ def report_chunks(
     """The text of a JSON report over ``tables``, one pair at a time.
 
     The pairs are listed in the order ``tables`` gives them; sorted by
-    ``report_key``, that is ``render_report``'s text.  Each table is
-    read only when the iterator reaches it and is dropped once its text
-    is built, so a lazy ``tables`` keeps one table alive at a time.  The first
+    pair, that is ``render_report``'s text.  Each table is read only
+    when the iterator reaches it and is dropped once its text is built,
+    so a lazy ``tables`` keeps one table alive at a time.  The first
     table's config heads the report; a later table with another config
     raises ``ValueError`` when it is reached.
     """
@@ -304,27 +297,24 @@ _COLUMNS = _Columns()
 
 def _render_text(table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions) -> str:
     header, body = _cells(table, rows, options, _PLAIN)
-    # free text (header and name cells) by terminal columns, any other cell by its length
-    heads = [_COLUMNS(cell) for cell in header]
-    names = [_COLUMNS(cells[0]) for cells in body]
-    first = max([heads[0], *names])
-    _, *rest = [max([head, *map(len, column)]) for head, *column in zip(heads, *body)]
+    sizes = [[_COLUMNS(cell) for cell in cells] for cells in [header, *body]]
+    widths = list(map(max, zip(*sizes)))
 
-    def line(cells: list[str], left: int, rights: list[int]) -> str:
-        return "  ".join([cells[0].ljust(left), *map(str.rjust, cells[1:], rights)]).rstrip()
+    def line(cells: list[str], columns: list[int]) -> str:
+        first, *rest = [" " * (width - n) for width, n in zip(widths, columns)]
+        return "  ".join([cells[0] + first, *map(str.__add__, rest, cells[1:])]).rstrip()
 
-    # str.ljust and rjust count length; free text is padded by its columns instead
-    targets = [w + len(cell) - n for cell, w, n in zip(header, [first, *rest], heads)]
-    header_line = line(header, targets[0], targets[1:])
-    lines = [line(cells, first + len(cells[0]) - n, rest) for cells, n in zip(body, names)]
+    header_line, *lines = map(line, [header, *body], sizes)
     if options.color:
         header_line = f"{_BOLD}{header_line}{_RESET}"
         for i, row in enumerate(rows):
             if row.withdrawn:
                 lines[i] = f"{_DIM}{lines[i]}{_RESET}"
             elif row.selected:
-                lines[i] = lines[i].replace(_PLAIN.check, f"{_GREEN}{_PLAIN.check}{_RESET}")
-    total = first + sum(rest) + 2 * len(rest)
+                # the check is the line's last ✓: names come first, reason codes are ASCII
+                head, check, tail = lines[i].rpartition(_PLAIN.check)
+                lines[i] = f"{head}{_GREEN}{check}{_RESET}{tail}"
+    total = sum(widths) + 2 * (len(widths) - 1)
     out = [f"{table.pair.code}  (N={table.n_systems})", header_line, "─" * total]
     return "\n".join(out + _with_cutoff(lines, rows, "╌" * total)) + "\n"
 

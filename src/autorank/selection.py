@@ -115,7 +115,6 @@ def select_for_human_eval(
     return verdicts
 
 
-_WITHDRAWN = ReasonCode.EXCLUDED_WITHDRAWN
 _SELECTED = {
     SystemCategory.CONSTRAINED: (ReasonCode.SELECTED_CONSTRAINED,),
     SystemCategory.OPEN: (ReasonCode.SELECTED_OPEN_TOP_TWO_THIRDS,),
@@ -133,10 +132,10 @@ def apply_selection(
     """Build the finished rows, each once, with its position and reasons.
 
     ``verdicts`` is ``select_for_human_eval``'s result for the same
-    keys, so a row is withdrawn exactly when its reasons say so, and
-    ``registry`` is ``parse_registry``'s name -> entry mapping, read
-    once per row for its category and claimed support.  This is the
-    one place a ranked pair's ``RankedRow``s are constructed.
+    keys, and ``registry`` is ``parse_registry``'s name -> entry
+    mapping, read once per row for its category and claimed support.
+    This is the one place a ranked pair's ``RankedRow``s are
+    constructed.
     """
 
     return [
@@ -147,7 +146,6 @@ def apply_selection(
             autorank,
             display,
             position,
-            _WITHDRAWN in reasons,
             entry.claims_support(pair),
             reasons,
         )

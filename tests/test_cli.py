@@ -644,6 +644,48 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
+        "value,shown", [(21, "21"), (19, "19"), ("20", "'20'"), (True, "True"), (None, "None")]
+    )
+    def test_golden_n_systems_is_the_row_count(self, tmp_path, capsys, value, shown):
+        # an n_systems that contradicted the entry's own rows used to verify as ok
+        golden = json.loads((DATA / "golden" / "en-de.json").read_text(encoding="utf-8"))
+        golden["pairs"][0]["n_systems"] = value
+        path = tmp_path / "en-de.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        assert main(_verify("--golden", str(tmp_path))) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed golden report: "
+            f"golden n_systems is not 26, the row count: {shown}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "cutoff,place,value,reason",
+        [
+            (20, 20, True, "is not false at position 20 under cutoff_position 20: True"),
+            (20, 19, False, "is not true at position 19 under cutoff_position 20: False"),
+            (None, 26, False, "is not true at position 26 under cutoff_position null: False"),
+            (20, 1, 1, "is not true at position 1 under cutoff_position 20: 1"),
+        ],
+        ids=["at-cutoff", "above-cutoff", "no-cutoff", "not-a-boolean"],
+    )
+    def test_golden_above_cutoff_follows_the_cutoff(
+        self, tmp_path, capsys, cutoff, place, value, reason
+    ):
+        # a row's above_cutoff that contradicted the entry's cutoff used to verify as ok
+        golden = json.loads((DATA / "golden" / "en-de.json").read_text(encoding="utf-8"))
+        entry = golden["pairs"][0]
+        entry["cutoff_position"] = cutoff
+        for row in entry["rows"]:
+            row["above_cutoff"] = cutoff is None or row["position"] < cutoff
+        entry["rows"][place - 1]["above_cutoff"] = value
+        path = tmp_path / "en-de.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        assert main(_verify("--golden", str(tmp_path))) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed golden report: golden row above_cutoff {reason}\n"
+        )
+
+    @pytest.mark.parametrize(
         "report,reason",
         [
             ({"config": None}, "golden report missing field 'pairs'"),
@@ -1205,6 +1247,8 @@ def _damage_cs_fr(golden_dir: Path) -> None:
     # positions disagree, and three pairs of rows invert
     rows[3]["system"], rows[5]["system"] = rows[5]["system"], rows[3]["system"]
     entry["cutoff_position"] -= 1
+    # the row now at the cutoff says so, as a golden that agrees with itself must
+    rows[entry["cutoff_position"] - 1]["above_cutoff"] = False
     rows[21]["selected"] = not rows[21]["selected"]  # open, unbalanced
     rows[31]["selected"] = not rows[31]["selected"]  # allow-listed below
     # two closed rows share the coarse text "8" (band ±0.5) and swap

@@ -41,7 +41,6 @@ def _table(rows):
         pair=LanguagePair.from_code("xx-yy"),
         metrics=DEFAULT_METRICS,
         rows=tuple(rows),
-        cutoff_position=None,
     )
 
 
@@ -215,7 +214,6 @@ class TestComparePair:
             pair=two_row_table.pair,
             metrics=two_row_table.metrics,
             rows=(a._replace(position=2), b._replace(position=1)),
-            cutoff_position=None,
         )
         golden = {
             "pair": "xx-yy",
@@ -287,6 +285,8 @@ class TestComparePair:
     def test_cutoff_mismatch_is_fatal(self, tables, goldens):
         golden = copy.deepcopy(goldens["en-is"])
         golden["cutoff_position"] = 3
+        for place, row in enumerate(golden["rows"], start=1):
+            row["above_cutoff"] = place < 3  # the rows agree with the golden's cutoff
         result = compare_pair(tables["en-is"], validate_golden_pair(golden), TOL)
         assert any("cutoff_position" in m for m in result.mismatches)
 

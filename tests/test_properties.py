@@ -41,7 +41,7 @@ from autorank import (
 from autorank.cli import main
 from autorank.golden import _has_binding_inversion, validate_golden_pair
 from autorank.model import display_str
-from autorank.ranking import _decimal_column
+from autorank.ranking import _decimal_column, build_context, compute_autorank, order_rows
 from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
 
 from _tsv import registry_of, serialize_registry, serialize_scores
@@ -445,6 +445,44 @@ def test_decisions_match_the_exact_reference_ranker(campaign):
     ]
     assert [row.autorank_display for row in table.rows] == [
         _ORACLE["decimal_text"](row.aggregate, 1) for row in expected.rows
+    ]
+
+
+_OTHER_PAIR = LanguagePair.from_code("zz-ww")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(SystemCategory),
+            st.sampled_from([(False, ()), (True, ()), (False, (PAIR,)), (False, (_OTHER_PAIR,))]),
+            st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.25, 100.0])] * 2),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from([0.25, 0.5, 1.5, 3.0]),
+    st.sampled_from(ScaleSpan),
+)
+def test_the_table_reads_the_decisions_the_stages_made(systems, gap, span):
+    # no table stores a cutoff and no row a withdrawn flag: both are read
+    # from the rows' reasons and must be what the stages decided
+    registry = registry_of(
+        SystemEntry(f"S{i:02d}", category, blanket, frozenset(pairs))
+        for i, (category, (blanket, pairs), _) in enumerate(systems)
+    )
+    matrix = {
+        name: dict(zip([MX.id, CK.id], values))
+        for name, (*_, values) in zip(registry, systems)
+    }
+    config = RankingConfig(cutoff_gap=gap, scale_span=span)
+    table = rank_pair(registry, {PAIR: matrix}, PAIR, DEFAULT_METRICS, config)
+    context = build_context(PAIR, matrix, DEFAULT_METRICS)
+    ordered = order_rows(compute_autorank(matrix, context, config))
+    assert table.cutoff_position == find_cutoff(ordered, config, context[0])
+    assert [row.withdrawn for row in table.rows] == [
+        registry[row.name].is_withdrawn(PAIR) for row in table.rows
     ]
 
 
@@ -879,9 +917,7 @@ def test_order_check_matches_pairwise_scan(tolerance, data):
         )
         for row in data.draw(st.permutations(golden_rows))
     ]
-    table = LeaderboardTable(
-        pair=PAIR, metrics=DEFAULT_METRICS, rows=tuple(table_rows), cutoff_position=None
-    )
+    table = LeaderboardTable(pair=PAIR, metrics=DEFAULT_METRICS, rows=tuple(table_rows))
     golden = {"pair": PAIR.code, "cutoff_position": None, "rows": golden_rows}
     expected = _pairwise_inversions(PAIR.code, golden_rows, positions, tolerance)
     assert compare_pair(table, validate_golden_pair(golden), tolerance).mismatches == expected

@@ -33,7 +33,7 @@ def _opts(fmt: TableFormat, **kwargs) -> RenderOptions:
 
 
 def _tiny_table() -> LeaderboardTable:
-    def row(name, category, exact, pos, reason, withdrawn=False, support=True):
+    def row(name, category, exact, pos, reason, support=True):
         return RankedRow(
             name=name,
             category=category,
@@ -41,7 +41,6 @@ def _tiny_table() -> LeaderboardTable:
             autorank_exact=exact,
             autorank_display=display_str(exact),
             position=pos,
-            withdrawn=withdrawn,
             claimed_support=support,
             reasons=(reason,),
         )
@@ -62,7 +61,6 @@ def _tiny_table() -> LeaderboardTable:
             1.8,
             3,
             ReasonCode.EXCLUDED_WITHDRAWN,
-            withdrawn=True,
         ),
         row("Delta", SystemCategory.OPEN, 3.5, 4, ReasonCode.EXCLUDED_BELOW_CUTOFF),
     )
@@ -70,7 +68,6 @@ def _tiny_table() -> LeaderboardTable:
         pair=LanguagePair.from_code("xx-yy"),
         metrics=DEFAULT_METRICS,
         rows=rows,
-        cutoff_position=4,
         config=RankingConfig(),
     )
 
@@ -160,7 +157,6 @@ class TestText:
                 r._replace(reasons=tuple(c for c in r.reasons if c is not below))
                 for r in table.rows
             ),
-            cutoff_position=None,
             config=table.config,
         )
         assert "╌" not in render_table(full, _opts(TableFormat.TEXT))
@@ -170,7 +166,6 @@ class TestText:
             pair=LanguagePair.from_code("xx-yy"),
             metrics=DEFAULT_METRICS,
             rows=(),
-            cutoff_position=None,
         )
         lines = render_table(table, _opts(TableFormat.TEXT)).splitlines()
         assert lines[0] == "xx-yy  (N=0)"
@@ -190,6 +185,16 @@ class TestText:
         )
         assert stripped == plain
 
+    @pytest.mark.parametrize("show_reasons", [False, True])
+    def test_color_marks_only_the_human_eval_check(self, show_reasons):
+        # a ✓ inside a system name used to turn green with the check
+        table = _tiny_table()
+        table = table._replace(rows=(table.rows[0]._replace(name="Good✓Sys"), *table.rows[1:]))
+        options = _opts(TableFormat.TEXT, color=True, show_reasons=show_reasons)
+        line = render_table(table, options).splitlines()[3]
+        assert "● Good✓Sys " in line and line.count("\x1b[32m") == 1
+        assert line.index("\x1b[32m✓\x1b[0m") > line.index("Good✓Sys")
+
     def test_show_reasons_appends_column(self, tables):
         out = render_table(tables["cs-uk"], _opts(TableFormat.TEXT, show_reasons=True))
         assert "Reasons" in out.splitlines()[1]
@@ -198,6 +203,24 @@ class TestText:
 
 
 class TestMarkdown:
+    @pytest.mark.parametrize("cutoff", [4, None])
+    def test_rule_and_json_cutoff_agree_on_a_hand_built_table(self, cutoff):
+        # a table holds no cutoff of its own: the rule and the JSON both read the rows
+        table = _tiny_table()
+        if cutoff is None:
+            delta = table.rows[3]._replace(reasons=(ReasonCode.EXCLUDED_OPEN_BELOW_TWO_THIRDS,))
+            table = table._replace(rows=(*table.rows[:3], delta))
+        lines = render_table(table, _opts(TableFormat.MARKDOWN)).splitlines()[2:]
+        report = json.loads(render_table(table, _opts(TableFormat.JSON)))["pairs"][0]
+        assert table.cutoff_position == report["cutoff_position"] == cutoff
+        rules = [place for place, line in enumerate(lines, start=1) if "╌╌╌" in line]
+        assert rules == [cutoff] * (cutoff is not None)
+        rows = [line for line in lines if "╌╌╌" not in line]
+        for row, line in zip(report["rows"], rows, strict=True):
+            assert row["above_cutoff"] == (cutoff is None or row["position"] < cutoff)
+            assert row["withdrawn"] == ("†" in line) == (row["system"] == "Charlie")
+            assert row["selected"] == ("✓" in line)
+
     def test_structure(self, tables):
         out = render_table(tables["cs-uk"], _opts(TableFormat.MARKDOWN))
         lines = out.splitlines()
@@ -338,9 +361,7 @@ class TestJson:
             autorank_display="1.0",
             position=1,
         )
-        table = LeaderboardTable(
-            pair=LanguagePair.from_code("xx-yy"), metrics=(), rows=(row,), cutoff_position=None
-        )
+        table = LeaderboardTable(pair=LanguagePair.from_code("xx-yy"), metrics=(), rows=(row,))
         out = render_report([table])
         again = json.dumps(json.loads(out), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert again == out
@@ -359,7 +380,6 @@ class TestJson:
             pair=table.pair,
             metrics=table.metrics,
             rows=table.rows,
-            cutoff_position=table.cutoff_position,
             config=RankingConfig(cutoff_gap=2.0),
         )
         with pytest.raises(ValueError):
