@@ -273,7 +273,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
         if pair not in scores:
             raise _ValidationError(f"{args.scores}: no scores for pair {pair.code}")
         try:
-            check_completeness(scores[pair], registry, DEFAULT_METRICS, pair)
+            check_completeness(*scores[pair], registry, DEFAULT_METRICS, pair)
         except ValueError as exc:
             raise _ValidationError(str(exc)) from None
 

@@ -11,6 +11,10 @@ The parsers are strict: wrong column counts, unknown columns, duplicate
 keys, unregistered names and malformed values are all rejected with the
 1-based line number.
 
+``parse_scores`` holds each pair's scores as columns: a tuple of the
+pair's systems and one ``array('d')`` per metric, NaN where a system has
+no score for the metric.  ``check_completeness`` takes them as they are.
+
 Each parser takes the text as a ``str`` or as an open text file (opened
 with ``encoding="utf-8", newline=""`` to read what is stored).  A file
 is read in blocks and cut into lines by the same loop that cuts a
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from array import array
 from collections.abc import Iterator, Mapping, Sequence
 from functools import partial
 from io import TextIOBase
@@ -149,33 +154,42 @@ def parse_scores(
     text: str | TextIOBase,
     registry: Mapping[str, SystemEntry],
     metrics: Sequence[MetricSpec],
-) -> dict[LanguagePair, dict[str, dict[str, float]]]:
-    """Parse a scores file into pair -> system name -> metric id -> score.
+) -> dict[LanguagePair, tuple[tuple[str, ...], tuple[array, ...]]]:
+    """Parse a scores file into pair -> (names, columns).
+
+    ``names`` holds the pair's participants in the order they first
+    appear, and ``columns`` one ``array('d')`` per metric, in
+    ``metrics`` order, whose slot i is ``names[i]``'s score.  A hole, a
+    participant with no score for a metric, is a NaN slot: scores are
+    finite, so NaN is never a score.  Pairs keep the order they first
+    appear in.
 
     ``registry`` is ``parse_registry``'s name -> entry mapping.  Rejects
     unknown systems, unknown metrics, non-finite or non-numeric scores,
     nonzero scores too small for a normal float (they would read as
     zero or lose digits), and duplicate (pair, system, metric) triples.
-    Pairs, systems and metrics keep the order they first appear in.
     Each distinct pair token is parsed once.
     """
 
-    known_metrics = {metric.id: metric.id for metric in metrics}
-    scores: dict[LanguagePair, dict[str, dict[str, float]]] = {}
-    # a valid token is its pair's code, so the raw token finds the matrix
-    matrices: dict[str, dict[str, dict[str, float]]] = {}
+    # pair -> (name -> slot, metric id -> column); the slots are numbered
+    # in first-seen order, so the index's keys are the names.  A valid
+    # token is its pair's code, so the raw token finds the same entry
+    parsed: dict[LanguagePair, tuple[dict[str, int], dict[str, array]]] = {}
+    by_token: dict[str, tuple[dict[str, int], dict[str, array]]] = {}
     for line, (pair_token, system_token, metric_token, score_token) in _rows(text, SCORES_HEADER):
-        matrix = matrices.get(pair_token)
-        if matrix is None:
-            matrix = scores[_parse_pair(pair_token, line)] = matrices[pair_token] = {}
-        row = matrix.get(system_token)
-        if row is None:
+        entry = by_token.get(pair_token)
+        if entry is None:
+            columns = {metric.id: array("d") for metric in metrics}
+            entry = parsed[_parse_pair(pair_token, line)] = by_token[pair_token] = {}, columns
+        slots, columns = entry
+        slot = slots.get(system_token)
+        if slot is None:
             if system_token not in registry:
                 raise ParseError(line, f"unknown system {system_token!r}")
             # keyed by the registry's own string: every pair shares one copy
-            row = matrix[registry[system_token].name] = {}
-        metric = known_metrics.get(metric_token)
-        if metric is None:
+            slot = slots[registry[system_token].name] = len(slots)
+        column = columns.get(metric_token)
+        if column is None:
             raise ParseError(line, f"unknown metric {metric_token!r}")
         if not _NUMBER.fullmatch(score_token):
             raise ParseError(line, f"malformed score {score_token!r}")
@@ -188,10 +202,26 @@ def parse_scores(
                 f"score {score_token!r} is too small for a float: a nonzero score needs"
                 f" a magnitude of at least {_SMALLEST_NORMAL!r}",
             )
-        if metric in row:
-            raise ParseError(line, f"duplicate score for {pair_token}/{system_token}/{metric}")
-        row[metric] = score
-    return scores
+        # a column reaches a slot when the slot is first scored; the slots
+        # it passes over are holes until then
+        missing = slot - len(column)
+        if missing >= 0:
+            if missing:
+                column.fromlist([math.nan] * missing)
+            column.append(score)
+        elif not math.isnan(column[slot]):
+            raise ParseError(
+                line, f"duplicate score for {pair_token}/{system_token}/{metric_token}"
+            )
+        else:
+            column[slot] = score
+    for slots, columns in parsed.values():
+        for column in columns.values():
+            column.fromlist([math.nan] * (len(slots) - len(column)))
+    return {
+        pair: (tuple(slots), tuple(columns[metric.id] for metric in metrics))
+        for pair, (slots, columns) in parsed.items()
+    }
 
 
 def parse_manifest(text: str | TextIOBase) -> dict[LanguagePair, tuple[int, int]]:
@@ -217,45 +247,63 @@ def parse_manifest(text: str | TextIOBase) -> dict[LanguagePair, tuple[int, int]
 
 
 def check_completeness(
-    matrix: Mapping[str, Mapping[str, float]],
+    names: Sequence[str],
+    columns: Sequence[Sequence[float]],
     registry: Mapping[str, SystemEntry],
     metrics: Sequence[MetricSpec],
     pair: LanguagePair,
 ) -> None:
-    """Check that ``pair``'s score matrix, system -> metric -> score, is rankable.
+    """Check that ``pair``'s scores are rankable.
 
-    A participant is any system with a row in the matrix; systems with
-    none simply did not take part, so an empty matrix passes.
-    ``registry`` is ``parse_registry``'s name -> entry mapping.  A
-    matrix that passes cannot fail in ``ranking.build_context`` or any
-    later stage.
+    ``names`` and ``columns`` are the pair's entry as ``parse_scores``
+    returns it: the participants, and per metric of ``metrics`` a
+    column whose slot i is ``names[i]``'s score, NaN for a hole.  A
+    system that is not named did not take part, so a pair with no
+    names passes.  ``registry`` is ``parse_registry``'s name -> entry
+    mapping.  Scores that pass cannot fail in ``ranking.build_context``
+    or any later stage.
 
     Raises:
-        ValueError: a scored system missing from ``registry``, a score
-            that is not finite, a participant lacking a score for one
-            of ``metrics``, or a metric whose best and worst scores lie
-            further apart than a float can hold.  The first of these
-            found, in that order, is the one raised.
+        ValueError: a column count other than ``len(metrics)``, a
+            column length other than ``len(names)``, a name listed
+            twice, a named system missing from ``registry``, an
+            infinite score, a hole, or a metric whose best and worst
+            scores lie further apart than a float can hold.  The first
+            of these found, in that order, is the one raised.
     """
 
-    for system, row in matrix.items():
+    if len(columns) != len(metrics):
+        raise ValueError(f"{pair} has {len(columns)} score columns for {len(metrics)} metrics")
+    for metric, column in zip(metrics, columns):
+        if len(column) != len(names):
+            raise ValueError(
+                f"{pair} {metric.id} column has {len(column)} scores for {len(names)} systems"
+            )
+    if len(set(names)) != len(names):
+        twice = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"{pair} lists system {twice!r} twice")
+    for system in names:
         if system not in registry:
             raise ValueError(f"system {system!r} has scores but no registry entry")
-        for metric, score in row.items():
-            if not math.isfinite(score):
-                raise ValueError(f"{pair} score for {system}/{metric} is not finite: {score!r}")
-    holes = ", ".join(
-        f"{system}/{metric.id}"
-        for system in sorted(matrix)
-        for metric in metrics
-        if metric.id not in matrix[system]
-    )
-    if holes:
-        raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
-    if not matrix:
+    # finite scores have a finite sum, unless the sum overflows
+    if not all(math.isfinite(sum(column)) for column in columns):
+        for metric, column in zip(metrics, columns):
+            for system, score in zip(names, column):
+                if math.isinf(score):
+                    raise ValueError(
+                        f"{pair} score for {system}/{metric.id} is not finite: {score!r}"
+                    )
+        holes = ", ".join(
+            f"{system}/{metric.id}"
+            for system, slot in sorted(zip(names, range(len(names))))
+            for metric, column in zip(metrics, columns)
+            if math.isnan(column[slot])
+        )
+        if holes:
+            raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
+    if not names:
         return
-    for metric in metrics:
-        column = [row[metric.id] for row in matrix.values()]
+    for metric, column in zip(metrics, columns):
         low, high = min(column), max(column)
         # best - worst would be inf, and inf / inf a NaN aggregate
         if not math.isfinite(high - low):

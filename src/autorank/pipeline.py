@@ -1,16 +1,18 @@
 """End-to-end assembly: parsed scores in, finished leaderboard out.
 
-Each stage runs once per pair.  ``build_context`` scales the pair's
+Each stage runs once per pair, on the pair's names and score columns
+as ``parse_scores`` holds them.  ``build_context`` scales the pair's
 scores to exact integers, every system becomes a plain sort key
 (``ranking.RankKey``) whose integer decides its order, the cutoff and
 reason codes are decided on the ordered keys, and ``apply_selection``
-builds each ``RankedRow`` once.  The table keeps no decision of its
-own: its cutoff is read from the rows' reasons.
+builds each ``RankedRow`` once, with its raw scores read from the
+columns.  The table keeps no decision of its own: its cutoff is read
+from the rows' reasons.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from .ingest import check_completeness
 from .model import (
@@ -27,7 +29,7 @@ from .selection import apply_selection, find_cutoff, select_for_human_eval
 
 def rank_pair(
     registry: Mapping[str, SystemEntry],
-    scores: Mapping[LanguagePair, Mapping[str, Mapping[str, float]]],
+    scores: Mapping[LanguagePair, tuple[Sequence[str], Sequence[Sequence[float]]]],
     pair: LanguagePair,
     metrics: tuple[MetricSpec, ...] = DEFAULT_METRICS,
     config: RankingConfig = RankingConfig(),
@@ -37,8 +39,9 @@ def rank_pair(
     Args:
         registry: every known system by name, as ``parse_registry``
             returns it; only the pair's participants are looked up.
-        scores: pair -> system name -> metric id -> raw score, as
-            ``parse_scores`` returns; only ``pair``'s matrix is read.
+        scores: pair -> (names, columns), as ``parse_scores``
+            returns it, with one column per metric of ``metrics``;
+            only ``pair``'s entry is read.
         pair: the direction to rank.
         metrics: metric columns in display order.
         config: ranking and selection knobs.
@@ -48,19 +51,21 @@ def rank_pair(
         has no rows when nobody scored the pair.
 
     Raises:
-        ValueError: incomplete score matrix, non-finite score,
-            unregistered system, or a score range too wide for a float.
+        ValueError: scores that ``check_completeness`` rejects: a
+            malformed entry, an unregistered system, an infinite score,
+            a hole, or a score range too wide for a float.
     """
 
-    matrix = scores.get(pair, {})
-    check_completeness(matrix, registry, metrics, pair)
+    # a pair nobody scored has no names and an empty column per metric
+    names, columns = scores.get(pair, ((), ((),) * len(metrics)))
+    check_completeness(names, columns, registry, metrics, pair)
     rows = []
-    if matrix:
-        context = build_context(pair, matrix, metrics)
-        ordered = order_rows(compute_autorank(matrix, context, config))
+    if names:
+        context = build_context(pair, names, columns, metrics)
+        ordered = order_rows(compute_autorank(names, columns, context, config))
         cutoff = find_cutoff(ordered, config, context[0])
         verdicts = select_for_human_eval(ordered, cutoff, registry, pair, config)
-        rows = apply_selection(ordered, verdicts, registry, matrix, pair)
+        rows = apply_selection(ordered, verdicts, registry, names, columns, metrics, pair)
     return LeaderboardTable(pair, metrics, tuple(rows), config)
 
 

@@ -13,6 +13,9 @@ maps to 1, the worst to 1 + span, and a column where everyone scored
 the same maps everyone to 1.  The aggregate ("autorank") is the mean
 of the normalized values.
 
+The stages read a pair's scores as ``parse_scores`` holds them: the
+names, and per metric a column of raw scores in names order.
+
 Every decision is made on integers.  A score is the decimal of its
 ``repr``; ``build_context`` scales each column by one power of ten, so
 every d_m and D_m is an integer (D_m = 1 for a constant column).  With
@@ -28,7 +31,7 @@ output only.  No row is built here.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Sequence
 
 from .model import LanguagePair, MetricSpec, Orientation, RankingConfig, ScaleSpan, _tenths
 
@@ -72,25 +75,26 @@ def _decimal_column(column: list[float], low: float, high: float) -> list[int]:
     return [digits * 10 ** (k - places) for digits, places in parts]
 
 
-# (unit, per metric: (id, float best, float worst disadvantage, each
-# system's integer d_m(s) * prod_{k != m} D_k in matrix order)), where
+# (unit, per metric: (float best, float worst disadvantage, each
+# system's integer d_m(s) * prod_{k != m} D_k in names order)), where
 # unit = M * prod_k D_k
-Context = tuple[int, list[tuple[str, float, float, list[int]]]]
+Context = tuple[int, list[tuple[float, float, list[int]]]]
 
 
 def build_context(
     pair: LanguagePair,
-    scores_by_system: Mapping[str, Mapping[str, float]],
+    names: Sequence[str],
+    columns: Sequence[Sequence[float]],
     metrics: Iterable[MetricSpec],
 ) -> Context:
-    """Scale a complete score matrix to exact integer disadvantages.
+    """Scale a pair's complete scores to exact integer disadvantages.
 
     Args:
         pair: the direction being ranked.
-        scores_by_system: system name -> metric id -> raw score, a
-            matrix ``ingest.check_completeness`` passed: every score
-            finite, every system scored on every metric, and each
-            metric's range finite.
+        names: the participants, as ``parse_scores`` gives them.
+        columns: per metric, each participant's raw score in ``names``
+            order; scores ``ingest.check_completeness`` passed: every
+            score finite, no hole, and each metric's range finite.
         metrics: the metric columns, with orientations.
 
     Returns:
@@ -98,15 +102,14 @@ def build_context(
         what ``find_cutoff`` measures gaps against.
 
     Raises:
-        ValueError: empty matrix or no metric.
+        ValueError: no participant or no metric.
     """
 
-    if not scores_by_system:
+    if not names:
         raise ValueError(f"no participants for {pair}")
-    rows = scores_by_system.values()
-    columns = []
-    for metric in metrics:
-        column = [row[metric.id] for row in rows]
+    scaled = []
+    for metric, scores in zip(metrics, columns):
+        column = list(scores)  # _decimal_column compares it with a list
         low, high = min(column), max(column)
         exact = _decimal_column(column, low, high)
         exact_low, exact_high = min(exact), max(exact)
@@ -115,13 +118,13 @@ def build_context(
         else:
             best, exact_best = high, exact_high
         worst = exact_high - exact_low or 1
-        columns.append((metric.id, best, high - low, exact, exact_best, worst))
-    if not columns:
+        scaled.append((best, high - low, exact, exact_best, worst))
+    if not scaled:
         raise ValueError("ranking needs at least one metric")
-    product = math.prod(worst for *_, worst in columns)
-    return len(columns) * product, [
-        (metric_id, best, spread, [abs(i - exact_best) * factor for i in exact])
-        for metric_id, best, spread, exact, exact_best, worst in columns
+    product = math.prod(worst for *_, worst in scaled)
+    return len(scaled) * product, [
+        (best, spread, [abs(i - exact_best) * factor for i in exact])
+        for best, spread, exact, exact_best, worst in scaled
         for factor in [product // worst]
     ]
 
@@ -133,43 +136,42 @@ RankKey = tuple[int, int, str, float, str]
 
 
 def compute_autorank(
-    scores_by_system: Mapping[str, Mapping[str, float]],
+    names: Sequence[str],
+    columns: Sequence[Sequence[float]],
     context: Context,
     config: RankingConfig,
 ) -> list[RankKey]:
     """Give every system its sort key, float aggregate and display.
 
     Args:
-        scores_by_system: complete matrix, system -> metric -> raw score
-            (see ``check_completeness``).
+        names: the participants.
+        columns: per metric, each participant's raw score in ``names``
+            order (see ``check_completeness``).
         context: the pair's integer columns (see ``build_context``).
         config: scale span.
 
     Returns:
-        One ``RankKey`` per system, in matrix order.
+        One ``RankKey`` per system, in ``names`` order.
     """
 
-    unit, columns = context
-    n = len(scores_by_system)
+    unit, scaled = context
+    n = len(names)
     span = n if config.scale_span is ScaleSpan.FULL_N else n - 1
-    rows = scores_by_system.values()
     # divide before scaling: the worst score's ratio is then exactly 1.0,
     # keeping both scale endpoints exact in float arithmetic
     normalized = [
-        [1.0 + span * (abs(row[metric_id] - best) / spread) for row in rows]
-        if spread
-        else [1.0] * n
-        for metric_id, best, spread, _ in columns
+        [1.0 + span * (abs(score - best) / spread) for score in column] if spread else [1.0] * n
+        for column, (best, spread, _) in zip(columns, scaled)
     ]
-    weighted = [exact for *_, exact in columns]
+    weighted = [exact for *_, exact in scaled]
     keys = list(map(sum, zip(*weighted)))
     displays = _tenths([unit + span * k for k in keys], unit)
-    m = len(columns)
+    m = len(scaled)
     # fsum(values) / M is statistics.fmean(values), bit for bit
     return [
         (k, first, name, math.fsum(values) / m, display)
         for name, k, first, values, display in zip(
-            scores_by_system, keys, weighted[0], zip(*normalized), displays
+            names, keys, weighted[0], zip(*normalized), displays
         )
     ]
 

@@ -1,5 +1,6 @@
 """Reference serializers for the three TSV inputs, for round-trip tests,
-and the one builder of a registry made by hand.
+and the one builder each of a registry and of a pair's scores made by
+hand.
 
 autorank reads these files and never writes them, so the writers live
 here: ``serialize_*(parse_*(text))`` reproduces a canonically formatted
@@ -8,9 +9,11 @@ input byte for byte, which pins what each parser keeps.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import math
+from array import array
+from typing import Iterable, Mapping, Sequence
 
-from autorank import LanguagePair, SystemEntry
+from autorank import DEFAULT_METRICS, LanguagePair, MetricSpec, SystemEntry
 from autorank.ingest import MANIFEST_HEADER, REGISTRY_HEADER, SCORES_HEADER
 
 
@@ -32,6 +35,19 @@ def registry_of(entries: Iterable[SystemEntry]) -> dict[str, SystemEntry]:
     return registry
 
 
+def matrix_of(
+    rows: Mapping[str, Mapping[str, float]], metrics: Sequence[MetricSpec] = DEFAULT_METRICS
+) -> tuple[tuple[str, ...], tuple[array, ...]]:
+    """One pair's scores as ``parse_scores`` holds them, from system ->
+    metric id -> score: (names, one column per metric), NaN for a hole.
+    A metric id outside ``metrics`` is dropped."""
+
+    names = tuple(rows)
+    return names, tuple(
+        array("d", [rows[name].get(metric.id, math.nan) for name in names]) for metric in metrics
+    )
+
+
 def serialize_registry(registry: Mapping[str, SystemEntry]) -> str:
     lines = [REGISTRY_HEADER]
     for entry in registry.values():
@@ -48,12 +64,19 @@ def serialize_registry(registry: Mapping[str, SystemEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_scores(scores: Mapping[LanguagePair, Mapping[str, Mapping[str, float]]]) -> str:
+def serialize_scores(
+    scores: Mapping[LanguagePair, tuple[Sequence[str], Sequence[Sequence[float]]]],
+    metrics: Sequence[MetricSpec] = DEFAULT_METRICS,
+) -> str:
+    """One line per score, pair by pair and system by system, with each
+    system's scores in ``metrics`` order; a hole writes no line."""
+
     lines = [SCORES_HEADER]
-    for pair, matrix in scores.items():
-        for system, row in matrix.items():
-            for metric, score in row.items():
-                lines.append(f"{pair.code}\t{system}\t{metric}\t{score!r}")
+    for pair, (names, columns) in scores.items():
+        for slot, system in enumerate(names):
+            for metric, column in zip(metrics, columns):
+                if not math.isnan(column[slot]):
+                    lines.append(f"{pair.code}\t{system}\t{metric.id}\t{column[slot]!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -47,7 +47,7 @@ from autorank.model import display_str
 from autorank.render import file_extension, visible_rows
 from autorank.selection import category_limits
 
-from _tsv import registry_of, serialize_manifest, serialize_registry, serialize_scores
+from _tsv import matrix_of, registry_of, serialize_manifest, serialize_registry, serialize_scores
 
 TOLERANCE = Decimal("0.05")
 
@@ -178,11 +178,9 @@ def test_criterion_2_scale_endpoints_exact(tables, scores):
     metric_x, comet = DEFAULT_METRICS
     for code in sorted(tables):
         table = tables[code]
-        matrix = scores[LanguagePair.from_code(code)]
-        best_x = min(s[metric_x.id] for s in matrix.values())
-        worst_x = max(s[metric_x.id] for s in matrix.values())
-        best_c = max(s[comet.id] for s in matrix.values())
-        worst_c = min(s[comet.id] for s in matrix.values())
+        names, (mx, ck) = scores[LanguagePair.from_code(code)]
+        matrix = {name: {metric_x.id: x, comet.id: c} for name, x, c in zip(names, mx, ck)}
+        best_x, worst_x, best_c, worst_c = min(mx), max(mx), max(ck), min(ck)
         rows = {row.name: row for row in table.rows}
         dominant = [
             name
@@ -377,7 +375,8 @@ def test_criterion_6_randomized_instances_match_direct_formula():
         registry = registry_of(SystemEntry(name, SystemCategory.OPEN) for name in names)
 
         def ranked(matrix):
-            return rank_pair(registry, {pair: matrix}, pair, metrics, config).rows
+            scores = {pair: matrix_of(matrix, metrics)}
+            return rank_pair(registry, scores, pair, metrics, config).rows
 
         ordered = ranked(scores)
         # ranked on one metric alone, a row's aggregate is its normalized
@@ -385,7 +384,9 @@ def test_criterion_6_randomized_instances_match_direct_formula():
         normalized = {
             metric.id: {
                 row.name: row.autorank_exact
-                for row in rank_pair(registry, {pair: scores}, pair, (metric,), config).rows
+                for row in rank_pair(
+                    registry, {pair: matrix_of(scores, (metric,))}, pair, (metric,), config
+                ).rows
             }
             for metric in metrics
         }

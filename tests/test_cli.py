@@ -1550,11 +1550,11 @@ class TestOneInputAtATime:
 
     def test_scores_are_parsed_without_holding_the_file(self, canary, monkeypatch):
         inputs = canary / "campaign"
-        marks = {}
+        marks, results = {}, {}
 
         def mark(name, function):
             def marked(*args):
-                result = function(*args)
+                result = results[name] = function(*args)
                 marks[name] = tracemalloc.get_traced_memory()
                 tracemalloc.reset_peak()
                 return result
@@ -1580,9 +1580,30 @@ class TestOneInputAtATime:
         size = (inputs / "scores.tsv").stat().st_size
         start, parsed = marks["parse_registry"][0], marks["parse_scores"][1]
         matrix = marks["pairs_in"][0] - start
-        assert size > 700_000 and matrix > size
-        # reading the file whole held its text, and while it was decoded its bytes too
-        assert parsed - start - matrix < size / 2
+        slots = sum(len(names) for names, _ in results["parse_scores"].values())
+        # a float per slot and a tuple of names: about a third of the file
+        assert size > 700_000 and slots == 10_000 and matrix < size / 2
+        # the parse's peak is what it returns, each pair's name -> slot
+        # index (under 64 bytes a slot as it grows) and one block of the
+        # file with its lines; the file's text, held whole, would pass it
+        assert parsed - start < matrix + 64 * slots + 4 * autorank.ingest._BLOCK
+
+    def test_parsed_campaign_is_held_in_columns(self, canary):
+        inputs = canary / "campaign"
+        registry = parse_registry((inputs / "systems.tsv").read_text(encoding="utf-8"))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with open(inputs / "scores.tsv", encoding="utf-8", newline="") as handle:
+                scores = parse_scores(handle, registry, DEFAULT_METRICS)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(scores) == 100
+        assert all(len(names) == 100 and len(columns) == 2 for names, columns in scores.values())
+        # 100 x 100 x 2 floats and 100 tuples of shared names; a dict per
+        # (pair, system) held 2.67 MB
+        assert held < 600_000
 
     def test_verify_holds_one_golden_at_a_time(self, canary, tmp_path, monkeypatch):
         wide = canary / "wide"

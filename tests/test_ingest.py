@@ -19,7 +19,7 @@ from autorank import (
 import autorank.ingest
 from autorank.ingest import check_completeness
 
-from _tsv import registry_of, serialize_manifest, serialize_registry, serialize_scores
+from _tsv import matrix_of, registry_of, serialize_manifest, serialize_registry, serialize_scores
 
 REGISTRY = (
     "system\tcategory\twithdrawn\tunsupported_pairs\n"
@@ -107,15 +107,32 @@ def test_parse_registry_rejects_wrong_header():
         parse_registry(REGISTRY.replace("unsupported_pairs", "unsupported_pairs\tnotes"))
 
 
+def _row(scores, pair, system):
+    """``system``'s scores in ``pair``, metric id -> score, holes left out."""
+    names, columns = scores[pair]
+    slot = names.index(system)
+    return {
+        metric.id: column[slot]
+        for metric, column in zip(DEFAULT_METRICS, columns)
+        if not math.isnan(column[slot])
+    }
+
+
+def _filled(scores, pair):
+    """How many of ``pair``'s slots hold a score."""
+    return sum(not math.isnan(score) for column in scores[pair][1] for score in column)
+
+
 def test_parse_scores_basic():
     scores = parse_scores(SCORES, _registry(), DEFAULT_METRICS)
-    assert scores == {
-        CSUK: {
-            "IKUN": {"metricx-23-xl": 1.6, "cometkiwi-da-xl": 0.664},
-            "GPT-4": {"metricx-23-xl": 1.4, "cometkiwi-da-xl": 0.677},
-        }
-    }
-    assert list(scores[CSUK]) == ["IKUN", "GPT-4"]
+    assert list(scores) == [CSUK]
+    names, columns = scores[CSUK]
+    assert names == ("IKUN", "GPT-4")
+    # one array('d') per metric, in metrics order, slot i being names[i]'s
+    assert [(column.typecode, list(column)) for column in columns] == [
+        ("d", [1.6, 1.4]),
+        ("d", [0.664, 0.677]),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -156,9 +173,8 @@ def test_parse_scores_rejects_nonzero_scores_too_small_for_a_float(token):
 @pytest.mark.parametrize("token", ["0", "-0.0", "0e-400", "000.000E+5", "2.2250738585072014e-308"])
 def test_parse_scores_keeps_zero_and_the_smallest_normal_float(token):
     text = SCORES + f"cs-uk\tUnbabel-Tower70B\tmetricx-23-xl\t{token}\n"
-    assert parse_scores(text, _registry(), DEFAULT_METRICS)[CSUK]["Unbabel-Tower70B"] == {
-        "metricx-23-xl": float(token)
-    }
+    scores = parse_scores(text, _registry(), DEFAULT_METRICS)
+    assert _row(scores, CSUK, "Unbabel-Tower70B") == {"metricx-23-xl": float(token)}
 
 
 def test_parse_scores_reports_a_repeated_bad_pair_token_at_its_first_line():
@@ -187,14 +203,14 @@ def test_parse_scores_shares_one_pair_object_per_token():
     )
     scores = parse_scores(text, registry, DEFAULT_METRICS)
     assert list(scores) == [CSUK, encs]
-    assert list(scores[CSUK]) == ["IKUN", "GPT-4", "IOL"]
-    assert scores[encs] == {"IKUN": {"metricx-23-xl": 1.0}}
+    assert scores[CSUK][0] == ("IKUN", "GPT-4", "IOL")
+    assert scores[encs][0] == ("IKUN",) and _row(scores, encs, "IKUN") == {"metricx-23-xl": 1.0}
 
 
 def test_parse_scores_keeps_full_precision():
     text = "pair\tsystem\tmetric\tscore\ncs-uk\tIKUN\tmetricx-23-xl\t1.6000000000000001\n"
     scores = parse_scores(text, _registry(), DEFAULT_METRICS)
-    assert scores[CSUK]["IKUN"]["metricx-23-xl"] == 1.6000000000000001
+    assert _row(scores, CSUK, "IKUN") == {"metricx-23-xl": 1.6000000000000001}
 
 
 def test_registry_round_trip_bytes():
@@ -267,19 +283,18 @@ def test_parse_manifest_rejects_duplicate_pair():
 
 
 def test_check_completeness_full_matrix(registry, scores):
-    matrix = scores[CSUK]
-    check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
-    assert len(matrix) == 20
-    assert all(set(row) == {m.id for m in DEFAULT_METRICS} for row in matrix.values())
-    assert matrix["IOL-Research"] == {"metricx-23-xl": 1.3, "cometkiwi-da-xl": 0.681}
+    names, columns = scores[CSUK]
+    check_completeness(names, columns, registry, DEFAULT_METRICS, CSUK)
+    assert len(names) == 20 and _filled(scores, CSUK) == 40
+    assert _row(scores, CSUK, "IOL-Research") == {"metricx-23-xl": 1.3, "cometkiwi-da-xl": 0.681}
 
 
 def test_check_completeness_flags_missing_metric():
     registry = _registry()
-    matrix = parse_scores(SCORES, registry, DEFAULT_METRICS)[CSUK]
-    del matrix["GPT-4"]["cometkiwi-da-xl"]
+    names, columns = parse_scores(SCORES, registry, DEFAULT_METRICS)[CSUK]
+    columns[1][names.index("GPT-4")] = math.nan
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
+        check_completeness(names, columns, registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: GPT-4/cometkiwi-da-xl"
 
 
@@ -289,18 +304,18 @@ def test_check_completeness_lists_holes_by_system_then_metric():
     registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "A0")
     matrix = {"A": {"metricx-23-xl": 1.0}}
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
+        check_completeness(*matrix_of(matrix), registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: A/cometkiwi-da-xl"
     matrix["0"] = {"cometkiwi-da-xl": 0.5}
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
+        check_completeness(*matrix_of(matrix), registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == (
         "cs-uk is not rankable, missing scores: 0/metricx-23-xl, A/cometkiwi-da-xl"
     )
 
 
 def test_check_completeness_empty_pair_is_vacuously_rankable():
-    check_completeness({}, _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh"))
+    check_completeness(*matrix_of({}), _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh"))
 
 
 def test_check_completeness_rejects_range_beyond_float():
@@ -312,50 +327,68 @@ def test_check_completeness_rejects_range_beyond_float():
     registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "AB")
     message = "cs-uk score range for metricx-23-xl is not finite: -1e+308 to 1e+308"
     with pytest.raises(ValueError) as info:
-        check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
+        check_completeness(*matrix_of(matrix), registry, DEFAULT_METRICS, CSUK)
     assert str(info.value) == message
     # library callers of rank_pair meet the same check
-    scores = {CSUK: matrix}
+    scores = {CSUK: matrix_of(matrix)}
     with pytest.raises(ValueError) as info:
         rank_pair(registry, scores, CSUK)
     assert str(info.value) == message
 
 
 def test_check_completeness_reports_the_first_problem_in_a_fixed_order():
-    # per system in matrix order: registry, then each score's finiteness;
+    # the registry for every name; then each metric's infinite scores;
     # then holes; then each metric's range
     registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "ABC")
 
     def first_problem(matrix):
         with pytest.raises(ValueError) as info:
-            check_completeness(matrix, registry, DEFAULT_METRICS, CSUK)
+            check_completeness(*matrix_of(matrix), registry, DEFAULT_METRICS, CSUK)
         return str(info.value)
 
     huge = {"metricx-23-xl": 1e308, "cometkiwi-da-xl": 0.5}
     tiny = {"metricx-23-xl": -1e308, "cometkiwi-da-xl": 0.5}
     holed = {"metricx-23-xl": 1.0}
+    infinite = {"metricx-23-xl": 1.0, "cometkiwi-da-xl": -math.inf}
     nan = {"metricx-23-xl": 1.0, "cometkiwi-da-xl": math.nan}
     assert first_problem({"A": huge, "B": tiny, "C": holed}) == (
         "cs-uk is not rankable, missing scores: C/cometkiwi-da-xl"
     )
-    # a NaN in the middle of a column, which min and max can pass over
+    # a NaN in the middle of a column, which min and max can pass over, is a hole
     assert first_problem({"A": huge, "B": nan, "C": tiny}) == (
-        "cs-uk score for B/cometkiwi-da-xl is not finite: nan"
+        "cs-uk is not rankable, missing scores: B/cometkiwi-da-xl"
     )
-    assert first_problem({"A": huge, "B": tiny, "Z": nan}) == (
+    assert first_problem({"A": holed, "B": infinite, "C": tiny}) == (
+        "cs-uk score for B/cometkiwi-da-xl is not finite: -inf"
+    )
+    assert first_problem({"A": infinite, "B": tiny, "Z": nan}) == (
         "system 'Z' has scores but no registry entry"
     )
     plain = {"metricx-23-xl": 1.0, "cometkiwi-da-xl": 0.5}
     assert first_problem({"A": plain, "Z": dict(plain)}) == (
         "system 'Z' has scores but no registry entry"
     )
-    # a score outside the ranked metrics is still checked
-    assert first_problem({"A": {**plain, "other": math.inf}, "B": dict(plain)}) == (
-        "cs-uk score for A/other is not finite: inf"
-    )
     # finite scores whose sum overflows are still rankable
     overflowing = {"A": huge, "B": dict(huge), "C": dict(huge)}
-    check_completeness(overflowing, registry, DEFAULT_METRICS, CSUK)
+    check_completeness(*matrix_of(overflowing), registry, DEFAULT_METRICS, CSUK)
+
+
+def test_check_completeness_rejects_a_name_listed_twice():
+    names, columns = matrix_of({"IKUN": {"metricx-23-xl": 1.0, "cometkiwi-da-xl": 0.5}})
+    with pytest.raises(ValueError, match="^cs-uk lists system 'IKUN' twice$"):
+        check_completeness(names * 2, [c * 2 for c in columns], _registry(), DEFAULT_METRICS, CSUK)
+
+
+def test_check_completeness_rejects_a_column_per_metric_missing():
+    names, columns = matrix_of({"IKUN": {"metricx-23-xl": 1.0}}, DEFAULT_METRICS[:1])
+    with pytest.raises(ValueError, match="^cs-uk has 1 score columns for 2 metrics$"):
+        check_completeness(names, columns, _registry(), DEFAULT_METRICS, CSUK)
+
+
+def test_check_completeness_rejects_a_column_of_the_wrong_length():
+    names, columns = matrix_of({"IKUN": {"metricx-23-xl": 1.0, "cometkiwi-da-xl": 0.5}})
+    with pytest.raises(ValueError, match="^cs-uk metricx-23-xl column has 2 scores for 1 systems$"):
+        check_completeness(names, (columns[0] * 2, columns[1]), _registry(), DEFAULT_METRICS, CSUK)
 
 
 # what each parser makes of a short file: the number of entries it
@@ -499,9 +532,9 @@ def test_rows_line_straddling_a_block_boundary():
         parse_scores(text + "cs-uk\tS0000\tmetricx-23-xl\t1\n", registry, DEFAULT_METRICS)
     assert str(info.value) == f"line {bad}: malformed score '{token}.0'"
     lines[-1] = lines[-1][:-2]
-    scores = parse_scores("\n".join(lines), registry, DEFAULT_METRICS)[CSUK]
-    assert sum(map(len, scores.values())) == len(lines) - 1
-    assert scores[f"S{i // 2:04d}"][DEFAULT_METRICS[i % 2].id] == 1.5
+    scores = parse_scores("\n".join(lines), registry, DEFAULT_METRICS)
+    assert _filled(scores, CSUK) == len(lines) - 1
+    assert _row(scores, CSUK, f"S{i // 2:04d}")[DEFAULT_METRICS[i % 2].id] == 1.5
 
 
 def test_parse_scores_never_holds_every_line_at_once():
@@ -524,10 +557,12 @@ def test_parse_scores_never_holds_every_line_at_once():
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(len(row) for matrix in scores.values() for row in matrix.values()) == 10_000
-    # splitting the whole text at once peaks at about three times its
-    # size over what the parse keeps
-    assert live > start and peak - live < len(text) / 2
+    assert sum(_filled(scores, pair) for pair in scores) == 10_000
+    # while it runs, the parse also holds each pair's name -> slot index,
+    # under 64 bytes a slot as it grows; splitting the whole text at once
+    # would peak at about three times its size over what the parse keeps
+    slots = sum(len(names) for names, _ in scores.values())
+    assert live > start and peak - live < len(text) / 2 + 64 * slots
 
 
 def test_parse_registry_rejects_terminal_escapes_in_names():

@@ -20,7 +20,7 @@ from autorank import (
 )
 from autorank.model import display_str
 
-from _tsv import registry_of
+from _tsv import matrix_of, registry_of
 
 
 def test_language_pair_code_round_trip():
@@ -111,15 +111,20 @@ def test_records_are_read_only():
 
 
 def test_score_record_rejects_non_finite():
-    # parse_scores never yields these; a hand-built index is checked by rank_pair
+    # parse_scores never yields an infinite score; hand-built scores are checked by rank_pair
     pair = LanguagePair.from_code("en-de")
     registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "ST")
     mx, ck = (metric.id for metric in DEFAULT_METRICS)
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        scores = {pair: {"S": {mx: 1.0, ck: 0.5}, "T": {mx: 2.0, ck: bad}}}
+    for bad in (float("inf"), float("-inf")):
+        scores = {pair: matrix_of({"S": {mx: 1.0, ck: 0.5}, "T": {mx: 2.0, ck: bad}})}
         with pytest.raises(ValueError) as info:
             rank_pair(registry, scores, pair)
         assert str(info.value) == f"en-de score for T/{ck} is not finite: {bad!r}"
+    # a NaN slot is a hole
+    scores = {pair: matrix_of({"S": {mx: 1.0, ck: 0.5}, "T": {mx: 2.0, ck: float("nan")}})}
+    with pytest.raises(ValueError) as info:
+        rank_pair(registry, scores, pair)
+    assert str(info.value) == f"en-de is not rankable, missing scores: T/{ck}"
 
 
 def test_config_defaults_match_shipped_tables():

@@ -44,7 +44,7 @@ from autorank.model import display_str
 from autorank.ranking import _decimal_column, build_context, compute_autorank, order_rows
 from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
 
-from _tsv import registry_of, serialize_registry, serialize_scores
+from _tsv import matrix_of, registry_of, serialize_registry, serialize_scores
 
 MX, CK = DEFAULT_METRICS
 PAIR = LanguagePair.from_code("xx-yy")
@@ -84,20 +84,59 @@ def _score_indexes(draw):
     return names, index
 
 
-def _nested_items(index):
-    return [(p, [(s, list(row.items())) for s, row in m.items()]) for p, m in index.items()]
+def _slots(scores):
+    """Each pair's names and the repr of every slot, so that holes compare equal."""
+    return [
+        (pair, list(names), [list(map(repr, column)) for column in columns])
+        for pair, (names, columns) in scores.items()
+    ]
 
 
 @given(_score_indexes())
 def test_scores_serialize_parse_round_trip(data):
     names, index = data
     registry = registry_of(SystemEntry(name=n, category=SystemCategory.OPEN) for n in names)
-    text = serialize_scores(index)
+    scores = {pair: matrix_of(rows) for pair, rows in index.items()}
+    text = serialize_scores(scores)
     parsed = parse_scores(text, registry, DEFAULT_METRICS)
-    # same scores, with pairs, systems and metrics in the same order
-    assert _nested_items(parsed) == _nested_items(index)
+    # same scores and holes, with pairs and systems in the same order
+    assert _slots(parsed) == _slots(scores)
     # canonical form is a fixed point
     assert serialize_scores(parsed) == text
+
+
+@st.composite
+def _score_lines(draw):
+    """Names and distinct (pair, system, metric, score) lines over them,
+    pairs, systems and metrics interleaved in any order, with holes."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=6, unique=True))
+    cells = draw(
+        st.lists(
+            st.tuples(_CODES, st.sampled_from(names), st.sampled_from([MX.id, CK.id])),
+            max_size=30,
+            unique=True,
+        )
+    )
+    return names, [(*cell, draw(_PARSED_SCORES)) for cell in cells]
+
+
+@given(_score_lines())
+def test_parsed_slots_match_a_plain_dict_reading(data):
+    names, lines = data
+    registry = registry_of(SystemEntry(name=n, category=SystemCategory.OPEN) for n in names)
+    text = "pair\tsystem\tmetric\tscore\n" + "".join(
+        f"{code}\t{name}\t{metric}\t{score!r}\n" for code, name, metric, score in lines
+    )
+    plain = {}
+    for code, name, metric, score in lines:
+        plain.setdefault(LanguagePair.from_code(code), {}).setdefault(name, {})[metric] = score
+    # first-seen order for pairs and systems; a hole reads as NaN
+    ids = [metric.id for metric in DEFAULT_METRICS]
+    expected = [
+        (pair, list(rows), [[repr(row.get(m, math.nan)) for row in rows.values()] for m in ids])
+        for pair, rows in plain.items()
+    ]
+    assert _slots(parse_scores(text, registry, DEFAULT_METRICS)) == expected
 
 
 @settings(max_examples=50)
@@ -113,7 +152,7 @@ def test_shuffled_score_lines_render_identically(names, data):
         pair: {name: {m.id: data.draw(score) for m in DEFAULT_METRICS} for name in names}
         for pair in pairs
     }
-    text = serialize_scores(index)
+    text = serialize_scores({pair: matrix_of(rows) for pair, rows in index.items()})
     header, *lines = text.split("\n")[:-1]
     shuffled = "\n".join([header, *data.draw(st.permutations(lines))]) + "\n"
 
@@ -190,7 +229,8 @@ def _normalized(matrix, config=RankingConfig()):
     registry = _open_registry(matrix)
     values = {name: {} for name in matrix}
     for metric in DEFAULT_METRICS:
-        for row in rank_pair(registry, {PAIR: matrix}, PAIR, (metric,), config).rows:
+        scores = {PAIR: matrix_of(matrix, (metric,))}
+        for row in rank_pair(registry, scores, PAIR, (metric,), config).rows:
             values[row.name][metric.id] = row.autorank_exact
     return values
 
@@ -271,7 +311,7 @@ def _decisions(columns, metrics, config):
         for i, row in enumerate(matrix.values())
         for m, (_, column) in zip(metrics, columns)
     )
-    table = rank_pair(registry, {PAIR: matrix}, PAIR, metrics, config)
+    table = rank_pair(registry, {PAIR: matrix_of(matrix, metrics)}, PAIR, metrics, config)
     rows = [(r.name, r.position, r.reasons, r.autorank_display) for r in table.rows]
     return table.cutoff_position, rows
 
@@ -347,7 +387,9 @@ def test_leaderboard_order_ignores_input_order(matrix, rng):
     rng.shuffle(names)
     shuffled = {name: matrix[name] for name in names}
     registry = _open_registry(matrix)
-    assert rank_pair(registry, {PAIR: shuffled}, PAIR) == rank_pair(registry, {PAIR: matrix}, PAIR)
+    assert rank_pair(registry, {PAIR: matrix_of(shuffled)}, PAIR) == rank_pair(
+        registry, {PAIR: matrix_of(matrix)}, PAIR
+    )
 
 
 def _exact_key(matrix, name):
@@ -366,7 +408,7 @@ def _exact_key(matrix, name):
 @given(_columns())
 def test_order_is_sorted_and_positions_sequential(matrix):
     # sorted by the exact key, exact ties included
-    ordered = rank_pair(_open_registry(matrix), {PAIR: matrix}, PAIR).rows
+    ordered = rank_pair(_open_registry(matrix), {PAIR: matrix_of(matrix)}, PAIR).rows
     assert [row.position for row in ordered] == list(range(1, len(ordered) + 1))
     keys = [_exact_key(matrix, row.name) for row in ordered]
     assert keys == sorted(keys)
@@ -433,7 +475,11 @@ def test_decisions_match_the_exact_reference_ranker(campaign):
     texts, systems, config = campaign
     expected = _ORACLE["rank"](PAIR.code, texts, _ORACLE["read_systems"](systems), config)
     registry = parse_registry(systems)
-    scores = {PAIR: {name: {m: float(v) for m, v in row.items()} for name, row in texts.items()}}
+    scores = {
+        PAIR: matrix_of(
+            {name: {m: float(v) for m, v in row.items()} for name, row in texts.items()}
+        )
+    }
     ranking_config = RankingConfig(
         cutoff_gap=float(config["cutoff_gap"]), scale_span=ScaleSpan(config["scale_span"])
     )
@@ -477,9 +523,10 @@ def test_the_table_reads_the_decisions_the_stages_made(systems, gap, span):
         for name, (*_, values) in zip(registry, systems)
     }
     config = RankingConfig(cutoff_gap=gap, scale_span=span)
-    table = rank_pair(registry, {PAIR: matrix}, PAIR, DEFAULT_METRICS, config)
-    context = build_context(PAIR, matrix, DEFAULT_METRICS)
-    ordered = order_rows(compute_autorank(matrix, context, config))
+    names, columns = matrix_of(matrix)
+    table = rank_pair(registry, {PAIR: (names, columns)}, PAIR, DEFAULT_METRICS, config)
+    context = build_context(PAIR, names, columns, DEFAULT_METRICS)
+    ordered = order_rows(compute_autorank(names, columns, context, config))
     assert table.cutoff_position == find_cutoff(ordered, config, context[0])
     assert [row.withdrawn for row in table.rows] == [
         registry[row.name].is_withdrawn(PAIR) for row in table.rows
@@ -528,7 +575,7 @@ def _selected_rows(table):
     config = RankingConfig()
     cutoff = find_cutoff(ordered, config, unit)
     verdicts = select_for_human_eval(ordered, cutoff, registry, PAIR, config)
-    return apply_selection(ordered, verdicts, registry, {name: {} for name in registry}, PAIR)
+    return apply_selection(ordered, verdicts, registry, tuple(registry), (), (), PAIR)
 
 
 @given(_tables())
@@ -686,10 +733,13 @@ def _report_tables(draw):
         MetricSpec(metric_id, draw(st.sampled_from(Orientation)), "M") for metric_id in ids
     )
     scores = {
-        pair: {
-            name: {metric_id: draw(_REPORT_SCORES) for metric_id in ids}
-            for name in draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
-        }
+        pair: matrix_of(
+            {
+                name: {metric_id: draw(_REPORT_SCORES) for metric_id in ids}
+                for name in draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+            },
+            metrics,
+        )
         for pair in _REPORT_PAIRS
     }
     config = RankingConfig(cutoff_gap=draw(st.sampled_from([0.5, 1.5, 3.0])))
@@ -738,10 +788,12 @@ def test_markdown_column_count_survives_hostile_names(names, show_reasons):
         for i, name in enumerate(names)
     )
     scores = {
-        PAIR: {
-            name: {metric.id: float(i * i) for metric in DEFAULT_METRICS}
-            for i, name in enumerate(names)
-        }
+        PAIR: matrix_of(
+            {
+                name: {metric.id: float(i * i) for metric in DEFAULT_METRICS}
+                for i, name in enumerate(names)
+            }
+        )
     }
     table = rank_pair(registry, scores, PAIR)
     out = render_table(table, RenderOptions(TableFormat.MARKDOWN, show_reasons=show_reasons))

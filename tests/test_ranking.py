@@ -20,7 +20,7 @@ from autorank import (
 from autorank.model import display_str
 from autorank.ranking import build_context, compute_autorank, order_rows
 
-from _tsv import registry_of
+from _tsv import matrix_of, registry_of
 
 MX, CK = DEFAULT_METRICS
 CSUK = LanguagePair.from_code("cs-uk")
@@ -51,7 +51,7 @@ def _csuk(**systems: tuple[float, float]) -> dict[str, dict[str, float]]:
 
 def _rows(matrix, config=RankingConfig()) -> dict[str, RankedRow]:
     registry = registry_of(_entry(name) for name in matrix)
-    table = rank_pair(registry, {CSUK: matrix}, CSUK, DEFAULT_METRICS, config)
+    table = rank_pair(registry, {CSUK: matrix_of(matrix)}, CSUK, DEFAULT_METRICS, config)
     return {row.name: row for row in table.rows}
 
 
@@ -61,7 +61,8 @@ def _normalized(matrix, config=RankingConfig()) -> dict[str, dict[str, float]]:
     registry = registry_of(_entry(name) for name in matrix)
     values: dict[str, dict[str, float]] = {name: {} for name in matrix}
     for metric in DEFAULT_METRICS:
-        for row in rank_pair(registry, {CSUK: matrix}, CSUK, (metric,), config).rows:
+        scores = {CSUK: matrix_of(matrix, (metric,))}
+        for row in rank_pair(registry, scores, CSUK, (metric,), config).rows:
             values[row.name][metric.id] = row.autorank_exact
     return values
 
@@ -116,7 +117,9 @@ def test_normalize_rejects_unknown_metric():
     rogue = MetricSpec("bleu", Orientation.HIGHER_BETTER, "BLEU")
     matrix = _csuk()
     with pytest.raises(ValueError, match="missing scores: CycleL/bleu"):
-        rank_pair(registry_of(_entry(name) for name in matrix), {CSUK: matrix}, CSUK, (MX, rogue))
+        metrics = (MX, rogue)
+        registry = registry_of(_entry(name) for name in matrix)
+        rank_pair(registry, {CSUK: matrix_of(matrix, metrics)}, CSUK, metrics)
 
 
 def test_build_context_from_score_matrix():
@@ -125,10 +128,10 @@ def test_build_context_from_score_matrix():
         "B": {MX.id: 3.0, CK.id: 0.50},
         "C": {MX.id: 2.0, CK.id: 0.60},
     }
-    unit, columns = build_context(CSUK, matrix, DEFAULT_METRICS)
-    # per metric: id, float best, float worst disadvantage, weighted integers
-    assert [column[:3] for column in columns] == [(MX.id, 1.0, 2.0), (CK.id, 0.7, 0.7 - 0.5)]
-    mx, ck = columns[0][3], columns[1][3]
+    unit, columns = build_context(CSUK, *matrix_of(matrix), DEFAULT_METRICS)
+    # per metric: float best, float worst disadvantage, weighted integers
+    assert [column[:2] for column in columns] == [(1.0, 2.0), (0.7, 0.7 - 0.5)]
+    mx, ck = columns[0][2], columns[1][2]
     # K / unit is the mean of the exact ratios d / D, system by system
     assert [Fraction(a + b, unit) for a, b in zip(mx, ck)] == [0, 1, Fraction(1, 2)]
     assert [Fraction(a * len(columns), unit) for a in mx] == [0, 1, Fraction(1, 2)]
@@ -137,11 +140,13 @@ def test_build_context_from_score_matrix():
 def test_build_context_rejects_empty():
     # holes are check_completeness's to reject, see test_ingest
     with pytest.raises(ValueError):
-        build_context(CSUK, {}, DEFAULT_METRICS)
+        build_context(CSUK, *matrix_of({}), DEFAULT_METRICS)
 
 
 def _keys(matrix, config=RankingConfig()):
-    return compute_autorank(matrix, build_context(CSUK, matrix, DEFAULT_METRICS), config)
+    names, columns = matrix_of(matrix)
+    context = build_context(CSUK, names, columns, DEFAULT_METRICS)
+    return compute_autorank(names, columns, context, config)
 
 
 def test_compute_autorank_published_examples():
@@ -188,14 +193,14 @@ def test_compute_autorank_key_carries_the_tie_breaks_and_columns():
 def test_rank_pair_requires_complete_matrix():
     matrix = {"A": {MX.id: 1.0, CK.id: 0.7}, "B": {MX.id: 2.0}}
     with pytest.raises(ValueError) as info:
-        rank_pair(registry_of([_entry("A"), _entry("B")]), {CSUK: matrix}, CSUK)
+        rank_pair(registry_of([_entry("A"), _entry("B")]), {CSUK: matrix_of(matrix)}, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: B/cometkiwi-da-xl"
 
 
 def test_rank_pair_requires_registered_systems():
     matrix = {"A": {MX.id: 1.0, CK.id: 0.7}}
     with pytest.raises(ValueError) as info:
-        rank_pair(registry_of([]), {CSUK: matrix}, CSUK)
+        rank_pair(registry_of([]), {CSUK: matrix_of(matrix)}, CSUK)
     assert str(info.value) == "system 'A' has scores but no registry entry"
 
 
@@ -213,7 +218,7 @@ def test_rank_pair_resolves_pair_scoped_flags():
             SystemEntry("V", SystemCategory.OPEN, unsupported_pairs=frozenset({CSUK})),
         ]
     )
-    rows = {r.name: r for r in rank_pair(registry, {CSUK: matrix}, CSUK).rows}
+    rows = {r.name: r for r in rank_pair(registry, {CSUK: matrix_of(matrix)}, CSUK).rows}
     assert rows["W"].withdrawn and rows["W"].claimed_support
     assert not rows["V"].withdrawn and not rows["V"].claimed_support
 
@@ -291,7 +296,7 @@ def test_rank_pair_builds_each_row_once(monkeypatch):
     monkeypatch.setattr(RankedRow, "_make", classmethod(counting_make))
     matrix = {f"S{i}": {MX.id: float(i), CK.id: 1.0 / (i + 1)} for i in range(7)}
     registry = registry_of(map(_entry, matrix, list(SystemCategory) * 3))
-    table = rank_pair(registry, {CSUK: matrix}, CSUK)
+    table = rank_pair(registry, {CSUK: matrix_of(matrix)}, CSUK)
     assert len(table.rows) == 7
     assert len(built) == 7
     assert set(built) == set(matrix)
@@ -306,7 +311,8 @@ def test_exact_aggregate_tie_is_not_split_by_float_rounding():
         "C": {MX.id: 1.4, CK.id: 1.6},
         "D": {MX.id: 1.7, CK.id: 0.9},
     }
-    rows = rank_pair(registry_of(_entry(name) for name in matrix), {CSUK: matrix}, CSUK).rows
+    registry = registry_of(_entry(name) for name in matrix)
+    rows = rank_pair(registry, {CSUK: matrix_of(matrix)}, CSUK).rows
     assert [row.name for row in rows] == ["A", "C", "B", "D"]
     assert rows[1].autorank_exact < rows[0].autorank_exact  # the floats, unchanged
 
@@ -319,7 +325,8 @@ def test_gap_of_exactly_cutoff_gap_draws_no_line():
         "B": {MX.id: 1.6, CK.id: 1.3},
         "C": {MX.id: 1.7, CK.id: 0.7},
     }
-    table = rank_pair(registry_of(_entry(name) for name in matrix), {CSUK: matrix}, CSUK)
+    registry = registry_of(_entry(name) for name in matrix)
+    table = rank_pair(registry, {CSUK: matrix_of(matrix)}, CSUK)
     assert [row.name for row in table.rows] == ["A", "B", "C"]
     assert table.rows[1].autorank_exact - table.rows[0].autorank_exact > 1.5
     assert table.cutoff_position is None
@@ -347,9 +354,10 @@ def test_integer_key_is_exact_on_narrow_and_wide_columns(low, high):
     matrix = {
         f"S{i}": {MX.id: low + step * i, CK.id: low + step * ((3 * i) % 8)} for i in range(8)
     }
-    unit, _ = context = build_context(CSUK, matrix, DEFAULT_METRICS)
+    names, columns = matrix_of(matrix)
+    unit, _ = context = build_context(CSUK, names, columns, DEFAULT_METRICS)
     exact = _exact_aggregates(matrix, 8)
-    keys = compute_autorank(matrix, context, RankingConfig())
+    keys = compute_autorank(names, columns, context, RankingConfig())
     for k, _, name, autorank, display in keys:
         assert 1 + Fraction(8 * k, unit) == exact[name]
         assert display == display_str(exact[name])

@@ -22,7 +22,7 @@ from autorank.selection import (
     select_for_human_eval,
 )
 
-from _tsv import registry_of
+from _tsv import matrix_of, registry_of
 
 MX, CK = DEFAULT_METRICS
 PAIR = LanguagePair.from_code("xx-yy")
@@ -146,8 +146,9 @@ def _outcome(systems, config=None) -> dict[str, RankedRow]:
     ordered = _keys(systems)
     registry = registry_of(entry for entry, _ in systems)
     verdicts = select_for_human_eval(ordered, _cutoff(systems, config), registry, PAIR, config)
-    matrix = {name: {MX.id: 0.0, CK.id: 0.0} for name in registry}
-    return {row.name: row for row in apply_selection(ordered, verdicts, registry, matrix, PAIR)}
+    names, columns = matrix_of({name: {MX.id: 0.0, CK.id: 0.0} for name in registry})
+    built = apply_selection(ordered, verdicts, registry, names, columns, DEFAULT_METRICS, PAIR)
+    return {row.name: row for row in built}
 
 
 class TestSelection:
@@ -233,8 +234,10 @@ class TestSelection:
         ordered = _keys(rows)
         registry = registry_of(entry for entry, _ in rows)
         verdicts = select_for_human_eval(ordered, 3, registry, PAIR, RankingConfig())
-        matrix = {name: {MX.id: float(i), CK.id: 0.5} for i, name in enumerate(registry)}
-        built = apply_selection(ordered, verdicts, registry, matrix, PAIR)
+        names, columns = matrix_of(
+            {name: {CK.id: 0.5, MX.id: float(i)} for i, name in enumerate(registry)}
+        )
+        built = apply_selection(ordered, verdicts, registry, names, columns, DEFAULT_METRICS, PAIR)
         assert [r.position for r in built] == [1, 2, 3]
         assert [r.above_cutoff for r in built] == [True, True, False]
         assert [r.selected for r in built] == [True, True, False]
@@ -249,6 +252,7 @@ class TestSelection:
         assert [(r.name, r.category, r.claimed_support) for r in built] == [
             (f"S0{i}", SystemCategory.OPEN, True) for i in (1, 2, 3)
         ]
-        assert built[1].raw_scores == {MX.id: 1.0, CK.id: 0.5}
-        # the row keeps its own copy of the raw scores
-        assert built[1].raw_scores is not matrix["S02"]
+        # each row's raw scores are read from its own slot, in metrics order
+        assert [list(r.raw_scores.items()) for r in built] == [
+            [(MX.id, float(i)), (CK.id, 0.5)] for i in range(3)
+        ]

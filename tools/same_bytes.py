@@ -12,7 +12,14 @@ then runs one matrix of commands with each side's ``src`` on
   and under ``--out``, on the bundled WMT24 corpus and on the seed-1
   100 x 100 campaign;
 * ``verify`` on WMT24, with and without the allow list, and on the
-  seed-1 8 x 400 campaign against its oracle goldens.
+  seed-1 8 x 400 campaign against its oracle goldens;
+* ``rank --format json`` on a corpus of faulty scores files: one per
+  fault (see ``FAULTS``), every two of them in both line orders, lines
+  holding several faults (``MIXED``), CRLF
+  line endings, a byte-order mark, a duplicate whose two lines fall on
+  either side of the parser's 64 K block boundary, and one valid file
+  with pairs interleaved and CometKiwi lines before MetricX lines.  Each
+  side must report the same first fault.
 
 The campaigns come from ``perfbench/gen.py`` and the goldens from
 ``perfbench/oracle.py``.  Each command's exit status, stdout, stderr and
@@ -23,6 +30,7 @@ the exit status is 1 if any differs, else 0.  Standard library only.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -69,6 +77,83 @@ def make_inputs(work: Path) -> dict[str, tuple[Path, Path]]:
     return {name: (path / "scores.tsv", path / "systems.tsv") for name, path in corpora.items()}
 
 
+SCORES_HEADER = "pair\tsystem\tmetric\tscore"
+METRICS = ("metricx-23-xl", "cometkiwi-da-xl")
+# the lines a fault adds to a valid file; "hole" and "range" are found
+# after parsing, in pairs no valid line scores
+FAULTS = {
+    "columns": ["cs-uk\tA\tmetricx-23-xl"],
+    "pair": ["csuk\tA\tmetricx-23-xl\t1.0"],
+    "system": ["cs-uk\tGhost\tmetricx-23-xl\t1.0"],
+    "metric": ["cs-uk\tA\tbleu\t30.1"],
+    "malformed": ["cs-uk\tA\tcometkiwi-da-xl\t0,5"],
+    "1e999": ["en-de\tB\tmetricx-23-xl\t1e999"],
+    "1e-400": ["en-de\tB\tcometkiwi-da-xl\t1e-400"],
+    "duplicate": ["cs-uk\tB\tmetricx-23-xl\t2.5"],
+    "hole": ["en-ja\tA\tmetricx-23-xl\t1.0"],
+    "range": [
+        "en-zh\tA\tmetricx-23-xl\t1e308",
+        "en-zh\tA\tcometkiwi-da-xl\t0.5",
+        "en-zh\tB\tmetricx-23-xl\t-1e308",
+        "en-zh\tB\tcometkiwi-da-xl\t0.6",
+    ],
+}
+# lines holding several faults at once: the parser checks a line's fields
+# in a fixed order
+MIXED = {
+    "pair+system": ["csuk\tGhost\tmetricx-23-xl\t1.0"],
+    "system+metric": ["cs-uk\tGhost\tbleu\t0,5"],
+    "metric+score": ["cs-uk\tA\tbleu\t1e999"],
+    "duplicate+score": ["cs-uk\tB\tmetricx-23-xl\t1e-400"],
+}
+
+
+def fault_corpus(work: Path) -> list[tuple[str, Path, Path]]:
+    """(label, scores, systems) of every file in the fault corpus."""
+
+    work.mkdir(parents=True)
+    systems = work / "systems.tsv"
+    names = ["A", "B", "C"] + [f"S{i:04d}" for i in range(1000)]
+    registry = ["system\tcategory\twithdrawn\tunsupported_pairs"]
+    categories = itertools.cycle(("open", "closed", "constrained"))
+    registry += [f"{name}\t{category}\t0\t" for name, category in zip(names, categories)]
+    systems.write_text("\n".join(registry) + "\n", encoding="utf-8")
+    valid = [
+        f"{pair}\t{name}\t{metric}\t{score}"
+        for pair in ("cs-uk", "en-de")
+        for name, scores in (("A", ("1.5", "0.7")), ("B", ("2.0", "0.65")), ("C", ("3.25", "0.6")))
+        for metric, score in zip(METRICS, scores)
+    ]
+    files = {f"fault {name}": valid + lines for name, lines in {**FAULTS, **MIXED}.items()}
+    for first, second in itertools.permutations(FAULTS, 2):
+        files[f"faults {first} then {second}"] = valid + FAULTS[first] + FAULTS[second]
+    # the valid lines by system: pairs interleaved, each CometKiwi line first
+    files["valid, interleaved"] = sorted(valid, key=lambda line: (line.split("\t")[1], line))
+    texts = {label: "\n".join([SCORES_HEADER, *lines]) + "\n" for label, lines in files.items()}
+    texts["crlf"] = texts["valid, interleaved"].replace("\n", "\r\n")
+    texts["byte-order mark"] = "\ufeff" + texts["valid, interleaved"]
+    # fill the first 64 K block, so that the duplicated line ends it and
+    # its second copy starts the next one
+    lines = [SCORES_HEADER]
+    size = len(SCORES_HEADER) + 1
+    for i in range(2000):
+        line = f"cs-uk\tS{i // 2:04d}\t{METRICS[i % 2]}\t0.{i:04d}"
+        if size + len(line) + 1 > (1 << 16) - 40:
+            break
+        lines.append(line)
+        size += len(line) + 1
+    duplicate = "cs-uk\tA\tmetricx-23-xl\t1." + "5" * ((1 << 16) - size - 25)
+    lines += [duplicate, duplicate]
+    assert size + len(duplicate) + 1 == 1 << 16
+    texts["duplicate across the block boundary"] = "\n".join(lines) + "\n"
+    corpus = []
+    for i, (label, text) in enumerate(texts.items()):
+        scores = work / f"scores-{i:03d}.tsv"
+        scores.write_bytes(text.encode("utf-8"))
+        corpus.append((label, scores, systems))
+    return corpus
+
+
 def commands(inputs: dict[str, tuple[Path, Path]]) -> list[tuple[str, list[str]]]:
     """(label, argv) of every command in the matrix; ``--out`` is relative."""
 
@@ -89,6 +174,15 @@ def commands(inputs: dict[str, tuple[Path, Path]]) -> list[tuple[str, list[str]]
         argv = ["verify", "--scores", str(scores), "--systems", str(systems), *extra]
         matrix.append((f"{corpus}: verify {' '.join(extra[2:])}".rstrip(), argv))
     return matrix
+
+
+def fault_commands(corpus: list[tuple[str, Path, Path]]) -> list[tuple[str, list[str]]]:
+    """(label, argv) of ``rank --format json`` on each file of the fault corpus."""
+
+    return [
+        (label, ["rank", "--scores", str(scores), "--systems", str(systems), "--format", "json"])
+        for label, scores, systems in corpus
+    ]
 
 
 def run(src: Path, argv: list[str], cwd: Path) -> tuple:
@@ -115,6 +209,7 @@ def main(argv: list[str]) -> int:
         work = Path(tmp)
         sides = {"base": export_src(argv[0], work / "base"), "head": ROOT / "src"}
         matrix = commands(make_inputs(work / "inputs"))
+        matrix += fault_commands(fault_corpus(work / "faults"))
         differing = 0
         for i, (label, command) in enumerate(matrix):
             base, head = (run(src, command, work / side / str(i)) for side, src in sides.items())
