@@ -30,7 +30,7 @@ from array import array
 from collections.abc import Iterator, Mapping, Sequence
 from functools import partial
 from io import TextIOBase
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 from .model import _NUMBER, LanguagePair, MetricSpec, SystemCategory, SystemEntry
 
@@ -285,22 +285,19 @@ def check_completeness(
     for system in names:
         if system not in registry:
             raise ValueError(f"system {system!r} has scores but no registry entry")
-    # finite scores have a finite sum, unless the sum overflows
-    if not all(math.isfinite(sum(column)) for column in columns):
-        for metric, column in zip(metrics, columns):
-            for system, score in zip(names, column):
-                if math.isinf(score):
-                    raise ValueError(
-                        f"{pair} score for {system}/{metric.id} is not finite: {score!r}"
-                    )
-        holes = ", ".join(
-            f"{system}/{metric.id}"
-            for system, slot in sorted(zip(names, range(len(names))))
-            for metric, column in zip(metrics, columns)
-            if math.isnan(column[slot])
-        )
-        if holes:
-            raise ValueError(f"{pair} is not rankable, missing scores: {holes}")
+    for metric, column in zip(metrics, columns):
+        # the first infinite score, if there is one, raises
+        for system, score in compress(zip(names, column), map(math.isinf, column)):
+            raise ValueError(f"{pair} score for {system}/{metric.id} is not finite: {score!r}")
+    # (system, metric index) of each hole, by system and then in metrics order
+    holes = sorted(
+        (system, index)
+        for index, column in enumerate(columns)
+        for system in compress(names, map(math.isnan, column))
+    )
+    if holes:
+        listed = ", ".join(f"{system}/{metrics[index].id}" for system, index in holes)
+        raise ValueError(f"{pair} is not rankable, missing scores: {listed}")
     if not names:
         return
     for metric, column in zip(metrics, columns):

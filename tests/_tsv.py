@@ -1,6 +1,6 @@
 """Reference serializers for the three TSV inputs, for round-trip tests,
-and the one builder each of a registry and of a pair's scores made by
-hand.
+the one builder each of a registry and of a pair's scores made by hand,
+and the size of the index ``parse_scores`` holds while it runs.
 
 autorank reads these files and never writes them, so the writers live
 here: ``serialize_*(parse_*(text))`` reproduces a canonically formatted
@@ -10,6 +10,7 @@ input byte for byte, which pins what each parser keeps.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from typing import Iterable, Mapping, Sequence
 
@@ -45,6 +46,20 @@ def matrix_of(
     names = tuple(rows)
     return names, tuple(
         array("d", [rows[name].get(metric.id, math.nan) for name in names]) for metric in metrics
+    )
+
+
+def slot_index_size(
+    scores: Mapping[LanguagePair, tuple[Sequence[str], Sequence[Sequence[float]]]],
+) -> int:
+    """Bytes of the name -> slot dicts ``parse_scores`` holds until it
+    returns ``scores``, one per pair, measured on dicts built the same
+    way: one insert per name, and an int object for each slot past the
+    interpreter's cache of small ints (0 to 256)."""
+
+    return sum(
+        sys.getsizeof(dict.fromkeys(names)) + sum(map(sys.getsizeof, range(257, len(names))))
+        for names, _ in scores.values()
     )
 
 

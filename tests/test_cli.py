@@ -35,6 +35,8 @@ from autorank import (
 )
 from autorank.cli import ExitStatus, main
 
+from _tsv import slot_index_size
+
 REGISTRY = """system\tcategory\twithdrawn\tunsupported_pairs
 Ada\topen\t0\t
 Bell\tclosed\t0\t
@@ -1580,13 +1582,20 @@ class TestOneInputAtATime:
         size = (inputs / "scores.tsv").stat().st_size
         start, parsed = marks["parse_registry"][0], marks["parse_scores"][1]
         matrix = marks["pairs_in"][0] - start
-        slots = sum(len(names) for names, _ in results["parse_scores"].values())
         # a float per slot and a tuple of names: about a third of the file
-        assert size > 700_000 and slots == 10_000 and matrix < size / 2
+        assert size > 700_000 and matrix < size / 2
+        # one block of the file and its lines, which the split of a block
+        # holds at once
+        with open(inputs / "scores.tsv", encoding="utf-8", newline="") as handle:
+            block = handle.read(autorank.ingest._BLOCK)
+        lines = block.split("\n")
+        block_size = sys.getsizeof(block) + sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+        index_size = slot_index_size(results["parse_scores"])
         # the parse's peak is what it returns, each pair's name -> slot
-        # index (under 64 bytes a slot as it grows) and one block of the
-        # file with its lines; the file's text, held whole, would pass it
-        assert parsed - start < matrix + 64 * slots + 4 * autorank.ingest._BLOCK
+        # index, which it drops on return, and one block with its lines;
+        # reading the file whole, which holds its text and, while it is
+        # decoded, its bytes too, would pass that by about the file's size
+        assert parsed - start < matrix + index_size + block_size
 
     def test_parsed_campaign_is_held_in_columns(self, canary):
         inputs = canary / "campaign"

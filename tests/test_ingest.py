@@ -19,7 +19,14 @@ from autorank import (
 import autorank.ingest
 from autorank.ingest import check_completeness
 
-from _tsv import matrix_of, registry_of, serialize_manifest, serialize_registry, serialize_scores
+from _tsv import (
+    matrix_of,
+    registry_of,
+    serialize_manifest,
+    serialize_registry,
+    serialize_scores,
+    slot_index_size,
+)
 
 REGISTRY = (
     "system\tcategory\twithdrawn\tunsupported_pairs\n"
@@ -558,11 +565,10 @@ def test_parse_scores_never_holds_every_line_at_once():
     finally:
         tracemalloc.stop()
     assert sum(_filled(scores, pair) for pair in scores) == 10_000
-    # while it runs, the parse also holds each pair's name -> slot index,
-    # under 64 bytes a slot as it grows; splitting the whole text at once
-    # would peak at about three times its size over what the parse keeps
-    slots = sum(len(names) for names, _ in scores.values())
-    assert live > start and peak - live < len(text) / 2 + 64 * slots
+    # splitting the whole text at once would peak at about three times
+    # its size over what the parse keeps; while it runs, the parse also
+    # holds each pair's name -> slot index, which it drops on return
+    assert live > start and peak - live < len(text) / 2 + slot_index_size(scores)
 
 
 def test_parse_registry_rejects_terminal_escapes_in_names():
