@@ -171,17 +171,16 @@ def parse_scores(
     Each distinct pair token is parsed once.
     """
 
-    # pair -> (name -> slot, metric id -> column); the slots are numbered
-    # in first-seen order, so the index's keys are the names.  A valid
-    # token is its pair's code, so the raw token finds the same entry
-    parsed: dict[LanguagePair, tuple[dict[str, int], dict[str, array]]] = {}
-    by_token: dict[str, tuple[dict[str, int], dict[str, array]]] = {}
+    # pair token -> (pair, name -> slot, metric id -> column); a valid
+    # token is its pair's code, so each pair has one entry.  The slots are
+    # numbered in first-seen order, so the slot index's keys are the names
+    parsed: dict[str, tuple[LanguagePair, dict[str, int], dict[str, array]]] = {}
     for line, (pair_token, system_token, metric_token, score_token) in _rows(text, SCORES_HEADER):
-        entry = by_token.get(pair_token)
+        entry = parsed.get(pair_token)
         if entry is None:
             columns = {metric.id: array("d") for metric in metrics}
-            entry = parsed[_parse_pair(pair_token, line)] = by_token[pair_token] = {}, columns
-        slots, columns = entry
+            entry = parsed[pair_token] = _parse_pair(pair_token, line), {}, columns
+        _, slots, columns = entry
         slot = slots.get(system_token)
         if slot is None:
             if system_token not in registry:
@@ -215,12 +214,12 @@ def parse_scores(
             )
         else:
             column[slot] = score
-    for slots, columns in parsed.values():
+    for _, slots, columns in parsed.values():
         for column in columns.values():
             column.fromlist([math.nan] * (len(slots) - len(column)))
     return {
         pair: (tuple(slots), tuple(columns[metric.id] for metric in metrics))
-        for pair, (slots, columns) in parsed.items()
+        for pair, slots, columns in parsed.values()
     }
 
 
@@ -264,14 +263,16 @@ def check_completeness(
     or any later stage.
 
     Raises:
-        ValueError: a column count other than ``len(metrics)``, a
-            column length other than ``len(names)``, a name listed
-            twice, a named system missing from ``registry``, an
-            infinite score, a hole, or a metric whose best and worst
-            scores lie further apart than a float can hold.  The first
-            of these found, in that order, is the one raised.
+        ValueError: a metric listed twice, a column count other than
+            ``len(metrics)``, a column length other than ``len(names)``,
+            a name listed twice, a named system missing from
+            ``registry``, an infinite score, a hole, or a metric whose
+            best and worst scores lie further apart than a float can
+            hold.  The first of these found, in that order, is raised.
     """
 
+    if len({metric.id for metric in metrics}) != len(metrics):
+        raise ValueError(f"a metric id is listed twice: {[metric.id for metric in metrics]}")
     if len(columns) != len(metrics):
         raise ValueError(f"{pair} has {len(columns)} score columns for {len(metrics)} metrics")
     for metric, column in zip(metrics, columns):

@@ -9,8 +9,8 @@ Each record is a named tuple: its fields are read-only, setting any
 attribute raises ``AttributeError``, and equality, hashing and ordering
 are the tuple's, done in C.  A record that validates its fields does
 so in ``__new__``; a ``RankedRow`` stores only what the tables print,
-with the display the ranker rounded, and reads its verdict flags from
-its reasons, as a ``LeaderboardTable`` reads its cutoff from its rows.
+its raw scores as a tuple, and reads its verdict flags from its
+reasons, as a ``LeaderboardTable`` reads its cutoff from its rows.
 The floats a record keeps are output values; every decision is made on
 the exact integers of :mod:`autorank.ranking`, and ``_tenths`` is the
 one rule that rounds a displayed aggregate.
@@ -107,6 +107,8 @@ class MetricSpec(namedtuple("MetricSpec", "id orientation display_name")):
     def __new__(cls, id: str, orientation: Orientation, display_name: str) -> "MetricSpec":
         if not id:
             raise ValueError("metric id must be non-empty")
+        if not isinstance(orientation, Orientation):
+            raise TypeError(f"orientation must be an Orientation, got {orientation!r}")
         hostile = _HOSTILE_NAME_CHARS.search(display_name)
         if hostile:
             raise ValueError(
@@ -231,8 +233,8 @@ class RankingConfig(
     Defaults reproduce the shipped leaderboards: systems whose aggregate
     rank trails the previous one by more than 1.5 fall below the cutoff,
     closed systems may occupy at most the top third of positions and
-    open systems at most the top two thirds.  Fractions must be exact
-    (``Fraction`` or ``int``); ``from_dict`` reads them from text.
+    open systems at most the top two thirds.  The gap is an ``int`` or
+    ``float``, the fractions exact: a ``Fraction`` or an ``int``.
     """
 
     __slots__ = ()
@@ -249,6 +251,8 @@ class RankingConfig(
                 raise TypeError(f"{name} must be a Fraction or int, got {value!r}")
         if not isinstance(scale_span, ScaleSpan):
             raise TypeError(f"scale_span must be a ScaleSpan, got {scale_span!r}")
+        if not isinstance(cutoff_gap, (int, float)) or isinstance(cutoff_gap, bool):
+            raise TypeError(f"cutoff_gap must be an int or float, got {cutoff_gap!r}")
         if not (math.isfinite(cutoff_gap) and cutoff_gap > 0):
             raise ValueError(f"cutoff_gap must be a positive real, got {cutoff_gap!r}")
         if not 0 < closed_fraction <= open_fraction <= 1:
@@ -350,12 +354,12 @@ class RankedRow(
 ):
     """One system's line in a finished leaderboard: what the tables print.
 
-    ``raw_scores`` maps metric id to the input score, ``autorank_exact``
-    is the float aggregate and ``autorank_display`` its shown rounding.
-    ``claimed_support`` is the entry's flag resolved against the table's
-    language pair.  ``reasons`` is the row's verdict: exactly one
-    selected code, or every exclusion code that applies; ``selected``,
-    ``above_cutoff`` and ``withdrawn`` read it.
+    ``raw_scores`` is the input scores in ``table.metrics`` order,
+    ``autorank_exact`` the float aggregate and ``autorank_display`` its
+    shown rounding.  ``claimed_support`` is the entry's flag resolved
+    against the table's language pair.  ``reasons`` is the row's
+    verdict: exactly one selected code, or every exclusion code that
+    applies; ``selected``, ``above_cutoff`` and ``withdrawn`` read it.
     """
 
     __slots__ = ()

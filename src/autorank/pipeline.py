@@ -5,9 +5,9 @@ as ``parse_scores`` holds them.  ``build_context`` scales the pair's
 scores to exact integers, every system becomes a plain sort key
 (``ranking.RankKey``) whose integer decides its order, the cutoff and
 reason codes are decided on the ordered keys, and ``apply_selection``
-builds each ``RankedRow`` once, with its raw scores read from the
-columns.  The table keeps no decision of its own: its cutoff is read
-from the rows' reasons.
+builds each ``RankedRow`` once from its key, whose last element is the
+system's scores as the columns hold them.  The table keeps no decision
+of its own: its cutoff is read from the rows' reasons.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ def rank_pair(
         has no rows when nobody scored the pair.
 
     Raises:
-        ValueError: scores that ``check_completeness`` rejects: a
-            malformed entry, an unregistered system, an infinite score,
-            a hole, or a score range too wide for a float.
+        ValueError: what ``check_completeness`` rejects: a metric listed
+            twice, a malformed entry, an unregistered system, an infinite
+            score, a hole, or a score range too wide for a float.
     """
 
     # a pair nobody scored has no names and an empty column per metric
@@ -65,7 +65,7 @@ def rank_pair(
         ordered = order_rows(compute_autorank(names, columns, context, config))
         cutoff = find_cutoff(ordered, config, context[0])
         verdicts = select_for_human_eval(ordered, cutoff, registry, pair, config)
-        rows = apply_selection(ordered, verdicts, registry, names, columns, metrics, pair)
+        rows = apply_selection(ordered, verdicts, registry, pair)
     return LeaderboardTable(pair, metrics, tuple(rows), config)
 
 

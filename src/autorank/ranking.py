@@ -21,11 +21,11 @@ Every decision is made on integers.  A score is the decimal of its
 every d_m and D_m is an integer (D_m = 1 for a constant column).  With
 M metrics, K = sum_m d_m * prod_{k != m} D_k makes the aggregate
 exactly 1 + span * K / (M * prod D).  ``compute_autorank`` keys each
-system by (K, d_1 times a positive constant, name) and rounds its
-display from K; ``selection.find_cutoff`` compares gaps in K with
-``cutoff_gap``.  The one float a row carries, ``autorank_exact``, the
-``fsum`` over M of the normalized values ``1.0 + span * (d / D)``, is
-output only.  No row is built here.
+system by (K, d_1 times a positive constant, name), rounds its display
+from K and ends the key in its raw scores; ``selection.find_cutoff``
+compares gaps in K with ``cutoff_gap``.  The one float computed for a
+row, ``autorank_exact``, the ``fsum`` over M of the normalized values
+``1.0 + span * (d / D)``, is output only.  No row is built here.
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def build_context(
 
 
 # (K, first metric's weighted disadvantage, system name, autorank_exact,
-# displayed aggregate); names are unique within a pair, so the first
-# three decide the order and the rest is never compared
-RankKey = tuple[int, int, str, float, str]
+# displayed aggregate, raw scores in metrics order); names are unique within
+# a pair, so the first three decide the order and the rest is never compared
+RankKey = tuple[int, int, str, float, str, tuple[float, ...]]
 
 
 def compute_autorank(
@@ -169,9 +169,9 @@ def compute_autorank(
     m = len(scaled)
     # fsum(values) / M is statistics.fmean(values), bit for bit
     return [
-        (k, first, name, math.fsum(values) / m, display)
-        for name, k, first, values, display in zip(
-            names, keys, weighted[0], zip(*normalized), displays
+        (k, first, name, math.fsum(values) / m, display, scores)
+        for name, k, first, values, display, scores in zip(
+            names, keys, weighted[0], zip(*normalized), displays, zip(*columns)
         )
     ]
 

@@ -83,6 +83,9 @@ def file_extension(fmt: TableFormat) -> str:
 
 
 def visible_rows(table: LeaderboardTable, include_closed: bool) -> list[RankedRow]:
+    """The rows every format prints; each must hold one score per metric."""
+    if {len(row.raw_scores) for row in table.rows} - {len(table.metrics)}:
+        raise ValueError(f"{table.pair} has a row without one score per metric")
     if include_closed:
         return list(table.rows)
     return [row for row in table.rows if row.category is not SystemCategory.CLOSED]
@@ -165,14 +168,16 @@ def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
     )
     if not rows:
         return head + "[]\n    }"
+    # id -> index in raw_scores; an id listed twice keeps its last column
+    index = {metric.id: i for i, metric in enumerate(table.metrics)}
     score_keys = [
-        (metric_id, "\n" + " " * 12 + encode_basestring(metric_id) + ': "')
-        for metric_id in sorted({m.id for m in table.metrics})
+        (i, "\n" + " " * 12 + encode_basestring(metric_id) + ': "')
+        for metric_id, i in sorted(index.items())
     ]
     texts = []
     for row in rows:
         raw = row.raw_scores
-        scores = ",".join([key + repr(raw[metric_id]) + '"' for metric_id, key in score_keys])
+        scores = ",".join([key + repr(raw[i]) + '"' for i, key in score_keys])
         reasons = ",".join([_REASON_JSON[code] for code in row.reasons])
         texts.append(
             f"""
@@ -246,7 +251,7 @@ def _cells(
         if row.withdrawn:
             name += look.dagger
         cells = [look.markers[row.category] + name, row.autorank_display]
-        cells += [repr(row.raw_scores[m.id]) for m in table.metrics]
+        cells += map(repr, row.raw_scores)
         cells.append(look.check if row.selected else "")
         if options.show_reasons:
             cells.append(escape(", ".join([code.value for code in row.reasons])))

@@ -19,9 +19,9 @@ The stages read the sort keys ``ranking.order_rows`` returns, in
 leaderboard order; a key's position is its index plus one.
 ``find_cutoff`` and ``select_for_human_eval`` decide on the keys, and
 ``apply_selection`` then builds each ``RankedRow`` once, with its final
-position, reason codes and display, and its raw scores read from the
-pair's columns.  Gaps are compared on the keys'
-exact integers, so a gap of exactly ``cutoff_gap`` never draws the line.
+position, reason codes and display, and the raw scores tuple its key
+ends in.  Gaps are compared on the keys' exact integers, so a gap of
+exactly ``cutoff_gap`` never draws the line.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from fractions import Fraction
 
 from .model import (
     LanguagePair,
-    MetricSpec,
     RankedRow,
     RankingConfig,
     ReasonCode,
@@ -128,9 +127,6 @@ def apply_selection(
     ordered: Sequence[RankKey],
     verdicts: Sequence[tuple[ReasonCode, ...]],
     registry: Mapping[str, SystemEntry],
-    names: Sequence[str],
-    columns: Sequence[Sequence[float]],
-    metrics: Sequence[MetricSpec],
     pair: LanguagePair,
 ) -> list[RankedRow]:
     """Build the finished rows, each once, with its position and reasons.
@@ -138,29 +134,22 @@ def apply_selection(
     ``verdicts`` is ``select_for_human_eval``'s result for the same
     keys, and ``registry`` is ``parse_registry``'s name -> entry
     mapping, read once per row for its category and claimed support.
-    ``names`` and ``columns`` are the pair's scores, per metric of
-    ``metrics`` in ``names`` order; each row's ``raw_scores`` is built
-    from them here.  This is the one place a ranked pair's
-    ``RankedRow``s are constructed.
+    Each row's ``raw_scores`` is the tuple its key ends in.  This is the
+    one place a ranked pair's ``RankedRow``s are constructed.
     """
 
-    # each row's metric id -> score, filled a column at a time
-    raw_scores: dict[str, dict[str, float]] = {name: {} for name in names}
-    for metric_id, column in zip([metric.id for metric in metrics], columns):
-        for row, score in zip(raw_scores.values(), column):
-            row[metric_id] = score
     return [
         RankedRow(
             name,
             entry.category,
-            raw_scores[name],
+            scores,
             autorank,
             display,
             position,
             entry.claims_support(pair),
             reasons,
         )
-        for position, ((_, _, name, autorank, display), reasons) in enumerate(
+        for position, ((_, _, name, autorank, display, scores), reasons) in enumerate(
             zip(ordered, verdicts), start=1
         )
         for entry in [registry[name]]

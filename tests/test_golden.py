@@ -28,7 +28,7 @@ def _row(name, exact, pos):
     return RankedRow(
         name=name,
         category=SystemCategory.OPEN,
-        raw_scores={m.id: 0.0 for m in DEFAULT_METRICS},
+        raw_scores=(0.0,) * len(DEFAULT_METRICS),
         autorank_exact=exact,
         autorank_display=display_str(exact),
         position=pos,

@@ -386,6 +386,21 @@ def test_check_completeness_rejects_a_name_listed_twice():
         check_completeness(names * 2, [c * 2 for c in columns], _registry(), DEFAULT_METRICS, CSUK)
 
 
+def test_check_completeness_rejects_a_metric_listed_twice():
+    # parse_scores gives both ids one column, which the tables would print twice
+    mx, ck = DEFAULT_METRICS
+    text = "pair\tsystem\tmetric\tscore\ncs-uk\tIKUN\tmetricx-23-xl\t1.0\n"
+    scores = parse_scores(text, _registry(), (mx, mx))
+    twice = r"^a metric id is listed twice: \['metricx-23-xl', 'metricx-23-xl'\]$"
+    with pytest.raises(ValueError, match=twice):
+        check_completeness(*scores[CSUK], _registry(), (mx, mx), CSUK)
+    with pytest.raises(ValueError, match=twice):
+        rank_pair(_registry(), scores, CSUK, (mx, mx))
+    # before any per-column check, and for a pair nobody scored
+    with pytest.raises(ValueError, match="^a metric id is listed twice: .*'cometkiwi-da-xl', "):
+        check_completeness((), (), _registry(), (mx, ck, mx), CSUK)
+
+
 def test_check_completeness_rejects_a_column_per_metric_missing():
     names, columns = matrix_of({"IKUN": {"metricx-23-xl": 1.0}}, DEFAULT_METRICS[:1])
     with pytest.raises(ValueError, match="^cs-uk has 1 score columns for 2 metrics$"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,12 @@ def test_metric_display_name_rejects_terminal_controls(char):
     )
 
 
+def test_metric_orientation_must_be_an_orientation():
+    # the text "lower" used to be taken, and its column ranked higher-is-better
+    with pytest.raises(TypeError, match="^orientation must be an Orientation, got 'lower'$"):
+        MetricSpec("metricx-23-xl", "lower", "MetricX")
+
+
 def test_system_entry_keeps_marks_and_joiners():
     for name in ("Cafe\u0301", "a\u200db", "翻訳システム", "x\u20dd"):
         assert SystemEntry(name=name, category=SystemCategory.OPEN).name == name
@@ -163,6 +170,17 @@ def test_config_rejects_inexact_fractions(value):
 def test_config_rejects_scale_span_that_is_not_a_scale_span(value):
     with pytest.raises(TypeError, match="scale_span must be a ScaleSpan"):
         RankingConfig(scale_span=value)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(3, 2), Decimal("1.5"), True, "1.5"], ids=["Fraction", "Decimal", "bool", "str"]
+)
+def test_config_rejects_cutoff_gap_that_is_not_an_int_or_float(value):
+    # find_cutoff reads the gap from its repr, as from_dict reads as_dict's text
+    with pytest.raises(TypeError, match="^cutoff_gap must be an int or float, got "):
+        RankingConfig(cutoff_gap=value)
+    config = RankingConfig(cutoff_gap=2)
+    assert RankingConfig.from_dict(config.as_dict()) == config
 
 
 def test_config_accepts_textual_fractions():
@@ -292,7 +310,7 @@ def test_ranked_row_verdict_is_read_from_reasons(reasons, selected, above_cutoff
     row = RankedRow(
         name="A",
         category=SystemCategory.OPEN,
-        raw_scores={},
+        raw_scores=(0.5, 0.7),
         autorank_exact=1.0,
         autorank_display="1.0",
         reasons=reasons,
@@ -303,3 +321,5 @@ def test_ranked_row_verdict_is_read_from_reasons(reasons, selected, above_cutoff
     # a copy re-reads the verdict from its reasons
     copy = row._replace(reasons=(ReasonCode.EXCLUDED_BELOW_CUTOFF,))
     assert (copy.selected, copy.above_cutoff, copy.name) == (False, False, "A")
+    # every field is immutable, raw scores included, so a row hashes
+    assert len({row, row._replace(), copy}) == 2

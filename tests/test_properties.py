@@ -541,7 +541,7 @@ def _tables(draw):
     """Ordered sort keys, their pair's unit and the registry entries they name.
 
     A key's aggregate is 1 + K / scale, so with span N the unit is
-    N * scale.
+    N * scale.  No key carries a raw score: selection never reads one.
     """
     n = draw(st.integers(min_value=1, max_value=25))
     scale = draw(st.sampled_from([1, 10, 1000, 10**6]))
@@ -557,7 +557,7 @@ def _tables(draw):
     for step, name in zip(steps, registry):
         k += step
         aggregate = Fraction(scale + k, scale)
-        ordered.append((k, k, name, float(aggregate), display_str(aggregate)))
+        ordered.append((k, k, name, float(aggregate), display_str(aggregate), ()))
     return ordered, n * scale, registry
 
 
@@ -575,7 +575,7 @@ def _selected_rows(table):
     config = RankingConfig()
     cutoff = find_cutoff(ordered, config, unit)
     verdicts = select_for_human_eval(ordered, cutoff, registry, PAIR, config)
-    return apply_selection(ordered, verdicts, registry, tuple(registry), (), (), PAIR)
+    return apply_selection(ordered, verdicts, registry, PAIR)
 
 
 @given(_tables())
@@ -669,7 +669,9 @@ def _report_payload(tables, include_closed):
                         "category": row.category.value,
                         "withdrawn": row.withdrawn,
                         "claimed_support": row.claimed_support,
-                        "scores": {m.id: repr(row.raw_scores[m.id]) for m in table.metrics},
+                        "scores": {
+                            m.id: repr(score) for m, score in zip(table.metrics, row.raw_scores)
+                        },
                         "autorank_exact": repr(row.autorank_exact),
                         "autorank_display": row.autorank_display,
                         "position": row.position,
@@ -962,7 +964,7 @@ def test_order_check_matches_pairwise_scan(tolerance, data):
         RankedRow(
             name=row["system"],
             category=SystemCategory.OPEN,
-            raw_scores={},
+            raw_scores=(),
             autorank_exact=float(row["autorank_exact"]),
             autorank_display=display_str(float(row["autorank_exact"])),
             position=positions[row["system"]],

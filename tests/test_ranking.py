@@ -152,7 +152,7 @@ def _keys(matrix, config=RankingConfig()):
 def test_compute_autorank_published_examples():
     # IOL-Research and GPT-4 from the Czech-Ukrainian fixture
     matrix = _csuk(**{"IOL-Research": (1.3, 0.681), "GPT-4": (1.4, 0.677)})
-    keys = {name: (exact, display) for _, _, name, exact, display in _keys(matrix)}
+    keys = {name: (exact, display) for _, _, name, exact, display, _ in _keys(matrix)}
 
     iol_expected = (
         oracle(1.3, 0.9, 19.5, 20, True) + oracle(0.681, 0.719, 0.146, 20, False)
@@ -178,8 +178,10 @@ def test_compute_autorank_key_carries_the_tie_breaks_and_columns():
     rows = _rows(matrix)
     normalized = _normalized(matrix)
     exact = _exact_aggregates(matrix, 20)
-    for name, (k, first, key_name, autorank, display) in keys.items():
+    for name, (k, first, key_name, autorank, display, scores) in keys.items():
         assert key_name == name
+        # the raw scores in metrics order, as the row carries them
+        assert scores == (matrix[name][MX.id], matrix[name][CK.id]) == rows[name].raw_scores
         assert autorank == rows[name].autorank_exact
         # the mean of the columns, as statistics.fmean computes it
         assert autorank == fmean(normalized[name].values())
@@ -206,8 +208,8 @@ def test_rank_pair_requires_registered_systems():
 
 def test_compute_autorank_single_system_is_one():
     matrix = {"Solo": {MX.id: 4.2, CK.id: 0.33}}
-    ((k, _, _, autorank, display),) = _keys(matrix)
-    assert (k, autorank, display) == (0, 1.0, "1.0")
+    ((k, _, _, autorank, display, scores),) = _keys(matrix)
+    assert (k, autorank, display, scores) == (0, 1.0, "1.0", (4.2, 0.33))
 
 
 def test_rank_pair_resolves_pair_scoped_flags():
@@ -358,7 +360,7 @@ def test_integer_key_is_exact_on_narrow_and_wide_columns(low, high):
     unit, _ = context = build_context(CSUK, names, columns, DEFAULT_METRICS)
     exact = _exact_aggregates(matrix, 8)
     keys = compute_autorank(names, columns, context, RankingConfig())
-    for k, _, name, autorank, display in keys:
+    for k, _, name, autorank, display, _ in keys:
         assert 1 + Fraction(8 * k, unit) == exact[name]
         assert display == display_str(exact[name])
         assert abs(Fraction(autorank) - exact[name]) < Fraction(1, 10**6)

@@ -37,7 +37,7 @@ def _tiny_table() -> LeaderboardTable:
         return RankedRow(
             name=name,
             category=category,
-            raw_scores={MX.id: 1.0, CK.id: 0.5},
+            raw_scores=(1.0, 0.5),
             autorank_exact=exact,
             autorank_display=display_str(exact),
             position=pos,
@@ -325,7 +325,7 @@ class TestJson:
         assert row["autorank_display"] == "1.0"
         # reals as strings, full precision retained
         assert isinstance(row["scores"][MX.id], str)
-        assert float(row["scores"][MX.id]) == tables["cs-uk"].rows[0].raw_scores[MX.id]
+        assert float(row["scores"][MX.id]) == tables["cs-uk"].rows[0].raw_scores[0]
 
     def test_round_trips_byte_identical(self, tables):
         out = render_table(tables["en-de"], _opts(TableFormat.JSON))
@@ -356,7 +356,7 @@ class TestJson:
         row = RankedRow(
             name="Solo",
             category=SystemCategory.OPEN,
-            raw_scores={},
+            raw_scores=(),
             autorank_exact=1.0,
             autorank_display="1.0",
             position=1,
@@ -418,6 +418,17 @@ class TestJson:
         next(chunks), next(chunks)
         assert taken == ["en-de"]
         assert "".join(chunks).endswith("\n  ]\n}\n") and taken == ["en-de", "cs-uk"]
+
+
+@pytest.mark.parametrize("fmt", list(TableFormat))
+@pytest.mark.parametrize("scores", [(1.0,), (1.0, 0.5, 0.25)], ids=["short", "long"])
+def test_a_row_without_one_score_per_metric_is_not_rendered(fmt, scores):
+    # a hand-built row's scores are positional: no format may shift them
+    # into the wrong column or drop one
+    table = _tiny_table()
+    table = table._replace(rows=(table.rows[0]._replace(raw_scores=scores),))
+    with pytest.raises(ValueError, match="^xx-yy has a row without one score per metric$"):
+        render_table(table, _opts(fmt))
 
 
 class TestSharedRowAgreement:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
     RankedRow,
     RankingConfig,
@@ -22,9 +21,8 @@ from autorank.selection import (
     select_for_human_eval,
 )
 
-from _tsv import matrix_of, registry_of
+from _tsv import registry_of
 
-MX, CK = DEFAULT_METRICS
 PAIR = LanguagePair.from_code("xx-yy")
 
 
@@ -53,13 +51,14 @@ def _keys(systems) -> list[tuple]:
     """The ordered sort keys ``order_rows`` would return for ``systems``.
 
     A key's K is (aggregate - 1) * ``_scale(systems)``, so with span N
-    the pair's unit is N * ``_scale(systems)``.
+    the pair's unit is N * ``_scale(systems)``.  The raw scores, one per
+    metric, are the row's index and 0.5, so each row's differ.
     """
     scale = _scale(systems)
     keys = []
-    for entry, v in systems:
+    for i, (entry, v) in enumerate(systems):
         k = int((Fraction(repr(v)) - 1) * scale)
-        keys.append((k, k, entry.name, v, display_str(v)))
+        keys.append((k, k, entry.name, v, display_str(v), (float(i), 0.5)))
     return keys
 
 
@@ -146,8 +145,7 @@ def _outcome(systems, config=None) -> dict[str, RankedRow]:
     ordered = _keys(systems)
     registry = registry_of(entry for entry, _ in systems)
     verdicts = select_for_human_eval(ordered, _cutoff(systems, config), registry, PAIR, config)
-    names, columns = matrix_of({name: {MX.id: 0.0, CK.id: 0.0} for name in registry})
-    built = apply_selection(ordered, verdicts, registry, names, columns, DEFAULT_METRICS, PAIR)
+    built = apply_selection(ordered, verdicts, registry, PAIR)
     return {row.name: row for row in built}
 
 
@@ -234,10 +232,7 @@ class TestSelection:
         ordered = _keys(rows)
         registry = registry_of(entry for entry, _ in rows)
         verdicts = select_for_human_eval(ordered, 3, registry, PAIR, RankingConfig())
-        names, columns = matrix_of(
-            {name: {CK.id: 0.5, MX.id: float(i)} for i, name in enumerate(registry)}
-        )
-        built = apply_selection(ordered, verdicts, registry, names, columns, DEFAULT_METRICS, PAIR)
+        built = apply_selection(ordered, verdicts, registry, PAIR)
         assert [r.position for r in built] == [1, 2, 3]
         assert [r.above_cutoff for r in built] == [True, True, False]
         assert [r.selected for r in built] == [True, True, False]
@@ -252,7 +247,6 @@ class TestSelection:
         assert [(r.name, r.category, r.claimed_support) for r in built] == [
             (f"S0{i}", SystemCategory.OPEN, True) for i in (1, 2, 3)
         ]
-        # each row's raw scores are read from its own slot, in metrics order
-        assert [list(r.raw_scores.items()) for r in built] == [
-            [(MX.id, float(i)), (CK.id, 0.5)] for i in range(3)
-        ]
+        # each row's raw scores are the tuple its key ends in
+        assert [r.raw_scores for r in built] == [(float(i), 0.5) for i in range(3)]
+        assert all(r.raw_scores is key[5] for r, key in zip(built, ordered))

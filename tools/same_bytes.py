@@ -19,12 +19,15 @@ then runs one matrix of commands with each side's ``src`` on
   line endings, a byte-order mark, a duplicate whose two lines fall on
   either side of the parser's 64 K block boundary, and one valid file
   with pairs interleaved and CometKiwi lines before MetricX lines.  Each
-  side must report the same first fault.
+  side must report the same first fault;
+* every ``demos/*.py`` script of this checkout, the library-level view
+  of the same engine.
 
 The campaigns come from ``perfbench/gen.py`` and the goldens from
 ``perfbench/oracle.py``.  Each command's exit status, stdout, stderr and
-``--out`` tree are compared.  Every command that differs is printed, and
-the exit status is 1 if any differs, else 0.  Standard library only.
+``--out`` tree are compared; a demo writes no ``--out`` tree.  Every
+command that differs is printed, and the exit status is 1 if any
+differs, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -185,14 +188,22 @@ def fault_commands(corpus: list[tuple[str, Path, Path]]) -> list[tuple[str, list
     ]
 
 
+def demo_commands() -> list[tuple[str, list[str]]]:
+    """(label, interpreter argv) of each demo script."""
+
+    return [(f"demo {path.name}", [str(path)]) for path in sorted((ROOT / "demos").glob("*.py"))]
+
+
 def run(src: Path, argv: list[str], cwd: Path) -> tuple:
-    """Exit status, stdout, stderr and the ``out`` tree of one command."""
+    """Exit status, stdout, stderr and the ``out`` tree of one command.
+
+    ``argv`` is the interpreter's arguments: ``-m autorank.cli ...`` or
+    a demo script's path.
+    """
 
     cwd.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(
-        [sys.executable, "-m", "autorank.cli", *argv], cwd=cwd, env=env, capture_output=True
-    )
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
     tree = {
         str(path.relative_to(cwd)): path.read_bytes()
         for path in sorted((cwd / "out").rglob("*"))
@@ -208,8 +219,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         sides = {"base": export_src(argv[0], work / "base"), "head": ROOT / "src"}
-        matrix = commands(make_inputs(work / "inputs"))
-        matrix += fault_commands(fault_corpus(work / "faults"))
+        cli = commands(make_inputs(work / "inputs"))
+        cli += fault_commands(fault_corpus(work / "faults"))
+        matrix = [(label, ["-m", "autorank.cli", *args]) for label, args in cli]
+        matrix += demo_commands()
         differing = 0
         for i, (label, command) in enumerate(matrix):
             base, head = (run(src, command, work / side / str(i)) for side, src in sides.items())
