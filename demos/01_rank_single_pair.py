@@ -8,7 +8,6 @@ from pathlib import Path
 
 # the package ships the WMT24 fixture corpus next to the sources
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
     RenderOptions,
     TableFormat,
@@ -26,7 +25,7 @@ data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 with open(data / "systems.tsv", encoding="utf-8", newline="") as handle:
     registry = parse_registry(handle)
 with open(data / "scores.tsv", encoding="utf-8", newline="") as handle:
-    scores = parse_scores(handle, registry, DEFAULT_METRICS)
+    scores = parse_scores(handle, registry)
 
 # rank Czech-to-Ukrainian: normalize both metrics onto a shared 1..1+N
 # scale, average them, sort, draw the quality line, mark selections

@@ -8,7 +8,6 @@ import json
 from pathlib import Path
 
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
     RenderOptions,
     TableFormat,
@@ -22,7 +21,7 @@ data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 with open(data / "systems.tsv", encoding="utf-8", newline="") as handle:
     registry = parse_registry(handle)
 with open(data / "scores.tsv", encoding="utf-8", newline="") as handle:
-    scores = parse_scores(handle, registry, DEFAULT_METRICS)
+    scores = parse_scores(handle, registry)
 table = rank_pair(registry, scores, LanguagePair.from_code("en-is"))
 
 # markdown for READMEs and issue trackers

@@ -6,14 +6,14 @@ How systems qualify for human evaluation
 
 from pathlib import Path
 
-from autorank import DEFAULT_METRICS, LanguagePair, parse_registry, parse_scores, rank_pair
+from autorank import LanguagePair, parse_registry, parse_scores, rank_pair
 from autorank.selection import category_limits
 
 data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 with open(data / "systems.tsv", encoding="utf-8", newline="") as handle:
     registry = parse_registry(handle)
 with open(data / "scores.tsv", encoding="utf-8", newline="") as handle:
-    scores = parse_scores(handle, registry, DEFAULT_METRICS)
+    scores = parse_scores(handle, registry)
 
 # English-to-Hindi has the tightest quality line in the corpus: the
 # first aggregate jump over 1.5 is 1.62, between positions 15 and 16

@@ -8,7 +8,6 @@ from decimal import Decimal
 from pathlib import Path
 
 from autorank import (
-    DEFAULT_METRICS,
     compare_pair,
     parse_golden,
     parse_registry,
@@ -20,7 +19,7 @@ data = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 with open(data / "systems.tsv", encoding="utf-8", newline="") as handle:
     registry = parse_registry(handle)
 with open(data / "scores.tsv", encoding="utf-8", newline="") as handle:
-    scores = parse_scores(handle, registry, DEFAULT_METRICS)
+    scores = parse_scores(handle, registry)
 
 # the goldens were transcribed from the published tables, so their
 # aggregates carry display precision only; comparison allows 0.05 slack
@@ -38,7 +37,7 @@ allow = {("cs-uk", "Llama3-70B")}
 for path in sorted((data / "golden").glob("*.json")):
     config, entries = parse_golden(path.read_bytes().decode("utf-8"))
     for entry in entries:
-        table = rank_pair(registry, scores, entry["pair"], DEFAULT_METRICS, config)
+        table = rank_pair(registry, scores, entry["pair"], config=config)
         comparison = compare_pair(table, entry, tolerance, allow)
         state = "ok" if comparison.ok else "MISMATCH"
         print(f"{entry['pair']}: {state} ({table.n_systems} systems)")

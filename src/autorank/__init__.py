@@ -13,11 +13,8 @@ from .ingest import (
     parse_scores,
 )
 from .model import (
-    DEFAULT_METRICS,
     LanguagePair,
     LeaderboardTable,
-    MetricSpec,
-    Orientation,
     RankedRow,
     RankingConfig,
     ReasonCode,
@@ -31,11 +28,8 @@ from .render import RenderOptions, TableFormat, render_report, render_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_METRICS",
     "LanguagePair",
     "LeaderboardTable",
-    "MetricSpec",
-    "Orientation",
     "ParseError",
     "RankedRow",
     "RankingConfig",

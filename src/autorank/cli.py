@@ -41,7 +41,7 @@ from .ingest import (
     parse_registry,
     parse_scores,
 )
-from .model import DEFAULT_METRICS, LanguagePair, LeaderboardTable, RankingConfig, ScaleSpan, _real
+from .model import LanguagePair, LeaderboardTable, RankingConfig, ScaleSpan, _real
 from .pipeline import pairs_in, rank_pair
 from .render import (
     RenderOptions,
@@ -178,7 +178,7 @@ def _parse(parse, path: str, *args):
 
 def _parse_inputs(args: argparse.Namespace):
     registry = _parse(parse_registry, args.systems)
-    return registry, _parse(parse_scores, args.scores, registry, DEFAULT_METRICS)
+    return registry, _parse(parse_scores, args.scores, registry)
 
 
 def _config_from(args: argparse.Namespace) -> RankingConfig:
@@ -273,7 +273,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
         if pair not in scores:
             raise _ValidationError(f"{args.scores}: no scores for pair {pair.code}")
         try:
-            check_completeness(*scores[pair], registry, DEFAULT_METRICS, pair)
+            check_completeness(*scores[pair], registry, pair)
         except ValueError as exc:
             raise _ValidationError(str(exc)) from None
 
@@ -285,7 +285,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
     )
 
     def ranked(pair: LanguagePair) -> LeaderboardTable:
-        return rank_pair(registry, scores, pair, DEFAULT_METRICS, config)
+        return rank_pair(registry, scores, pair, config=config)
 
     # then each pair is ranked, rendered and written before the next one
     # is ranked, and nothing keeps its table: at most one is alive
@@ -338,7 +338,7 @@ def _verify_golden(
             _write(f"{pair.code}: MISMATCH\n  {pair.code}: no scores for this pair\n")
             continue
         try:
-            table = rank_pair(registry, scores, pair, DEFAULT_METRICS, config)
+            table = rank_pair(registry, scores, pair, config=config)
         except ValueError as exc:
             raise _ValidationError(str(exc)) from None
         result = compare_pair(table, entry, tolerance, allow)

@@ -27,6 +27,7 @@ becomes effectively exact.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
@@ -75,6 +76,16 @@ def parse_allow_list(text: str) -> set[tuple[str, str]]:
     return entries
 
 
+class _Written(float):
+    """A finite JSON number that keeps the text it was written as, so that
+    ``1.70`` is read at its precision; ``1e999`` reads as a plain inf."""
+
+    def __new__(cls, text: str) -> float:
+        number = float.__new__(cls, text)
+        number.text = text
+        return number if math.isfinite(number) else float(number)
+
+
 def parse_golden(text: str) -> tuple[RankingConfig, list[dict]]:
     """Parse a golden JSON report into its config (absent or null: the
     default) and each ``pairs`` entry as ``validate_golden_pair`` returns
@@ -85,7 +96,7 @@ def parse_golden(text: str) -> tuple[RankingConfig, list[dict]]:
     import json  # only verify reads JSON
 
     try:
-        report = json.loads(text)
+        report = json.loads(text, parse_float=_Written)
     except (ValueError, RecursionError) as exc:
         # a JSONDecodeError, an integer too long to convert, or nesting too deep
         raise ValueError(str(exc)) from None
@@ -169,7 +180,7 @@ def _golden_row(row: object, place: int) -> GoldenRow:
         raise ValueError(f"golden row position is not {place}, its place in the list: {position}")
     if not isinstance(selected, bool):
         raise ValueError(f"golden row selected is not a boolean: {selected!r}")
-    text = str(text)
+    text = str(getattr(text, "text", text))  # a finite number as written
     try:
         # a score's ASCII syntax, which has no inf or nan: Decimal alone
         # also reads "١.٠", "1_0" and blanks

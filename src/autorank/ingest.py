@@ -12,8 +12,10 @@ keys, unregistered names and malformed values are all rejected with the
 1-based line number.
 
 ``parse_scores`` holds each pair's scores as columns: a tuple of the
-pair's systems and one ``array('d')`` per metric, NaN where a system has
-no score for the metric.  ``check_completeness`` takes them as they are.
+pair's systems and one ``array('d')`` per metric of ``model.METRICS``,
+NaN where a system has no score for the metric.  The ``metric`` column
+of a scores file holds one of those two ids.  ``check_completeness``
+takes the columns as they are.
 
 Each parser takes the text as a ``str`` or as an open text file (opened
 with ``encoding="utf-8", newline=""`` to read what is stored).  A file
@@ -32,7 +34,7 @@ from functools import partial
 from io import TextIOBase
 from itertools import chain, compress, repeat
 
-from .model import _NUMBER, LanguagePair, MetricSpec, SystemCategory, SystemEntry
+from .model import _NUMBER, METRICS, LanguagePair, SystemCategory, SystemEntry
 
 REGISTRY_HEADER = "system\tcategory\twithdrawn\tunsupported_pairs"
 SCORES_HEADER = "pair\tsystem\tmetric\tscore"
@@ -151,15 +153,13 @@ def parse_registry(text: str | TextIOBase) -> dict[str, SystemEntry]:
 
 
 def parse_scores(
-    text: str | TextIOBase,
-    registry: Mapping[str, SystemEntry],
-    metrics: Sequence[MetricSpec],
+    text: str | TextIOBase, registry: Mapping[str, SystemEntry]
 ) -> dict[LanguagePair, tuple[tuple[str, ...], tuple[array, ...]]]:
     """Parse a scores file into pair -> (names, columns).
 
     ``names`` holds the pair's participants in the order they first
     appear, and ``columns`` one ``array('d')`` per metric, in
-    ``metrics`` order, whose slot i is ``names[i]``'s score.  A hole, a
+    ``METRICS`` order, whose slot i is ``names[i]``'s score.  A hole, a
     participant with no score for a metric, is a NaN slot: scores are
     finite, so NaN is never a score.  Pairs keep the order they first
     appear in.
@@ -178,7 +178,7 @@ def parse_scores(
     for line, (pair_token, system_token, metric_token, score_token) in _rows(text, SCORES_HEADER):
         entry = parsed.get(pair_token)
         if entry is None:
-            columns = {metric.id: array("d") for metric in metrics}
+            columns = {metric.id: array("d") for metric in METRICS}
             entry = parsed[pair_token] = _parse_pair(pair_token, line), {}, columns
         _, slots, columns = entry
         slot = slots.get(system_token)
@@ -218,7 +218,7 @@ def parse_scores(
         for column in columns.values():
             column.fromlist([math.nan] * (len(slots) - len(column)))
     return {
-        pair: (tuple(slots), tuple(columns[metric.id] for metric in metrics))
+        pair: (tuple(slots), tuple(columns.values()))
         for pair, slots, columns in parsed.values()
     }
 
@@ -249,13 +249,12 @@ def check_completeness(
     names: Sequence[str],
     columns: Sequence[Sequence[float]],
     registry: Mapping[str, SystemEntry],
-    metrics: Sequence[MetricSpec],
     pair: LanguagePair,
 ) -> None:
     """Check that ``pair``'s scores are rankable.
 
     ``names`` and ``columns`` are the pair's entry as ``parse_scores``
-    returns it: the participants, and per metric of ``metrics`` a
+    returns it: the participants, and per metric of ``METRICS`` a
     column whose slot i is ``names[i]``'s score, NaN for a hole.  A
     system that is not named did not take part, so a pair with no
     names passes.  ``registry`` is ``parse_registry``'s name -> entry
@@ -263,19 +262,17 @@ def check_completeness(
     or any later stage.
 
     Raises:
-        ValueError: a metric listed twice, a column count other than
-            ``len(metrics)``, a column length other than ``len(names)``,
-            a name listed twice, a named system missing from
-            ``registry``, an infinite score, a hole, or a metric whose
-            best and worst scores lie further apart than a float can
-            hold.  The first of these found, in that order, is raised.
+        ValueError: a column count other than ``len(METRICS)``, a
+            column length other than ``len(names)``, a name listed
+            twice, a named system missing from ``registry``, an
+            infinite score, a hole, or a metric whose best and worst
+            scores lie further apart than a float can hold.  The first
+            of these found, in that order, is raised.
     """
 
-    if len({metric.id for metric in metrics}) != len(metrics):
-        raise ValueError(f"a metric id is listed twice: {[metric.id for metric in metrics]}")
-    if len(columns) != len(metrics):
-        raise ValueError(f"{pair} has {len(columns)} score columns for {len(metrics)} metrics")
-    for metric, column in zip(metrics, columns):
+    if len(columns) != len(METRICS):
+        raise ValueError(f"{pair} has {len(columns)} score columns for {len(METRICS)} metrics")
+    for metric, column in zip(METRICS, columns):
         if len(column) != len(names):
             raise ValueError(
                 f"{pair} {metric.id} column has {len(column)} scores for {len(names)} systems"
@@ -286,22 +283,22 @@ def check_completeness(
     for system in names:
         if system not in registry:
             raise ValueError(f"system {system!r} has scores but no registry entry")
-    for metric, column in zip(metrics, columns):
+    for metric, column in zip(METRICS, columns):
         # the first infinite score, if there is one, raises
         for system, score in compress(zip(names, column), map(math.isinf, column)):
             raise ValueError(f"{pair} score for {system}/{metric.id} is not finite: {score!r}")
-    # (system, metric index) of each hole, by system and then in metrics order
+    # (system, metric index) of each hole, by system and then in METRICS order
     holes = sorted(
         (system, index)
         for index, column in enumerate(columns)
         for system in compress(names, map(math.isnan, column))
     )
     if holes:
-        listed = ", ".join(f"{system}/{metrics[index].id}" for system, index in holes)
+        listed = ", ".join(f"{system}/{METRICS[index].id}" for system, index in holes)
         raise ValueError(f"{pair} is not rankable, missing scores: {listed}")
     if not names:
         return
-    for metric, column in zip(metrics, columns):
+    for metric, column in zip(METRICS, columns):
         low, high = min(column), max(column)
         # best - worst would be inf, and inf / inf a NaN aggregate
         if not math.isfinite(high - low):

@@ -1,9 +1,10 @@
 """Core domain types for the leaderboard engine.
 
 Everything downstream (parsing, ranking, selection, rendering) works in
-terms of these types.  They are deliberately dumb containers with
-validation at construction time; the arithmetic lives in
-:mod:`autorank.ranking` and :mod:`autorank.selection`.
+terms of these types and of ``METRICS``, the paper's two metric columns,
+which every stage reads as a constant.  They are deliberately dumb
+containers with validation at construction time; the arithmetic lives
+in :mod:`autorank.ranking` and :mod:`autorank.selection`.
 
 Each record is a named tuple: its fields are read-only, setting any
 attribute raises ``AttributeError``, and equality, hashing and ordering
@@ -95,32 +96,13 @@ class Orientation(Enum):
     HIGHER_BETTER = "higher"
 
 
-class MetricSpec(namedtuple("MetricSpec", "id orientation display_name")):
-    """Identity and orientation of one automatic metric column.
+# one automatic metric column: its id in the scores file, its Orientation
+# and the name heading its column
+MetricSpec = namedtuple("MetricSpec", "id orientation display_name")
 
-    The display name heads the column, so it obeys the rule for system
-    names: no control, line or paragraph separator, or bidi character.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, id: str, orientation: Orientation, display_name: str) -> "MetricSpec":
-        if not id:
-            raise ValueError("metric id must be non-empty")
-        if not isinstance(orientation, Orientation):
-            raise TypeError(f"orientation must be an Orientation, got {orientation!r}")
-        hostile = _HOSTILE_NAME_CHARS.search(display_name)
-        if hostile:
-            raise ValueError(
-                f"metric display name may not contain control or bidi character "
-                f"U+{ord(hostile.group()):04X}: {display_name!r}"
-            )
-        return tuple.__new__(cls, (id, orientation, display_name))
-
-
-# The two quality-estimation columns every shipped table uses, in column
-# order.  Order matters: the first metric breaks aggregate ties.
-DEFAULT_METRICS: tuple[MetricSpec, ...] = (
+# The paper's two quality-estimation columns, in table order.  Order
+# matters: the first metric breaks aggregate ties.
+METRICS = (
     MetricSpec("metricx-23-xl", Orientation.LOWER_BETTER, "MetricX"),
     MetricSpec("cometkiwi-da-xl", Orientation.HIGHER_BETTER, "CometKiwi"),
 )
@@ -234,7 +216,8 @@ class RankingConfig(
     rank trails the previous one by more than 1.5 fall below the cutoff,
     closed systems may occupy at most the top third of positions and
     open systems at most the top two thirds.  The gap is an ``int`` or
-    ``float``, the fractions exact: a ``Fraction`` or an ``int``.
+    ``float``, the fractions exact: a ``Fraction`` or an ``int``.  Each
+    holds only what ``as_dict`` writes, so ``from_dict`` reads it back.
     """
 
     __slots__ = ()
@@ -249,12 +232,15 @@ class RankingConfig(
         for name, value in (("closed_fraction", closed_fraction), ("open_fraction", open_fraction)):
             if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a Fraction or int, got {value!r}")
+            str(value)  # as in _fraction: a term as_dict cannot write raises ValueError
         if not isinstance(scale_span, ScaleSpan):
             raise TypeError(f"scale_span must be a ScaleSpan, got {scale_span!r}")
         if not isinstance(cutoff_gap, (int, float)) or isinstance(cutoff_gap, bool):
             raise TypeError(f"cutoff_gap must be an int or float, got {cutoff_gap!r}")
-        if not (math.isfinite(cutoff_gap) and cutoff_gap > 0):
+        if not 0 < cutoff_gap < math.inf:  # an int compares exactly, however large
             raise ValueError(f"cutoff_gap must be a positive real, got {cutoff_gap!r}")
+        if float(repr(cutoff_gap)) != cutoff_gap:  # as from_dict reads what as_dict writes
+            raise ValueError(f"cutoff_gap must be an int a float holds exactly, got {cutoff_gap}")
         if not 0 < closed_fraction <= open_fraction <= 1:
             raise ValueError(
                 "fractions must satisfy 0 < closed_fraction <= open_fraction <= 1, "
@@ -354,7 +340,7 @@ class RankedRow(
 ):
     """One system's line in a finished leaderboard: what the tables print.
 
-    ``raw_scores`` is the input scores in ``table.metrics`` order,
+    ``raw_scores`` is the input scores in ``METRICS`` order,
     ``autorank_exact`` the float aggregate and ``autorank_display`` its
     shown rounding.  ``claimed_support`` is the entry's flag resolved
     against the table's language pair.  ``reasons`` is the row's
@@ -381,7 +367,7 @@ class RankedRow(
 
 
 class LeaderboardTable(
-    namedtuple("LeaderboardTable", "pair metrics rows config", defaults=[RankingConfig()])
+    namedtuple("LeaderboardTable", "pair rows config", defaults=[RankingConfig()])
 ):
     """A fully ranked language pair: ordered rows, which carry the decisions."""
 

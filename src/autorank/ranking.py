@@ -14,7 +14,8 @@ the same maps everyone to 1.  The aggregate ("autorank") is the mean
 of the normalized values.
 
 The stages read a pair's scores as ``parse_scores`` holds them: the
-names, and per metric a column of raw scores in names order.
+names, and per metric of ``model.METRICS``, the paper's two, a column
+of raw scores in names order.
 
 Every decision is made on integers.  A score is the decimal of its
 ``repr``; ``build_context`` scales each column by one power of ten, so
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .model import LanguagePair, MetricSpec, Orientation, RankingConfig, ScaleSpan, _tenths
+from .model import METRICS, LanguagePair, Orientation, RankingConfig, ScaleSpan, _tenths
 
 # 10.0**k is exact for k <= 22; adding and subtracting 1.5 * 2**52
 # rounds a float under 2**51 in magnitude to an integer
@@ -82,45 +83,38 @@ Context = tuple[int, list[tuple[float, float, list[int]]]]
 
 
 def build_context(
-    pair: LanguagePair,
-    names: Sequence[str],
-    columns: Sequence[Sequence[float]],
-    metrics: Iterable[MetricSpec],
+    pair: LanguagePair, names: Sequence[str], columns: Sequence[Sequence[float]]
 ) -> Context:
     """Scale a pair's complete scores to exact integer disadvantages.
 
     Args:
         pair: the direction being ranked.
         names: the participants, as ``parse_scores`` gives them.
-        columns: per metric, each participant's raw score in ``names``
-            order; scores ``ingest.check_completeness`` passed: every
-            score finite, no hole, and each metric's range finite.
-        metrics: the metric columns, with orientations.
+        columns: per metric of ``METRICS``, each participant's raw
+            score in ``names`` order; scores ``ingest.check_completeness``
+            passed: every score finite, no hole, and each metric's range
+            finite.
 
     Returns:
         The pair's ``Context`` for ``compute_autorank``; its unit is
         what ``find_cutoff`` measures gaps against.
 
     Raises:
-        ValueError: no participant or no metric.
+        ValueError: no participant.
     """
 
     if not names:
         raise ValueError(f"no participants for {pair}")
     scaled = []
-    for metric, scores in zip(metrics, columns):
+    for metric, scores in zip(METRICS, columns):
         column = list(scores)  # _decimal_column compares it with a list
         low, high = min(column), max(column)
         exact = _decimal_column(column, low, high)
         exact_low, exact_high = min(exact), max(exact)
-        if metric.orientation is Orientation.LOWER_BETTER:
-            best, exact_best = low, exact_low
-        else:
-            best, exact_best = high, exact_high
+        lower = metric.orientation is Orientation.LOWER_BETTER
+        best, exact_best = (low, exact_low) if lower else (high, exact_high)
         worst = exact_high - exact_low or 1
         scaled.append((best, high - low, exact, exact_best, worst))
-    if not scaled:
-        raise ValueError("ranking needs at least one metric")
     product = math.prod(worst for *_, worst in scaled)
     return len(scaled) * product, [
         (best, spread, [abs(i - exact_best) * factor for i in exact])
@@ -130,7 +124,7 @@ def build_context(
 
 
 # (K, first metric's weighted disadvantage, system name, autorank_exact,
-# displayed aggregate, raw scores in metrics order); names are unique within
+# displayed aggregate, raw scores in METRICS order); names are unique within
 # a pair, so the first three decide the order and the rest is never compared
 RankKey = tuple[int, int, str, float, str, tuple[float, ...]]
 

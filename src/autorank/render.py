@@ -20,10 +20,10 @@ key order, rows sorted by position, pairs sorted by code, and every
 real number carried as a decimal string.  Its bytes equal
 ``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)``
 plus a final newline.  The standard library's indenting encoder runs in
-pure Python, so each row is written from a fixed per-table template
-instead: keys in sorted order, metric ids encoded once per table,
-strings through the C encoder ``encode_basestring``.  Only the JSON
-report imports ``json``; the other formats never load it.
+pure Python, so each row is written from a fixed template instead:
+keys in sorted order, the score keys of ``model.METRICS`` written once
+at import, strings through the C encoder ``encode_basestring``.  Only
+the JSON report imports ``json``; the other formats never load it.
 
 The report has one writer, ``report_chunks``: the head with the
 config, then one chunk per pair, then the tail.  It takes each table
@@ -48,6 +48,7 @@ from enum import Enum
 from unicodedata import category, east_asian_width
 
 from .model import (
+    METRICS,
     LeaderboardTable,
     Orientation,
     RankedRow,
@@ -84,7 +85,7 @@ def file_extension(fmt: TableFormat) -> str:
 
 def visible_rows(table: LeaderboardTable, include_closed: bool) -> list[RankedRow]:
     """The rows every format prints; each must hold one score per metric."""
-    if {len(row.raw_scores) for row in table.rows} - {len(table.metrics)}:
+    if {len(row.raw_scores) for row in table.rows} - {len(METRICS)}:
         raise ValueError(f"{table.pair} has a row without one score per metric")
     if include_closed:
         return list(table.rows)
@@ -100,8 +101,8 @@ def render_table(table: LeaderboardTable, options: RenderOptions) -> str:
     if options.format is TableFormat.TEXT:
         return _render_text(table, rows, options)
     if options.format is TableFormat.MARKDOWN:
-        return _render_markdown(table, rows, options)
-    return _render_latex(table, rows, options)
+        return _render_markdown(rows, options)
+    return _render_latex(rows, options)
 
 
 def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = True) -> str:
@@ -153,6 +154,9 @@ _CATEGORY_JSON = {member: f'"{member.value}"' for member in SystemCategory}
 _REASON_JSON = {code: "\n" + " " * 12 + f'"{code.value}"' for code in ReasonCode}
 _CLOSE_LIST = "\n" + " " * 10 + "]"
 _CLOSE_OBJECT = "\n" + " " * 10 + "}"
+# each key of a row's "scores" up to its value's quote, and the index of
+# the value in raw_scores; the ids need no JSON escape and sort the texts
+_SCORE_KEYS = sorted((f'\n{" " * 12}"{m.id}": "', i) for i, m in enumerate(METRICS))
 
 
 def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
@@ -168,16 +172,10 @@ def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
     )
     if not rows:
         return head + "[]\n    }"
-    # id -> index in raw_scores; an id listed twice keeps its last column
-    index = {metric.id: i for i, metric in enumerate(table.metrics)}
-    score_keys = [
-        (i, "\n" + " " * 12 + encode_basestring(metric_id) + ': "')
-        for metric_id, i in sorted(index.items())
-    ]
     texts = []
     for row in rows:
         raw = row.raw_scores
-        scores = ",".join([key + repr(raw[i]) + '"' for i, key in score_keys])
+        scores = ",".join([key + repr(raw[i]) + '"' for key, i in _SCORE_KEYS])
         reasons = ",".join([_REASON_JSON[code] for code in row.reasons])
         texts.append(
             f"""
@@ -189,7 +187,7 @@ def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
           "claimed_support": {"true" if row.claimed_support else "false"},
           "position": {row.position},
           "reasons": {"[" + reasons + _CLOSE_LIST if reasons else "[]"},
-          "scores": {"{" + scores + _CLOSE_OBJECT if scores else "{}"},
+          "scores": {"{" + scores + _CLOSE_OBJECT},
           "selected": {"true" if row.selected else "false"},
           "system": {encode_basestring(row.name)},
           "withdrawn": {"true" if row.withdrawn else "false"}
@@ -235,13 +233,13 @@ _LATEX = _Look(
 
 
 def _cells(
-    table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions, look: _Look
+    rows: list[RankedRow], options: RenderOptions, look: _Look
 ) -> tuple[list[str], list[list[str]]]:
     """The header cells and each row's cells, in column order."""
 
     escape, arrows = look.escape, look.arrows
     header = ["System Name", "AutoRank " + arrows[Orientation.LOWER_BETTER]]
-    header += [f"{escape(m.display_name)} {arrows[m.orientation]}" for m in table.metrics]
+    header += [f"{escape(m.display_name)} {arrows[m.orientation]}" for m in METRICS]
     header += [look.human, "Reasons"][: 1 + options.show_reasons]
     body = []
     for row in rows:
@@ -301,7 +299,7 @@ _COLUMNS = _Columns()
 
 
 def _render_text(table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions) -> str:
-    header, body = _cells(table, rows, options, _PLAIN)
+    header, body = _cells(rows, options, _PLAIN)
     sizes = [[_COLUMNS(cell) for cell in cells] for cells in [header, *body]]
     widths = list(map(max, zip(*sizes)))
 
@@ -331,9 +329,9 @@ def _markdown_line(cells: list[str]) -> str:
     return "| " + " | ".join([cell.replace("|", "\\|") or " " for cell in cells]) + " |"
 
 
-def _render_markdown(table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions) -> str:
-    header, body = _cells(table, rows, options, _PLAIN)
-    aligns = [":---", "---:", *["---:"] * len(table.metrics), ":---:", ":---"][: len(header)]
+def _render_markdown(rows: list[RankedRow], options: RenderOptions) -> str:
+    header, body = _cells(rows, options, _PLAIN)
+    aligns = [":---", "---:", *["---:"] * len(METRICS), ":---:", ":---"][: len(header)]
     lines = [_markdown_line(cells) for cells in body]
     out = [_markdown_line(header), _markdown_line(aligns)]
     out += _with_cutoff(lines, rows, _markdown_line(["╌╌╌"] * len(header)))
@@ -346,10 +344,10 @@ def _render_markdown(table: LeaderboardTable, rows: list[RankedRow], options: Re
 _TRACKS = {SystemCategory.CLOSED: "\\closedtrack{{{}}}", SystemCategory.OPEN: "\\opentrack{{{}}}"}
 
 
-def _render_latex(table: LeaderboardTable, rows: list[RankedRow], options: RenderOptions) -> str:
-    header, body = _cells(table, rows, options, _LATEX)
+def _render_latex(rows: list[RankedRow], options: RenderOptions) -> str:
+    header, body = _cells(rows, options, _LATEX)
     # name, autorank, metrics, checkmark and reasons
-    spec = ["R{40mm}", *["C{22mm}"] * (2 + len(table.metrics)), "C{40mm}"][: len(header)]
+    spec = ["R{40mm}", *["C{22mm}"] * (2 + len(METRICS)), "C{40mm}"][: len(header)]
     wraps = [_TRACKS.get(row.category, "{}") for row in rows]
     lines = [wrap.format(" & ".join(cells)) + " \\\\" for wrap, cells in zip(wraps, body)]
     out = [f"\\begin{{tabular}}{{{''.join(spec)}}}", " & ".join(header) + " \\\\", "\\toprule"]

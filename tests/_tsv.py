@@ -14,8 +14,9 @@ import sys
 from array import array
 from typing import Iterable, Mapping, Sequence
 
-from autorank import DEFAULT_METRICS, LanguagePair, MetricSpec, SystemEntry
+from autorank import LanguagePair, SystemEntry
 from autorank.ingest import MANIFEST_HEADER, REGISTRY_HEADER, SCORES_HEADER
+from autorank.model import METRICS
 
 
 def _withdrawn_token(entry: SystemEntry) -> str:
@@ -37,15 +38,15 @@ def registry_of(entries: Iterable[SystemEntry]) -> dict[str, SystemEntry]:
 
 
 def matrix_of(
-    rows: Mapping[str, Mapping[str, float]], metrics: Sequence[MetricSpec] = DEFAULT_METRICS
+    rows: Mapping[str, Mapping[str, float]],
 ) -> tuple[tuple[str, ...], tuple[array, ...]]:
     """One pair's scores as ``parse_scores`` holds them, from system ->
-    metric id -> score: (names, one column per metric), NaN for a hole.
-    A metric id outside ``metrics`` is dropped."""
+    metric id -> score: (names, one column per metric of ``METRICS``),
+    NaN for a hole.  A metric id outside ``METRICS`` is dropped."""
 
     names = tuple(rows)
     return names, tuple(
-        array("d", [rows[name].get(metric.id, math.nan) for name in names]) for metric in metrics
+        array("d", [rows[name].get(metric.id, math.nan) for name in names]) for metric in METRICS
     )
 
 
@@ -81,15 +82,14 @@ def serialize_registry(registry: Mapping[str, SystemEntry]) -> str:
 
 def serialize_scores(
     scores: Mapping[LanguagePair, tuple[Sequence[str], Sequence[Sequence[float]]]],
-    metrics: Sequence[MetricSpec] = DEFAULT_METRICS,
 ) -> str:
     """One line per score, pair by pair and system by system, with each
-    system's scores in ``metrics`` order; a hole writes no line."""
+    system's scores in ``METRICS`` order; a hole writes no line."""
 
     lines = [SCORES_HEADER]
     for pair, (names, columns) in scores.items():
         for slot, system in enumerate(names):
-            for metric, column in zip(metrics, columns):
+            for metric, column in zip(METRICS, columns):
                 if not math.isnan(column[slot]):
                     lines.append(f"{pair.code}\t{system}\t{metric.id}\t{column[slot]!r}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from autorank import DEFAULT_METRICS, LanguagePair, parse_registry, parse_scores, rank_pair
+from autorank import LanguagePair, parse_registry, parse_scores, rank_pair
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data" / "wmt24"
 
@@ -45,9 +45,7 @@ def registry():
 
 @pytest.fixture(scope="session")
 def scores(registry):
-    return parse_scores(
-        (DATA_DIR / "scores.tsv").read_text(encoding="utf-8"), registry, DEFAULT_METRICS
-    )
+    return parse_scores((DATA_DIR / "scores.tsv").read_text(encoding="utf-8"), registry)
 
 
 @pytest.fixture(scope="session")

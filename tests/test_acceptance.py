@@ -23,10 +23,7 @@ from statistics import fmean
 import pytest
 
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
-    MetricSpec,
-    Orientation,
     ParseError,
     RankingConfig,
     ReasonCode,
@@ -43,7 +40,7 @@ from autorank import (
 )
 from autorank.cli import main
 from autorank.golden import validate_golden_pair
-from autorank.model import display_str
+from autorank.model import METRICS, Orientation, display_str
 from autorank.render import file_extension, visible_rows
 from autorank.selection import category_limits
 
@@ -175,7 +172,7 @@ def test_criterion_1_aggregates_match_published_tables(tables, goldens):
 def test_criterion_2_scale_endpoints_exact(tables, scores):
     """Best on both metrics lands on 1.0, worst on both on 1 + N, exactly."""
 
-    metric_x, comet = DEFAULT_METRICS
+    metric_x, comet = METRICS
     for code in sorted(tables):
         table = tables[code]
         names, (mx, ck) = scores[LanguagePair.from_code(code)]
@@ -337,7 +334,14 @@ def test_criterion_5_open_track_view_agrees_with_full_table(tables):
 
 
 def test_criterion_6_randomized_instances_match_direct_formula():
-    """1000 random tables: oracle, range, endpoints, monotonicity, symmetry."""
+    """1000 random tables: oracle, range, endpoints, monotonicity, symmetry.
+
+    Both orientations are checked in every table: MetricX is
+    lower-is-better and CometKiwi higher-is-better.  A metric's
+    normalized value x is read by ranking its column beside a constant
+    one, which normalizes to 1 for everyone, so the aggregate is
+    (x + 1) / 2.
+    """
 
     rng = random.Random(240817)
     pair = LanguagePair.from_code("xx-yy")
@@ -356,11 +360,6 @@ def test_criterion_6_randomized_instances_match_direct_formula():
     for _ in range(trials):
         n = rng.randint(1, 40)
         names = [f"S{i:02d}" for i in range(n)]
-        metrics = tuple(
-            MetricSpec(f"m{j}", rng.choice(list(Orientation)), f"M{j}")
-            for j in range(2)
-        )
-
         def column() -> dict[str, float]:
             if rng.random() < 0.1:  # a metric where everyone ties
                 value = round(rng.uniform(-30.0, 30.0), 3)
@@ -369,31 +368,35 @@ def test_criterion_6_randomized_instances_match_direct_formula():
 
         columns = [column(), column()]
         scores = {
-            name: {metrics[j].id: columns[j][name] for j in range(2)}
+            name: {METRICS[j].id: columns[j][name] for j in range(2)}
             for name in names
         }
         registry = registry_of(SystemEntry(name, SystemCategory.OPEN) for name in names)
 
         def ranked(matrix):
-            scores = {pair: matrix_of(matrix, metrics)}
-            return rank_pair(registry, scores, pair, metrics, config).rows
+            return rank_pair(registry, {pair: matrix_of(matrix)}, pair, config=config).rows
 
         ordered = ranked(scores)
-        # ranked on one metric alone, a row's aggregate is its normalized
-        # value on that metric: fsum([x]) / 1 == x
-        normalized = {
+        # each metric's rows, ranked beside a constant column: a row's
+        # aggregate is fsum([x, 1.0]) / 2, so 2 * aggregate - 1 is x, and
+        # exactly x at both ends of the scale
+        alone = {
             metric.id: {
-                row.name: row.autorank_exact
-                for row in rank_pair(
-                    registry, {pair: matrix_of(scores, (metric,))}, pair, (metric,), config
-                ).rows
+                row.name: row
+                for row in ranked(
+                    {name: {metric.id: columns[j][name], other.id: 0.0} for name in names}
+                )
             }
-            for metric in metrics
+            for j, (metric, other) in enumerate(zip(METRICS, METRICS[::-1]))
+        }
+        normalized = {
+            metric_id: {name: 2 * row.autorank_exact - 1 for name, row in rows.items()}
+            for metric_id, rows in alone.items()
         }
 
         for row in ordered:
             expected = []
-            for j, metric in enumerate(metrics):
+            for j, metric in enumerate(METRICS):
                 col = list(columns[j].values())
                 lower = metric.orientation is Orientation.LOWER_BETTER
                 want = oracle(columns[j][row.name], col, lower, n)
@@ -411,9 +414,10 @@ def test_criterion_6_randomized_instances_match_direct_formula():
                 row.autorank_exact, fmean(expected), rel_tol=1e-12, abs_tol=1e-12
             )
 
-        # strictly better raw score, strictly smaller normalized value
+        # strictly better raw score, strictly earlier place: the order is
+        # decided on the exact key, so no float rounding can tie two rows
         if n >= 2:
-            for j, metric in enumerate(metrics):
+            for j, metric in enumerate(METRICS):
                 col = columns[j]
                 if len(set(col.values())) == 1:
                     continue
@@ -425,14 +429,16 @@ def test_criterion_6_randomized_instances_match_direct_formula():
                         continue
                     better = a if (col[a] < col[b]) == lower else b
                     other = b if better == a else a
-                    assert normalized[metric.id][better] < normalized[metric.id][other]
+                    rows = alone[metric.id]
+                    assert rows[better].position < rows[other].position
+                    assert normalized[metric.id][better] <= normalized[metric.id][other]
 
         # positive affine rescaling of one metric's raw column is invisible
         scale, shift = rng.uniform(0.1, 10.0), rng.uniform(-10.0, 10.0)
         rescaled = {
             name: {
-                metrics[0].id: scale * scores[name][metrics[0].id] + shift,
-                metrics[1].id: scores[name][metrics[1].id],
+                METRICS[0].id: scale * scores[name][METRICS[0].id] + shift,
+                METRICS[1].id: scores[name][METRICS[1].id],
             }
             for name in names
         }
@@ -459,7 +465,7 @@ def test_criterion_7_ingest_round_trips_and_rejects(data_dir, registry):
     manifest_text = (data_dir / "manifest.tsv").read_text(encoding="utf-8")
     assert serialize_registry(parse_registry(systems_text)) == systems_text
     assert (
-        serialize_scores(parse_scores(scores_text, registry, DEFAULT_METRICS))
+        serialize_scores(parse_scores(scores_text, registry))
         == scores_text
     )
     assert serialize_manifest(parse_manifest(manifest_text)) == manifest_text
@@ -475,7 +481,6 @@ def test_criterion_7_ingest_round_trips_and_rejects(data_dir, registry):
             + "xx-yy\tOk\tmetricx-23-xl\t1.0\n"
             + "xx-yy\tOk\tmetricx-23-xl\t2.0\n",
             mini_registry,
-            DEFAULT_METRICS,
         )
     assert err.value.line == 3
     assert "duplicate score for xx-yy/Ok/metricx-23-xl" in str(err.value)
@@ -484,7 +489,6 @@ def test_criterion_7_ingest_round_trips_and_rejects(data_dir, registry):
         parse_scores(
             scores_header + "xx-yy\tGhost\tmetricx-23-xl\t1.0\n",
             mini_registry,
-            DEFAULT_METRICS,
         )
     assert err.value.line == 2
     assert "unknown system 'Ghost'" in str(err.value)
@@ -502,7 +506,6 @@ def test_criterion_7_ingest_round_trips_and_rejects(data_dir, registry):
         parse_scores(
             scores_header + "xx-yy\tOk\tmetricx-23-xl\t1e999\n",
             mini_registry,
-            DEFAULT_METRICS,
         )
     assert err.value.line == 2
     assert "score must be finite" in str(err.value)
@@ -511,7 +514,6 @@ def test_criterion_7_ingest_round_trips_and_rejects(data_dir, registry):
         parse_scores(
             scores_header + "xx-yy\tOk\tmetricx-23-xl\tnan\n",
             mini_registry,
-            DEFAULT_METRICS,
         )
     assert err.value.line == 2
     assert "malformed score 'nan'" in str(err.value)

@@ -22,7 +22,6 @@ import autorank.golden
 import autorank.ingest
 import autorank.pipeline
 from autorank import (
-    DEFAULT_METRICS,
     ParseError,
     RenderOptions,
     TableFormat,
@@ -483,6 +482,30 @@ class TestVerify:
             f"error: {path}: malformed golden report: "
             f"golden row autorank_exact is not a finite decimal: {value!r}\n",
         )
+
+    @pytest.mark.parametrize(
+        "number,string",
+        [("1.70", "1.70"), ("1.7", "1.7"), ("17e-1", "17e-1"), ("1e999", "inf")],
+        ids=["trailing-zero", "plain", "exponent", "past-float-range"],
+    )
+    def test_golden_number_is_read_at_the_precision_it_is_written_with(
+        self, number, string, tmp_path, capsys
+    ):
+        # the number 1.70 used to be read as 1.7, so its band was ten times
+        # the string "1.70"'s; 1e999 still reads as inf
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        row = golden["pairs"][0]["rows"][1]
+        assert row["system"] == "Claude-3.5"
+        row["autorank_exact"] = "@"
+        text = json.dumps(golden)
+        outputs = []
+        for value in (number, json.dumps(string)):
+            (tmp_path / "cs-uk.json").write_text(text.replace('"@"', value), encoding="utf-8")
+            outputs.append((main(_verify("--golden", str(tmp_path), "--autorank-tol", "0")),
+                            capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        claude = "Claude-3.5: autorank: expected 1.70 (±0.005), got 1.6820356921691142"
+        assert (claude in outputs[0][1].out) is (number == "1.70")
 
     @pytest.mark.parametrize("files", [1, 2], ids=["one-file", "two-files"])
     def test_pair_listed_twice_is_validation_error(self, tmp_path, capsys, files):
@@ -1051,7 +1074,7 @@ def _library_error(which: str, text: str) -> str:
             parse_registry(text)
         elif which == "scores":
             registry = parse_registry((DATA / "systems.tsv").read_text(encoding="utf-8"))
-            parse_scores(text, registry, DEFAULT_METRICS)
+            parse_scores(text, registry)
         else:
             parse_manifest(text)
     return str(info.value)
@@ -1359,9 +1382,7 @@ class TestJsonConsistency:
 def _ranked(inputs: dict[str, str]) -> list:
     """Every pair of ``inputs`` ranked through the library, in the CLI's order."""
     registry = parse_registry(Path(inputs["systems"]).read_text(encoding="utf-8"))
-    scores = parse_scores(
-        Path(inputs["scores"]).read_text(encoding="utf-8"), registry, DEFAULT_METRICS
-    )
+    scores = parse_scores(Path(inputs["scores"]).read_text(encoding="utf-8"), registry)
     return [rank_pair(registry, scores, pair) for pair in autorank.pipeline.pairs_in(scores)]
 
 
@@ -1468,8 +1489,8 @@ class TestStreamedStdout:
         rank = autorank.cli.rank_pair
         ranked = []  # memory in use just after each pair is ranked
 
-        def rank_and_mark(*args):
-            table = rank(*args)
+        def rank_and_mark(*args, **kwargs):
+            table = rank(*args, **kwargs)
             tracemalloc.reset_peak()
             ranked.append(tracemalloc.get_traced_memory()[0])
             return table
@@ -1500,8 +1521,8 @@ class TestStreamedStdout:
         rank = autorank.cli.rank_pair
         ranked = []  # memory in use just after each pair is ranked
 
-        def rank_and_mark(*args):
-            table = rank(*args)
+        def rank_and_mark(*args, **kwargs):
+            table = rank(*args, **kwargs)
             ranked.append(tracemalloc.get_traced_memory()[0])
             return table
 
@@ -1528,12 +1549,12 @@ class TestStreamedStdout:
         stdout = io.StringIO()
         written = []  # what was written when each pair came to be ranked
 
-        def rank_and_look(*args):
+        def rank_and_look(*args, **kwargs):
             if out:
                 written.append(len(list(target.iterdir())))
             else:
                 written.append(len(stdout.getvalue()))
-            return rank(*args)
+            return rank(*args, **kwargs)
 
         monkeypatch.setattr(autorank.cli, "rank_pair", rank_and_look)
         argv = ["rank", *WMT24_INPUTS, "--format", fmt] + ["--out", str(target)] * out
@@ -1604,7 +1625,7 @@ class TestOneInputAtATime:
         try:
             start = tracemalloc.get_traced_memory()[0]
             with open(inputs / "scores.tsv", encoding="utf-8", newline="") as handle:
-                scores = parse_scores(handle, registry, DEFAULT_METRICS)
+                scores = parse_scores(handle, registry)
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()

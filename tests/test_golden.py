@@ -7,7 +7,6 @@ from decimal import Decimal
 import pytest
 
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
     LeaderboardTable,
     RankedRow,
@@ -28,7 +27,7 @@ def _row(name, exact, pos):
     return RankedRow(
         name=name,
         category=SystemCategory.OPEN,
-        raw_scores=(0.0,) * len(DEFAULT_METRICS),
+        raw_scores=(0.0, 0.0),
         autorank_exact=exact,
         autorank_display=display_str(exact),
         position=pos,
@@ -37,11 +36,7 @@ def _row(name, exact, pos):
 
 
 def _table(rows):
-    return LeaderboardTable(
-        pair=LanguagePair.from_code("xx-yy"),
-        metrics=DEFAULT_METRICS,
-        rows=tuple(rows),
-    )
+    return LeaderboardTable(pair=LanguagePair.from_code("xx-yy"), rows=tuple(rows))
 
 
 def _golden(rows):
@@ -212,7 +207,6 @@ class TestComparePair:
         a, b = two_row_table.rows
         contradicted = LeaderboardTable(
             pair=two_row_table.pair,
-            metrics=two_row_table.metrics,
             rows=(a._replace(position=2), b._replace(position=1)),
         )
         golden = {

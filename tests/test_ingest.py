@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
     ParseError,
     SystemCategory,
@@ -18,6 +17,7 @@ from autorank import (
 )
 import autorank.ingest
 from autorank.ingest import check_completeness
+from autorank.model import METRICS
 
 from _tsv import (
     matrix_of,
@@ -120,7 +120,7 @@ def _row(scores, pair, system):
     slot = names.index(system)
     return {
         metric.id: column[slot]
-        for metric, column in zip(DEFAULT_METRICS, columns)
+        for metric, column in zip(METRICS, columns)
         if not math.isnan(column[slot])
     }
 
@@ -131,7 +131,7 @@ def _filled(scores, pair):
 
 
 def test_parse_scores_basic():
-    scores = parse_scores(SCORES, _registry(), DEFAULT_METRICS)
+    scores = parse_scores(SCORES, _registry())
     assert list(scores) == [CSUK]
     names, columns = scores[CSUK]
     assert names == ("IKUN", "GPT-4")
@@ -158,7 +158,7 @@ def test_parse_scores_basic():
 )
 def test_parse_scores_rejects_bad_rows_with_line_numbers(mutant, needle):
     with pytest.raises(ParseError) as info:
-        parse_scores(SCORES + mutant + "\n", _registry(), DEFAULT_METRICS)
+        parse_scores(SCORES + mutant + "\n", _registry())
     assert info.value.line == 6
     assert needle in str(info.value)
 
@@ -169,7 +169,7 @@ def test_parse_scores_rejects_nonzero_scores_too_small_for_a_float(token):
     # is 1.2347e-320: either way the decimal in the file is lost
     text = SCORES + f"cs-uk\tUnbabel-Tower70B\tmetricx-23-xl\t{token}\n"
     with pytest.raises(ParseError) as info:
-        parse_scores(text, _registry(), DEFAULT_METRICS)
+        parse_scores(text, _registry())
     assert info.value.line == 6
     assert str(info.value) == (
         f"line 6: score {token!r} is too small for a float: a nonzero score needs a"
@@ -180,7 +180,7 @@ def test_parse_scores_rejects_nonzero_scores_too_small_for_a_float(token):
 @pytest.mark.parametrize("token", ["0", "-0.0", "0e-400", "000.000E+5", "2.2250738585072014e-308"])
 def test_parse_scores_keeps_zero_and_the_smallest_normal_float(token):
     text = SCORES + f"cs-uk\tUnbabel-Tower70B\tmetricx-23-xl\t{token}\n"
-    scores = parse_scores(text, _registry(), DEFAULT_METRICS)
+    scores = parse_scores(text, _registry())
     assert _row(scores, CSUK, "Unbabel-Tower70B") == {"metricx-23-xl": float(token)}
 
 
@@ -188,7 +188,7 @@ def test_parse_scores_reports_a_repeated_bad_pair_token_at_its_first_line():
     bad = "csuk\tIKUN\tmetricx-23-xl\t1.6\n"
     text = SCORES + bad + bad
     with pytest.raises(ParseError) as info:
-        parse_scores(text, _registry(), DEFAULT_METRICS)
+        parse_scores(text, _registry())
     assert info.value.line == 6
     assert str(info.value) == "line 6: malformed language pair code: 'csuk'"
 
@@ -196,7 +196,7 @@ def test_parse_scores_reports_a_repeated_bad_pair_token_at_its_first_line():
 def test_parse_scores_reports_a_duplicate_triple_at_its_second_line():
     text = SCORES + "en-cs\tIKUN\tmetricx-23-xl\t1.0\n" + "cs-uk\tIKUN\tmetricx-23-xl\t1.7\n"
     with pytest.raises(ParseError) as info:
-        parse_scores(text, _registry(), DEFAULT_METRICS)
+        parse_scores(text, _registry())
     assert info.value.line == 7
     assert str(info.value) == "line 7: duplicate score for cs-uk/IKUN/metricx-23-xl"
 
@@ -208,7 +208,7 @@ def test_parse_scores_shares_one_pair_object_per_token():
     registry = registry_of(
         [*_registry().values(), SystemEntry(name="IOL", category=SystemCategory.OPEN)]
     )
-    scores = parse_scores(text, registry, DEFAULT_METRICS)
+    scores = parse_scores(text, registry)
     assert list(scores) == [CSUK, encs]
     assert scores[CSUK][0] == ("IKUN", "GPT-4", "IOL")
     assert scores[encs][0] == ("IKUN",) and _row(scores, encs, "IKUN") == {"metricx-23-xl": 1.0}
@@ -216,7 +216,7 @@ def test_parse_scores_shares_one_pair_object_per_token():
 
 def test_parse_scores_keeps_full_precision():
     text = "pair\tsystem\tmetric\tscore\ncs-uk\tIKUN\tmetricx-23-xl\t1.6000000000000001\n"
-    scores = parse_scores(text, _registry(), DEFAULT_METRICS)
+    scores = parse_scores(text, _registry())
     assert _row(scores, CSUK, "IKUN") == {"metricx-23-xl": 1.6000000000000001}
 
 
@@ -225,7 +225,7 @@ def test_registry_round_trip_bytes():
 
 
 def test_scores_round_trip_bytes():
-    assert serialize_scores(parse_scores(SCORES, _registry(), DEFAULT_METRICS)) == SCORES
+    assert serialize_scores(parse_scores(SCORES, _registry())) == SCORES
 
 
 def test_wmt24_fixture_round_trips_byte_exactly(data_dir, registry, scores):
@@ -276,7 +276,7 @@ def test_parse_scores_rejects_non_ascii_digits():
     # Arabic-Indic 3.5: float() reads it, the file format does not
     with pytest.raises(ParseError) as info:
         parse_scores(
-            SCORES + "en-de\tIKUN\tcometkiwi-da-xl\t\u0663.\u0665\n", _registry(), DEFAULT_METRICS
+            SCORES + "en-de\tIKUN\tcometkiwi-da-xl\t\u0663.\u0665\n", _registry()
         )
     assert info.value.line == 6
     assert "malformed score" in str(info.value)
@@ -291,17 +291,17 @@ def test_parse_manifest_rejects_duplicate_pair():
 
 def test_check_completeness_full_matrix(registry, scores):
     names, columns = scores[CSUK]
-    check_completeness(names, columns, registry, DEFAULT_METRICS, CSUK)
+    check_completeness(names, columns, registry, CSUK)
     assert len(names) == 20 and _filled(scores, CSUK) == 40
     assert _row(scores, CSUK, "IOL-Research") == {"metricx-23-xl": 1.3, "cometkiwi-da-xl": 0.681}
 
 
 def test_check_completeness_flags_missing_metric():
     registry = _registry()
-    names, columns = parse_scores(SCORES, registry, DEFAULT_METRICS)[CSUK]
+    names, columns = parse_scores(SCORES, registry)[CSUK]
     columns[1][names.index("GPT-4")] = math.nan
     with pytest.raises(ValueError) as info:
-        check_completeness(names, columns, registry, DEFAULT_METRICS, CSUK)
+        check_completeness(names, columns, registry, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: GPT-4/cometkiwi-da-xl"
 
 
@@ -311,18 +311,18 @@ def test_check_completeness_lists_holes_by_system_then_metric():
     registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "A0")
     matrix = {"A": {"metricx-23-xl": 1.0}}
     with pytest.raises(ValueError) as info:
-        check_completeness(*matrix_of(matrix), registry, DEFAULT_METRICS, CSUK)
+        check_completeness(*matrix_of(matrix), registry, CSUK)
     assert str(info.value) == "cs-uk is not rankable, missing scores: A/cometkiwi-da-xl"
     matrix["0"] = {"cometkiwi-da-xl": 0.5}
     with pytest.raises(ValueError) as info:
-        check_completeness(*matrix_of(matrix), registry, DEFAULT_METRICS, CSUK)
+        check_completeness(*matrix_of(matrix), registry, CSUK)
     assert str(info.value) == (
         "cs-uk is not rankable, missing scores: 0/metricx-23-xl, A/cometkiwi-da-xl"
     )
 
 
 def test_check_completeness_empty_pair_is_vacuously_rankable():
-    check_completeness(*matrix_of({}), _registry(), DEFAULT_METRICS, LanguagePair.from_code("en-xh"))
+    check_completeness(*matrix_of({}), _registry(), LanguagePair.from_code("en-xh"))
 
 
 def test_check_completeness_rejects_range_beyond_float():
@@ -334,7 +334,7 @@ def test_check_completeness_rejects_range_beyond_float():
     registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "AB")
     message = "cs-uk score range for metricx-23-xl is not finite: -1e+308 to 1e+308"
     with pytest.raises(ValueError) as info:
-        check_completeness(*matrix_of(matrix), registry, DEFAULT_METRICS, CSUK)
+        check_completeness(*matrix_of(matrix), registry, CSUK)
     assert str(info.value) == message
     # library callers of rank_pair meet the same check
     scores = {CSUK: matrix_of(matrix)}
@@ -350,7 +350,7 @@ def test_check_completeness_reports_the_first_problem_in_a_fixed_order():
 
     def first_problem(matrix):
         with pytest.raises(ValueError) as info:
-            check_completeness(*matrix_of(matrix), registry, DEFAULT_METRICS, CSUK)
+            check_completeness(*matrix_of(matrix), registry, CSUK)
         return str(info.value)
 
     huge = {"metricx-23-xl": 1e308, "cometkiwi-da-xl": 0.5}
@@ -377,40 +377,25 @@ def test_check_completeness_reports_the_first_problem_in_a_fixed_order():
     )
     # finite scores whose sum overflows are still rankable
     overflowing = {"A": huge, "B": dict(huge), "C": dict(huge)}
-    check_completeness(*matrix_of(overflowing), registry, DEFAULT_METRICS, CSUK)
+    check_completeness(*matrix_of(overflowing), registry, CSUK)
 
 
 def test_check_completeness_rejects_a_name_listed_twice():
     names, columns = matrix_of({"IKUN": {"metricx-23-xl": 1.0, "cometkiwi-da-xl": 0.5}})
     with pytest.raises(ValueError, match="^cs-uk lists system 'IKUN' twice$"):
-        check_completeness(names * 2, [c * 2 for c in columns], _registry(), DEFAULT_METRICS, CSUK)
-
-
-def test_check_completeness_rejects_a_metric_listed_twice():
-    # parse_scores gives both ids one column, which the tables would print twice
-    mx, ck = DEFAULT_METRICS
-    text = "pair\tsystem\tmetric\tscore\ncs-uk\tIKUN\tmetricx-23-xl\t1.0\n"
-    scores = parse_scores(text, _registry(), (mx, mx))
-    twice = r"^a metric id is listed twice: \['metricx-23-xl', 'metricx-23-xl'\]$"
-    with pytest.raises(ValueError, match=twice):
-        check_completeness(*scores[CSUK], _registry(), (mx, mx), CSUK)
-    with pytest.raises(ValueError, match=twice):
-        rank_pair(_registry(), scores, CSUK, (mx, mx))
-    # before any per-column check, and for a pair nobody scored
-    with pytest.raises(ValueError, match="^a metric id is listed twice: .*'cometkiwi-da-xl', "):
-        check_completeness((), (), _registry(), (mx, ck, mx), CSUK)
+        check_completeness(names * 2, [c * 2 for c in columns], _registry(), CSUK)
 
 
 def test_check_completeness_rejects_a_column_per_metric_missing():
-    names, columns = matrix_of({"IKUN": {"metricx-23-xl": 1.0}}, DEFAULT_METRICS[:1])
+    names, columns = matrix_of({"IKUN": {"metricx-23-xl": 1.0}})
     with pytest.raises(ValueError, match="^cs-uk has 1 score columns for 2 metrics$"):
-        check_completeness(names, columns, _registry(), DEFAULT_METRICS, CSUK)
+        check_completeness(names, columns[:1], _registry(), CSUK)
 
 
 def test_check_completeness_rejects_a_column_of_the_wrong_length():
     names, columns = matrix_of({"IKUN": {"metricx-23-xl": 1.0, "cometkiwi-da-xl": 0.5}})
     with pytest.raises(ValueError, match="^cs-uk metricx-23-xl column has 2 scores for 1 systems$"):
-        check_completeness(names, (columns[0] * 2, columns[1]), _registry(), DEFAULT_METRICS, CSUK)
+        check_completeness(names, (columns[0] * 2, columns[1]), _registry(), CSUK)
 
 
 # what each parser makes of a short file: the number of entries it
@@ -438,7 +423,7 @@ def _edge_parse(kind: str, text: str):
     if kind == "manifest":
         return parse_manifest(text)
     registry = parse_registry(f"{autorank.ingest.REGISTRY_HEADER}\nAda\topen\t0\t\n")
-    return parse_scores(text, registry, DEFAULT_METRICS)
+    return parse_scores(text, registry)
 
 
 def _edge_outcome(kind: str, text: str):
@@ -540,23 +525,23 @@ def test_rows_line_straddling_a_block_boundary():
     size = len(lines[0]) + 1
     i = 0
     while size < autorank.ingest._BLOCK - 40:
-        lines.append(f"cs-uk\tS{i // 2:04d}\t{DEFAULT_METRICS[i % 2].id}\t0.{i:04d}")
+        lines.append(f"cs-uk\tS{i // 2:04d}\t{METRICS[i % 2].id}\t0.{i:04d}")
         size += len(lines[-1]) + 1
         i += 1
     # this line starts under 40 characters before the block's end and
     # runs past it
     bad = len(lines) + 1
     token = "1.5" + "0" * 40
-    lines.append(f"cs-uk\tS{i // 2:04d}\t{DEFAULT_METRICS[i % 2].id}\t{token}.0")
+    lines.append(f"cs-uk\tS{i // 2:04d}\t{METRICS[i % 2].id}\t{token}.0")
     text = "\n".join(lines) + "\n"
     assert size < autorank.ingest._BLOCK < size + len(lines[-1])
     with pytest.raises(ParseError) as info:
-        parse_scores(text + "cs-uk\tS0000\tmetricx-23-xl\t1\n", registry, DEFAULT_METRICS)
+        parse_scores(text + "cs-uk\tS0000\tmetricx-23-xl\t1\n", registry)
     assert str(info.value) == f"line {bad}: malformed score '{token}.0'"
     lines[-1] = lines[-1][:-2]
-    scores = parse_scores("\n".join(lines), registry, DEFAULT_METRICS)
+    scores = parse_scores("\n".join(lines), registry)
     assert _filled(scores, CSUK) == len(lines) - 1
-    assert _row(scores, CSUK, f"S{i // 2:04d}")[DEFAULT_METRICS[i % 2].id] == 1.5
+    assert _row(scores, CSUK, f"S{i // 2:04d}")[METRICS[i % 2].id] == 1.5
 
 
 def test_parse_scores_never_holds_every_line_at_once():
@@ -569,13 +554,13 @@ def test_parse_scores_never_holds_every_line_at_once():
         f"{pair}\tS{i:04d}\t{metric.id}\t0.{i:04d}\n"
         for pair in ("cs-uk", "en-de", "ja-zh", "en-es", "en-hi")
         for i in range(1000)
-        for metric in DEFAULT_METRICS
+        for metric in METRICS
     )
     assert len(text) > 4 * autorank.ingest._BLOCK
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        scores = parse_scores(text, registry, DEFAULT_METRICS)
+        scores = parse_scores(text, registry)
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -5,12 +5,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
-    MetricSpec,
-    Orientation,
     RankedRow,
     RankingConfig,
     ReasonCode,
@@ -19,7 +18,7 @@ from autorank import (
     SystemEntry,
     rank_pair,
 )
-from autorank.model import display_str
+from autorank.model import METRICS, display_str
 
 from _tsv import matrix_of, registry_of
 
@@ -81,23 +80,6 @@ def test_system_entry_rejects_terminal_controls(char):
     )
 
 
-@pytest.mark.parametrize("char", ["\x1b", "\n", "\x9b", "\u2028", "\u202e", "\u2066"])
-def test_metric_display_name_rejects_terminal_controls(char):
-    display_name = f"Q{char}[31mE"
-    with pytest.raises(ValueError) as info:
-        MetricSpec("x", Orientation.LOWER_BETTER, display_name)
-    assert str(info.value) == (
-        f"metric display name may not contain control or bidi character "
-        f"U+{ord(char):04X}: {display_name!r}"
-    )
-
-
-def test_metric_orientation_must_be_an_orientation():
-    # the text "lower" used to be taken, and its column ranked higher-is-better
-    with pytest.raises(TypeError, match="^orientation must be an Orientation, got 'lower'$"):
-        MetricSpec("metricx-23-xl", "lower", "MetricX")
-
-
 def test_system_entry_keeps_marks_and_joiners():
     for name in ("Cafe\u0301", "a\u200db", "翻訳システム", "x\u20dd"):
         assert SystemEntry(name=name, category=SystemCategory.OPEN).name == name
@@ -121,7 +103,7 @@ def test_score_record_rejects_non_finite():
     # parse_scores never yields an infinite score; hand-built scores are checked by rank_pair
     pair = LanguagePair.from_code("en-de")
     registry = registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in "ST")
-    mx, ck = (metric.id for metric in DEFAULT_METRICS)
+    mx, ck = (metric.id for metric in METRICS)
     for bad in (float("inf"), float("-inf")):
         scores = {pair: matrix_of({"S": {mx: 1.0, ck: 0.5}, "T": {mx: 2.0, ck: bad}})}
         with pytest.raises(ValueError) as info:
@@ -254,6 +236,48 @@ def test_config_dict_round_trip():
     # reals travel as strings so the echo is format-stable
     assert config.as_dict()["cutoff_gap"] == "2.0"
     assert RankingConfig.from_dict({}) == RankingConfig()
+
+
+_INEXACT_GAP = "cutoff_gap must be an int a float holds exactly, got "
+
+
+@pytest.mark.parametrize(
+    "kwargs,error",
+    [
+        ({"cutoff_gap": 10**400}, f"{_INEXACT_GAP}{10**400}"),
+        ({"cutoff_gap": 2**60 + 1}, f"{_INEXACT_GAP}1152921504606846977"),
+        ({"closed_fraction": Fraction(1, 10**5000)}, "Exceeds the limit (4300 digits)"),
+        ({"open_fraction": Fraction(10**4400 - 1, 10**4400)}, "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["gap-past-float-range", "gap-past-2**53", "fraction-too-long-to-write", "open-fraction"],
+)
+def test_config_holds_only_values_its_text_form_carries(kwargs, error):
+    # these used to raise OverflowError, read back from as_dict's text as
+    # another number, and construct but fail in as_dict, after ranking
+    with pytest.raises(ValueError) as info:
+        RankingConfig(**kwargs)
+    assert str(info.value).startswith(error)
+
+
+_PROPER = st.fractions(min_value=0, max_value=1).filter(bool) | st.builds(
+    Fraction, st.integers(1, 10**4400), st.integers(10**4400, 10**4401)
+)
+
+
+@given(
+    gap=st.floats(min_value=0, exclude_min=True, allow_infinity=False) | st.integers(1, 2**1100),
+    fractions=st.lists(_PROPER | st.just(1), min_size=2, max_size=2).map(sorted),
+    span=st.sampled_from(ScaleSpan),
+)
+@example(gap=2**60, fractions=[Fraction(1, 3), 1], span=ScaleSpan.FULL_N)
+@example(gap=2**60 + 1, fractions=[Fraction(1, 3), 1], span=ScaleSpan.FULL_N)
+@example(gap=10**400, fractions=[Fraction(1, 3), 1], span=ScaleSpan.FULL_N)
+def test_accepted_configs_round_trip_through_their_text(gap, fractions, span):
+    try:
+        config = RankingConfig(gap, *fractions, span)
+    except ValueError:
+        return
+    assert RankingConfig.from_dict(config.as_dict()) == config
 
 
 @pytest.mark.parametrize("data", ["abc", [], ["cutoff_gap"], None])

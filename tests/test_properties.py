@@ -13,17 +13,15 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unicodedata import category, east_asian_width
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
     LeaderboardTable,
-    MetricSpec,
-    Orientation,
     RankedRow,
     RankingConfig,
     RenderOptions,
@@ -38,15 +36,16 @@ from autorank import (
     render_report,
     render_table,
 )
+import autorank.ranking
 from autorank.cli import main
 from autorank.golden import _has_binding_inversion, validate_golden_pair
-from autorank.model import display_str
+from autorank.model import METRICS, Orientation, display_str
 from autorank.ranking import _decimal_column, build_context, compute_autorank, order_rows
 from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
 
 from _tsv import matrix_of, registry_of, serialize_registry, serialize_scores
 
-MX, CK = DEFAULT_METRICS
+MX, CK = METRICS
 PAIR = LanguagePair.from_code("xx-yy")
 
 _CODES = st.sampled_from(["cs-uk", "en-de", "en-ja", "xx-yy", "zz-ww", "ab-cd"])
@@ -98,7 +97,7 @@ def test_scores_serialize_parse_round_trip(data):
     registry = registry_of(SystemEntry(name=n, category=SystemCategory.OPEN) for n in names)
     scores = {pair: matrix_of(rows) for pair, rows in index.items()}
     text = serialize_scores(scores)
-    parsed = parse_scores(text, registry, DEFAULT_METRICS)
+    parsed = parse_scores(text, registry)
     # same scores and holes, with pairs and systems in the same order
     assert _slots(parsed) == _slots(scores)
     # canonical form is a fixed point
@@ -131,12 +130,12 @@ def test_parsed_slots_match_a_plain_dict_reading(data):
     for code, name, metric, score in lines:
         plain.setdefault(LanguagePair.from_code(code), {}).setdefault(name, {})[metric] = score
     # first-seen order for pairs and systems; a hole reads as NaN
-    ids = [metric.id for metric in DEFAULT_METRICS]
+    ids = [metric.id for metric in METRICS]
     expected = [
         (pair, list(rows), [[repr(row.get(m, math.nan)) for row in rows.values()] for m in ids])
         for pair, rows in plain.items()
     ]
-    assert _slots(parse_scores(text, registry, DEFAULT_METRICS)) == expected
+    assert _slots(parse_scores(text, registry)) == expected
 
 
 @settings(max_examples=50)
@@ -149,7 +148,7 @@ def test_shuffled_score_lines_render_identically(names, data):
     pairs = [PAIR, LanguagePair.from_code("zz-ww")]
     score = st.floats(min_value=-100, max_value=100).map(lambda x: round(x, 2))
     index = {
-        pair: {name: {m.id: data.draw(score) for m in DEFAULT_METRICS} for name in names}
+        pair: {name: {m.id: data.draw(score) for m in METRICS} for name in names}
         for pair in pairs
     }
     text = serialize_scores({pair: matrix_of(rows) for pair, rows in index.items()})
@@ -157,7 +156,7 @@ def test_shuffled_score_lines_render_identically(names, data):
     shuffled = "\n".join([header, *data.draw(st.permutations(lines))]) + "\n"
 
     def rendered(scores_text):
-        scores = parse_scores(scores_text, registry, DEFAULT_METRICS)
+        scores = parse_scores(scores_text, registry)
         tables = [rank_pair(registry, scores, pair) for pair in pairs]
         return [render_report(tables)] + [
             render_table(table, RenderOptions(fmt, show_reasons=True))
@@ -224,14 +223,16 @@ def _open_registry(names):
 
 
 def _normalized(matrix, config=RankingConfig()):
-    """Each system's normalized values, keyed by name: ranked on one
-    metric alone, a row's aggregate is that value (``fsum([x]) / 1 == x``)."""
+    """Each system's normalized values, keyed by name: ranked beside a
+    constant column, which normalizes to 1 for everyone, a row's aggregate
+    is ``fsum([x, 1.0]) / 2``, so x is twice it less one, exactly at both
+    ends of the scale and monotone in x in between."""
     registry = _open_registry(matrix)
     values = {name: {} for name in matrix}
-    for metric in DEFAULT_METRICS:
-        scores = {PAIR: matrix_of(matrix, (metric,))}
-        for row in rank_pair(registry, scores, PAIR, (metric,), config).rows:
-            values[row.name][metric.id] = row.autorank_exact
+    for metric, other in zip(METRICS, METRICS[::-1]):
+        alone = {name: {metric.id: row[metric.id], other.id: 0.0} for name, row in matrix.items()}
+        for row in rank_pair(registry, {PAIR: matrix_of(alone)}, PAIR, config=config).rows:
+            values[row.name][metric.id] = 2 * row.autorank_exact - 1
     return values
 
 
@@ -246,7 +247,7 @@ def test_normalized_values_live_on_the_rank_scale(matrix):
 @given(_columns())
 def test_extremes_hit_scale_endpoints(matrix):
     normalized = _normalized(matrix)
-    for metric in DEFAULT_METRICS:
+    for metric in METRICS:
         values = [row[metric.id] for row in normalized.values()]
         assert min(values) == 1.0
         column = [scores[metric.id] for scores in matrix.values()]
@@ -282,7 +283,7 @@ def _decimal_matrices(draw):
     """
     n = draw(st.integers(min_value=1, max_value=30))
     columns = []
-    for _ in DEFAULT_METRICS:
+    for _ in METRICS:
         finest = draw(st.integers(0, 11))
         column = []
         for _ in range(n):
@@ -294,7 +295,7 @@ def _decimal_matrices(draw):
     return columns
 
 
-def _decisions(columns, metrics, config):
+def _decisions(columns, config):
     """Cutoff and each row's name, position, reasons and display."""
     names = [f"S{i:02d}" for i in range(len(columns[0][1]))]
     registry = registry_of(
@@ -302,16 +303,16 @@ def _decisions(columns, metrics, config):
         for i, name in enumerate(names)
     )
     matrix = {
-        name: {metric.id: float(column[i]) for metric, (_, column) in zip(metrics, columns)}
+        name: {metric.id: float(column[i]) for metric, (_, column) in zip(METRICS, columns)}
         for i, name in enumerate(names)
     }
     # at most 15 digits: each float's repr is the decimal drawn
     assert all(
         Decimal(repr(row[m.id])) == column[i]
         for i, row in enumerate(matrix.values())
-        for m, (_, column) in zip(metrics, columns)
+        for m, (_, column) in zip(METRICS, columns)
     )
-    table = rank_pair(registry, {PAIR: matrix_of(matrix, metrics)}, PAIR, metrics, config)
+    table = rank_pair(registry, {PAIR: matrix_of(matrix)}, PAIR, config=config)
     rows = [(r.name, r.position, r.reasons, r.autorank_display) for r in table.rows]
     return table.cutoff_position, rows
 
@@ -320,7 +321,7 @@ def _decisions(columns, metrics, config):
 @given(
     _decimal_matrices(),
     st.sampled_from(["scale", "shift", "negate"]),
-    st.integers(0, len(DEFAULT_METRICS) - 1),
+    st.integers(0, len(METRICS) - 1),
     st.sampled_from([0.5, 1.5, 2.5]),
     st.sampled_from(ScaleSpan),
     st.data(),
@@ -332,7 +333,7 @@ def test_normalization_invariant_under_positive_affine_maps(
     # decimal shift, or a negation with its orientation flipped moves none
     config = RankingConfig(cutoff_gap=gap, scale_span=span)
     finest, column = columns[index]
-    metrics = list(DEFAULT_METRICS)
+    metrics = list(METRICS)
     if kind == "scale":
         power = data.draw(st.integers(-6, 6))
         mapped = [value.scaleb(power) for value in column]
@@ -351,9 +352,11 @@ def test_normalization_invariant_under_positive_affine_maps(
         metrics[index] = metric._replace(orientation=flipped)
     transformed = list(columns)
     transformed[index] = (finest, mapped)
-    assert _decisions(transformed, tuple(metrics), config) == _decisions(
-        columns, DEFAULT_METRICS, config
-    )
+    # the engine ranks by METRICS alone; a flipped orientation is read
+    # from the ranking module's own name
+    with mock.patch.object(autorank.ranking, "METRICS", tuple(metrics)):
+        after = _decisions(transformed, config)
+    assert after == _decisions(columns, config)
 
 
 _REPR_SCORES = _SCORES | st.builds(
@@ -396,7 +399,7 @@ def _exact_key(matrix, name):
     """(aggregate, first metric's normalized value, name) in exact arithmetic."""
     n = len(matrix)
     ratios = []
-    for metric in DEFAULT_METRICS:
+    for metric in METRICS:
         column = [Fraction(repr(row[metric.id])) for row in matrix.values()]
         best = min(column) if metric.orientation is Orientation.LOWER_BETTER else max(column)
         spread = max(column) - min(column)
@@ -445,7 +448,7 @@ def _exact_campaigns(draw):
     span = draw(st.sampled_from(ScaleSpan)).value
     names = [f"S{i:02d}" for i in draw(st.permutations(range(n)))]
     texts = {name: {} for name in names}
-    for metric in DEFAULT_METRICS:
+    for metric in METRICS:
         base = Decimal(draw(st.sampled_from([0, 1, 1000])))
         places = draw(st.integers(1, 3))
         top = draw(st.sampled_from([1, 2, 4, 10, 10 * (n if span == "n" else n - 1)]))
@@ -483,7 +486,7 @@ def test_decisions_match_the_exact_reference_ranker(campaign):
     ranking_config = RankingConfig(
         cutoff_gap=float(config["cutoff_gap"]), scale_span=ScaleSpan(config["scale_span"])
     )
-    table = rank_pair(registry, scores, PAIR, DEFAULT_METRICS, ranking_config)
+    table = rank_pair(registry, scores, PAIR, config=ranking_config)
     assert [row.name for row in table.rows] == [row.system for row in expected.rows]
     assert table.cutoff_position == expected.cutoff_position
     assert [{code.value for code in row.reasons} for row in table.rows] == [
@@ -524,8 +527,8 @@ def test_the_table_reads_the_decisions_the_stages_made(systems, gap, span):
     }
     config = RankingConfig(cutoff_gap=gap, scale_span=span)
     names, columns = matrix_of(matrix)
-    table = rank_pair(registry, {PAIR: (names, columns)}, PAIR, DEFAULT_METRICS, config)
-    context = build_context(PAIR, names, columns, DEFAULT_METRICS)
+    table = rank_pair(registry, {PAIR: (names, columns)}, PAIR, config=config)
+    context = build_context(PAIR, names, columns)
     ordered = order_rows(compute_autorank(names, columns, context, config))
     assert table.cutoff_position == find_cutoff(ordered, config, context[0])
     assert [row.withdrawn for row in table.rows] == [
@@ -669,9 +672,7 @@ def _report_payload(tables, include_closed):
                         "category": row.category.value,
                         "withdrawn": row.withdrawn,
                         "claimed_support": row.claimed_support,
-                        "scores": {
-                            m.id: repr(score) for m, score in zip(table.metrics, row.raw_scores)
-                        },
+                        "scores": {m.id: repr(s) for m, s in zip(METRICS, row.raw_scores)},
                         "autorank_exact": repr(row.autorank_exact),
                         "autorank_display": row.autorank_display,
                         "position": row.position,
@@ -702,7 +703,7 @@ def _report_tables(draw):
 
     All three categories, blanket and per-pair withdrawals, unsupported
     pairs, rows under the cutoff and past a depth limit at once, and
-    one to three metrics whose ids need JSON escapes.
+    scores of either sign.
     """
     names = draw(
         st.lists(
@@ -729,18 +730,12 @@ def _report_tables(draw):
                 unsupported_pairs=frozenset(draw(st.sets(st.sampled_from(_REPORT_PAIRS)))),
             )
         )
-    ids = draw(st.lists(_JSON_TEXT.filter(bool), min_size=1, max_size=3, unique=True))
-    # the report keys scores by metric id and never prints a display name
-    metrics = tuple(
-        MetricSpec(metric_id, draw(st.sampled_from(Orientation)), "M") for metric_id in ids
-    )
     scores = {
         pair: matrix_of(
             {
-                name: {metric_id: draw(_REPORT_SCORES) for metric_id in ids}
+                name: {metric.id: draw(_REPORT_SCORES) for metric in METRICS}
                 for name in draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
-            },
-            metrics,
+            }
         )
         for pair in _REPORT_PAIRS
     }
@@ -748,7 +743,7 @@ def _report_tables(draw):
     # a pair nobody scored ranks to a table without rows
     pairs = [*_REPORT_PAIRS, LanguagePair.from_code("ab-cd")]
     registry = registry_of(entries)
-    return [rank_pair(registry, scores, pair, metrics, config) for pair in pairs]
+    return [rank_pair(registry, scores, pair, config=config) for pair in pairs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -792,7 +787,7 @@ def test_markdown_column_count_survives_hostile_names(names, show_reasons):
     scores = {
         PAIR: matrix_of(
             {
-                name: {metric.id: float(i * i) for metric in DEFAULT_METRICS}
+                name: {metric.id: float(i * i) for metric in METRICS}
                 for i, name in enumerate(names)
             }
         )
@@ -833,7 +828,7 @@ def test_text_autorank_column_ends_at_one_display_column(names):
     scores = "pair\tsystem\tmetric\tscore\n" + "".join(
         f"xx-yy\t{name}\t{metric.id}\t{(i * 7 + j * 3) % 5}.{i}\n"
         for i, name in enumerate(names)
-        for j, metric in enumerate(DEFAULT_METRICS)
+        for j, metric in enumerate(METRICS)
     )
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -971,7 +966,7 @@ def test_order_check_matches_pairwise_scan(tolerance, data):
         )
         for row in data.draw(st.permutations(golden_rows))
     ]
-    table = LeaderboardTable(pair=PAIR, metrics=DEFAULT_METRICS, rows=tuple(table_rows))
+    table = LeaderboardTable(pair=PAIR, rows=tuple(table_rows))
     golden = {"pair": PAIR.code, "cutoff_position": None, "rows": golden_rows}
     expected = _pairwise_inversions(PAIR.code, golden_rows, positions, tolerance)
     assert compare_pair(table, validate_golden_pair(golden), tolerance).mismatches == expected
@@ -1044,7 +1039,7 @@ def _hostile_inputs(draw):
         [pair, system, metric.id, draw(_SCORE_TEXT)]
         for pair in draw(st.lists(_mostly(["xx-yy", "zz-ww"], ["xx-xx"]), min_size=1, max_size=2))
         for system in draw(st.lists(st.sampled_from(scored), min_size=1, unique=True))
-        for metric in DEFAULT_METRICS
+        for metric in METRICS
     ]
     return (
         draw(_hostile_tsv("system\tcategory\twithdrawn\tunsupported_pairs", registry)),

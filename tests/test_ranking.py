@@ -6,10 +6,7 @@ from statistics import fmean
 import pytest
 
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
-    MetricSpec,
-    Orientation,
     RankedRow,
     RankingConfig,
     ScaleSpan,
@@ -17,12 +14,12 @@ from autorank import (
     SystemEntry,
     rank_pair,
 )
-from autorank.model import display_str
+from autorank.model import METRICS, Orientation, display_str
 from autorank.ranking import build_context, compute_autorank, order_rows
 
 from _tsv import matrix_of, registry_of
 
-MX, CK = DEFAULT_METRICS
+MX, CK = METRICS
 CSUK = LanguagePair.from_code("cs-uk")
 
 
@@ -51,26 +48,41 @@ def _csuk(**systems: tuple[float, float]) -> dict[str, dict[str, float]]:
 
 def _rows(matrix, config=RankingConfig()) -> dict[str, RankedRow]:
     registry = registry_of(_entry(name) for name in matrix)
-    table = rank_pair(registry, {CSUK: matrix_of(matrix)}, CSUK, DEFAULT_METRICS, config)
+    table = rank_pair(registry, {CSUK: matrix_of(matrix)}, CSUK, config=config)
     return {row.name: row for row in table.rows}
 
 
 def _normalized(matrix, config=RankingConfig()) -> dict[str, dict[str, float]]:
-    """Each system's normalized value per metric, keyed by name: ranked on
-    one metric alone, a row's aggregate is that value (``fsum([x]) / 1 == x``)."""
-    registry = registry_of(_entry(name) for name in matrix)
+    """Each system's normalized value per metric, keyed by name: ranked
+    beside a constant column, which normalizes to 1 for everyone, a row's
+    aggregate is ``fsum([x, 1.0]) / 2``, so x is twice it less one, and
+    exactly x at both ends of the scale."""
     values: dict[str, dict[str, float]] = {name: {} for name in matrix}
-    for metric in DEFAULT_METRICS:
-        scores = {CSUK: matrix_of(matrix, (metric,))}
-        for row in rank_pair(registry, scores, CSUK, (metric,), config).rows:
-            values[row.name][metric.id] = row.autorank_exact
+    for metric, other in zip(METRICS, METRICS[::-1]):
+        alone = {name: {metric.id: row[metric.id], other.id: 0.0} for name, row in matrix.items()}
+        for row in _rows(alone, config).values():
+            values[row.name][metric.id] = 2 * row.autorank_exact - 1
+    return values
+
+
+def _float_normalized(matrix, span: int) -> dict[str, list[float]]:
+    """Each system's normalized value per metric, in ``METRICS`` order, by
+    the float formula ``autorank_exact`` averages: 1.0 + span * (d / D)."""
+    values: dict[str, list[float]] = {name: [] for name in matrix}
+    for metric in METRICS:
+        column = {name: row[metric.id] for name, row in matrix.items()}
+        lower = metric.orientation is Orientation.LOWER_BETTER
+        best = min(column.values()) if lower else max(column.values())
+        spread = max(column.values()) - min(column.values())
+        for name, score in column.items():
+            values[name].append(1.0 + span * (abs(score - best) / spread) if spread else 1.0)
     return values
 
 
 def _exact_aggregates(matrix, span: int) -> dict[str, Fraction]:
     """Each system's aggregate in Fraction arithmetic on its scores' reprs."""
     ratios = {name: [] for name in matrix}
-    for metric in DEFAULT_METRICS:
+    for metric in METRICS:
         column = {name: Fraction(repr(row[metric.id])) for name, row in matrix.items()}
         lower = metric.orientation is Orientation.LOWER_BETTER
         best = min(column.values()) if lower else max(column.values())
@@ -113,13 +125,11 @@ def test_normalize_all_equal_column_returns_one():
 
 
 def test_normalize_rejects_unknown_metric():
-    # a metric column the scores do not cover cannot be normalized
-    rogue = MetricSpec("bleu", Orientation.HIGHER_BETTER, "BLEU")
-    matrix = _csuk()
-    with pytest.raises(ValueError, match="missing scores: CycleL/bleu"):
-        metrics = (MX, rogue)
-        registry = registry_of(_entry(name) for name in matrix)
-        rank_pair(registry, {CSUK: matrix_of(matrix, metrics)}, CSUK, metrics)
+    # scores under another metric's id leave the CometKiwi column empty,
+    # which cannot be normalized
+    matrix = {name: {MX.id: row[MX.id], "bleu": 30.0} for name, row in _csuk().items()}
+    with pytest.raises(ValueError, match="missing scores: CycleL/cometkiwi-da-xl, "):
+        _rows(matrix)
 
 
 def test_build_context_from_score_matrix():
@@ -128,7 +138,7 @@ def test_build_context_from_score_matrix():
         "B": {MX.id: 3.0, CK.id: 0.50},
         "C": {MX.id: 2.0, CK.id: 0.60},
     }
-    unit, columns = build_context(CSUK, *matrix_of(matrix), DEFAULT_METRICS)
+    unit, columns = build_context(CSUK, *matrix_of(matrix))
     # per metric: float best, float worst disadvantage, weighted integers
     assert [column[:2] for column in columns] == [(1.0, 2.0), (0.7, 0.7 - 0.5)]
     mx, ck = columns[0][2], columns[1][2]
@@ -140,12 +150,12 @@ def test_build_context_from_score_matrix():
 def test_build_context_rejects_empty():
     # holes are check_completeness's to reject, see test_ingest
     with pytest.raises(ValueError):
-        build_context(CSUK, *matrix_of({}), DEFAULT_METRICS)
+        build_context(CSUK, *matrix_of({}))
 
 
 def _keys(matrix, config=RankingConfig()):
     names, columns = matrix_of(matrix)
-    context = build_context(CSUK, names, columns, DEFAULT_METRICS)
+    context = build_context(CSUK, names, columns)
     return compute_autorank(names, columns, context, config)
 
 
@@ -176,7 +186,8 @@ def test_compute_autorank_key_carries_the_tie_breaks_and_columns():
     matrix = _csuk(A=(1.3, 0.681), B=(1.3, 0.7))
     keys = {key[2]: key for key in _keys(matrix)}
     rows = _rows(matrix)
-    normalized = _normalized(matrix)
+    normalized = _float_normalized(matrix, 20)
+    read_back = _normalized(matrix)
     exact = _exact_aggregates(matrix, 20)
     for name, (k, first, key_name, autorank, display, scores) in keys.items():
         assert key_name == name
@@ -184,7 +195,8 @@ def test_compute_autorank_key_carries_the_tie_breaks_and_columns():
         assert scores == (matrix[name][MX.id], matrix[name][CK.id]) == rows[name].raw_scores
         assert autorank == rows[name].autorank_exact
         # the mean of the columns, as statistics.fmean computes it
-        assert autorank == fmean(normalized[name].values())
+        assert autorank == fmean(normalized[name])
+        assert normalized[name] == pytest.approx(list(read_back[name].values()))
         assert display == rows[name].autorank_display == display_str(exact[name])
     # K orders by the exact aggregate; the first metric breaks its ties
     ordered = sorted(keys, key=lambda name: keys[name][:3])
@@ -357,7 +369,7 @@ def test_integer_key_is_exact_on_narrow_and_wide_columns(low, high):
         f"S{i}": {MX.id: low + step * i, CK.id: low + step * ((3 * i) % 8)} for i in range(8)
     }
     names, columns = matrix_of(matrix)
-    unit, _ = context = build_context(CSUK, names, columns, DEFAULT_METRICS)
+    unit, _ = context = build_context(CSUK, names, columns)
     exact = _exact_aggregates(matrix, 8)
     keys = compute_autorank(names, columns, context, RankingConfig())
     for k, _, name, autorank, display, _ in keys:

@@ -6,10 +6,8 @@ import re
 import pytest
 
 from autorank import (
-    DEFAULT_METRICS,
     LanguagePair,
     LeaderboardTable,
-    MetricSpec,
     RankedRow,
     RankingConfig,
     ReasonCode,
@@ -22,10 +20,10 @@ from autorank import (
     render_report,
     render_table,
 )
-from autorank.model import display_str
+from autorank.model import METRICS, display_str
 from autorank.render import _PLAIN, _Columns, file_extension, report_chunks, visible_rows
 
-MX, CK = DEFAULT_METRICS
+MX, CK = METRICS
 
 
 def _opts(fmt: TableFormat, **kwargs) -> RenderOptions:
@@ -64,12 +62,7 @@ def _tiny_table() -> LeaderboardTable:
         ),
         row("Delta", SystemCategory.OPEN, 3.5, 4, ReasonCode.EXCLUDED_BELOW_CUTOFF),
     )
-    return LeaderboardTable(
-        pair=LanguagePair.from_code("xx-yy"),
-        metrics=DEFAULT_METRICS,
-        rows=rows,
-        config=RankingConfig(),
-    )
+    return LeaderboardTable(pair=LanguagePair.from_code("xx-yy"), rows=rows, config=RankingConfig())
 
 
 class TestVisibleRows:
@@ -152,7 +145,6 @@ class TestText:
         below = ReasonCode.EXCLUDED_BELOW_CUTOFF
         full = LeaderboardTable(
             pair=table.pair,
-            metrics=table.metrics,
             rows=tuple(
                 r._replace(reasons=tuple(c for c in r.reasons if c is not below))
                 for r in table.rows
@@ -162,11 +154,7 @@ class TestText:
         assert "╌" not in render_table(full, _opts(TableFormat.TEXT))
 
     def test_empty_table_renders_header_only(self):
-        table = LeaderboardTable(
-            pair=LanguagePair.from_code("xx-yy"),
-            metrics=DEFAULT_METRICS,
-            rows=(),
-        )
+        table = LeaderboardTable(pair=LanguagePair.from_code("xx-yy"), rows=())
         lines = render_table(table, _opts(TableFormat.TEXT)).splitlines()
         assert lines[0] == "xx-yy  (N=0)"
         assert len(lines) == 3  # title, header, rule
@@ -235,19 +223,6 @@ class TestMarkdown:
         out = render_table(tables["en-ja"], _opts(TableFormat.MARKDOWN, show_reasons=True))
         widths = {ln.count(" | ") for ln in out.splitlines()}
         assert len(widths) == 1
-
-    def test_pipe_in_metric_name_is_escaped_in_the_header(self):
-        metrics = (MetricSpec(MX.id, MX.orientation, "Q|E"), CK)
-        registry = parse_registry(
-            "system\tcategory\twithdrawn\tunsupported_pairs\n"
-            + "".join(f"{name}\topen\t0\t\n" for name in "ABC")
-        )
-        scores = parse_scores(_HALF_TENTH_SCORES, registry, metrics)
-        table = rank_pair(registry, scores, LanguagePair.from_code("cs-uk"), metrics)
-        lines = render_table(table, _opts(TableFormat.MARKDOWN)).splitlines()
-        assert lines[0].startswith("| System Name | AutoRank ↓ | Q\\|E ↓ |")
-        # every line has as many column separators as the header
-        assert len({len(re.findall(r"(?<!\\)\|", line)) for line in lines}) == 1
 
 
 class TestLatex:
@@ -351,21 +326,25 @@ class TestJson:
         for row in rows:
             assert row == by_name[row["system"]]
 
-    def test_empty_scores_and_reasons_keep_the_stdlib_layout(self):
-        # only a hand-built table has no metric columns or no reasons
+    def test_empty_reasons_keep_the_stdlib_layout(self):
+        # only a hand-built row has no reasons
         row = RankedRow(
             name="Solo",
             category=SystemCategory.OPEN,
-            raw_scores=(),
+            raw_scores=(1.0, 0.5),
             autorank_exact=1.0,
             autorank_display="1.0",
             position=1,
         )
-        table = LeaderboardTable(pair=LanguagePair.from_code("xx-yy"), metrics=(), rows=(row,))
+        table = LeaderboardTable(pair=LanguagePair.from_code("xx-yy"), rows=(row,))
         out = render_report([table])
         again = json.dumps(json.loads(out), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert again == out
-        assert '"reasons": [],' in out and '"scores": {},' in out
+        assert '"reasons": [],' in out
+        assert json.loads(out)["pairs"][0]["rows"][0]["scores"] == {
+            "cometkiwi-da-xl": "0.5",
+            "metricx-23-xl": "1.0",
+        }
 
     def test_report_combines_sorted_pairs(self, tables):
         out = render_report([tables["en-de"], tables["cs-uk"]])
@@ -378,7 +357,6 @@ class TestJson:
         table = tables["cs-uk"]
         other = LeaderboardTable(
             pair=table.pair,
-            metrics=table.metrics,
             rows=table.rows,
             config=RankingConfig(cutoff_gap=2.0),
         )
@@ -500,7 +478,7 @@ def test_exact_half_tenth_rounds_up_in_every_format(fmt):
         "system\tcategory\twithdrawn\tunsupported_pairs\n"
         + "".join(f"{name}\topen\t0\t\n" for name in "ABC")
     )
-    scores = parse_scores(_HALF_TENTH_SCORES, registry, DEFAULT_METRICS)
+    scores = parse_scores(_HALF_TENTH_SCORES, registry)
     table = rank_pair(registry, scores, LanguagePair.from_code("cs-uk"))
     row = table.rows[0]
     assert (row.name, row.autorank_exact < 2.35, row.autorank_display) == ("C", True, "2.4")

@@ -3,9 +3,9 @@
 
     python3 tools/same_bytes.py REV
 
-Exports REV's ``src/`` with ``git archive`` into a temporary directory,
-then runs one matrix of commands with each side's ``src`` on
-``PYTHONPATH``:
+Exports REV's ``src/``, ``demos/`` and ``data/`` with ``git archive``
+into a temporary directory, then runs one matrix of commands with each
+side's ``src`` on ``PYTHONPATH``:
 
 * ``rank`` in all four formats, each plain, with ``--show-reasons
   --exclude-closed`` and with ``--span n-1 --cutoff-gap 1.0``, to stdout
@@ -20,8 +20,11 @@ then runs one matrix of commands with each side's ``src`` on
   either side of the parser's 64 K block boundary, and one valid file
   with pairs interleaved and CometKiwi lines before MetricX lines.  Each
   side must report the same first fault;
-* every ``demos/*.py`` script of this checkout, the library-level view
-  of the same engine.
+* every ``demos/*.py`` script, the library-level view of the same
+  engine.  Each side runs its own copy of each demo, which reads its
+  own ``data/``, so a library call a change rewrites in a demo differs
+  only if what the demo prints does.  A demo that one side lacks
+  differs.
 
 The campaigns come from ``perfbench/gen.py`` and the goldens from
 ``perfbench/oracle.py``.  Each command's exit status, stdout, stderr and
@@ -51,17 +54,18 @@ FORMATS = ("text", "md", "latex", "json")
 VARIANTS = ((), ("--show-reasons", "--exclude-closed"), ("--span", "n-1", "--cutoff-gap", "1.0"))
 
 
-def export_src(rev: str, into: Path) -> Path:
-    """REV's ``src/`` tree, unpacked under ``into``."""
+def export(rev: str, into: Path) -> Path:
+    """REV's ``src/``, ``demos/`` and ``data/`` trees, unpacked under
+    ``into``, which is returned: the root of REV's side."""
 
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src", "demos", "data"],
         check=True,
         stdout=subprocess.PIPE,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
-    return into / "src"
+    return into
 
 
 def make_inputs(work: Path) -> dict[str, tuple[Path, Path]]:
@@ -188,21 +192,26 @@ def fault_commands(corpus: list[tuple[str, Path, Path]]) -> list[tuple[str, list
     ]
 
 
-def demo_commands() -> list[tuple[str, list[str]]]:
-    """(label, interpreter argv) of each demo script."""
+def demo_commands(roots: list[Path]) -> list[tuple[str, list[str]]]:
+    """(label, interpreter argv) of each demo script either side has; the
+    script's path is relative to the side's root."""
 
-    return [(f"demo {path.name}", [str(path)]) for path in sorted((ROOT / "demos").glob("*.py"))]
+    names = sorted({path.name for root in roots for path in (root / "demos").glob("*.py")})
+    return [(f"demo {name}", [f"demos/{name}"]) for name in names]
 
 
-def run(src: Path, argv: list[str], cwd: Path) -> tuple:
-    """Exit status, stdout, stderr and the ``out`` tree of one command.
+def run(root: Path, argv: list[str], cwd: Path) -> tuple:
+    """Exit status, stdout, stderr and the ``out`` tree of one command,
+    run with ``root``'s ``src`` on ``PYTHONPATH``.
 
     ``argv`` is the interpreter's arguments: ``-m autorank.cli ...`` or
-    a demo script's path.
+    a demo script's path relative to ``root``.
     """
 
     cwd.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    if argv[0] != "-m":
+        argv = [str(root / argv[0])]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
     tree = {
         str(path.relative_to(cwd)): path.read_bytes()
@@ -218,14 +227,14 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        sides = {"base": export_src(argv[0], work / "base"), "head": ROOT / "src"}
+        sides = {"base": export(argv[0], work / "base"), "head": ROOT}
         cli = commands(make_inputs(work / "inputs"))
         cli += fault_commands(fault_corpus(work / "faults"))
         matrix = [(label, ["-m", "autorank.cli", *args]) for label, args in cli]
-        matrix += demo_commands()
+        matrix += demo_commands(list(sides.values()))
         differing = 0
         for i, (label, command) in enumerate(matrix):
-            base, head = (run(src, command, work / side / str(i)) for side, src in sides.items())
+            base, head = (run(root, command, work / side / str(i)) for side, root in sides.items())
             if base != head:
                 differing += 1
                 names = ("exit", "stdout", "stderr", "out")
