@@ -18,7 +18,6 @@ from .model import (
     RankedRow,
     RankingConfig,
     ReasonCode,
-    ScaleSpan,
     SystemCategory,
     SystemEntry,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "RankingConfig",
     "ReasonCode",
     "RenderOptions",
-    "ScaleSpan",
     "SystemCategory",
     "SystemEntry",
     "TableFormat",

@@ -41,7 +41,7 @@ from .ingest import (
     parse_registry,
     parse_scores,
 )
-from .model import LanguagePair, LeaderboardTable, RankingConfig, ScaleSpan, _real
+from .model import LanguagePair, LeaderboardTable, RankingConfig, _real
 from .pipeline import pairs_in, rank_pair
 from .render import (
     RenderOptions,
@@ -108,12 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--cutoff-gap", type=_real_flag, default=None, help="quality cutoff gap")
     rank.add_argument("--closed-fraction", default=None, help="closed-track depth, e.g. 1/3")
     rank.add_argument("--open-fraction", default=None, help="open-track depth, e.g. 2/3")
-    rank.add_argument(
-        "--span",
-        choices=[s.value for s in ScaleSpan],
-        default=None,
-        help="normalized scale width: n (worst at 1+N) or n-1 (worst at N)",
-    )
     rank.add_argument("--exclude-closed", action="store_true", help="omit closed systems")
     rank.add_argument("--show-reasons", action="store_true", help="append a reason-code column")
 
@@ -182,12 +176,7 @@ def _parse_inputs(args: argparse.Namespace):
 
 
 def _config_from(args: argparse.Namespace) -> RankingConfig:
-    flags = {
-        "cutoff_gap": args.cutoff_gap,
-        "closed_fraction": args.closed_fraction,
-        "open_fraction": args.open_fraction,
-        "scale_span": args.span,
-    }
+    flags = {key: getattr(args, key) for key in RankingConfig._fields}  # each field has its flag
     try:
         return RankingConfig.from_dict({k: v for k, v in flags.items() if v is not None})
     except (ValueError, ZeroDivisionError) as exc:

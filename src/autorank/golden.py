@@ -33,7 +33,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from decimal import Decimal, InvalidOperation
 
-from .model import _NUMBER, LanguagePair, LeaderboardTable, RankingConfig
+from .model import _NUMBER, LanguagePair, LeaderboardTable, RankingConfig, _check_name
 
 
 # a parsed golden row: ``text`` is the aggregate as written, ``value``
@@ -57,7 +57,8 @@ class PairComparison(namedtuple("PairComparison", "mismatches notes")):
 def parse_allow_list(text: str) -> set[tuple[str, str]]:
     """Parse allow-list lines, any line ending, of the form ``pair/system``; '#' comments.
 
-    ``pair`` must be a language pair code and ``system`` non-empty.
+    ``pair`` must be a language pair code and ``system`` a name the
+    registry accepts (see ``SystemEntry``).
     """
 
     entries: set[tuple[str, str]] = set()
@@ -70,6 +71,7 @@ def parse_allow_list(text: str) -> set[tuple[str, str]]:
             raise ValueError(f"allow-list line {number}: expected pair/system, got {line!r}")
         try:
             LanguagePair.from_code(pair)
+            _check_name(system)
         except ValueError as exc:
             raise ValueError(f"allow-list line {number}: {exc}") from None
         entries.add((pair, system))
@@ -119,14 +121,15 @@ def validate_golden_pair(entry: object) -> dict:
 
     ``pair`` becomes a ``LanguagePair``, ``cutoff_position`` (absent,
     null or a positive integer) an int or None, and ``rows`` a tuple of
-    ``GoldenRow``.  Each row needs a non-empty ``system`` no other row
-    has, a ``category`` of open, closed or constrained, a ``position``
-    equal to its 1-based place in the list, a boolean ``selected`` and a
-    finite decimal ``autorank_exact`` whose band, the value ± half an
-    ulp, fits the decimal context.  Where the entry carries them,
-    ``n_systems`` must be the row count and each row's ``above_cutoff``
-    must say whether its position is above the cutoff.  Raises
-    ValueError on the first fault.
+    ``GoldenRow``.  Each row needs a ``system`` name the registry
+    accepts (see ``SystemEntry``) that no other row has, a ``category``
+    of open, closed or constrained, a ``position`` equal to its 1-based
+    place in the list, a boolean ``selected`` and a finite decimal
+    ``autorank_exact`` whose band, the value ± half an ulp, fits the
+    decimal context.  Where the entry carries them, ``n_systems`` must
+    be the row count and each row's ``above_cutoff`` must say whether
+    its position is above the cutoff.  Raises ValueError on the first
+    fault.
     """
 
     if not isinstance(entry, dict):
@@ -171,6 +174,7 @@ def _golden_row(row: object, place: int) -> GoldenRow:
         raise ValueError(f"golden row missing field {exc.args[0]!r}") from None
     if not isinstance(system, str) or not system:
         raise ValueError(f"golden row system is not a non-empty string: {system!r}")
+    _check_name(system)  # as the registry's: no control or bidi character
     # a tuple, not a set: an unhashable category must compare unequal, not raise
     if category not in ("open", "closed", "constrained"):
         raise ValueError(f"golden row category is not open, closed or constrained: {category!r}")

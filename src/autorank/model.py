@@ -14,7 +14,8 @@ its raw scores as a tuple, and reads its verdict flags from its
 reasons, as a ``LeaderboardTable`` reads its cutoff from its rows.
 The floats a record keeps are output values; every decision is made on
 the exact integers of :mod:`autorank.ranking`, and ``_tenths`` is the
-one rule that rounds a displayed aggregate.
+one rule that rounds a displayed aggregate.  The scale's span, N, and
+the one displayed decimal are rules too, not ``RankingConfig`` fields.
 """
 
 from __future__ import annotations
@@ -108,6 +109,19 @@ METRICS = (
 )
 
 
+def _check_name(name: str) -> None:
+    """The one name rule (see ``SystemEntry``): ValueError unless ``name`` may name a system."""
+
+    if not name:
+        raise ValueError("system name must be non-empty")
+    hostile = _HOSTILE_NAME_CHARS.search(name)
+    if hostile:
+        raise ValueError(
+            f"system name may not contain control or bidi character "
+            f"U+{ord(hostile.group()):04X}: {name!r}"
+        )
+
+
 class SystemEntry(
     namedtuple("SystemEntry", "name category withdrawn withdrawn_pairs unsupported_pairs")
 ):
@@ -137,14 +151,7 @@ class SystemEntry(
         withdrawn_pairs: frozenset[LanguagePair] = frozenset(),
         unsupported_pairs: frozenset[LanguagePair] = frozenset(),
     ) -> "SystemEntry":
-        if not name:
-            raise ValueError("system name must be non-empty")
-        hostile = _HOSTILE_NAME_CHARS.search(name)
-        if hostile:
-            raise ValueError(
-                f"system name may not contain control or bidi character "
-                f"U+{ord(hostile.group()):04X}: {name!r}"
-            )
+        _check_name(name)
         return tuple.__new__(cls, (name, category, withdrawn, withdrawn_pairs, unsupported_pairs))
 
     def is_withdrawn(self, pair: LanguagePair) -> bool:
@@ -154,20 +161,12 @@ class SystemEntry(
         return pair not in self.unsupported_pairs
 
 
-class ScaleSpan(Enum):
-    """Width of the normalized rank scale.
+# ranking rules, not settings: aggregates display with one decimal, and
+# on a table of N systems each metric's worst score normalizes to 1 + N;
+# as_dict writes both, and from_dict accepts each only with this value
+_RULES = {"display_decimals": 1, "scale_span": "n"}
 
-    ``FULL_N`` maps the observed worst score to ``1 + N`` where N is the
-    number of ranked systems; ``N_MINUS_ONE`` maps it to ``N``.  The
-    shipped tables use ``FULL_N``.
-    """
-
-    FULL_N = "n"
-    N_MINUS_ONE = "n-1"
-
-
-# a ranking rule, not a setting: aggregates display with one decimal
-DISPLAY_DECIMALS = 1
+_TOO_LONG = "{} has too many digits to write as text"
 
 
 def _real(text: str) -> float:
@@ -182,13 +181,12 @@ def _real(text: str) -> float:
     return value
 
 
-def _fraction(text: str) -> Fraction:
-    """``Fraction(text)``, for ``p/q`` or ``_NUMBER`` text.
+def _fraction(text: str, name: str) -> Fraction:
+    """``Fraction(text)``, for ``p/q`` or ``_NUMBER`` text, as field ``name``.
 
     Other text raises the ValueError ``Fraction`` raises for text it
     rejects.  The exponent has at most four digits, as no power of ten
-    it asks for then takes long to compute, and both terms of the result
-    must be writable as text, as ``as_dict`` writes them.
+    it asks for then takes long to compute.
     """
 
     number = _NUMBER.fullmatch(text)
@@ -196,20 +194,23 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
     if number and len((number[2] or "e").lstrip("eE+-0")) > 4:
         raise ValueError(f"exponent out of range: {text!r}")
-    value = Fraction(text)
-    str(value)  # a term past the interpreter's integer digit limit raises ValueError
-    return value
+    try:
+        return Fraction(text)
+    except ValueError:  # Fraction reads this syntax, so a term is too long to read
+        raise ValueError(_TOO_LONG.format(name)) from None
 
 
-# how from_dict reads each field back from the text as_dict wrote
-_CONFIG_PARSERS = dict(
-    cutoff_gap=_real, closed_fraction=_fraction, open_fraction=_fraction, scale_span=ScaleSpan
-)
+def _text(name: str, value: object) -> str:
+    """``str(value)``, or a ValueError naming field ``name`` for a term
+    past the interpreter's integer digit limit."""
+
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(_TOO_LONG.format(name)) from None
 
 
-class RankingConfig(
-    namedtuple("RankingConfig", "cutoff_gap closed_fraction open_fraction scale_span")
-):
+class RankingConfig(namedtuple("RankingConfig", "cutoff_gap closed_fraction open_fraction")):
     """Tunable knobs of the ranking and selection procedure.
 
     Defaults reproduce the shipped leaderboards: systems whose aggregate
@@ -227,26 +228,23 @@ class RankingConfig(
         cutoff_gap: float = 1.5,
         closed_fraction: Fraction = Fraction(1, 3),
         open_fraction: Fraction = Fraction(2, 3),
-        scale_span: ScaleSpan = ScaleSpan.FULL_N,
     ) -> "RankingConfig":
         for name, value in (("closed_fraction", closed_fraction), ("open_fraction", open_fraction)):
             if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a Fraction or int, got {value!r}")
-            str(value)  # as in _fraction: a term as_dict cannot write raises ValueError
-        if not isinstance(scale_span, ScaleSpan):
-            raise TypeError(f"scale_span must be a ScaleSpan, got {scale_span!r}")
+            _text(name, value)  # as_dict writes it
         if not isinstance(cutoff_gap, (int, float)) or isinstance(cutoff_gap, bool):
             raise TypeError(f"cutoff_gap must be an int or float, got {cutoff_gap!r}")
         if not 0 < cutoff_gap < math.inf:  # an int compares exactly, however large
             raise ValueError(f"cutoff_gap must be a positive real, got {cutoff_gap!r}")
-        if float(repr(cutoff_gap)) != cutoff_gap:  # as from_dict reads what as_dict writes
+        if float(_text("cutoff_gap", cutoff_gap)) != cutoff_gap:  # as from_dict reads it
             raise ValueError(f"cutoff_gap must be an int a float holds exactly, got {cutoff_gap}")
         if not 0 < closed_fraction <= open_fraction <= 1:
             raise ValueError(
                 "fractions must satisfy 0 < closed_fraction <= open_fraction <= 1, "
                 f"got {closed_fraction}, {open_fraction}"
             )
-        return tuple.__new__(cls, (cutoff_gap, closed_fraction, open_fraction, scale_span))
+        return tuple.__new__(cls, (cutoff_gap, closed_fraction, open_fraction))
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready form; reals as strings so no float formatting drifts."""
@@ -254,8 +252,7 @@ class RankingConfig(
             "cutoff_gap": repr(self.cutoff_gap),
             "closed_fraction": str(self.closed_fraction),
             "open_fraction": str(self.open_fraction),
-            "display_decimals": DISPLAY_DECIMALS,
-            "scale_span": self.scale_span.value,
+            **_RULES,
         }
 
     @classmethod
@@ -265,17 +262,21 @@ class RankingConfig(
         This is the only text-to-config parser.  Reals and fractions are
         read from their text, so "0.25" means the decimal typed, not a
         binary float expansion.  Unknown keys, and a ``display_decimals``
-        other than the integer 1, raise ``ValueError``.
+        other than the integer 1 or a ``scale_span`` other than the
+        string "n", raise ``ValueError``.
         """
         if not isinstance(data, Mapping):
             raise TypeError("config is not an object")
         kwargs: dict[str, object] = {}
         for key, value in data.items():
-            if key == "display_decimals":
-                if type(value) is not int or value != DISPLAY_DECIMALS:
-                    raise ValueError(f"display_decimals must be {DISPLAY_DECIMALS}, got {value!r}")
-            elif key in _CONFIG_PARSERS:
-                kwargs[key] = _CONFIG_PARSERS[key](str(value))
+            if key in _RULES:
+                rule = _RULES[key]
+                if type(value) is not type(rule) or value != rule:
+                    raise ValueError(f"{key} must be {rule!r}, got {value!r}")
+            elif key == "cutoff_gap":
+                kwargs[key] = _real(_text(key, value))
+            elif key in cls._fields:
+                kwargs[key] = _fraction(_text(key, value), key)
             else:
                 raise ValueError(f"unknown config key {key!r}")
         return cls(**kwargs)  # type: ignore[arg-type]

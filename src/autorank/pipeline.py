@@ -55,7 +55,7 @@ def rank_pair(
     rows = []
     if names:
         context = build_context(pair, names, columns)
-        ordered = order_rows(compute_autorank(names, columns, context, config))
+        ordered = order_rows(compute_autorank(names, columns, context))
         cutoff = find_cutoff(ordered, config, context[0])
         verdicts = select_for_human_eval(ordered, cutoff, registry, pair, config)
         rows = apply_selection(ordered, verdicts, registry, pair)

@@ -6,12 +6,13 @@ equally.  On a metric, a system's disadvantage d is its distance from
 the best observed score (``s - b`` for lower-is-better metrics,
 ``b - s`` for higher-is-better ones), D is the worst system's, and
 
-    normalized = 1 + span * d / D
+    normalized = 1 + N * d / D
 
-with span N, the number of ranked systems, or N - 1.  The best score
-maps to 1, the worst to 1 + span, and a column where everyone scored
-the same maps everyone to 1.  The aggregate ("autorank") is the mean
-of the normalized values.
+with N the number of ranked systems, the span of every published table
+and a rule of the engine, not a setting.  The best score maps to 1, the
+worst to 1 + N, and a column where everyone scored the same maps
+everyone to 1.  The aggregate ("autorank") is the mean of the
+normalized values.
 
 The stages read a pair's scores as ``parse_scores`` holds them: the
 names, and per metric of ``model.METRICS``, the paper's two, a column
@@ -21,12 +22,12 @@ Every decision is made on integers.  A score is the decimal of its
 ``repr``; ``build_context`` scales each column by one power of ten, so
 every d_m and D_m is an integer (D_m = 1 for a constant column).  With
 M metrics, K = sum_m d_m * prod_{k != m} D_k makes the aggregate
-exactly 1 + span * K / (M * prod D).  ``compute_autorank`` keys each
+exactly 1 + N * K / (M * prod D).  ``compute_autorank`` keys each
 system by (K, d_1 times a positive constant, name), rounds its display
 from K and ends the key in its raw scores; ``selection.find_cutoff``
 compares gaps in K with ``cutoff_gap``.  The one float computed for a
 row, ``autorank_exact``, the ``fsum`` over M of the normalized values
-``1.0 + span * (d / D)``, is output only.  No row is built here.
+``1.0 + N * (d / D)``, is output only.  No row is built here.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .model import METRICS, LanguagePair, Orientation, RankingConfig, ScaleSpan, _tenths
+from .model import METRICS, LanguagePair, Orientation, _tenths
 
 # 10.0**k is exact for k <= 22; adding and subtracting 1.5 * 2**52
 # rounds a float under 2**51 in magnitude to an integer
@@ -133,7 +134,6 @@ def compute_autorank(
     names: Sequence[str],
     columns: Sequence[Sequence[float]],
     context: Context,
-    config: RankingConfig,
 ) -> list[RankKey]:
     """Give every system its sort key, float aggregate and display.
 
@@ -142,7 +142,6 @@ def compute_autorank(
         columns: per metric, each participant's raw score in ``names``
             order (see ``check_completeness``).
         context: the pair's integer columns (see ``build_context``).
-        config: scale span.
 
     Returns:
         One ``RankKey`` per system, in ``names`` order.
@@ -150,16 +149,15 @@ def compute_autorank(
 
     unit, scaled = context
     n = len(names)
-    span = n if config.scale_span is ScaleSpan.FULL_N else n - 1
     # divide before scaling: the worst score's ratio is then exactly 1.0,
     # keeping both scale endpoints exact in float arithmetic
     normalized = [
-        [1.0 + span * (abs(score - best) / spread) for score in column] if spread else [1.0] * n
+        [1.0 + n * (abs(score - best) / spread) for score in column] if spread else [1.0] * n
         for column, (best, spread, _) in zip(columns, scaled)
     ]
     weighted = [exact for *_, exact in scaled]
     keys = list(map(sum, zip(*weighted)))
-    displays = _tenths([unit + span * k for k in keys], unit)
+    displays = _tenths([unit + n * k for k in keys], unit)
     m = len(scaled)
     # fsum(values) / M is statistics.fmean(values), bit for bit
     return [

@@ -3,9 +3,10 @@
 Two mechanisms prune the automatic ranking before human judgment:
 
 * A quality cutoff: scanning down the ordered table, the first jump in
-  the exact aggregate larger than ``cutoff_gap`` draws a line; that row
-  and everything under it is out.  Withdrawn systems keep their
-  positions and their aggregates count toward the gaps.
+  the exact aggregate, on the 1 to 1 + N scale of ``ranking``, larger
+  than ``cutoff_gap`` draws a line; that row and everything under it is
+  out.  Withdrawn systems keep their positions and their aggregates
+  count toward the gaps.
 
 * Category depth limits: closed systems only qualify within the top
   ``ceil(N * closed_fraction)`` positions and open systems within the
@@ -30,15 +31,7 @@ import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .model import (
-    LanguagePair,
-    RankedRow,
-    RankingConfig,
-    ReasonCode,
-    ScaleSpan,
-    SystemCategory,
-    SystemEntry,
-)
+from .model import LanguagePair, RankedRow, RankingConfig, ReasonCode, SystemCategory, SystemEntry
 from .ranking import RankKey
 
 
@@ -49,14 +42,14 @@ def find_cutoff(ordered: Sequence[RankKey], config: RankingConfig, unit: int) ->
     previous row's by more than ``cutoff_gap``.  ``ordered`` is in
     leaderboard order as ``order_rows`` returns it, and ``unit`` is the
     pair's ``M * prod D`` from ``build_context``, so an aggregate is
-    ``1 + span * K / unit``.  With ``cutoff_gap`` the decimal g/q of its
-    repr, the test is ``span * (K_p - K_(p-1)) * q > g * unit``, on
-    integers.
+    ``1 + N * K / unit`` on a table of N rows.  With ``cutoff_gap`` the
+    decimal g/q of its repr, the test is ``N * (K_p - K_(p-1)) * q > g *
+    unit``, on integers.
     """
 
     n = len(ordered)
     gap = Fraction(repr(config.cutoff_gap))
-    scale = (n if config.scale_span is ScaleSpan.FULL_N else n - 1) * gap.denominator
+    scale = n * gap.denominator
     limit = gap.numerator * unit
     for position in range(1, n):
         if (ordered[position][0] - ordered[position - 1][0]) * scale > limit:

@@ -124,16 +124,16 @@ class TestRankStdout:
         out = capsys.readouterr().out
         assert "Reasons" in out and "selected_constrained" in out
 
-    def test_span_option_changes_scale(self, inputs, capsys):
+    def test_span_option_is_usage_error(self, inputs, capsys):
+        # the scale is every published table's, 1 to 1 + N; --span n-1 used to narrow it
         main(_rank(inputs, "--pair", "xx-yy", "--format", "json"))
         full = json.loads(capsys.readouterr().out)
-        main(_rank(inputs, "--pair", "xx-yy", "--format", "json", "--span", "n-1"))
-        narrow = json.loads(capsys.readouterr().out)
-        worst_full = full["pairs"][0]["rows"][-1]
-        worst_narrow = narrow["pairs"][0]["rows"][-1]
-        assert worst_full["autorank_exact"] == "4.0"  # 1 + N with N=3
-        assert worst_narrow["autorank_exact"] == "3.0"  # 1 + (N-1)
-        assert narrow["config"]["scale_span"] == "n-1"
+        assert full["pairs"][0]["rows"][-1]["autorank_exact"] == "4.0"  # 1 + N with N=3
+        assert full["config"]["scale_span"] == "n"
+        argv = _rank(inputs, "--pair", "xx-yy", "--format", "json", "--span", "n-1")
+        assert main(argv) == ExitStatus.USAGE_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: unrecognized arguments: --span n-1\n"
 
     def test_repeated_pair_is_ranked_once(self, inputs, capsys):
         pairs = ["--pair", "zz-ww", "--pair", "xx-yy", "--pair", "zz-ww"]
@@ -230,11 +230,13 @@ class TestRankErrors:
             ("--closed-fraction", "\u0663/\u0664", "Invalid literal for Fraction: '\u0663/\u0664'"),
             ("--closed-fraction", "1_0/30", "Invalid literal for Fraction: '1_0/30'"),
             ("--closed-fraction", "1e-9999999", "exponent out of range: '1e-9999999'"),
-            # the JSON report's config used to end in a traceback
-            ("--closed-fraction", "1e-4400", "Exceeds the limit (4300 digits)"),
+            # the JSON report's config used to end in a traceback, and then in
+            # the interpreter's integer-limit advice
+            ("--closed-fraction", "1e-4400", "closed_fraction has too many digits to write"),
+            ("--open-fraction", "1" * 5000, "open_fraction has too many digits to write"),
         ],
         ids=["arabic-indic-gap", "underscore-gap", "arabic-indic-fraction",
-             "underscore-fraction", "long-exponent", "unwritable-fraction"],
+             "underscore-fraction", "long-exponent", "unwritable-fraction", "unreadable-fraction"],
     )
     def test_config_number_outside_the_ascii_syntax_is_usage_error(
         self, inputs, flag, value, error, capsys
@@ -790,8 +792,12 @@ class TestVerify:
             ("display_decimals", True, "display_decimals must be 1, got True"),
             ("display_decimals", 2, "display_decimals must be 1, got 2"),
             ("display_decimals", "1", "display_decimals must be 1, got '1'"),
+            # verify used to rank this golden on the N - 1 scale
+            ("scale_span", "n-1", "scale_span must be 'n', got 'n-1'"),
+            ("scale_span", "x", "scale_span must be 'n', got 'x'"),
         ],
-        ids=["typo-key", "fractional-decimals", "bool-decimals", "two-decimals", "text-decimals"],
+        ids=["typo-key", "fractional-decimals", "bool-decimals", "two-decimals", "text-decimals",
+             "n-minus-one-span", "unknown-span"],
     )
     def test_golden_config_is_strict(self, tmp_path, capsys, key, value, reason):
         golden = json.loads((DATA / "golden" / "en-de.json").read_text(encoding="utf-8"))
@@ -867,6 +873,37 @@ class TestVerify:
         assert code == 2
         assert "qq-rr: MISMATCH" in out
         assert "no scores for this pair" in out
+
+    @pytest.mark.parametrize("char", ["\x1b", "\u202e"], ids=["esc", "rlo"])
+    def test_allow_list_name_with_a_control_or_bidi_character_is_validation_error(
+        self, tmp_path, capsys, char
+    ):
+        # it used to come back raw in the note on an entry that matches no row
+        name = f"Evil{char}[2Jname"
+        allow = tmp_path / "allow.txt"
+        allow.write_text(f"cs-uk/Llama3-70B\ncs-uk/{name}\n", encoding="utf-8")
+        code = main(_verify("--golden", str(DATA / "golden"), "--allow-mismatch", str(allow)))
+        assert code == ExitStatus.VALIDATION_ERROR
+        assert capsys.readouterr() == (
+            "",
+            f"error: {allow}: allow-list line 2: system name may not contain control or bidi "
+            f"character U+{ord(char):04X}: {name!r}\n",
+        )
+
+    def test_golden_row_name_with_a_control_character_is_validation_error(
+        self, tmp_path, capsys
+    ):
+        # it used to come back raw in a "missing from computed table" line
+        golden = json.loads((DATA / "golden" / "cs-uk.json").read_text(encoding="utf-8"))
+        golden["pairs"][0]["rows"][0]["system"] = "Evil\x1b[2Jname"
+        path = tmp_path / "cs-uk.json"
+        path.write_text(json.dumps(golden), encoding="utf-8")
+        assert main(_verify("--golden", str(tmp_path))) == ExitStatus.VALIDATION_ERROR
+        assert capsys.readouterr() == (
+            "",
+            f"error: {path}: malformed golden report: system name may not contain control or "
+            "bidi character U+001B: 'Evil\\x1b[2Jname'\n",
+        )
 
     def test_allow_list_line_naming_no_pair_is_validation_error(self, tmp_path, capsys):
         # "cs_uk/Llama3-70B" used to be read, match nothing, and leave cs-uk mismatched

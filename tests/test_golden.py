@@ -84,8 +84,13 @@ class TestParseAllowList:
             ("cs-cs/X", "source and target must differ: 'cs-cs'"),
             ("/X", "malformed language pair code: ''"),
             ("cs-uk/", "expected pair/system, got 'cs-uk/'"),
+            # the registry's name rule: verify wrote these raw in its unmatched-entry note
+            ("cs-uk/A\x1b[2J", "system name may not contain control or bidi character "
+             "U+001B: 'A\\x1b[2J'"),
+            ("cs-uk/A\u202eB", "system name may not contain control or bidi character "
+             "U+202E: 'A\\u202eB'"),
         ],
-        ids=["underscore", "same-language", "no-pair", "no-system"],
+        ids=["underscore", "same-language", "no-pair", "no-system", "esc-name", "rlo-name"],
     )
     def test_rejects_a_pair_that_is_no_pair_code_or_an_empty_system(self, line, error):
         # each used to be read as an entry that matches no row
@@ -115,6 +120,17 @@ class TestValidateGoldenPair:
         del entry["rows"][0]["selected"]
         with pytest.raises(ValueError, match="selected"):
             validate_golden_pair(entry)
+
+    @pytest.mark.parametrize("char", ["\x1b", "\n", "\u202e"])
+    def test_rejects_a_system_name_the_registry_rejects(self, goldens, char):
+        # compare_pair used to write such a name raw when no row matched it
+        entry = copy.deepcopy(goldens["cs-uk"])
+        name = entry["rows"][1]["system"] = f"Evil{char}[2Jname"
+        with pytest.raises(ValueError) as info:
+            validate_golden_pair(entry)
+        assert str(info.value) == (
+            f"system name may not contain control or bidi character U+{ord(char):04X}: {name!r}"
+        )
 
     @pytest.mark.parametrize("value", ["1.0", 1e-05, -0.0, 3, ".25", "2.5E-1"])
     def test_reads_a_value_in_the_syntax_of_a_score(self, value):

@@ -25,7 +25,6 @@ from autorank import (
     RankedRow,
     RankingConfig,
     RenderOptions,
-    ScaleSpan,
     SystemCategory,
     SystemEntry,
     TableFormat,
@@ -323,15 +322,12 @@ def _decisions(columns, config):
     st.sampled_from(["scale", "shift", "negate"]),
     st.integers(0, len(METRICS) - 1),
     st.sampled_from([0.5, 1.5, 2.5]),
-    st.sampled_from(ScaleSpan),
     st.data(),
 )
-def test_normalization_invariant_under_positive_affine_maps(
-    columns, kind, index, gap, span, data
-):
+def test_normalization_invariant_under_positive_affine_maps(columns, kind, index, gap, data):
     # every decision is exact, so mapping one column by a power of ten, a
     # decimal shift, or a negation with its orientation flipped moves none
-    config = RankingConfig(cutoff_gap=gap, scale_span=span)
+    config = RankingConfig(cutoff_gap=gap)
     finest, column = columns[index]
     metrics = list(METRICS)
     if kind == "scale":
@@ -439,19 +435,18 @@ def _exact_campaigns(draw):
     1000, so exact aggregate ties are common, and the 1000.00x columns
     are large in magnitude and narrow in range.  The cutoff gap is often
     one of the exact gaps between neighbours, so a gap of exactly
-    ``cutoff_gap`` is common too.  A column may span 10 * span steps,
-    pinned by two systems at its ends: then every system's share of the
+    ``cutoff_gap`` is common too.  A column may span 10 * N steps, N
+    the number of systems, pinned by two systems at its ends: then every system's share of the
     aggregate is a whole number of twentieths, so aggregates that end
     in 5 at the second decimal, the display's ties, are common as well.
     """
     n = draw(st.integers(2, 12))
-    span = draw(st.sampled_from(ScaleSpan)).value
     names = [f"S{i:02d}" for i in draw(st.permutations(range(n)))]
     texts = {name: {} for name in names}
     for metric in METRICS:
         base = Decimal(draw(st.sampled_from([0, 1, 1000])))
         places = draw(st.integers(1, 3))
-        top = draw(st.sampled_from([1, 2, 4, 10, 10 * (n if span == "n" else n - 1)]))
+        top = draw(st.sampled_from([1, 2, 4, 10, 10 * n]))
         pinned = {names[0]: 0, names[1]: top} if draw(st.booleans()) else {}
         for name in names:
             step = Decimal(pinned.get(name, draw(st.integers(0, top)))).scaleb(-places)
@@ -462,9 +457,7 @@ def _exact_campaigns(draw):
         f"{name}\t{category}\t{flag}\t\n"
         for name, category, flag in zip(names, categories, withdrawn)
     )
-    config = {
-        "cutoff_gap": "1.5", "closed_fraction": "1/3", "open_fraction": "2/3", "scale_span": span
-    }
+    config = {"cutoff_gap": "1.5", "closed_fraction": "1/3", "open_fraction": "2/3"}
     oracle_systems = _ORACLE["read_systems"](systems)
     order = _ORACLE["rank"](PAIR.code, texts, oracle_systems, config).rows
     gaps = {_gap_text(b.aggregate - a.aggregate) for a, b in zip(order, order[1:])} - {None}
@@ -483,9 +476,7 @@ def test_decisions_match_the_exact_reference_ranker(campaign):
             {name: {m: float(v) for m, v in row.items()} for name, row in texts.items()}
         )
     }
-    ranking_config = RankingConfig(
-        cutoff_gap=float(config["cutoff_gap"]), scale_span=ScaleSpan(config["scale_span"])
-    )
+    ranking_config = RankingConfig(cutoff_gap=float(config["cutoff_gap"]))
     table = rank_pair(registry, scores, PAIR, config=ranking_config)
     assert [row.name for row in table.rows] == [row.system for row in expected.rows]
     assert table.cutoff_position == expected.cutoff_position
@@ -512,9 +503,8 @@ _OTHER_PAIR = LanguagePair.from_code("zz-ww")
         max_size=12,
     ),
     st.sampled_from([0.25, 0.5, 1.5, 3.0]),
-    st.sampled_from(ScaleSpan),
 )
-def test_the_table_reads_the_decisions_the_stages_made(systems, gap, span):
+def test_the_table_reads_the_decisions_the_stages_made(systems, gap):
     # no table stores a cutoff and no row a withdrawn flag: both are read
     # from the rows' reasons and must be what the stages decided
     registry = registry_of(
@@ -525,11 +515,11 @@ def test_the_table_reads_the_decisions_the_stages_made(systems, gap, span):
         name: dict(zip([MX.id, CK.id], values))
         for name, (*_, values) in zip(registry, systems)
     }
-    config = RankingConfig(cutoff_gap=gap, scale_span=span)
+    config = RankingConfig(cutoff_gap=gap)
     names, columns = matrix_of(matrix)
     table = rank_pair(registry, {PAIR: (names, columns)}, PAIR, config=config)
     context = build_context(PAIR, names, columns)
-    ordered = order_rows(compute_autorank(names, columns, context, config))
+    ordered = order_rows(compute_autorank(names, columns, context))
     assert table.cutoff_position == find_cutoff(ordered, config, context[0])
     assert [row.withdrawn for row in table.rows] == [
         registry[row.name].is_withdrawn(PAIR) for row in table.rows
@@ -870,14 +860,13 @@ def test_text_autorank_column_ends_at_one_display_column(names):
 # --- config text ---------------------------------------------------------------
 
 _CONFIGS = st.builds(
-    lambda gap, fractions, span: RankingConfig(gap, min(fractions), max(fractions), span),
+    lambda gap, fractions: RankingConfig(gap, min(fractions), max(fractions)),
     st.floats(min_value=1e-6, max_value=1e6),
     st.lists(
         st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(bool),
         min_size=2,
         max_size=2,
     ),
-    st.sampled_from(ScaleSpan),
 )
 
 

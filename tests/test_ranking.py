@@ -8,8 +8,6 @@ import pytest
 from autorank import (
     LanguagePair,
     RankedRow,
-    RankingConfig,
-    ScaleSpan,
     SystemCategory,
     SystemEntry,
     rank_pair,
@@ -46,13 +44,13 @@ def _csuk(**systems: tuple[float, float]) -> dict[str, dict[str, float]]:
     return {name: {MX.id: mx, CK.id: ck} for name, (mx, ck) in named.items()}
 
 
-def _rows(matrix, config=RankingConfig()) -> dict[str, RankedRow]:
+def _rows(matrix) -> dict[str, RankedRow]:
     registry = registry_of(_entry(name) for name in matrix)
-    table = rank_pair(registry, {CSUK: matrix_of(matrix)}, CSUK, config=config)
+    table = rank_pair(registry, {CSUK: matrix_of(matrix)}, CSUK)
     return {row.name: row for row in table.rows}
 
 
-def _normalized(matrix, config=RankingConfig()) -> dict[str, dict[str, float]]:
+def _normalized(matrix) -> dict[str, dict[str, float]]:
     """Each system's normalized value per metric, keyed by name: ranked
     beside a constant column, which normalizes to 1 for everyone, a row's
     aggregate is ``fsum([x, 1.0]) / 2``, so x is twice it less one, and
@@ -60,7 +58,7 @@ def _normalized(matrix, config=RankingConfig()) -> dict[str, dict[str, float]]:
     values: dict[str, dict[str, float]] = {name: {} for name in matrix}
     for metric, other in zip(METRICS, METRICS[::-1]):
         alone = {name: {metric.id: row[metric.id], other.id: 0.0} for name, row in matrix.items()}
-        for row in _rows(alone, config).values():
+        for row in _rows(alone).values():
             values[row.name][metric.id] = 2 * row.autorank_exact - 1
     return values
 
@@ -107,16 +105,6 @@ def test_normalize_worst_maps_to_one_plus_n_exactly():
     assert _normalized(_csuk())["CycleL"] == {MX.id: 21.0, CK.id: 21.0}
 
 
-def test_normalize_span_n_minus_one_variant():
-    values = _normalized(
-        _csuk(IOL=(1.3, 0.681)), RankingConfig(scale_span=ScaleSpan.N_MINUS_ONE)
-    )
-    assert values["CycleL"] == {MX.id: 20.0, CK.id: 20.0}
-    assert values["IOL"][MX.id] == pytest.approx(
-        oracle(1.3, 0.9, 19.5, 19, True), rel=1e-12
-    )
-
-
 def test_normalize_all_equal_column_returns_one():
     matrix = {name: {MX.id: 5.0, CK.id: 0.5} for name in "ABC"}
     assert _normalized(matrix) == {name: {MX.id: 1.0, CK.id: 1.0} for name in matrix}
@@ -153,10 +141,10 @@ def test_build_context_rejects_empty():
         build_context(CSUK, *matrix_of({}))
 
 
-def _keys(matrix, config=RankingConfig()):
+def _keys(matrix):
     names, columns = matrix_of(matrix)
     context = build_context(CSUK, names, columns)
-    return compute_autorank(names, columns, context, config)
+    return compute_autorank(names, columns, context)
 
 
 def test_compute_autorank_published_examples():
@@ -371,7 +359,7 @@ def test_integer_key_is_exact_on_narrow_and_wide_columns(low, high):
     names, columns = matrix_of(matrix)
     unit, _ = context = build_context(CSUK, names, columns)
     exact = _exact_aggregates(matrix, 8)
-    keys = compute_autorank(names, columns, context, RankingConfig())
+    keys = compute_autorank(names, columns, context)
     for k, _, name, autorank, display, _ in keys:
         assert 1 + Fraction(8 * k, unit) == exact[name]
         assert display == display_str(exact[name])
