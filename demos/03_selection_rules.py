@@ -28,7 +28,7 @@ print(f"  gap: {below.autorank_exact - above.autorank_exact:.3f}\n")
 # category depth limits on top of the cutoff: closed systems only count
 # in the top third, open systems in the top two thirds, constrained
 # systems everywhere above the line
-closed_limit, open_limit = category_limits(table.n_systems, table.config)
+closed_limit, open_limit = category_limits(table.n_systems)
 print(f"closed systems qualify through position {closed_limit},"
       f" open through {open_limit}\n")
 

@@ -31,13 +31,13 @@ tolerance = Decimal("0.05")
 # open-category depth limit
 allow = {("cs-uk", "Llama3-70B")}
 
-# parse_golden checks every field and returns the report's ranking
-# config with each pair entry parsed: a LanguagePair, the cutoff and
-# typed rows that compare_pair reads as they are
+# parse_golden checks every field, and that the report's config, if it
+# has one, states the rules the engine ranks by; it returns each pair
+# entry parsed: a LanguagePair, the cutoff and typed rows that
+# compare_pair reads as they are
 for path in sorted((data / "golden").glob("*.json")):
-    config, entries = parse_golden(path.read_bytes().decode("utf-8"))
-    for entry in entries:
-        table = rank_pair(registry, scores, entry["pair"], config=config)
+    for entry in parse_golden(path.read_bytes().decode("utf-8")):
+        table = rank_pair(registry, scores, entry["pair"])
         comparison = compare_pair(table, entry, tolerance, allow)
         state = "ok" if comparison.ok else "MISMATCH"
         print(f"{entry['pair']}: {state} ({table.n_systems} systems)")

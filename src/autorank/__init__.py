@@ -16,7 +16,6 @@ from .model import (
     LanguagePair,
     LeaderboardTable,
     RankedRow,
-    RankingConfig,
     ReasonCode,
     SystemCategory,
     SystemEntry,
@@ -31,7 +30,6 @@ __all__ = [
     "LeaderboardTable",
     "ParseError",
     "RankedRow",
-    "RankingConfig",
     "ReasonCode",
     "RenderOptions",
     "SystemCategory",

@@ -41,7 +41,7 @@ from .ingest import (
     parse_registry,
     parse_scores,
 )
-from .model import LanguagePair, LeaderboardTable, RankingConfig, _real
+from .model import _NUMBER, LanguagePair, LeaderboardTable
 from .pipeline import pairs_in, rank_pair
 from .render import (
     RenderOptions,
@@ -75,8 +75,13 @@ class _ValidationError(Exception):
 
 
 def _real_flag(text: str) -> float:
+    """``float(text)``, for ``_NUMBER`` text or what reads as inf or nan."""
+
     try:
-        return _real(text)
+        value = float(text)
+        if math.isfinite(value) and not _NUMBER.fullmatch(text):
+            raise ValueError
+        return value
     except ValueError:
         # argparse's own message for a type=float flag
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
@@ -105,9 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format",
     )
     rank.add_argument("--out", help="output directory, one file per pair")
-    rank.add_argument("--cutoff-gap", type=_real_flag, default=None, help="quality cutoff gap")
-    rank.add_argument("--closed-fraction", default=None, help="closed-track depth, e.g. 1/3")
-    rank.add_argument("--open-fraction", default=None, help="open-track depth, e.g. 2/3")
     rank.add_argument("--exclude-closed", action="store_true", help="omit closed systems")
     rank.add_argument("--show-reasons", action="store_true", help="append a reason-code column")
 
@@ -175,14 +177,6 @@ def _parse_inputs(args: argparse.Namespace):
     return registry, _parse(parse_scores, args.scores, registry)
 
 
-def _config_from(args: argparse.Namespace) -> RankingConfig:
-    flags = {key: getattr(args, key) for key in RankingConfig._fields}  # each field has its flag
-    try:
-        return RankingConfig.from_dict({k: v for k, v in flags.items() if v is not None})
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory, base = os.path.split(path)
     tmp = os.path.join(directory, f".{base}.{os.urandom(6).hex()}")
@@ -233,7 +227,6 @@ def _want_color(fmt: TableFormat) -> bool:
 
 
 def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
-    config = _config_from(args)
     fmt = TableFormat(args.format)
     try:
         # a repeated --pair is ranked once, in first-seen order
@@ -274,7 +267,7 @@ def _cmd_rank(args: argparse.Namespace) -> ExitStatus:
     )
 
     def ranked(pair: LanguagePair) -> LeaderboardTable:
-        return rank_pair(registry, scores, pair, config=config)
+        return rank_pair(registry, scores, pair)
 
     # then each pair is ranked, rendered and written before the next one
     # is ranked, and nothing keeps its table: at most one is alive
@@ -314,7 +307,7 @@ def _verify_golden(
     while the next is read.
     """
 
-    config, entries = _read(parse_golden, path)
+    entries = _read(parse_golden, path)
     failed = 0
     for entry in entries:
         pair = entry["pair"]
@@ -327,7 +320,7 @@ def _verify_golden(
             _write(f"{pair.code}: MISMATCH\n  {pair.code}: no scores for this pair\n")
             continue
         try:
-            table = rank_pair(registry, scores, pair, config=config)
+            table = rank_pair(registry, scores, pair)
         except ValueError as exc:
             raise _ValidationError(str(exc)) from None
         result = compare_pair(table, entry, tolerance, allow)

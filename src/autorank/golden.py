@@ -33,7 +33,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from decimal import Decimal, InvalidOperation
 
-from .model import _NUMBER, LanguagePair, LeaderboardTable, RankingConfig, _check_name
+from .model import _NUMBER, _RULES, LanguagePair, LeaderboardTable, _check_name
 
 
 # a parsed golden row: ``text`` is the aggregate as written, ``value``
@@ -88,11 +88,13 @@ class _Written(float):
         return number if math.isfinite(number) else float(number)
 
 
-def parse_golden(text: str) -> tuple[RankingConfig, list[dict]]:
-    """Parse a golden JSON report into its config (absent or null: the
-    default) and each ``pairs`` entry as ``validate_golden_pair`` returns
-    it.  Any fault raises one ValueError: the JSON parser's own message,
-    or ``malformed golden report: `` and what is wrong.
+def parse_golden(text: str) -> list[dict]:
+    """Parse a golden JSON report into each ``pairs`` entry as
+    ``validate_golden_pair`` returns it.  Its ``config`` may be absent,
+    null, or an object whose every key is one of the rules the engine
+    ranks by (``model._RULES``), with exactly the value and type the
+    report writes.  Any fault raises one ValueError: the JSON parser's
+    own message, or ``malformed golden report: `` and what is wrong.
     """
 
     import json  # only verify reads JSON
@@ -106,13 +108,20 @@ def parse_golden(text: str) -> tuple[RankingConfig, list[dict]]:
         if not isinstance(report, dict):
             raise ValueError("top level is not an object")
         config = report.get("config")
-        config = RankingConfig.from_dict({} if config is None else config)
+        if not isinstance(config, (dict, type(None))):
+            raise ValueError("config is not an object")
+        for key, value in (config or {}).items():
+            if key not in _RULES:
+                raise ValueError(f"unknown config key {key!r}")
+            rule = _RULES[key]
+            if type(value) is not type(rule) or value != rule:
+                raise ValueError(f"{key} must be {rule!r}, got {value!r}")
         if "pairs" not in report:
             raise ValueError("golden report missing field 'pairs'")
         if not isinstance(report["pairs"], list):
             raise ValueError("golden field 'pairs' is not a list")
-        return config, [validate_golden_pair(entry) for entry in report["pairs"]]
-    except (TypeError, ValueError, ArithmeticError) as exc:
+        return [validate_golden_pair(entry) for entry in report["pairs"]]
+    except ValueError as exc:
         raise ValueError(f"malformed golden report: {exc}") from None
 
 

@@ -14,24 +14,24 @@ its raw scores as a tuple, and reads its verdict flags from its
 reasons, as a ``LeaderboardTable`` reads its cutoff from its rows.
 The floats a record keeps are output values; every decision is made on
 the exact integers of :mod:`autorank.ranking`, and ``_tenths`` is the
-one rule that rounds a displayed aggregate.  The scale's span, N, and
-the one displayed decimal are rules too, not ``RankingConfig`` fields.
+one rule that rounds a displayed aggregate.  The cutoff gap, the
+category depths, the scale's span and the one displayed decimal are
+rules of the engine, not settings: ``_RULES`` holds them as the report
+writes them.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
 
 _PAIR_CODE = re.compile(r"[a-z]{2}-[a-z]{2}")
 # the syntax of every number read from a file or flag: ASCII decimal or
-# scientific notation; float() and Fraction() also take "1_0", "٣" and blanks
+# scientific notation; float() and Decimal() also take "1_0", "٣" and blanks
 _NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
-_RATIO = re.compile(r"[+-]?[0-9]+/[0-9]+")
 # category Cc (C0, DEL, C1), the line and paragraph separators, and the
 # bidi embeddings, overrides and isolates: none may reach a terminal
 _HOSTILE_NAME_CHARS = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029\u202a-\u202e\u2066-\u2069]")
@@ -161,125 +161,20 @@ class SystemEntry(
         return pair not in self.unsupported_pairs
 
 
-# ranking rules, not settings: aggregates display with one decimal, and
-# on a table of N systems each metric's worst score normalizes to 1 + N;
-# as_dict writes both, and from_dict accepts each only with this value
-_RULES = {"display_decimals": 1, "scale_span": "n"}
-
-_TOO_LONG = "{} has too many digits to write as text"
-
-
-def _real(text: str) -> float:
-    """``float(text)``, for ``_NUMBER`` text or what reads as inf or nan.
-
-    Other text raises the ValueError ``float`` raises for text it rejects.
-    """
-
-    value = float(text)
-    if math.isfinite(value) and not _NUMBER.fullmatch(text):
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return value
-
-
-def _fraction(text: str, name: str) -> Fraction:
-    """``Fraction(text)``, for ``p/q`` or ``_NUMBER`` text, as field ``name``.
-
-    Other text raises the ValueError ``Fraction`` raises for text it
-    rejects.  The exponent has at most four digits, as no power of ten
-    it asks for then takes long to compute.
-    """
-
-    number = _NUMBER.fullmatch(text)
-    if not (number or _RATIO.fullmatch(text)):
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    if number and len((number[2] or "e").lstrip("eE+-0")) > 4:
-        raise ValueError(f"exponent out of range: {text!r}")
-    try:
-        return Fraction(text)
-    except ValueError:  # Fraction reads this syntax, so a term is too long to read
-        raise ValueError(_TOO_LONG.format(name)) from None
-
-
-def _text(name: str, value: object) -> str:
-    """``str(value)``, or a ValueError naming field ``name`` for a term
-    past the interpreter's integer digit limit."""
-
-    try:
-        return str(value)
-    except ValueError:
-        raise ValueError(_TOO_LONG.format(name)) from None
-
-
-class RankingConfig(namedtuple("RankingConfig", "cutoff_gap closed_fraction open_fraction")):
-    """Tunable knobs of the ranking and selection procedure.
-
-    Defaults reproduce the shipped leaderboards: systems whose aggregate
-    rank trails the previous one by more than 1.5 fall below the cutoff,
-    closed systems may occupy at most the top third of positions and
-    open systems at most the top two thirds.  The gap is an ``int`` or
-    ``float``, the fractions exact: a ``Fraction`` or an ``int``.  Each
-    holds only what ``as_dict`` writes, so ``from_dict`` reads it back.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        cutoff_gap: float = 1.5,
-        closed_fraction: Fraction = Fraction(1, 3),
-        open_fraction: Fraction = Fraction(2, 3),
-    ) -> "RankingConfig":
-        for name, value in (("closed_fraction", closed_fraction), ("open_fraction", open_fraction)):
-            if not isinstance(value, (Fraction, int)) or isinstance(value, bool):
-                raise TypeError(f"{name} must be a Fraction or int, got {value!r}")
-            _text(name, value)  # as_dict writes it
-        if not isinstance(cutoff_gap, (int, float)) or isinstance(cutoff_gap, bool):
-            raise TypeError(f"cutoff_gap must be an int or float, got {cutoff_gap!r}")
-        if not 0 < cutoff_gap < math.inf:  # an int compares exactly, however large
-            raise ValueError(f"cutoff_gap must be a positive real, got {cutoff_gap!r}")
-        if float(_text("cutoff_gap", cutoff_gap)) != cutoff_gap:  # as from_dict reads it
-            raise ValueError(f"cutoff_gap must be an int a float holds exactly, got {cutoff_gap}")
-        if not 0 < closed_fraction <= open_fraction <= 1:
-            raise ValueError(
-                "fractions must satisfy 0 < closed_fraction <= open_fraction <= 1, "
-                f"got {closed_fraction}, {open_fraction}"
-            )
-        return tuple.__new__(cls, (cutoff_gap, closed_fraction, open_fraction))
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready form; reals as strings so no float formatting drifts."""
-        return {
-            "cutoff_gap": repr(self.cutoff_gap),
-            "closed_fraction": str(self.closed_fraction),
-            "open_fraction": str(self.open_fraction),
-            **_RULES,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "RankingConfig":
-        """Parse the ``as_dict`` form; absent keys keep their defaults.
-
-        This is the only text-to-config parser.  Reals and fractions are
-        read from their text, so "0.25" means the decimal typed, not a
-        binary float expansion.  Unknown keys, and a ``display_decimals``
-        other than the integer 1 or a ``scale_span`` other than the
-        string "n", raise ``ValueError``.
-        """
-        if not isinstance(data, Mapping):
-            raise TypeError("config is not an object")
-        kwargs: dict[str, object] = {}
-        for key, value in data.items():
-            if key in _RULES:
-                rule = _RULES[key]
-                if type(value) is not type(rule) or value != rule:
-                    raise ValueError(f"{key} must be {rule!r}, got {value!r}")
-            elif key == "cutoff_gap":
-                kwargs[key] = _real(_text(key, value))
-            elif key in cls._fields:
-                kwargs[key] = _fraction(_text(key, value), key)
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-        return cls(**kwargs)  # type: ignore[arg-type]
+# The rules every published table is ranked by, as the JSON report's
+# config writes them: a row whose aggregate trails the one above it by
+# more than 1.5 falls below the cutoff; closed systems qualify within the
+# top third of positions and open systems within the top two thirds;
+# aggregates display with one decimal; and on a table of N systems each
+# metric's worst score normalizes to 1 + N.  A golden's config may only
+# repeat them.
+_RULES = {
+    "closed_fraction": "1/3",
+    "cutoff_gap": "1.5",
+    "display_decimals": 1,
+    "open_fraction": "2/3",
+    "scale_span": "n",
+}
 
 
 class ReasonCode(Enum):
@@ -367,9 +262,7 @@ class RankedRow(
         return _WITHDRAWN in self.reasons
 
 
-class LeaderboardTable(
-    namedtuple("LeaderboardTable", "pair rows config", defaults=[RankingConfig()])
-):
+class LeaderboardTable(namedtuple("LeaderboardTable", "pair rows")):
     """A fully ranked language pair: ordered rows, which carry the decisions."""
 
     __slots__ = ()

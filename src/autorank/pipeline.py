@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .ingest import check_completeness
-from .model import METRICS, LanguagePair, LeaderboardTable, RankingConfig, SystemEntry
+from .model import METRICS, LanguagePair, LeaderboardTable, SystemEntry
 from .ranking import build_context, compute_autorank, order_rows
 from .selection import apply_selection, find_cutoff, select_for_human_eval
 
@@ -25,8 +25,6 @@ def rank_pair(
     registry: Mapping[str, SystemEntry],
     scores: Mapping[LanguagePair, tuple[Sequence[str], Sequence[Sequence[float]]]],
     pair: LanguagePair,
-    *,
-    config: RankingConfig = RankingConfig(),
 ) -> LeaderboardTable:
     """Rank one language pair.
 
@@ -37,7 +35,6 @@ def rank_pair(
             returns it, with one column per metric of ``METRICS``;
             only ``pair``'s entry is read.
         pair: the direction to rank.
-        config: ranking and selection knobs, by keyword only.
 
     Returns:
         The finished table: ordered rows, each with its verdict.  It
@@ -56,10 +53,10 @@ def rank_pair(
     if names:
         context = build_context(pair, names, columns)
         ordered = order_rows(compute_autorank(names, columns, context))
-        cutoff = find_cutoff(ordered, config, context[0])
-        verdicts = select_for_human_eval(ordered, cutoff, registry, pair, config)
+        cutoff = find_cutoff(ordered, context[0])
+        verdicts = select_for_human_eval(ordered, cutoff, registry, pair)
         rows = apply_selection(ordered, verdicts, registry, pair)
-    return LeaderboardTable(pair, tuple(rows), config)
+    return LeaderboardTable(pair, tuple(rows))
 
 
 def pairs_in(scores: Mapping[LanguagePair, object]) -> list[LanguagePair]:

@@ -25,7 +25,7 @@ M metrics, K = sum_m d_m * prod_{k != m} D_k makes the aggregate
 exactly 1 + N * K / (M * prod D).  ``compute_autorank`` keys each
 system by (K, d_1 times a positive constant, name), rounds its display
 from K and ends the key in its raw scores; ``selection.find_cutoff``
-compares gaps in K with ``cutoff_gap``.  The one float computed for a
+compares gaps in K with the cutoff gap.  The one float computed for a
 row, ``autorank_exact``, the ``fsum`` over M of the normalized values
 ``1.0 + N * (d / D)``, is output only.  No row is built here.
 """

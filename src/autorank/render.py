@@ -26,7 +26,8 @@ at import, strings through the C encoder ``encode_basestring``.  Only
 the JSON report imports ``json``; the other formats never load it.
 
 The report has one writer, ``report_chunks``: the head with the
-config, then one chunk per pair, then the tail.  It takes each table
+config, the rules of ``model._RULES`` written once at import, then one
+chunk per pair, then the tail.  It takes each table
 from its iterable only when it reaches it and drops it once its text
 is built, so a caller that hands it tables as they are ranked and
 writes the chunks as they come holds one table and one pair's text at
@@ -48,6 +49,7 @@ from enum import Enum
 from unicodedata import category, east_asian_width
 
 from .model import (
+    _RULES,
     METRICS,
     LeaderboardTable,
     Orientation,
@@ -108,8 +110,8 @@ def render_table(table: LeaderboardTable, options: RenderOptions) -> str:
 def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = True) -> str:
     """Combined JSON report over several pairs, sorted by pair code.
 
-    All tables must share one configuration; it is echoed once at the
-    top so a verification run can reproduce the computation.
+    The rules the tables were ranked by head it as its config, so a
+    verification run can check a golden against them.
     """
 
     ordered = sorted(tables, key=lambda table: table.pair)
@@ -124,27 +126,33 @@ def report_chunks(
     The pairs are listed in the order ``tables`` gives them; sorted by
     pair, that is ``render_report``'s text.  Each table is read only
     when the iterator reaches it and is dropped once its text is built,
-    so a lazy ``tables`` keeps one table alive at a time.  The first
-    table's config heads the report; a later table with another config
-    raises ``ValueError`` when it is reached.
+    so a lazy ``tables`` keeps one table alive at a time.  The rules
+    head the report as its config; a report with no pair has none.
     """
 
-    import json
-
-    config, comma = None, ""
+    comma = None  # until the head is written
     for table in tables:
-        if config is None:
-            config = table.config
-            # the config is a handful of keys; the stdlib lays it out, one level in
-            layout = json.dumps(config.as_dict(), indent=2, sort_keys=True, ensure_ascii=False)
-            yield '{\n  "config": ' + layout.replace("\n", "\n  ") + ',\n  "pairs": ['
-        elif table.config != config:
-            raise ValueError("tables in one report must share a single config")
+        if comma is None:
+            yield _REPORT_HEAD
+            comma = ""
         text = comma + _pair_json(table, visible_rows(table, include_closed))
         comma = ","
         del table  # the next table is made while this text is written
         yield text
-    yield '{\n  "config": null,\n  "pairs": []\n}\n' if config is None else "\n  ]\n}\n"
+    yield '{\n  "config": null,\n  "pairs": []\n}\n' if comma is None else "\n  ]\n}\n"
+
+
+# the report up to its first pair: the rules as json.dumps(indent=2,
+# sort_keys=True) lays them out one level in; each value is an int or a
+# string JSON needs no escape for
+_REPORT_HEAD = (
+    '{\n  "config": {'
+    + ",".join(
+        f'\n    "{key}": ' + (f'"{value}"' if isinstance(value, str) else f"{value}")
+        for key, value in sorted(_RULES.items())
+    )
+    + '\n  },\n  "pairs": ['
+)
 
 
 # JSON text of each enum value a row carries, quoted once (the values are

@@ -1,17 +1,18 @@
 """Human-evaluation selection rules.
 
-Two mechanisms prune the automatic ranking before human judgment:
+Two rules prune the automatic ranking before human judgment, with the
+values every published table uses (``model._RULES``):
 
 * A quality cutoff: scanning down the ordered table, the first jump in
   the exact aggregate, on the 1 to 1 + N scale of ``ranking``, larger
-  than ``cutoff_gap`` draws a line; that row and everything under it is
-  out.  Withdrawn systems keep their positions and their aggregates
-  count toward the gaps.
+  than 1.5 draws a line; that row and everything under it is out.
+  Withdrawn systems keep their positions and their aggregates count
+  toward the gaps.
 
 * Category depth limits: closed systems only qualify within the top
-  ``ceil(N * closed_fraction)`` positions and open systems within the
-  top ``floor(N * open_fraction)``, with N the full table size.
-  Constrained systems have no depth limit.
+  ``ceil(N / 3)`` positions and open systems within the top
+  ``floor(2N / 3)``, with N the full table size.  Constrained systems
+  have no depth limit.
 
 A system is selected when it is not withdrawn for the pair, sits above
 the cutoff, and meets its category's depth limit.
@@ -21,52 +22,50 @@ leaderboard order; a key's position is its index plus one.
 ``find_cutoff`` and ``select_for_human_eval`` decide on the keys, and
 ``apply_selection`` then builds each ``RankedRow`` once, with its final
 position, reason codes and display, and the raw scores tuple its key
-ends in.  Gaps are compared on the keys' exact integers, so a gap of
-exactly ``cutoff_gap`` never draws the line.
+ends in.  Gaps and depths are computed on integers, so a gap of exactly
+1.5 never draws the line and ``ceil(27 / 3)`` is 9.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .model import LanguagePair, RankedRow, RankingConfig, ReasonCode, SystemCategory, SystemEntry
+from .model import _RULES, LanguagePair, RankedRow, ReasonCode, SystemCategory, SystemEntry
 from .ranking import RankKey
 
+# each rule as (numerator, denominator), read once from the text of _RULES
+_GAP, _CLOSED, _OPEN = (
+    Fraction(_RULES[key]).as_integer_ratio()
+    for key in ("cutoff_gap", "closed_fraction", "open_fraction")
+)
 
-def find_cutoff(ordered: Sequence[RankKey], config: RankingConfig, unit: int) -> int | None:
+
+def find_cutoff(ordered: Sequence[RankKey], unit: int) -> int | None:
     """Position of the first row below the quality line, or None.
 
     Returns the smallest position p >= 2 whose aggregate exceeds the
-    previous row's by more than ``cutoff_gap``.  ``ordered`` is in
+    previous row's by more than the cutoff gap, 1.5.  ``ordered`` is in
     leaderboard order as ``order_rows`` returns it, and ``unit`` is the
     pair's ``M * prod D`` from ``build_context``, so an aggregate is
-    ``1 + N * K / unit`` on a table of N rows.  With ``cutoff_gap`` the
-    decimal g/q of its repr, the test is ``N * (K_p - K_(p-1)) * q > g *
-    unit``, on integers.
+    ``1 + N * K / unit`` on a table of N rows.  The test is
+    ``2 * N * (K_p - K_(p-1)) > 3 * unit``, on integers.
     """
 
-    n = len(ordered)
-    gap = Fraction(repr(config.cutoff_gap))
-    scale = n * gap.denominator
-    limit = gap.numerator * unit
+    (gap, per), n = _GAP, len(ordered)
+    scale, limit = n * per, gap * unit
     for position in range(1, n):
         if (ordered[position][0] - ordered[position - 1][0]) * scale > limit:
             return position + 1
     return None
 
 
-def category_limits(n_systems: int, config: RankingConfig) -> tuple[int, int]:
-    """(closed_limit, open_limit) for a table of ``n_systems`` rows.
+def category_limits(n_systems: int) -> tuple[int, int]:
+    """(closed_limit, open_limit), ``(ceil(N / 3), floor(2N / 3))``, for a
+    table of N = ``n_systems`` rows, in integer arithmetic."""
 
-    Exact rational arithmetic: ceil(27 * 1/3) must be 9, not a float
-    whisker above it.
-    """
-
-    closed_limit = math.ceil(n_systems * config.closed_fraction)
-    open_limit = math.floor(n_systems * config.open_fraction)
-    return closed_limit, open_limit
+    (closed, per_closed), (open_, per_open) = _CLOSED, _OPEN
+    return -(-n_systems * closed // per_closed), n_systems * open_ // per_open
 
 
 def select_for_human_eval(
@@ -74,7 +73,6 @@ def select_for_human_eval(
     cutoff_position: int | None,
     registry: Mapping[str, SystemEntry],
     pair: LanguagePair,
-    config: RankingConfig,
 ) -> list[tuple[ReasonCode, ...]]:
     """Decide which rows go to human evaluation.
 
@@ -84,14 +82,13 @@ def select_for_human_eval(
         cutoff_position: result of ``find_cutoff`` on the same keys.
         registry: ``parse_registry``'s name -> entry mapping.
         pair: the direction being ranked, for pair-scoped withdrawals.
-        config: category fractions.
 
     Returns:
         One reason tuple per key, in order: exactly one selected code,
         or every exclusion code that applies.
     """
 
-    closed_limit, open_limit = category_limits(len(ordered), config)
+    closed_limit, open_limit = category_limits(len(ordered))
     verdicts = []
     for position, key in enumerate(ordered, start=1):
         entry = registry[key[2]]

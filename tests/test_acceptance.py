@@ -25,7 +25,6 @@ import pytest
 from autorank import (
     LanguagePair,
     ParseError,
-    RankingConfig,
     ReasonCode,
     RenderOptions,
     SystemCategory,
@@ -259,7 +258,7 @@ def test_criterion_4_selection_matches_published_checkmarks(tables, goldens):
     }
     for code in sorted(tables):
         table = tables[code]
-        closed_limit, open_limit = category_limits(table.n_systems, table.config)
+        closed_limit, open_limit = category_limits(table.n_systems)
         for row in table.rows:
             above = table.cutoff_position is None or row.position < table.cutoff_position
             exclusions = []
@@ -345,7 +344,6 @@ def test_criterion_6_randomized_instances_match_direct_formula():
 
     rng = random.Random(240817)
     pair = LanguagePair.from_code("xx-yy")
-    config = RankingConfig()
 
     def oracle(score: float, column: list[float], lower_better: bool, n: int) -> float:
         best = min(column) if lower_better else max(column)
@@ -374,7 +372,7 @@ def test_criterion_6_randomized_instances_match_direct_formula():
         registry = registry_of(SystemEntry(name, SystemCategory.OPEN) for name in names)
 
         def ranked(matrix):
-            return rank_pair(registry, {pair: matrix_of(matrix)}, pair, config=config).rows
+            return rank_pair(registry, {pair: matrix_of(matrix)}, pair).rows
 
         ordered = ranked(scores)
         # each metric's rows, ranked beside a constant column: a row's

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import time
 from decimal import Decimal
 
@@ -10,7 +11,6 @@ from autorank import (
     LanguagePair,
     LeaderboardTable,
     RankedRow,
-    RankingConfig,
     ReasonCode,
     SystemCategory,
     compare_pair,
@@ -18,7 +18,7 @@ from autorank import (
     parse_golden,
 )
 from autorank.golden import GoldenRow, validate_golden_pair
-from autorank.model import display_str
+from autorank.model import _RULES, display_str
 
 TOL = Decimal("0.05")
 
@@ -141,14 +141,36 @@ class TestValidateGoldenPair:
 class TestParseGolden:
     def test_parses_config_pair_cutoff_and_rows(self, data_dir):
         text = (data_dir / "golden" / "cs-uk.json").read_text(encoding="utf-8")
-        config, (entry,) = parse_golden(text)
-        assert config == RankingConfig()
+        (entry,) = parse_golden(text)
         assert entry["pair"] == LanguagePair("cs", "uk")
         assert entry["cutoff_position"] == 18
         assert len(entry["rows"]) == 20
         assert entry["rows"][0] == GoldenRow(
             "Unbabel-Tower70B", "closed", True, "1.0", Decimal("1.0"), Decimal("0.05")
         )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("cutoff_gap", value) for value in ("1.0", "1.50", 1.5, "3/2", None)]
+        + [("closed_fraction", value) for value in ("1/2", "2/6", "0.333", 1)]
+        + [("open_fraction", value) for value in ("3/4", "4/6", None)]
+        + [("display_decimals", value) for value in (1.9, 1.0, True, 2, 0, "1", None)]
+        + [("scale_span", value) for value in ("n-1", "N", " n", 1, None, ["n"])],
+    )
+    def test_config_may_only_state_the_rules(self, key, value):
+        # each key may be left out, but not set to anything the report does not write
+        rule = _RULES[key]
+        assert parse_golden(json.dumps({"config": {key: rule}, "pairs": []})) == []
+        with pytest.raises(ValueError) as info:
+            parse_golden(json.dumps({"config": {key: value}, "pairs": []}))
+        assert str(info.value) == f"malformed golden report: {key} must be {rule!r}, got {value!r}"
+
+    @pytest.mark.parametrize("config", ["abc", [], ["cutoff_gap"], 1.5, True])
+    def test_config_that_is_not_an_object_is_rejected(self, config):
+        # absent and null mean the rules; anything else must be an object
+        with pytest.raises(ValueError) as info:
+            parse_golden(json.dumps({"config": config, "pairs": []}))
+        assert str(info.value) == "malformed golden report: config is not an object"
 
     def test_json_fault_is_the_parser_message_alone(self):
         with pytest.raises(ValueError) as info:

@@ -16,19 +16,19 @@ from unicodedata import category, east_asian_width
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from autorank import (
     LanguagePair,
     LeaderboardTable,
     RankedRow,
-    RankingConfig,
     RenderOptions,
     SystemCategory,
     SystemEntry,
     TableFormat,
     compare_pair,
+    parse_golden,
     parse_registry,
     parse_scores,
     rank_pair,
@@ -38,7 +38,7 @@ from autorank import (
 import autorank.ranking
 from autorank.cli import main
 from autorank.golden import _has_binding_inversion, validate_golden_pair
-from autorank.model import METRICS, Orientation, display_str
+from autorank.model import _RULES, METRICS, Orientation, display_str
 from autorank.ranking import _decimal_column, build_context, compute_autorank, order_rows
 from autorank.selection import apply_selection, find_cutoff, select_for_human_eval
 
@@ -221,7 +221,7 @@ def _open_registry(names):
     return registry_of(SystemEntry(name=name, category=SystemCategory.OPEN) for name in names)
 
 
-def _normalized(matrix, config=RankingConfig()):
+def _normalized(matrix):
     """Each system's normalized values, keyed by name: ranked beside a
     constant column, which normalizes to 1 for everyone, a row's aggregate
     is ``fsum([x, 1.0]) / 2``, so x is twice it less one, exactly at both
@@ -230,7 +230,7 @@ def _normalized(matrix, config=RankingConfig()):
     values = {name: {} for name in matrix}
     for metric, other in zip(METRICS, METRICS[::-1]):
         alone = {name: {metric.id: row[metric.id], other.id: 0.0} for name, row in matrix.items()}
-        for row in rank_pair(registry, {PAIR: matrix_of(alone)}, PAIR, config=config).rows:
+        for row in rank_pair(registry, {PAIR: matrix_of(alone)}, PAIR).rows:
             values[row.name][metric.id] = 2 * row.autorank_exact - 1
     return values
 
@@ -294,7 +294,7 @@ def _decimal_matrices(draw):
     return columns
 
 
-def _decisions(columns, config):
+def _decisions(columns):
     """Cutoff and each row's name, position, reasons and display."""
     names = [f"S{i:02d}" for i in range(len(columns[0][1]))]
     registry = registry_of(
@@ -311,7 +311,7 @@ def _decisions(columns, config):
         for i, row in enumerate(matrix.values())
         for m, (_, column) in zip(METRICS, columns)
     )
-    table = rank_pair(registry, {PAIR: matrix_of(matrix)}, PAIR, config=config)
+    table = rank_pair(registry, {PAIR: matrix_of(matrix)}, PAIR)
     rows = [(r.name, r.position, r.reasons, r.autorank_display) for r in table.rows]
     return table.cutoff_position, rows
 
@@ -321,13 +321,11 @@ def _decisions(columns, config):
     _decimal_matrices(),
     st.sampled_from(["scale", "shift", "negate"]),
     st.integers(0, len(METRICS) - 1),
-    st.sampled_from([0.5, 1.5, 2.5]),
     st.data(),
 )
-def test_normalization_invariant_under_positive_affine_maps(columns, kind, index, gap, data):
+def test_normalization_invariant_under_positive_affine_maps(columns, kind, index, data):
     # every decision is exact, so mapping one column by a power of ten, a
     # decimal shift, or a negation with its orientation flipped moves none
-    config = RankingConfig(cutoff_gap=gap)
     finest, column = columns[index]
     metrics = list(METRICS)
     if kind == "scale":
@@ -351,8 +349,8 @@ def test_normalization_invariant_under_positive_affine_maps(columns, kind, index
     # the engine ranks by METRICS alone; a flipped orientation is read
     # from the ranking module's own name
     with mock.patch.object(autorank.ranking, "METRICS", tuple(metrics)):
-        after = _decisions(transformed, config)
-    assert after == _decisions(columns, config)
+        after = _decisions(transformed)
+    assert after == _decisions(columns)
 
 
 _REPR_SCORES = _SCORES | st.builds(
@@ -419,26 +417,19 @@ def test_order_is_sorted_and_positions_sequential(matrix):
 _ORACLE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"))
 
 
-def _gap_text(gap):
-    """``gap`` as decimal text a float round-trips (at most 15 digits), else None."""
-    text = str(Decimal(gap.numerator) / Decimal(gap.denominator))
-    if gap <= 0 or Fraction(text) != gap or len(Decimal(text).normalize().as_tuple().digits) > 15:
-        return None
-    return text
-
-
 @st.composite
 def _exact_campaigns(draw):
     """One pair of 2-12 systems whose decisions hinge on exact ties.
 
     Each column is a few steps of 0.1, 0.01 or 0.001 above 0, 1 or
     1000, so exact aggregate ties are common, and the 1000.00x columns
-    are large in magnitude and narrow in range.  The cutoff gap is often
-    one of the exact gaps between neighbours, so a gap of exactly
-    ``cutoff_gap`` is common too.  A column may span 10 * N steps, N
-    the number of systems, pinned by two systems at its ends: then every system's share of the
-    aggregate is a whole number of twentieths, so aggregates that end
-    in 5 at the second decimal, the display's ties, are common as well.
+    are large in magnitude and narrow in range.  A column may span N
+    steps, most often, or 10 * N, N the number of systems, pinned by two
+    systems at its ends: then every system's share of the aggregate is a
+    whole number of halves or of twentieths.  So neighbours exactly 1.5
+    apart, the cutoff gap, are common (the event counts them), and so
+    are aggregates that end in 5 at the second decimal, the display's
+    ties.
     """
     n = draw(st.integers(2, 12))
     names = [f"S{i:02d}" for i in draw(st.permutations(range(n)))]
@@ -446,7 +437,7 @@ def _exact_campaigns(draw):
     for metric in METRICS:
         base = Decimal(draw(st.sampled_from([0, 1, 1000])))
         places = draw(st.integers(1, 3))
-        top = draw(st.sampled_from([1, 2, 4, 10, 10 * n]))
+        top = draw(st.sampled_from([1, 2, 4, 10, n, n, n, 10 * n]))
         pinned = {names[0]: 0, names[1]: top} if draw(st.booleans()) else {}
         for name in names:
             step = Decimal(pinned.get(name, draw(st.integers(0, top)))).scaleb(-places)
@@ -457,27 +448,24 @@ def _exact_campaigns(draw):
         f"{name}\t{category}\t{flag}\t\n"
         for name, category, flag in zip(names, categories, withdrawn)
     )
-    config = {"cutoff_gap": "1.5", "closed_fraction": "1/3", "open_fraction": "2/3"}
-    oracle_systems = _ORACLE["read_systems"](systems)
-    order = _ORACLE["rank"](PAIR.code, texts, oracle_systems, config).rows
-    gaps = {_gap_text(b.aggregate - a.aggregate) for a, b in zip(order, order[1:])} - {None}
-    config["cutoff_gap"] = draw(st.sampled_from(sorted(gaps) + ["0.5", "1.5", "2.5"]))
-    return texts, systems, config
+    return texts, systems
 
 
 @settings(max_examples=300, deadline=None)
 @given(_exact_campaigns())
 def test_decisions_match_the_exact_reference_ranker(campaign):
-    texts, systems, config = campaign
-    expected = _ORACLE["rank"](PAIR.code, texts, _ORACLE["read_systems"](systems), config)
+    texts, systems = campaign
+    expected = _ORACLE["rank"](PAIR.code, texts, _ORACLE["read_systems"](systems))
+    aggregates = [row.aggregate for row in expected.rows]
+    on_the_line = any(b - a == Fraction(3, 2) for a, b in zip(aggregates, aggregates[1:]))
+    event(f"neighbours exactly 1.5 apart: {on_the_line}")
     registry = parse_registry(systems)
     scores = {
         PAIR: matrix_of(
             {name: {m: float(v) for m, v in row.items()} for name, row in texts.items()}
         )
     }
-    ranking_config = RankingConfig(cutoff_gap=float(config["cutoff_gap"]))
-    table = rank_pair(registry, scores, PAIR, config=ranking_config)
+    table = rank_pair(registry, scores, PAIR)
     assert [row.name for row in table.rows] == [row.system for row in expected.rows]
     assert table.cutoff_position == expected.cutoff_position
     assert [{code.value for code in row.reasons} for row in table.rows] == [
@@ -502,9 +490,8 @@ _OTHER_PAIR = LanguagePair.from_code("zz-ww")
         min_size=1,
         max_size=12,
     ),
-    st.sampled_from([0.25, 0.5, 1.5, 3.0]),
 )
-def test_the_table_reads_the_decisions_the_stages_made(systems, gap):
+def test_the_table_reads_the_decisions_the_stages_made(systems):
     # no table stores a cutoff and no row a withdrawn flag: both are read
     # from the rows' reasons and must be what the stages decided
     registry = registry_of(
@@ -515,12 +502,11 @@ def test_the_table_reads_the_decisions_the_stages_made(systems, gap):
         name: dict(zip([MX.id, CK.id], values))
         for name, (*_, values) in zip(registry, systems)
     }
-    config = RankingConfig(cutoff_gap=gap)
     names, columns = matrix_of(matrix)
-    table = rank_pair(registry, {PAIR: (names, columns)}, PAIR, config=config)
+    table = rank_pair(registry, {PAIR: (names, columns)}, PAIR)
     context = build_context(PAIR, names, columns)
     ordered = order_rows(compute_autorank(names, columns, context))
-    assert table.cutoff_position == find_cutoff(ordered, config, context[0])
+    assert table.cutoff_position == find_cutoff(ordered, context[0])
     assert [row.withdrawn for row in table.rows] == [
         registry[row.name].is_withdrawn(PAIR) for row in table.rows
     ]
@@ -554,21 +540,23 @@ def _tables(draw):
     return ordered, n * scale, registry
 
 
-@given(_tables(), st.floats(min_value=0.1, max_value=2.0), st.floats(min_value=0.0, max_value=3.0))
-def test_cutoff_position_monotone_in_gap(table, gap, extra):
-    ordered, unit, _ = table
-    tight = find_cutoff(ordered, RankingConfig(cutoff_gap=gap), unit)
-    loose = find_cutoff(ordered, RankingConfig(cutoff_gap=gap + extra), unit)
-    if loose is not None:
-        assert tight is not None and tight <= loose
-
-
 def _selected_rows(table):
     ordered, unit, registry = table
-    config = RankingConfig()
-    cutoff = find_cutoff(ordered, config, unit)
-    verdicts = select_for_human_eval(ordered, cutoff, registry, PAIR, config)
+    cutoff = find_cutoff(ordered, unit)
+    verdicts = select_for_human_eval(ordered, cutoff, registry, PAIR)
     return apply_selection(ordered, verdicts, registry, PAIR)
+
+
+@given(_tables())
+def test_cutoff_is_the_first_gap_past_one_and_a_half(table):
+    # the integer test against the exact aggregates, 1 + K / scale
+    ordered, unit, _ = table
+    scale = unit // len(ordered)
+    aggregates = [Fraction(scale + key[0], scale) for key in ordered]
+    gaps = [b - a for a, b in zip(aggregates, aggregates[1:])]
+    event(f"neighbours exactly 1.5 apart: {Fraction(3, 2) in gaps}")
+    beyond = [position for position, gap in enumerate(gaps, start=2) if gap > Fraction(3, 2)]
+    assert find_cutoff(ordered, unit) == (beyond[0] if beyond else None)
 
 
 @given(_tables())
@@ -650,7 +638,7 @@ def _stdlib_layout(payload) -> str:
 def _report_payload(tables, include_closed):
     """The JSON report as plain data, read field by field off the tables."""
     return {
-        "config": tables[0].config.as_dict() if tables else None,
+        "config": _ORACLE["DEFAULT_CONFIG"] if tables else None,
         "pairs": [
             {
                 "pair": table.pair.code,
@@ -729,11 +717,10 @@ def _report_tables(draw):
         )
         for pair in _REPORT_PAIRS
     }
-    config = RankingConfig(cutoff_gap=draw(st.sampled_from([0.5, 1.5, 3.0])))
     # a pair nobody scored ranks to a table without rows
     pairs = [*_REPORT_PAIRS, LanguagePair.from_code("ab-cd")]
     registry = registry_of(entries)
-    return [rank_pair(registry, scores, pair, config=config) for pair in pairs]
+    return [rank_pair(registry, scores, pair) for pair in pairs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -857,26 +844,38 @@ def test_text_autorank_column_ends_at_one_display_column(names):
         assert width == end
 
 
-# --- config text ---------------------------------------------------------------
-
-_CONFIGS = st.builds(
-    lambda gap, fractions: RankingConfig(gap, min(fractions), max(fractions)),
-    st.floats(min_value=1e-6, max_value=1e6),
-    st.lists(
-        st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(bool),
-        min_size=2,
-        max_size=2,
-    ),
-)
+# --- golden config --------------------------------------------------------------
 
 
-@given(_CONFIGS, st.text(min_size=1, max_size=12))
-def test_config_text_round_trips_and_rejects_extra_keys(config, key):
-    text = json.loads(json.dumps(config.as_dict()))
-    assert RankingConfig.from_dict(text) == config
-    if key not in text:
-        with pytest.raises(ValueError, match="unknown config key"):
-            RankingConfig.from_dict({**text, key: "1"})
+@st.composite
+def _golden_configs(draw):
+    """Some of the rules as the report writes them, often with one key set
+    to another rule's value, a near miss or a key that is no rule."""
+    keys = draw(st.lists(st.sampled_from(sorted(_RULES)), unique=True))
+    config = {key: _RULES[key] for key in keys}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(_RULES)) | st.text(max_size=12))
+        config[key] = draw(
+            st.sampled_from(sorted(set(_RULES.values()), key=repr))
+            | st.sampled_from(["1.50", "3/2", "2/6", "N", 1.5, True, None, "", []])
+        )
+    return config
+
+
+@given(_golden_configs())
+def test_golden_config_states_only_the_rules(config):
+    # each key is a rule, set to exactly the value and type the report writes
+    stated = all(
+        key in _RULES and type(value) is type(_RULES[key]) and value == _RULES[key]
+        for key, value in config.items()
+    )
+    event(f"states only the rules: {stated}")
+    text = json.dumps({"config": config, "pairs": []})
+    if stated:
+        assert parse_golden(text) == []
+    else:
+        with pytest.raises(ValueError, match="^malformed golden report: "):
+            parse_golden(text)
 
 
 # --- golden order check -------------------------------------------------------
@@ -1084,7 +1083,10 @@ def _hostile_golden():
             "rows": st.lists(row, max_size=4),
         }
     )
-    config = _usually(st.sampled_from([None, {"cutoff_gap": "1.0"}]), _GOLDEN_VALUES)
+    config = _usually(
+        st.sampled_from([None, {}, {"cutoff_gap": "1.5"}]),
+        st.sampled_from([{"cutoff_gap": "1.0"}, {"scale_span": "n-1"}]) | _GOLDEN_VALUES,
+    )
     report = st.builds(lambda c, p: {"config": c, "pairs": p}, config, st.lists(entry, max_size=2))
     odd = st.one_of(_JSON_VALUES.map(json.dumps), st.text())
     return _usually(report.map(json.dumps), odd).map(lambda text: text.encode("utf-8"))

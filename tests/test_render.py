@@ -9,7 +9,6 @@ from autorank import (
     LanguagePair,
     LeaderboardTable,
     RankedRow,
-    RankingConfig,
     ReasonCode,
     RenderOptions,
     SystemCategory,
@@ -62,7 +61,7 @@ def _tiny_table() -> LeaderboardTable:
         ),
         row("Delta", SystemCategory.OPEN, 3.5, 4, ReasonCode.EXCLUDED_BELOW_CUTOFF),
     )
-    return LeaderboardTable(pair=LanguagePair.from_code("xx-yy"), rows=rows, config=RankingConfig())
+    return LeaderboardTable(pair=LanguagePair.from_code("xx-yy"), rows=rows)
 
 
 class TestVisibleRows:
@@ -149,7 +148,6 @@ class TestText:
                 r._replace(reasons=tuple(c for c in r.reasons if c is not below))
                 for r in table.rows
             ),
-            config=table.config,
         )
         assert "╌" not in render_table(full, _opts(TableFormat.TEXT))
 
@@ -350,24 +348,18 @@ class TestJson:
         out = render_report([tables["en-de"], tables["cs-uk"]])
         payload = json.loads(out)
         assert [p["pair"] for p in payload["pairs"]] == ["cs-uk", "en-de"]
-        assert payload["config"]["cutoff_gap"] == "1.5"
-        assert payload["config"]["closed_fraction"] == "1/3"
+        # the rules every published table is ranked by
+        assert payload["config"] == {
+            "closed_fraction": "1/3",
+            "cutoff_gap": "1.5",
+            "display_decimals": 1,
+            "open_fraction": "2/3",
+            "scale_span": "n",
+        }
 
-    def test_report_rejects_mixed_configs(self, tables):
-        table = tables["cs-uk"]
-        other = LeaderboardTable(
-            pair=table.pair,
-            rows=table.rows,
-            config=RankingConfig(cutoff_gap=2.0),
-        )
-        with pytest.raises(ValueError):
-            render_report([tables["en-de"], other])
-        # the chunks read the tables lazily: the mixed one raises when reached
-        chunks = report_chunks([tables["en-de"], other])
-        head, first = next(chunks), next(chunks)
-        assert head.endswith('"pairs": [') and '"pair": "en-de"' in first
-        with pytest.raises(ValueError):
-            next(chunks)
+    def test_empty_report_states_no_rules(self):
+        # no table was ranked, so no rule was applied
+        assert json.loads(render_report([])) == {"config": None, "pairs": []}
 
     def test_report_chunks_are_the_head_each_pair_and_the_tail(self, tables):
         chunks = list(report_chunks([tables["cs-uk"], tables["en-de"]]))

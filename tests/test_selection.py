@@ -8,7 +8,6 @@ import pytest
 from autorank import (
     LanguagePair,
     RankedRow,
-    RankingConfig,
     ReasonCode,
     SystemCategory,
     SystemEntry,
@@ -62,32 +61,32 @@ def _keys(systems) -> list[tuple]:
     return keys
 
 
-def _cutoff(systems, config: RankingConfig = RankingConfig()) -> int | None:
-    return find_cutoff(_keys(systems), config, len(systems) * _scale(systems))
+def _cutoff(systems) -> int | None:
+    return find_cutoff(_keys(systems), len(systems) * _scale(systems))
 
 
 class TestFindCutoff:
     def test_large_tail_gap_cuts_last_row(self):
         # the Czech-Ukrainian shape: a 6.1 jump onto the last row
-        assert _cutoff(_table(1.0, 1.9, 2.0, 2.9, 9.0), RankingConfig()) == 5
+        assert _cutoff(_table(1.0, 1.9, 2.0, 2.9, 9.0)) == 5
 
     def test_gap_just_over_threshold_triggers(self):
         # 3.0 -> 4.62 is a 1.62 jump, strictly above 1.5; the 0.33 jump
         # after it changes nothing
-        assert _cutoff(_table(1.0, 2.0, 3.0, 4.62, 4.95), RankingConfig()) == 4
+        assert _cutoff(_table(1.0, 2.0, 3.0, 4.62, 4.95)) == 4
 
     def test_gap_under_threshold_does_not_trigger(self):
-        assert _cutoff(_table(1.0, 1.33, 2.5, 3.3), RankingConfig()) is None
+        assert _cutoff(_table(1.0, 1.33, 2.5, 3.3)) is None
 
     def test_gap_exactly_threshold_does_not_trigger(self):
-        assert _cutoff(_table(1.0, 2.5), RankingConfig()) is None
-        assert _cutoff(_table(1.0, 2.5 + 1e-9), RankingConfig()) == 2
+        assert _cutoff(_table(1.0, 2.5)) is None
+        assert _cutoff(_table(1.0, 2.5 + 1e-9)) == 2
 
     def test_first_qualifying_gap_wins(self):
-        assert _cutoff(_table(1.0, 3.0, 3.1, 5.0), RankingConfig()) == 2
+        assert _cutoff(_table(1.0, 3.0, 3.1, 5.0)) == 2
 
     def test_all_equal_has_no_cutoff(self):
-        assert _cutoff(_table(1.0, 1.0, 1.0), RankingConfig()) is None
+        assert _cutoff(_table(1.0, 1.0, 1.0)) is None
 
     def test_withdrawn_rows_still_carry_gaps(self):
         # the jump lands on a withdrawn row; the line is drawn all the same
@@ -95,7 +94,7 @@ class TestFindCutoff:
             _system(f"S{i}", v, SystemCategory.CONSTRAINED, withdrawn=i == 3)
             for i, v in enumerate((1.0, 1.2, 4.0, 4.1), start=1)
         ]
-        assert _cutoff(systems, RankingConfig()) == 3
+        assert _cutoff(systems) == 3
         outcome = _outcome(systems)
         assert outcome["S3"].reasons == (
             ReasonCode.EXCLUDED_WITHDRAWN,
@@ -103,14 +102,9 @@ class TestFindCutoff:
         )
         assert outcome["S4"].reasons == (ReasonCode.EXCLUDED_BELOW_CUTOFF,)
 
-    def test_configurable_gap(self):
-        systems = _table(1.0, 2.0, 3.0)
-        assert _cutoff(systems, RankingConfig(cutoff_gap=0.5)) == 2
-        assert _cutoff(systems, RankingConfig(cutoff_gap=2.0)) is None
-
     def test_empty_and_singleton(self):
-        assert find_cutoff([], RankingConfig(), 1) is None
-        assert _cutoff(_table(1.0), RankingConfig()) is None
+        assert find_cutoff([], 1) is None
+        assert _cutoff(_table(1.0)) is None
 
 
 class TestCategoryLimits:
@@ -126,25 +120,42 @@ class TestCategoryLimits:
         ],
     )
     def test_limits(self, n, closed, open_):
-        assert category_limits(n, RankingConfig()) == (closed, open_)
+        assert category_limits(n) == (closed, open_)
 
     def test_exact_thirds_avoid_float_creep(self):
         # 27/3 must be exactly 9: float arithmetic would give
         # ceil(27 * (1/3.0)) == ceil(9.000000000000002) == 10
-        assert category_limits(27, RankingConfig()) == (9, 18)
-        assert category_limits(24, RankingConfig()) == (8, 16)
+        assert category_limits(27) == (9, 18)
+        assert category_limits(24) == (8, 16)
 
-    def test_custom_fractions(self):
-        config = RankingConfig(closed_fraction=Fraction(1, 2), open_fraction=Fraction(1, 1))
-        assert category_limits(9, config) == (5, 9)
+    @pytest.mark.parametrize(
+        "n, closed, open_",
+        [(1, 1, 0), (2, 1, 1), (3, 1, 2), (4, 2, 2), (5, 2, 3), (6, 2, 4),
+         (7, 3, 4), (8, 3, 5), (9, 3, 6), (10, 4, 6), (11, 4, 7), (12, 4, 8)],
+    )
+    def test_every_residue_mod_three_selects_to_its_limit(self, n, closed, open_):
+        # (ceil(N/3), floor(2N/3)), and the rows at a limit and one past it
+        assert category_limits(n) == (closed, open_)
+        for category, limit, excluded in (
+            (SystemCategory.CLOSED, closed, ReasonCode.EXCLUDED_CLOSED_BELOW_THIRD),
+            (SystemCategory.OPEN, open_, ReasonCode.EXCLUDED_OPEN_BELOW_TWO_THIRDS),
+        ):
+            # a flat table of one track: no cutoff, so the depth alone decides
+            outcome = _outcome([_system(f"S{i:02d}", 1.0, category) for i in range(1, n + 1)])
+            if limit >= 1:
+                assert outcome[f"S{limit:02d}"].selected
+            if limit < n:
+                assert outcome[f"S{limit + 1:02d}"].reasons == (excluded,)
+            assert [row.selected for row in outcome.values()] == [
+                position <= limit for position in range(1, n + 1)
+            ]
 
 
-def _outcome(systems, config=None) -> dict[str, RankedRow]:
+def _outcome(systems) -> dict[str, RankedRow]:
     """The finished rows of ``systems`` (in leaderboard order), keyed by name."""
-    config = config or RankingConfig()
     ordered = _keys(systems)
     registry = registry_of(entry for entry, _ in systems)
-    verdicts = select_for_human_eval(ordered, _cutoff(systems, config), registry, PAIR, config)
+    verdicts = select_for_human_eval(ordered, _cutoff(systems), registry, PAIR)
     built = apply_selection(ordered, verdicts, registry, PAIR)
     return {row.name: row for row in built}
 
@@ -196,7 +207,7 @@ class TestSelection:
             _system("Top", 1.0, SystemCategory.CONSTRAINED),
             _system("Dropped", 3.0, SystemCategory.CONSTRAINED),
         ]
-        assert _cutoff(rows, RankingConfig()) == 2
+        assert _cutoff(rows) == 2
         outcome = _outcome(rows)
         assert not outcome["Dropped"].above_cutoff
         assert outcome["Top"].selected
@@ -218,7 +229,7 @@ class TestSelection:
         ordered = _keys(rows)
         registry = registry_of(entry for entry, _ in rows)
         cutoff = _cutoff(rows)
-        verdicts = select_for_human_eval(ordered, cutoff, registry, PAIR, RankingConfig())
+        verdicts = select_for_human_eval(ordered, cutoff, registry, PAIR)
         assert len(verdicts) == len(rows)
         for codes in verdicts:
             assert codes
@@ -231,7 +242,7 @@ class TestSelection:
         rows = _table(1.0, 1.2, 3.0)
         ordered = _keys(rows)
         registry = registry_of(entry for entry, _ in rows)
-        verdicts = select_for_human_eval(ordered, 3, registry, PAIR, RankingConfig())
+        verdicts = select_for_human_eval(ordered, 3, registry, PAIR)
         built = apply_selection(ordered, verdicts, registry, PAIR)
         assert [r.position for r in built] == [1, 2, 3]
         assert [r.above_cutoff for r in built] == [True, True, False]
