@@ -15,12 +15,18 @@ keys, unregistered names and malformed values are all rejected with the
 pair's systems and one ``array('d')`` per metric of ``model.METRICS``,
 NaN where a system has no score for the metric.  The ``metric`` column
 of a scores file holds one of those two ids.  ``check_completeness``
-takes the columns as they are.
+takes the columns as they are.  While it runs, the parse numbers each
+scored system once for the whole file and finds a system's slot in a
+pair through the pair's ``array('i')`` table indexed by that number: 4
+bytes per pair and number, so it holds less than a name -> slot dict
+per pair unless a pair scores under about 1 in 12 of the file's
+systems.
 
 Each parser takes the text as a ``str`` or as an open text file (opened
 with ``encoding="utf-8", newline=""`` to read what is stored).  A file
-is read in blocks and cut into lines by the same loop that cuts a
-``str``, so neither the whole text nor a list of every line is held.
+is read in blocks of ``io.DEFAULT_BUFFER_SIZE`` characters and cut into
+lines by the same loop that cuts a ``str``, so neither the whole text
+nor a list of every line is held.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import sys
 from array import array
 from collections.abc import Iterator, Mapping, Sequence
 from functools import partial
-from io import TextIOBase
+from io import DEFAULT_BUFFER_SIZE, TextIOBase
 from itertools import chain, compress, repeat
 
 from .model import _NUMBER, METRICS, LanguagePair, SystemCategory, SystemEntry
@@ -53,10 +59,10 @@ class ParseError(ValueError):
         self.line = line
 
 
-# _rows reads the text in blocks of this many characters and cuts them
-# into lines, so neither the whole text of a file nor a list of every
-# line is ever held
-_BLOCK = 1 << 16
+# _rows reads the text in blocks of this many characters, what a text
+# file's own buffer reads at a time, and cuts them into lines, so neither
+# the whole text of a file nor a list of every line is ever held
+_BLOCK = DEFAULT_BUFFER_SIZE
 
 
 def _blocks(text: str | TextIOBase) -> Iterator[str]:
@@ -171,22 +177,35 @@ def parse_scores(
     Each distinct pair token is parsed once.
     """
 
-    # pair token -> (pair, name -> slot, metric id -> column); a valid
-    # token is its pair's code, so each pair has one entry.  The slots are
-    # numbered in first-seen order, so the slot index's keys are the names
-    parsed: dict[str, tuple[LanguagePair, dict[str, int], dict[str, array]]] = {}
+    # each scored name's number: one count for the whole file, in the
+    # order the names first appear, keyed by the registry's own string
+    numbers: dict[str, int] = {}
+    # pair token -> (pair, names, slots, metric id -> column); a valid
+    # token is its pair's code, so each pair has one entry.  A pair's
+    # slots map a name's number to its slot in names and the columns, -1
+    # where the name has no slot yet; they run up to the file's count
+    # when the pair last met a name past their end
+    parsed: dict[str, tuple[LanguagePair, list[str], array, dict[str, array]]] = {}
     for line, (pair_token, system_token, metric_token, score_token) in _rows(text, SCORES_HEADER):
         entry = parsed.get(pair_token)
         if entry is None:
             columns = {metric.id: array("d") for metric in METRICS}
-            entry = parsed[pair_token] = _parse_pair(pair_token, line), {}, columns
-        _, slots, columns = entry
-        slot = slots.get(system_token)
-        if slot is None:
+            entry = parsed[pair_token] = _parse_pair(pair_token, line), [], array("i"), columns
+        _, names, slots, columns = entry
+        number = numbers.get(system_token)
+        if number is None:
             if system_token not in registry:
                 raise ParseError(line, f"unknown system {system_token!r}")
-            # keyed by the registry's own string: every pair shares one copy
-            slot = slots[registry[system_token].name] = len(slots)
+            number = numbers[registry[system_token].name] = len(numbers)
+        try:
+            slot = slots[number]
+        except IndexError:
+            slots.fromlist([-1] * (len(numbers) - len(slots)))
+            slot = -1
+        if slot < 0:
+            slot = slots[number] = len(names)
+            # the registry's own string: every pair shares one copy
+            names.append(registry[system_token].name)
         column = columns.get(metric_token)
         if column is None:
             raise ParseError(line, f"unknown metric {metric_token!r}")
@@ -214,13 +233,14 @@ def parse_scores(
             )
         else:
             column[slot] = score
-    for _, slots, columns in parsed.values():
+    scores = {}
+    for pair_token in list(parsed):
+        # each pair's list of names and its slots go as its entry is made
+        pair, names, _, columns = parsed.pop(pair_token)
         for column in columns.values():
-            column.fromlist([math.nan] * (len(slots) - len(column)))
-    return {
-        pair: (tuple(slots), tuple(columns.values()))
-        for pair, slots, columns in parsed.values()
-    }
+            column.fromlist([math.nan] * (len(names) - len(column)))
+        scores[pair] = tuple(names), tuple(columns.values())
+    return scores
 
 
 def parse_manifest(text: str | TextIOBase) -> dict[LanguagePair, tuple[int, int]]:

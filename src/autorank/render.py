@@ -26,12 +26,13 @@ at import, strings through the C encoder ``encode_basestring``.  Only
 the JSON report imports ``json``; the other formats never load it.
 
 The report has one writer, ``report_chunks``: the head with the
-config, the rules of ``model._RULES`` written once at import, then one
-chunk per pair, then the tail.  It takes each table
-from its iterable only when it reaches it and drops it once its text
-is built, so a caller that hands it tables as they are ranked and
-writes the chunks as they come holds one table and one pair's text at
-a time, never every table or the whole report.  The report lists its
+config, the rules of ``model._RULES`` written once at import, then
+each pair's entry in batches of ``_BATCH`` rows, then the tail.  It
+takes each table from its iterable only when it reaches it and drops
+it once its last batch is written, so a caller that hands it tables as
+they are ranked and writes the chunks as they come holds one table and
+one batch of its text at a time, never every table, the whole report
+or even one pair's whole entry.  The report lists its
 pairs by code.  A ``LanguagePair`` sorts in that order, as its two
 halves are fixed two-letter codes, so ``render_report`` sorts the
 tables by pair and joins the chunks into one string, and a caller that
@@ -121,13 +122,14 @@ def render_report(tables: Sequence[LeaderboardTable], include_closed: bool = Tru
 def report_chunks(
     tables: Iterable[LeaderboardTable], include_closed: bool = True
 ) -> Iterator[str]:
-    """The text of a JSON report over ``tables``, one pair at a time.
+    """The text of a JSON report over ``tables``: the head, each pair's
+    entry ``_BATCH`` rows at a time, then the tail.
 
     The pairs are listed in the order ``tables`` gives them; sorted by
     pair, that is ``render_report``'s text.  Each table is read only
-    when the iterator reaches it and is dropped once its text is built,
-    so a lazy ``tables`` keeps one table alive at a time.  The rules
-    head the report as its config; a report with no pair has none.
+    when the iterator reaches it and is dropped once its last batch is
+    taken, so a lazy ``tables`` keeps one table alive at a time.  The
+    rules head the report as its config; a report with no pair has none.
     """
 
     comma = None  # until the head is written
@@ -135,10 +137,9 @@ def report_chunks(
         if comma is None:
             yield _REPORT_HEAD
             comma = ""
-        text = comma + _pair_json(table, visible_rows(table, include_closed))
+        yield from _pair_json(table, visible_rows(table, include_closed), comma)
         comma = ","
-        del table  # the next table is made while this text is written
-        yield text
+        del table  # so that it is freed before the next table is made
     yield '{\n  "config": null,\n  "pairs": []\n}\n' if comma is None else "\n  ]\n}\n"
 
 
@@ -167,26 +168,35 @@ _CLOSE_OBJECT = "\n" + " " * 10 + "}"
 _SCORE_KEYS = sorted((f'\n{" " * 12}"{m.id}": "', i) for i, m in enumerate(METRICS))
 
 
-def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
+# rows of a pair written in one chunk: about 8 KB of text
+_BATCH = 16
+
+
+def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow], comma: str) -> Iterator[str]:
+    """One entry of "pairs", ``comma`` before it, ``_BATCH`` rows at a time."""
+
     from json.encoder import encode_basestring
 
-    # one entry of "pairs" as json.dumps(indent=2, sort_keys=True) lays it
-    # out at that depth; a float's repr and a pair code need no escaping
-    # inside quotes
+    # the entry as json.dumps(indent=2, sort_keys=True) lays it out at that
+    # depth; a float's repr and a pair code need no escaping inside quotes
     cutoff = "null" if table.cutoff_position is None else table.cutoff_position
     head = (
-        f'\n    {{\n      "cutoff_position": {cutoff},\n      "n_systems": {table.n_systems},'
-        f'\n      "pair": "{table.pair.code}",\n      "rows": '
+        f'{comma}\n    {{\n      "cutoff_position": {cutoff},'
+        f'\n      "n_systems": {table.n_systems},\n      "pair": "{table.pair.code}",'
+        '\n      "rows": '
     )
     if not rows:
-        return head + "[]\n    }"
-    texts = []
-    for row in rows:
-        raw = row.raw_scores
-        scores = ",".join([key + repr(raw[i]) + '"' for key, i in _SCORE_KEYS])
-        reasons = ",".join([_REASON_JSON[code] for code in row.reasons])
-        texts.append(
-            f"""
+        yield head + "[]\n    }"
+        return
+    texts = [head, "["]
+    sep = ""  # before every row but the first
+    for start in range(0, len(rows), _BATCH):
+        for row in rows[start : start + _BATCH]:
+            raw = row.raw_scores
+            scores = ",".join([key + repr(raw[i]) + '"' for key, i in _SCORE_KEYS])
+            reasons = ",".join([_REASON_JSON[code] for code in row.reasons])
+            texts.append(
+                f"""{sep}
         {{
           "above_cutoff": {"true" if row.above_cutoff else "false"},
           "autorank_display": {encode_basestring(row.autorank_display)},
@@ -200,8 +210,12 @@ def _pair_json(table: LeaderboardTable, rows: Sequence[RankedRow]) -> str:
           "system": {encode_basestring(row.name)},
           "withdrawn": {"true" if row.withdrawn else "false"}
         }}"""
-        )
-    return head + "[" + ",".join(texts) + "\n      ]\n    }"
+            )
+            sep = ","
+        if start + _BATCH >= len(rows):
+            texts.append("\n      ]\n    }")
+        yield "".join(texts)
+        texts = []
 
 
 # What a format prints in the cells; _cells reads it as data.  _PLAIN

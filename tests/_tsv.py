@@ -1,6 +1,6 @@
 """Reference serializers for the three TSV inputs, for round-trip tests,
 the one builder each of a registry and of a pair's scores made by hand,
-and the size of the index ``parse_scores`` holds while it runs.
+and the sizes of what ``parse_scores`` holds while it runs.
 
 autorank reads these files and never writes them, so the writers live
 here: ``serialize_*(parse_*(text))`` reproduces a canonically formatted
@@ -50,18 +50,42 @@ def matrix_of(
     )
 
 
-def slot_index_size(
+def parse_scratch_size(
     scores: Mapping[LanguagePair, tuple[Sequence[str], Sequence[Sequence[float]]]],
 ) -> int:
-    """Bytes of the name -> slot dicts ``parse_scores`` holds until it
-    returns ``scores``, one per pair, measured on dicts built the same
-    way: one insert per name, and an int object for each slot past the
-    interpreter's cache of small ints (0 to 256)."""
+    """Bytes ``parse_scores`` holds besides ``scores`` until it returns
+    them, measured on objects built the same way.
 
-    return sum(
-        sys.getsizeof(dict.fromkeys(names)) + sum(map(sys.getsizeof, range(257, len(names))))
-        for names, _ in scores.values()
-    )
+    The dict that numbers each scored name once for the file takes one
+    insert per name and an int object for each number past the
+    interpreter's cache of small ints (0 to 256).  Each pair has an
+    ``array('i')`` slot table, at most as long as the file's count of
+    names, the length each is sized to here; the dict of its columns;
+    its entry; and its names grown in a list, of which only the room
+    past the tuple they become is counted.
+    """
+
+    names = list(dict.fromkeys(name for names, _ in scores.values() for name in names))
+    table = array("i")
+    table.fromlist([-1] * len(names))
+    columns = {metric.id: array("d") for metric in METRICS}
+    size = sys.getsizeof(dict.fromkeys(names)) + sum(map(sys.getsizeof, range(257, len(names))))
+    for pair, (pair_names, _) in scores.items():
+        grown = []
+        for name in pair_names:
+            grown.append(name)
+        entry = (pair, grown, table, columns)
+        size += sys.getsizeof(table) + sys.getsizeof(columns) + sys.getsizeof(entry)
+        size += sys.getsizeof(grown) - sys.getsizeof(tuple(pair_names))
+    return size
+
+
+def block_size(block: str) -> int:
+    """Bytes of ``block`` and of the lines it splits into, which the
+    parse holds at once while it cuts a block."""
+
+    lines = block.split("\n")
+    return sys.getsizeof(block) + sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
 
 
 def serialize_registry(registry: Mapping[str, SystemEntry]) -> str:

@@ -33,7 +33,7 @@ from autorank import (
 )
 from autorank.cli import ExitStatus, main
 
-from _tsv import slot_index_size
+from _tsv import block_size, parse_scratch_size
 
 REGISTRY = """system\tcategory\twithdrawn\tunsupported_pairs
 Ada\topen\t0\t
@@ -622,6 +622,23 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"error: {path}: malformed golden report: "
             "golden row position is not 2, its place in the list: 1\n"
+        )
+
+    def test_report_written_with_exclude_closed_is_no_golden(self, tmp_path, capsys):
+        # the filtered report keeps each row's position in the full table, so
+        # its first row, cs-uk's best open system, is third
+        golden = tmp_path / "golden"
+        wmt24 = {"scores": str(DATA / "scores.tsv"), "systems": str(DATA / "systems.tsv")}
+        filtered = ("--format", "json", "--exclude-closed", "--pair", "cs-uk")
+        assert main(_rank(wmt24, *filtered, "--out", str(golden))) == 0
+        rows = json.loads((golden / "cs-uk.json").read_text(encoding="utf-8"))["pairs"][0]["rows"]
+        assert [row["position"] for row in rows][:1] == [3]
+        capsys.readouterr()
+        assert main(_verify("--golden", str(golden))) == ExitStatus.VALIDATION_ERROR == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: {golden / 'cs-uk.json'}: malformed golden report: "
+            "golden row position is not 1, its place in the list: 3\n",
         )
 
     @pytest.mark.parametrize(
@@ -1631,18 +1648,17 @@ class TestOneInputAtATime:
         matrix = marks["pairs_in"][0] - start
         # a float per slot and a tuple of names: about a third of the file
         assert size > 700_000 and matrix < size / 2
-        # one block of the file and its lines, which the split of a block
-        # holds at once
+        # the parse's peak is what it returns, the numbers of the names and
+        # each pair's slot table and entry, which it drops on return, and
+        # one block of the file, as much as a text file's buffer reads at a
+        # time, with its lines.  A name -> slot dict per pair held 0.33 MB
+        # more, and 64 K-character blocks about 0.15 MB; reading the file
+        # whole, which holds its text and, while it is decoded, its bytes
+        # too, would pass that by about the file's size
         with open(inputs / "scores.tsv", encoding="utf-8", newline="") as handle:
-            block = handle.read(autorank.ingest._BLOCK)
-        lines = block.split("\n")
-        block_size = sys.getsizeof(block) + sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
-        index_size = slot_index_size(results["parse_scores"])
-        # the parse's peak is what it returns, each pair's name -> slot
-        # index, which it drops on return, and one block with its lines;
-        # reading the file whole, which holds its text and, while it is
-        # decoded, its bytes too, would pass that by about the file's size
-        assert parsed - start < matrix + index_size + block_size
+            block = handle.read(io.DEFAULT_BUFFER_SIZE)
+        scratch = parse_scratch_size(results["parse_scores"]) + block_size(block)
+        assert parsed - start < matrix + scratch
 
     def test_parsed_campaign_is_held_in_columns(self, canary):
         inputs = canary / "campaign"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import math
 import tracemalloc
 
@@ -20,12 +21,13 @@ from autorank.ingest import check_completeness
 from autorank.model import METRICS
 
 from _tsv import (
+    block_size,
     matrix_of,
+    parse_scratch_size,
     registry_of,
     serialize_manifest,
     serialize_registry,
     serialize_scores,
-    slot_index_size,
 )
 
 REGISTRY = (
@@ -565,10 +567,13 @@ def test_parse_scores_never_holds_every_line_at_once():
     finally:
         tracemalloc.stop()
     assert sum(_filled(scores, pair) for pair in scores) == 10_000
-    # splitting the whole text at once would peak at about three times
-    # its size over what the parse keeps; while it runs, the parse also
-    # holds each pair's name -> slot index, which it drops on return
-    assert live > start and peak - live < len(text) / 2 + slot_index_size(scores)
+    # over what it keeps, the parse holds the numbers of the names and
+    # each pair's slot table and entry, which it drops on return, and one
+    # block of the text, as much as a text file's buffer reads, with its
+    # lines; splitting the whole text at once would peak at about three
+    # times its size, and a name -> slot dict per pair held 0.29 MB
+    scratch = parse_scratch_size(scores) + block_size(text[: io.DEFAULT_BUFFER_SIZE])
+    assert live > start and peak - live < scratch
 
 
 def test_parse_registry_rejects_terminal_escapes_in_names():

@@ -103,6 +103,25 @@ def test_scores_serialize_parse_round_trip(data):
     assert serialize_scores(parsed) == text
 
 
+@given(_score_indexes(), st.data())
+def test_shuffled_lines_parse_as_a_dict_built_reference(data, draws):
+    # pairs interleave and a pair meets names other pairs brought first,
+    # and new ones after it has started
+    names, index = data
+    registry = registry_of(SystemEntry(name=n, category=SystemCategory.OPEN) for n in names)
+    header, *lines = serialize_scores({p: matrix_of(rows) for p, rows in index.items()}).split("\n")
+    lines = draws.draw(st.permutations(lines[:-1]))
+    # pair -> system -> metric -> score, pairs and systems in first-seen order
+    reference = {}
+    for line in lines:
+        code, name, metric, score = line.split("\t")
+        reference.setdefault(LanguagePair.from_code(code), {}).setdefault(name, {})[metric] = (
+            float(score)
+        )
+    parsed = parse_scores("\n".join([header, *lines]) + "\n", registry)
+    assert _slots(parsed) == _slots({p: matrix_of(rows) for p, rows in reference.items()})
+
+
 @st.composite
 def _score_lines(draw):
     """Names and distinct (pair, system, metric, score) lines over them,

@@ -20,7 +20,14 @@ from autorank import (
     render_table,
 )
 from autorank.model import METRICS, display_str
-from autorank.render import _PLAIN, _Columns, file_extension, report_chunks, visible_rows
+from autorank.render import (
+    _BATCH,
+    _PLAIN,
+    _Columns,
+    file_extension,
+    report_chunks,
+    visible_rows,
+)
 
 MX, CK = METRICS
 
@@ -361,15 +368,44 @@ class TestJson:
         # no table was ranked, so no rule was applied
         assert json.loads(render_report([])) == {"config": None, "pairs": []}
 
-    def test_report_chunks_are_the_head_each_pair_and_the_tail(self, tables):
-        chunks = list(report_chunks([tables["cs-uk"], tables["en-de"]]))
+    def test_report_chunks_are_the_head_each_pairs_batches_and_the_tail(self, tables):
+        pairs = [tables["cs-uk"], tables["en-de"]]
+        chunks = list(report_chunks(pairs))
         assert "".join(chunks) == render_report([tables["en-de"], tables["cs-uk"]])
-        head, first, second, tail = chunks
+        head, *batches, tail = chunks
         assert head.startswith('{\n  "config": {') and head.endswith('"pairs": [')
-        assert first.startswith('\n    {\n      "cutoff_position"') and '"pair": "cs-uk"' in first
-        assert second.startswith(',\n    {') and '"pair": "en-de"' in second
         assert tail == "\n  ]\n}\n"
+        # a one-pair report is the head, the pair's entry and the tail
+        entries = [render_report([table])[len(head) : -len(tail)] for table in pairs]
+        entries[1] = "," + entries[1]
+        for table, entry in zip(pairs, entries):
+            # more than one batch, so the entry is cut between rows
+            sizes = [len(table.rows[i : i + _BATCH]) for i in range(0, len(table.rows), _BATCH)]
+            assert len(sizes) > 1
+            taken, batches = batches[: len(sizes)], batches[len(sizes) :]
+            assert "".join(taken) == entry
+            assert taken[0].startswith(entry[: entry.index('"rows": [') + 9])
+            assert all(batch.startswith(",\n        {\n") for batch in taken[1:])
+            assert [batch.count('"system": ') for batch in taken] == sizes
+        assert batches == []
         assert list(report_chunks([])) == [render_report([])]
+
+    def test_no_chunk_holds_more_than_one_batch_of_a_wide_table(self):
+        # 400 rows: one pair's entry is about 200 KB, a batch of rows 8 KB
+        base = _tiny_table()
+        rows = tuple(
+            base.rows[i % 4]._replace(name=f"S{i:03d}", position=i + 1) for i in range(400)
+        )
+        table = base._replace(rows=rows)
+        chunks = list(report_chunks([table]))
+        report = render_report([table])
+        assert "".join(chunks) == report
+        # the longest row's text, and the entry's head and close around no row
+        longest = max(len(render_report([table._replace(rows=(row,))])) for row in rows)
+        empty = render_report([table._replace(rows=())])
+        head = len(empty) - len(chunks[0]) - len(chunks[-1])
+        row = longest - len(empty)
+        assert max(map(len, chunks)) <= head + _BATCH * row < len(report) / 20
 
     def test_report_chunks_list_the_pairs_in_the_order_given(self, tables):
         pairs = [tables["en-de"], tables["cs-uk"]]

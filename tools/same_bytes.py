@@ -14,11 +14,14 @@ side's ``src`` on ``PYTHONPATH``:
   seed-1 8 x 400 campaign against its oracle goldens;
 * ``rank --format json`` on a corpus of faulty scores files: one per
   fault (see ``FAULTS``), every two of them in both line orders, lines
-  holding several faults (``MIXED``), CRLF
-  line endings, a byte-order mark, a duplicate whose two lines fall on
-  either side of the parser's 64 K block boundary, and one valid file
-  with pairs interleaved and CometKiwi lines before MetricX lines.  Each
-  side must report the same first fault;
+  holding several faults (``MIXED``), CRLF line endings, a byte-order
+  mark, a duplicate whose two lines fall on either side of a block
+  boundary (one file each for blocks of 64 K characters and of
+  ``io.DEFAULT_BUFFER_SIZE``, the parser's block size before and after
+  it shrank), one valid file with pairs interleaved and CometKiwi lines
+  before MetricX lines, and one valid file in which a later pair first
+  scores names an earlier pair brought and then a new one.  Each side
+  must report the same first fault;
 * every ``demos/*.py`` script, the library-level view of the same
   engine.  Each side runs its own copy of each demo, which reads its
   own ``data/``, so a library call a change rewrites in a demo differs
@@ -114,6 +117,23 @@ MIXED = {
 }
 
 
+def _straddling(block: int) -> str:
+    """A scores file whose first block of ``block`` characters ends with
+    a duplicated line, so that its second copy starts the next block."""
+
+    lines = [SCORES_HEADER]
+    size = len(SCORES_HEADER) + 1
+    for i in range(2000):
+        line = f"cs-uk\tS{i // 2:04d}\t{METRICS[i % 2]}\t0.{i:04d}"
+        if size + len(line) + 1 > block - 40:
+            break
+        lines.append(line)
+        size += len(line) + 1
+    duplicate = "cs-uk\tA\tmetricx-23-xl\t1." + "5" * (block - size - 25)
+    assert size + len(duplicate) + 1 == block
+    return "\n".join([*lines, duplicate, duplicate]) + "\n"
+
+
 def fault_corpus(work: Path) -> list[tuple[str, Path, Path]]:
     """(label, scores, systems) of every file in the fault corpus."""
 
@@ -138,20 +158,25 @@ def fault_corpus(work: Path) -> list[tuple[str, Path, Path]]:
     texts = {label: "\n".join([SCORES_HEADER, *lines]) + "\n" for label, lines in files.items()}
     texts["crlf"] = texts["valid, interleaved"].replace("\n", "\r\n")
     texts["byte-order mark"] = "\ufeff" + texts["valid, interleaved"]
-    # fill the first 64 K block, so that the duplicated line ends it and
-    # its second copy starts the next one
-    lines = [SCORES_HEADER]
-    size = len(SCORES_HEADER) + 1
-    for i in range(2000):
-        line = f"cs-uk\tS{i // 2:04d}\t{METRICS[i % 2]}\t0.{i:04d}"
-        if size + len(line) + 1 > (1 << 16) - 40:
-            break
-        lines.append(line)
-        size += len(line) + 1
-    duplicate = "cs-uk\tA\tmetricx-23-xl\t1." + "5" * ((1 << 16) - size - 25)
-    lines += [duplicate, duplicate]
-    assert size + len(duplicate) + 1 == 1 << 16
-    texts["duplicate across the block boundary"] = "\n".join(lines) + "\n"
+    for block in (1 << 16, io.DEFAULT_BUFFER_SIZE):
+        texts[f"duplicate across the {block}-character block boundary"] = _straddling(block)
+    # numbered names met in a new order: en-de first scores the two names
+    # cs-uk brought, then a third, which cs-uk scores last
+    texts["valid, names met anew"] = "\n".join(
+        [SCORES_HEADER]
+        + [
+            f"{pair}\t{name}\t{metric}\t{score}"
+            for pair, name, scores in (
+                ("cs-uk", "A", ("1.5", "0.7")),
+                ("cs-uk", "B", ("2.0", "0.65")),
+                ("en-de", "B", ("2.5", "0.6")),
+                ("en-de", "A", ("1.0", "0.75")),
+                ("en-de", "C", ("3.0", "0.55")),
+                ("cs-uk", "C", ("3.25", "0.6")),
+            )
+            for metric, score in zip(METRICS, scores)
+        ]
+    ) + "\n"
     corpus = []
     for i, (label, text) in enumerate(texts.items()):
         scores = work / f"scores-{i:03d}.tsv"
