@@ -18,6 +18,10 @@ styling on text output to a terminal.  Output is UTF-8 whatever the
 encoding of stdout.  File output is always plain and written atomically
 (temp file then rename), with the mode of the file it replaces, or the
 mode the umask gives a new file.
+
+Each command loads only what it runs: ``decimal`` is imported by
+``verify`` alone, ``unicodedata`` by text output alone, ``json`` by the
+JSON report and ``verify``, and no command loads ``fractions``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from decimal import Decimal
 from enum import IntEnum
 
 from .golden import compare_pair, parse_allow_list, parse_golden
@@ -339,6 +342,8 @@ def _verify_golden(
 def _cmd_verify(args: argparse.Namespace) -> ExitStatus:
     if not (math.isfinite(args.autorank_tol) and args.autorank_tol >= 0):
         raise _UsageError("--autorank-tol must be a finite number >= 0")
+    from decimal import Decimal  # only verify reads decimals
+
     tolerance = Decimal(str(args.autorank_tol))
 
     registry, scores = _parse_inputs(args)

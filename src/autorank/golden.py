@@ -23,6 +23,10 @@ Three consequences, all reported as notes rather than failures:
 
 With full-precision engine goldens the bands collapse and every check
 becomes effectively exact.
+
+Only ``verify`` reads decimals: ``validate_golden_pair`` and
+``compare_pair`` each import ``decimal`` when called, so ``rank`` never
+loads it.  The annotations that name ``Decimal`` are never evaluated.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Mapping, Sequence
-from decimal import Decimal, InvalidOperation
+from collections.abc import Iterator, Mapping, Sequence
 
 from .model import _NUMBER, _RULES, LanguagePair, LeaderboardTable, _check_name
 
@@ -150,8 +153,7 @@ def validate_golden_pair(entry: object) -> dict:
     if not isinstance(rows, list):
         raise ValueError("golden field 'rows' is not a list")
     parsed: dict[str, GoldenRow] = {}
-    for place, row in enumerate(rows, start=1):
-        golden_row = _golden_row(row, place)
+    for golden_row in _golden_rows(rows):
         if golden_row.system in parsed:
             raise ValueError(f"duplicate golden row for system {golden_row.system!r}")
         parsed[golden_row.system] = golden_row
@@ -173,46 +175,58 @@ def validate_golden_pair(entry: object) -> dict:
     return {"pair": pair, "cutoff_position": cutoff, "rows": tuple(parsed.values())}
 
 
-def _golden_row(row: object, place: int) -> GoldenRow:
-    if not isinstance(row, dict):
-        raise ValueError("golden row is not an object")
-    try:
-        system, category, position = row["system"], row["category"], row["position"]
-        selected, text = row["selected"], row["autorank_exact"]
-    except KeyError as exc:
-        raise ValueError(f"golden row missing field {exc.args[0]!r}") from None
-    if not isinstance(system, str) or not system:
-        raise ValueError(f"golden row system is not a non-empty string: {system!r}")
-    _check_name(system)  # as the registry's: no control or bidi character
-    # a tuple, not a set: an unhashable category must compare unequal, not raise
-    if category not in ("open", "closed", "constrained"):
-        raise ValueError(f"golden row category is not open, closed or constrained: {category!r}")
-    if not isinstance(position, int) or isinstance(position, bool):
-        raise ValueError(f"golden row position is not an integer: {position!r}")
-    if position != place:
-        raise ValueError(f"golden row position is not {place}, its place in the list: {position}")
-    if not isinstance(selected, bool):
-        raise ValueError(f"golden row selected is not a boolean: {selected!r}")
-    text = str(getattr(text, "text", text))  # a finite number as written
-    try:
-        # a score's ASCII syntax, which has no inf or nan: Decimal alone
-        # also reads "١.٠", "1_0" and blanks
-        if not _NUMBER.fullmatch(text):
-            raise InvalidOperation
-        value = Decimal(text)
-    except InvalidOperation:
-        raise ValueError(f"golden row autorank_exact is not a finite decimal: {text!r}") from None
-    try:
-        # compare_pair computes both band edges; the decimal context must hold them
-        half_ulp = _half_ulp(value)
-        value - half_ulp, value + half_ulp
-    except ArithmeticError:
-        raise ValueError(f"golden row autorank_exact is out of range: {text!r}") from None
-    return GoldenRow(system, category, selected, text, value, half_ulp)
+def _golden_rows(rows: list) -> Iterator[GoldenRow]:
+    """Each of ``rows`` as a ``GoldenRow``, in order; ValueError on the first fault."""
+
+    from decimal import Decimal, InvalidOperation
+
+    for place, row in enumerate(rows, start=1):
+        if not isinstance(row, dict):
+            raise ValueError("golden row is not an object")
+        try:
+            system, category, position = row["system"], row["category"], row["position"]
+            selected, text = row["selected"], row["autorank_exact"]
+        except KeyError as exc:
+            raise ValueError(f"golden row missing field {exc.args[0]!r}") from None
+        if not isinstance(system, str) or not system:
+            raise ValueError(f"golden row system is not a non-empty string: {system!r}")
+        _check_name(system)  # as the registry's: no control or bidi character
+        # a tuple, not a set: an unhashable category must compare unequal, not raise
+        if category not in ("open", "closed", "constrained"):
+            raise ValueError(
+                f"golden row category is not open, closed or constrained: {category!r}"
+            )
+        if not isinstance(position, int) or isinstance(position, bool):
+            raise ValueError(f"golden row position is not an integer: {position!r}")
+        if position != place:
+            raise ValueError(
+                f"golden row position is not {place}, its place in the list: {position}"
+            )
+        if not isinstance(selected, bool):
+            raise ValueError(f"golden row selected is not a boolean: {selected!r}")
+        text = str(getattr(text, "text", text))  # a finite number as written
+        try:
+            # a score's ASCII syntax, which has no inf or nan: Decimal alone
+            # also reads "١.٠", "1_0" and blanks
+            if not _NUMBER.fullmatch(text):
+                raise InvalidOperation
+            value = Decimal(text)
+        except InvalidOperation:
+            raise ValueError(
+                f"golden row autorank_exact is not a finite decimal: {text!r}"
+            ) from None
+        try:
+            # compare_pair computes both band edges; the decimal context must hold them
+            half_ulp = _half_ulp(value)
+            value - half_ulp, value + half_ulp
+        except ArithmeticError:
+            raise ValueError(f"golden row autorank_exact is out of range: {text!r}") from None
+        yield GoldenRow(system, category, selected, text, value, half_ulp)
 
 
 def _half_ulp(value: Decimal) -> Decimal:
-    return Decimal(1).scaleb(int(value.as_tuple().exponent)) / 2
+    # one in the last place of value, made by value's own class, Decimal
+    return type(value)(1).scaleb(int(value.as_tuple().exponent)) / 2
 
 
 def _has_binding_inversion(
@@ -266,6 +280,8 @@ def compare_pair(
         A ``PairComparison``; ``ok`` is true when nothing beyond notes
         and allow-listed differences was found.
     """
+
+    from decimal import Decimal
 
     pair = golden["pair"].code  # type: ignore[attr-defined]
     result = PairComparison([], [])

@@ -26,7 +26,6 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
-from fractions import Fraction
 
 _PAIR_CODE = re.compile(r"[a-z]{2}-[a-z]{2}")
 # the syntax of every number read from a file or flag: ASCII decimal or
@@ -216,6 +215,8 @@ def display_str(value: float | Fraction) -> str:
     A float is read as the decimal of its shortest repr, so 2.25 shows
     as 2.3 regardless of the binary representation underneath.
     """
+
+    from fractions import Fraction  # loaded by its first call, not by the engine
 
     exact = Fraction(repr(value)) if isinstance(value, float) else Fraction(value)
     return "-" * (exact < 0) + _tenths([abs(exact.numerator)], exact.denominator)[0]

@@ -11,7 +11,8 @@ the full table.  The JSON report honours the same filter.
 Text, Markdown and LaTeX share one cell builder, ``_cells``, which
 reads what to print from a look: the plain look of text and Markdown or
 the LaTeX look.  Each format is a layout over the cells.  Text pads
-every cell by its terminal columns.  Markdown escapes ``|`` in every
+every cell by its terminal columns, and only text output loads
+``unicodedata``, to measure a non-ASCII character.  Markdown escapes ``|`` in every
 cell and LaTeX escapes through its look, so no system or metric name
 breaks a column.
 
@@ -47,7 +48,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from unicodedata import category, east_asian_width
 
 from .model import (
     _RULES,
@@ -301,10 +301,14 @@ class _Columns(dict):
 
     Combining marks (``Mn``, ``Me``) and format characters (``Cf``, such
     as a zero-width joiner) take none, East-Asian wide and fullwidth
-    characters two, everything else one.
+    characters two, everything else one.  Every ASCII character, control
+    characters included, is in the last group, so an ASCII text takes
+    its length and never loads ``unicodedata``.
     """
 
     def __missing__(self, char: str) -> int:
+        from unicodedata import category, east_asian_width
+
         if category(char) in ("Mn", "Me", "Cf"):
             width = 0
         else:
@@ -313,7 +317,7 @@ class _Columns(dict):
         return width
 
     def __call__(self, text: str) -> int:
-        return sum(map(self.__getitem__, text))
+        return len(text) if text.isascii() else sum(map(self.__getitem__, text))
 
 
 # one cache for every table: the widths of a character never change

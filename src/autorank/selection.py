@@ -29,15 +29,28 @@ ends in.  Gaps and depths are computed on integers, so a gap of exactly
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
+from math import gcd
 
 from .model import _RULES, LanguagePair, RankedRow, ReasonCode, SystemCategory, SystemEntry
 from .ranking import RankKey
 
+
+def _ratio(text: str) -> tuple[int, int]:
+    """A rule of ``_RULES``, a decimal ("1.5") or a fraction ("1/3"), as
+    (numerator, denominator) in lowest terms."""
+
+    numerator, slash, denominator = text.partition("/")
+    if not slash:
+        whole, _, places = text.partition(".")
+        numerator, denominator = whole + places, 10 ** len(places)
+    numerator, denominator = int(numerator), int(denominator)
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
+
+
 # each rule as (numerator, denominator), read once from the text of _RULES
 _GAP, _CLOSED, _OPEN = (
-    Fraction(_RULES[key]).as_integer_ratio()
-    for key in ("cutoff_gap", "closed_fraction", "open_fraction")
+    _ratio(_RULES[key]) for key in ("cutoff_gap", "closed_fraction", "open_fraction")
 )
 
 

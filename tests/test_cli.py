@@ -1943,6 +1943,9 @@ class TestHostileNames:
 _SITE = pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
 # stdlib modules the CLI does not need to rank or verify
 _UNNEEDED = {"typing", "pathlib", "tempfile"}
+# stdlib modules only some commands need: verify's decimals, text widths,
+# and the Fraction of model.display_str, which no command calls
+_DEFERRED = {"decimal", "fractions", "unicodedata"}
 
 
 class TestImportGraph:
@@ -1989,3 +1992,30 @@ class TestImportGraph:
         assert "autorank.render" in loaded
         # --out names its temporary file itself, so even rank-out needs no tempfile
         assert not _UNNEEDED & loaded
+
+    @_SITE
+    def test_importing_the_cli_loads_no_decimal_fractions_or_unicodedata(self, flags):
+        loaded = self._loaded("import autorank.cli", flags)
+        assert "autorank.cli" in loaded
+        assert not _DEFERRED & loaded
+
+    @_SITE
+    @pytest.mark.parametrize("fmt", ["json", "md", "latex"])
+    def test_ranking_but_as_text_loads_no_decimal_fractions_or_unicodedata(self, fmt, flags):
+        loaded = self._run(["rank", *WMT24_INPUTS, "--format", fmt], flags)
+        assert "autorank.render" in loaded
+        assert not _DEFERRED & loaded
+
+    @_SITE
+    def test_text_ranking_loads_unicodedata_but_no_decimal_or_fractions(self, flags):
+        loaded = self._run(["rank", *WMT24_INPUTS, "--format", "text"], flags)
+        assert "unicodedata" in loaded  # the track markers are not ASCII
+        assert not {"decimal", "fractions"} & loaded
+
+    @_SITE
+    def test_verify_loads_decimal_but_no_fractions_or_unicodedata(self, flags):
+        argv = ["verify", *WMT24_INPUTS, "--golden", str(DATA / "golden"),
+                "--allow-mismatch", str(ALLOW)]
+        loaded = self._run(argv, flags)
+        assert "decimal" in loaded
+        assert not {"fractions", "unicodedata"} & loaded

@@ -12,8 +12,11 @@ from autorank import (
     SystemCategory,
     SystemEntry,
 )
-from autorank.model import display_str
+from autorank.model import _RULES, display_str
 from autorank.selection import (
+    _CLOSED,
+    _GAP,
+    _OPEN,
     apply_selection,
     category_limits,
     find_cutoff,
@@ -105,6 +108,12 @@ class TestFindCutoff:
     def test_empty_and_singleton(self):
         assert find_cutoff([], 1) is None
         assert _cutoff(_table(1.0)) is None
+
+
+def test_rules_are_read_as_their_ratios_in_lowest_terms():
+    # "1.5", "1/3" and "2/3" as fractions.Fraction reads them
+    for rule, key in ((_GAP, "cutoff_gap"), (_CLOSED, "closed_fraction"), (_OPEN, "open_fraction")):
+        assert rule == Fraction(_RULES[key]).as_integer_ratio(), key
 
 
 class TestCategoryLimits:
