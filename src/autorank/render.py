@@ -12,9 +12,9 @@ Text, Markdown and LaTeX share one cell builder, ``_cells``, which
 reads what to print from a look: the plain look of text and Markdown or
 the LaTeX look.  Each format is a layout over the cells.  Text pads
 every cell by its terminal columns, and only text output loads
-``unicodedata``, to measure a non-ASCII character.  Markdown escapes ``|`` in every
-cell and LaTeX escapes through its look, so no system or metric name
-breaks a column.
+``unicodedata``, to measure a non-ASCII character.  Markdown escapes
+``|`` in every cell and LaTeX escapes through its look, so no system or
+metric name breaks a column.
 
 The JSON report is the machine-readable golden format: deterministic
 key order, rows sorted by position, pairs sorted by code, and every
